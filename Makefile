@@ -54,10 +54,11 @@ smoke:
 # Shard-determinism gate: the netsim experiments must emit byte-identical
 # JSON whether they run on one event heap or four (the Shards knob is
 # execution placement, not a model parameter). Only wall-clock lines may
-# differ.
+# differ. The four-shard side runs on one P, so every barrier wait parks:
+# the window loop's oversubscribed regime is under the same gate.
 shard-smoke:
 	@$(GO) run ./cmd/flexsfp-bench -run linerate,reliability -json -shards 1 | grep -v '"wall_ms"' > /tmp/flexsfp-shards1.json; \
-	$(GO) run ./cmd/flexsfp-bench -run linerate,reliability -json -shards 4 | grep -v '"wall_ms"' > /tmp/flexsfp-shards4.json; \
+	GOMAXPROCS=1 $(GO) run ./cmd/flexsfp-bench -run linerate,reliability -json -shards 4 | grep -v '"wall_ms"' > /tmp/flexsfp-shards4.json; \
 	diff /tmp/flexsfp-shards1.json /tmp/flexsfp-shards4.json > /dev/null || { echo "shard-smoke: -shards 1 and -shards 4 JSON differ" >&2; exit 1; }; \
 	echo "shard-smoke: -shards 1 == -shards 4"
 
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzPacketDecode' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzParserDecodeLayers' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzViewVsDecode' -fuzztime 10s ./internal/packet > /dev/null
+	$(GO) test -fuzz 'FuzzSumBytes' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzXDPVerify' -fuzztime 10s ./internal/xdp > /dev/null
 	$(GO) test -fuzz 'FuzzXDPRun' -fuzztime 10s ./internal/xdp > /dev/null
 	$(GO) test -fuzz 'FuzzOptimizeEquivalence' -fuzztime 10s ./internal/opt > /dev/null
@@ -117,7 +119,7 @@ catalog-smoke:
 # re-converged.
 overlay-smoke:
 	@$(GO) run ./cmd/flexsfp-bench -run overlay_linerate,overlay_failover -json -shards 1 | grep -v '"wall_ms"' > /tmp/flexsfp-overlay1.json; \
-	$(GO) run ./cmd/flexsfp-bench -run overlay_linerate,overlay_failover -json -shards 4 | grep -v '"wall_ms"' > /tmp/flexsfp-overlay4.json; \
+	GOMAXPROCS=1 $(GO) run ./cmd/flexsfp-bench -run overlay_linerate,overlay_failover -json -shards 4 | grep -v '"wall_ms"' > /tmp/flexsfp-overlay4.json; \
 	diff /tmp/flexsfp-overlay1.json /tmp/flexsfp-overlay4.json > /dev/null || { echo "overlay-smoke: -shards 1 and -shards 4 JSON differ" >&2; exit 1; }; \
 	grep -A1 '"name": "frames_to_withdrawn_post"' /tmp/flexsfp-overlay1.json | grep -q '"mean": 0' || { echo "overlay-smoke: frames delivered to the withdrawn peer" >&2; exit 1; }; \
 	grep -A1 '"name": "recovered_fraction"' /tmp/flexsfp-overlay1.json | grep -q '"mean": 1' || { echo "overlay-smoke: a flow failed to re-converge" >&2; exit 1; }; \

@@ -123,20 +123,6 @@ const (
 	meshCounters
 )
 
-// meshEnc is the cached per-peer serialization state, rebuilt from the
-// mesh_peers table whenever its generation moves. The expensive pieces
-// (layer structs, the UDP pseudo-header binding, the stack slice) are
-// built here at control-plane rate so the per-frame path is alloc-free.
-type meshEnc struct {
-	mode  uint8
-	eth   packet.Ethernet
-	ip    packet.IPv4
-	gre   packet.GRE
-	udp   packet.UDP
-	vx    packet.VXLAN
-	stack []packet.SerializableLayer
-}
-
 type meshApp struct {
 	prog   *ppe.Program
 	state  *ppe.State
@@ -153,19 +139,22 @@ type meshApp struct {
 	ttl      uint8
 	mtu      int
 
-	buf      *packet.SerializeBuffer
 	v        packet.View
 	ring     *frameRing
-	payload  packet.Payload
 	routeKey [4]byte
 
-	cache    map[uint16]*meshEnc
+	// cache is the per-peer outer header, rebuilt from the mesh_peers
+	// table whenever its generation moves, so the per-frame path
+	// serializes no layers and allocates nothing. A nil entry is a peer
+	// whose header cannot be built (a VNI over 24 bits): its frames are
+	// dropped as MeshErrors.
+	cache    map[uint16]*outerHeader
 	cacheGen uint64
 }
 
 // NewMesh builds an overlay mesh endpoint instance.
 func NewMesh() *meshApp {
-	a := &meshApp{state: ppe.NewState(), buf: packet.NewSerializeBuffer()}
+	a := &meshApp{state: ppe.NewState()}
 	routeSpec := ppe.TableSpec{Name: MeshRouteTable, Kind: ppe.TableExact, KeyBits: 32, ValueBits: 16, Size: MeshRouteTableSize}
 	peerSpec := ppe.TableSpec{Name: MeshPeerTable, Kind: ppe.TableExact, KeyBits: 16, ValueBits: meshPeerValueLen * 8, Size: MeshPeerTableSize}
 	a.routes = a.state.AddTable(routeSpec)
@@ -233,7 +222,7 @@ func (a *meshApp) Configure(config []byte) error {
 	}
 	// Build the (empty) cache eagerly so the first frame is already on
 	// the steady-state path.
-	a.cache = map[uint16]*meshEnc{}
+	a.cache = map[uint16]*outerHeader{}
 	a.cacheGen = a.peers.Generation()
 	a.rebuildCache()
 	return nil
@@ -245,7 +234,7 @@ func (a *meshApp) Configure(config []byte) error {
 // table write at worst forces one extra rebuild, never a stale cache.
 func (a *meshApp) rebuildCache() {
 	gen := a.peers.Generation()
-	cache := make(map[uint16]*meshEnc, a.peers.Len())
+	cache := make(map[uint16]*outerHeader, a.peers.Len())
 	for _, e := range a.peers.Snapshot() {
 		if len(e.Key) != 2 {
 			continue
@@ -255,41 +244,26 @@ func (a *meshApp) rebuildCache() {
 		if err != nil {
 			continue
 		}
-		enc, err := a.buildEnc(p)
-		if err != nil {
+		if p.Mode != MeshModeGRE && p.Mode != MeshModeVXLAN {
 			continue
 		}
-		cache[id] = enc
+		cache[id] = a.buildEnc(p)
 	}
 	a.cache, a.cacheGen = cache, gen
 }
 
-func (a *meshApp) buildEnc(p MeshPeer) (*meshEnc, error) {
-	peerIP := netip.AddrFrom4(p.IP)
-	e := &meshEnc{mode: p.Mode}
-	e.eth = packet.Ethernet{SrcMAC: a.localMAC, DstMAC: packet.MAC(p.MAC), EtherType: packet.EtherTypeIPv4}
-	e.ip = packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: peerIP, DontFrag: true}
-	switch p.Mode {
-	case MeshModeGRE:
-		e.ip.Protocol = packet.IPProtocolGRE
-		e.gre = packet.GRE{Protocol: packet.EtherTypeTransparentEthernet}
-		if p.GREKey != 0 {
-			e.gre.KeyPresent = true
-			e.gre.Key = p.GREKey
-		}
-		e.stack = []packet.SerializableLayer{&e.eth, &e.ip, &e.gre, &a.payload}
-	case MeshModeVXLAN:
-		e.ip.Protocol = packet.IPProtocolUDP
-		e.udp = packet.UDP{DstPort: packet.PortVXLAN}
-		if err := e.udp.SetNetworkLayerForChecksum(a.local, peerIP); err != nil {
-			return nil, err
-		}
-		e.vx = packet.VXLAN{VNI: p.VNI}
-		e.stack = []packet.SerializableLayer{&e.eth, &e.ip, &e.udp, &e.vx, &a.payload}
-	default:
-		return nil, fmt.Errorf("mesh: unknown peer mode %d", p.Mode)
+// buildEnc serializes the outer header toward one GRE or VXLAN peer; nil
+// when the peer's parameters do not serialize.
+func (a *meshApp) buildEnc(p MeshPeer) *outerHeader {
+	eth := packet.Ethernet{SrcMAC: a.localMAC, DstMAC: packet.MAC(p.MAC), EtherType: packet.EtherTypeIPv4}
+	ip := packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: netip.AddrFrom4(p.IP), DontFrag: true}
+	if p.Mode == MeshModeGRE {
+		ip.Protocol = packet.IPProtocolGRE
+		gre := packet.GRE{Protocol: packet.EtherTypeTransparentEthernet, KeyPresent: p.GREKey != 0, Key: p.GREKey}
+		return newOuterHeader(&eth, &ip, &gre)
 	}
-	return e, nil
+	ip.Protocol = packet.IPProtocolUDP
+	return newOuterHeader(&eth, &ip, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: p.VNI})
 }
 
 func (a *meshApp) handle(ctx *ppe.Ctx) ppe.Verdict {
@@ -327,23 +301,19 @@ func (a *meshApp) handleEgress(ctx *ppe.Ctx) ppe.Verdict {
 		a.ctr.Inc(MeshNoPeer, len(ctx.Data))
 		return ppe.VerdictDrop
 	}
-	if enc.mode == MeshModeVXLAN {
-		enc.udp.SrcPort = uint16(49152 + packet.FNV64(ctx.Data[:min(34, len(ctx.Data))])%16384)
-	}
-	a.payload = packet.Payload(ctx.Data)
-	opts := packet.SerializeOptions{FixLengths: true, ComputeChecksums: true}
-	if err := packet.SerializeLayers(a.buf, opts, enc.stack...); err != nil {
+	if enc == nil {
 		a.ctr.Inc(MeshErrors, len(ctx.Data))
 		return ppe.VerdictDrop
 	}
-	if a.buf.Len() > a.mtu {
+	size := enc.size(ctx.Data)
+	if size > a.mtu {
 		// Like the tunnel app, the counter records the would-be encapped
 		// size so MTU headroom is measurable.
-		a.ctr.Inc(MeshTooBig, a.buf.Len())
+		a.ctr.Inc(MeshTooBig, size)
 		return ppe.VerdictDrop
 	}
-	out := a.ring.take(a.buf.Len())
-	copy(out, a.buf.Bytes())
+	out := a.ring.take(size)
+	enc.encap(out, ctx.Data)
 	ctx.Data = out
 	a.ctr.Inc(MeshEncapped, len(out))
 	return ppe.VerdictPass

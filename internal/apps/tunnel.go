@@ -2,7 +2,6 @@ package apps
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/netip"
 
@@ -62,8 +61,6 @@ const (
 	decapErr
 )
 
-var errInnerNotIPv4 = errors.New("tunnel: ipip inner frame is not IPv4")
-
 type tunnelApp struct {
 	prog  *ppe.Program
 	state *ppe.State
@@ -80,17 +77,15 @@ type tunnelApp struct {
 	v               packet.View
 	ring            *frameRing
 
-	// Persistent serialization state: the layer structs and stacks are
-	// built once at Configure and reused per frame, so the hot path does
-	// not allocate (the property tests pin 0 allocs/op).
+	// Persistent serialization state, built once at Configure so the hot
+	// path does not allocate (the property tests pin 0 allocs/op): the
+	// outer header encap prepends — nil when Configure accepted parameters
+	// that do not serialize (a VNI over 24 bits), which drops every edge
+	// frame as TunnelErrors — and the Ethernet re-wrap of IPIP decap.
+	outer    *outerHeader
 	outerEth packet.Ethernet
-	outerIP  packet.IPv4
-	gre      packet.GRE
-	udp      packet.UDP
-	vx       packet.VXLAN
 	payload  packet.Payload
-	encStack []packet.SerializableLayer
-	ethStack []packet.SerializableLayer // IPIP decap re-wrap
+	ethStack []packet.SerializableLayer
 }
 
 // NewTunnel builds a tunnel endpoint instance.
@@ -162,40 +157,31 @@ func (a *tunnelApp) Configure(config []byte) error {
 	if a.mtu == 0 {
 		a.mtu = 1518
 	}
-	return a.buildStacks()
+	a.buildStacks()
+	return nil
 }
 
-// buildStacks prepares the persistent outer-header layer structs and the
-// per-mode serialization stack.
-func (a *tunnelApp) buildStacks() error {
+// buildStacks prepares the persistent outer header (nil if it does not
+// serialize: see the field) and the IPIP decap re-wrap stack.
+func (a *tunnelApp) buildStacks() {
 	a.outerEth = packet.Ethernet{SrcMAC: a.localMAC, DstMAC: a.gwMAC, EtherType: packet.EtherTypeIPv4}
-	a.outerIP = packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: a.remote, DontFrag: true}
+	ip := packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: a.remote, DontFrag: true}
 	switch a.mode {
 	case TunnelGRE:
-		a.outerIP.Protocol = packet.IPProtocolGRE
-		a.gre = packet.GRE{Protocol: packet.EtherTypeTransparentEthernet}
-		if a.greKey != 0 {
-			a.gre.KeyPresent = true
-			a.gre.Key = a.greKey
-		}
-		a.encStack = []packet.SerializableLayer{&a.outerEth, &a.outerIP, &a.gre, &a.payload}
+		ip.Protocol = packet.IPProtocolGRE
+		gre := packet.GRE{Protocol: packet.EtherTypeTransparentEthernet, KeyPresent: a.greKey != 0, Key: a.greKey}
+		a.outer = newOuterHeader(&a.outerEth, &ip, &gre)
 	case TunnelVXLAN:
-		a.outerIP.Protocol = packet.IPProtocolUDP
-		a.udp = packet.UDP{DstPort: packet.PortVXLAN}
-		if err := a.udp.SetNetworkLayerForChecksum(a.local, a.remote); err != nil {
-			return err
-		}
-		a.vx = packet.VXLAN{VNI: a.vni}
-		a.encStack = []packet.SerializableLayer{&a.outerEth, &a.outerIP, &a.udp, &a.vx, &a.payload}
+		ip.Protocol = packet.IPProtocolUDP
+		a.outer = newOuterHeader(&a.outerEth, &ip, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: a.vni})
 	case TunnelIPIP:
-		a.outerIP.Protocol = packet.IPProtocolIPv4
-		a.encStack = []packet.SerializableLayer{&a.outerEth, &a.outerIP, &a.payload}
+		ip.Protocol = packet.IPProtocolIPv4
+		a.outer = newOuterHeader(&a.outerEth, &ip)
 	}
 	a.ethStack = []packet.SerializableLayer{&a.outerEth, &a.payload}
 	if a.ring == nil {
 		a.ring = newFrameRing()
 	}
-	return nil
 }
 
 func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
@@ -204,20 +190,31 @@ func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	}
 	switch ctx.Dir {
 	case ppe.DirEdgeToOptical:
-		out, err := a.encap(ctx.Data)
-		if err != nil {
+		payload := ctx.Data
+		if a.mode == TunnelIPIP {
+			// IP-in-IP carries the inner IP packet only.
+			if !a.v.Parse(payload) || !a.v.IsIPv4 {
+				a.ctr.Inc(TunnelErrors, len(ctx.Data))
+				return ppe.VerdictDrop
+			}
+			payload = payload[a.v.L3Off:]
+		}
+		if a.outer == nil {
 			a.ctr.Inc(TunnelErrors, len(ctx.Data))
 			return ppe.VerdictDrop
 		}
-		if len(out) > a.mtu {
+		size := a.outer.size(payload)
+		if size > a.mtu {
 			// The outer header would push the frame past the egress MTU;
 			// outer packets carry DF, so the hardware drops (an ICMP
 			// too-big would be the control plane's job). The counter
 			// records the would-be encapped size — not the inner size —
 			// so MTU headroom is directly measurable from it.
-			a.ctr.Inc(TunnelTooBig, len(out))
+			a.ctr.Inc(TunnelTooBig, size)
 			return ppe.VerdictDrop
 		}
+		out := a.ring.take(size)
+		a.outer.encap(out, payload)
 		ctx.Data = out
 		a.ctr.Inc(TunnelEncapped, len(out))
 	case ppe.DirOpticalToEdge:
@@ -234,30 +231,6 @@ func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 		a.ctr.Inc(TunnelDecapped, len(out))
 	}
 	return ppe.VerdictPass
-}
-
-func (a *tunnelApp) encap(data []byte) ([]byte, error) {
-	switch a.mode {
-	case TunnelGRE:
-		a.payload = packet.Payload(data)
-	case TunnelVXLAN:
-		// Source-port entropy from the inner frame keeps ECMP balanced.
-		a.udp.SrcPort = uint16(49152 + packet.FNV64(data[:min(34, len(data))])%16384)
-		a.payload = packet.Payload(data)
-	case TunnelIPIP:
-		// IP-in-IP carries the inner IP packet only.
-		if !a.v.Parse(data) || !a.v.IsIPv4 {
-			return nil, errInnerNotIPv4
-		}
-		a.payload = packet.Payload(data[a.v.L3Off:])
-	}
-	opts := packet.SerializeOptions{FixLengths: true, ComputeChecksums: true}
-	if err := packet.SerializeLayers(a.buf, opts, a.encStack...); err != nil {
-		return nil, err
-	}
-	out := a.ring.take(a.buf.Len())
-	copy(out, a.buf.Bytes())
-	return out, nil
 }
 
 // decap classifies an optical-side frame and strips the tunnel header

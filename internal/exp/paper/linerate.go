@@ -268,6 +268,7 @@ func lineRateSharded(ctx exp.RunContext) (LineRateResult, error) {
 		worlds[i].gen.Stop()
 	}
 	sh.RunUntil(epoch.Add(netsim.Millisecond + 100*netsim.Microsecond))
+	ctx.Progressf("linerate: %d shards: %v", sh.Shards(), sh.Stats())
 
 	res := LineRateResult{Points: make([]LineRatePoint, len(cases))}
 	for i, tc := range cases {

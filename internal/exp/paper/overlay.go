@@ -158,6 +158,7 @@ func overlayLineRate(ctx exp.RunContext) (OverlayLineRateResult, error) {
 		worlds[i].gen.Stop()
 	}
 	sh.RunUntil(epoch.Add(window + 100*netsim.Microsecond))
+	ctx.Progressf("overlay_linerate: %d shards: %v", sh.Shards(), sh.Stats())
 
 	res := OverlayLineRateResult{Points: make([]OverlayLineRatePoint, len(cases))}
 	for i, tc := range cases {
@@ -463,6 +464,7 @@ func overlayFailover(ctx exp.RunContext) (OverlayFailoverResult, error) {
 		}
 	}
 	sh.RunUntil(epoch.Add(total + failoverWindow))
+	ctx.Progressf("overlay_failover: %d shards: %v", sh.Shards(), sh.Stats())
 
 	// Invariant 1: nothing reached the withdrawn cable's edge after
 	// convergence.

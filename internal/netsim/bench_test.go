@@ -91,12 +91,12 @@ func BenchmarkStep(b *testing.B) {
 	sim.Run()
 }
 
-// BenchmarkShardedRing measures the parallel core end to end: a 4-shard
-// token ring where every hop crosses a portal (worst case for the
-// window synchronizer — lookahead bounds every window and all frames
-// are cross-shard).
+// BenchmarkShardedRing measures the parallel core end to end: a token
+// ring where every hop crosses a portal (worst case for the window
+// synchronizer — lookahead bounds every window, all frames are
+// cross-shard and only one shard has work in any window).
 func BenchmarkShardedRing(b *testing.B) {
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			sh := NewSharded(1, shards)
 			const nodes = 4
@@ -115,6 +115,36 @@ func BenchmarkShardedRing(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			ports[0].Send([]byte{1})
+			sh.Run()
+		})
+	}
+}
+
+// BenchmarkShardedWindow measures one window of the 2-shard loop — the
+// barrier plus k local events on each shard — so barrier ns/window reads
+// beside BenchmarkScheduleFire's ns/event. Each shard runs k self-rearming
+// tickers of period 100; an idle portal sets the lookahead to 100, so
+// every window holds exactly k events per shard. One op is one window.
+func BenchmarkShardedWindow(b *testing.B) {
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("events=%d", k), func(b *testing.B) {
+			sh := NewSharded(1, 2)
+			sh.Connect(0, 1, 100, func([]byte) {})
+			stop := Time(b.N) * 100
+			for i := 0; i < 2; i++ {
+				sim := sh.Shard(i)
+				for j := 0; j < k; j++ {
+					var tick func()
+					tick = func() {
+						if sim.Now() < stop {
+							sim.ScheduleDetached(100, tick)
+						}
+					}
+					sim.ScheduleAtDetached(Time(j), tick)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
 			sh.Run()
 		})
 	}

@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"runtime"
 	"sync/atomic"
 
 	"flexsfp/internal/runner"
@@ -49,6 +49,10 @@ type Sharded struct {
 	portals   []*Portal
 	inbound   [][]*Portal // per destination shard, in portal-id order
 	lookahead Duration    // min portal latency; 0 until a portal exists
+
+	// Window-loop counters: written by the coordinator at barriers only.
+	stats   ShardedStats
+	firedAt []uint64 // per shard, Simulator.fired at the last barrier
 }
 
 // maxTime is the effectively-unbounded window limit used when no portal
@@ -71,9 +75,17 @@ func NewSharded(seed int64, n int) *Sharded {
 		seed:    seed,
 		shards:  make([]*Simulator, n),
 		inbound: make([][]*Portal, n),
+		firedAt: make([]uint64, n),
 	}
+	// Shards are written on every event by different cores; allocated one
+	// by one they would sit back to back and share cache lines.
+	sims := make([]struct {
+		_   [cacheLine]byte
+		sim Simulator
+	}, n)
 	for i := range s.shards {
-		s.shards[i] = New(runner.TrialSeed(seed, i))
+		s.shards[i] = &sims[i].sim
+		s.shards[i].rng = rand.New(rand.NewSource(runner.TrialSeed(seed, i)))
 	}
 	return s
 }
@@ -201,6 +213,13 @@ func (s *Sharded) RunFor(d Duration) { s.RunUntil(s.Now().Add(d)) }
 // where end = T + lookahead (unbounded when no portals exist), execute
 // the windows in parallel, then merge queued cross-shard messages at the
 // barrier. Progress is guaranteed because the event at T always fires.
+//
+// The coordinator executes shard 0's window itself; shards 1..n-1 each
+// have a worker goroutine that lives for this call. Hand-off both ways is
+// a gate (see gate): a window costs a few cache-line transfers, not
+// scheduler round trips, and the gates' atomics give the happens-before
+// edges that make barrier-phase access to shard heaps and portal free
+// lists safe.
 func (s *Sharded) run(limit Time, bounded bool) {
 	n := len(s.shards)
 	if n == 1 && len(s.portals) == 0 {
@@ -215,32 +234,53 @@ func (s *Sharded) run(limit Time, bounded bool) {
 		return
 	}
 
-	var (
-		work []chan Time
-		wg   sync.WaitGroup
-	)
-	if n > 1 {
-		// Per-call worker goroutines: each owns one shard for the whole
-		// Run invocation and executes the windows the coordinator hands
-		// it. The WaitGroup barrier gives the happens-before edges that
-		// make barrier-phase access to shard heaps and portal free lists
-		// safe.
-		work = make([]chan Time, n)
-		for i := range work {
-			work[i] = make(chan Time, 1)
-			go func(sim *Simulator, ch <-chan Time) {
-				for end := range ch {
-					sim.runBefore(end)
-					wg.Done()
-				}
-			}(s.shards[i], work[i])
-		}
-		defer func() {
-			for i := range work {
-				close(work[i])
-			}
-		}()
+	for i, sim := range s.shards {
+		s.firedAt[i] = sim.fired // events fired outside run are not window work
 	}
+
+	// Spinning only pays when every shard can hold a core for the whole
+	// window; oversubscribed, a spinner would burn the time slice the shard
+	// it waits for needs, so waiters park at once.
+	spin := spinBudget
+	if n > runtime.GOMAXPROCS(0) {
+		spin = 0
+	}
+	var (
+		workers = make([]windowWorker, n-1)
+		done    = &struct { // counts finished worker windows, all workers
+			_ [cacheLine]byte
+			gate
+			_ [cacheLine]byte
+		}{gate: newGate()}
+		granted uint64 // windows handed to each worker so far
+	)
+	for i := range workers {
+		w := &workers[i]
+		w.sim, w.start, w.done = s.shards[i+1], newGate(), &done.gate
+		go w.loop(spin)
+	}
+	// grant hands every worker one window (or, with stop set, its exit)
+	// and returns once all of them have finished it.
+	grant := func(end Time, stop bool) {
+		granted++
+		for i := range workers {
+			workers[i].end, workers[i].stop = end, stop
+			workers[i].start.advance()
+		}
+		if !stop {
+			s.shards[0].runBefore(end)
+		}
+		s.stats.countWait(done.await(granted*uint64(len(workers)), spin))
+	}
+	defer func() {
+		if len(workers) > 0 {
+			grant(0, true)
+			for i := range workers {
+				s.stats.SpinWaits += workers[i].waits.SpinWaits
+				s.stats.ParkWaits += workers[i].waits.ParkWaits
+			}
+		}
+	}()
 
 	for {
 		// Drain first: messages queued at wiring time (or by the previous
@@ -258,15 +298,12 @@ func (s *Sharded) run(limit Time, bounded bool) {
 		if bounded && end > limit+1 {
 			end = limit + 1 // RunUntil is inclusive: fire events at == limit
 		}
-		if n > 1 {
-			wg.Add(n)
-			for i := range work {
-				work[i] <- end
-			}
-			wg.Wait()
+		if len(workers) > 0 {
+			grant(end, false)
 		} else {
 			s.shards[0].runBefore(end)
 		}
+		s.countWindow()
 	}
 	if bounded {
 		for _, sim := range s.shards {
@@ -275,6 +312,167 @@ func (s *Sharded) run(limit Time, bounded bool) {
 			}
 		}
 	}
+}
+
+// windowWorker is one non-coordinator shard's side of the window loop.
+type windowWorker struct {
+	_ [cacheLine]byte
+
+	// One line the coordinator writes and the worker reads, once per
+	// window: end and stop are set before start is advanced and read after
+	// start lets the worker through.
+	start gate
+	end   Time
+	stop  bool
+	sim   *Simulator
+	done  *gate // shared: advanced by every worker once per window
+
+	_ [cacheLine]byte
+
+	// How the worker's waits on start resolved: its own line to write,
+	// read by the coordinator once the worker has stopped.
+	waits ShardedStats
+}
+
+func (w *windowWorker) loop(spin int) {
+	for window := uint64(1); ; window++ {
+		w.waits.countWait(w.start.await(window, spin))
+		if w.stop {
+			w.done.advance()
+			return
+		}
+		w.sim.runBefore(w.end)
+		w.done.advance() // the coordinator may rewrite end and stop from here on
+	}
+}
+
+// spinBudget is how many times a waiter re-reads its gate, one cpuPause
+// (≈25 ns) apart, before it parks: ≈50 µs. The windows this exists for are
+// the overlay fabric's (500 ns lookahead, ≈12 events ≈ 3 µs of work per
+// shard, up to all ≈24 on one of them), and parking across cores is the
+// expensive outcome — on the 2-core reference host a budget of 256 made
+// the overlay benchmark 2.3× slower than 1024–4096, which measured alike
+// — so the budget sits a decade above the typical window. It still bounds
+// a waiter's waste to tens of microseconds when the other side runs one
+// long window (no-portal worlds) or has lost its core.
+const spinBudget = 1 << 11
+
+// cacheLine is the padding unit that keeps words written by different
+// goroutines during a window on different cache lines.
+const cacheLine = 64
+
+// gate is a monotonic counter one goroutine waits on: await returns once
+// the count has reached a target, advance adds one. A waiter re-reads the
+// count up to a spin budget and then parks on a channel; advance pays for
+// a wake-up only when the waiter has actually parked. Exactly one
+// goroutine may await a gate; any number may advance it. A gate is one
+// cache line's worth of hot state: whoever embeds it pads around it.
+type gate struct {
+	count  atomic.Uint64
+	parked atomic.Bool
+	wake   chan struct{} // one token per parked→awake transition won by advance
+}
+
+func newGate() gate { return gate{wake: make(chan struct{}, 1)} }
+
+func (g *gate) advance() {
+	g.count.Add(1)
+	if g.parked.Load() && g.parked.CompareAndSwap(true, false) {
+		g.wake <- struct{}{}
+	}
+}
+
+// await returns once count ≥ target, reporting whether it had to park.
+func (g *gate) await(target uint64, spin int) (parked bool) {
+	for i := 0; ; i++ {
+		if g.count.Load() >= target {
+			return false
+		}
+		if i >= spin {
+			break
+		}
+		cpuPause()
+	}
+	for g.count.Load() < target {
+		// Announce the park, then look again: advance either sees parked
+		// and sends a token, or its Add is visible to this re-check.
+		g.parked.Store(true)
+		if g.count.Load() >= target && g.parked.CompareAndSwap(true, false) {
+			break
+		}
+		<-g.wake
+	}
+	return true
+}
+
+// ShardedStats are the window loop's own counters, for explaining what a
+// sharded run cost the host: how many windows the lookahead cut the run
+// into, how much work each carried and how evenly, and how the barrier
+// waits resolved. They describe execution, not the model, so they differ
+// by shard count and host and appear in no experiment output. The
+// single-shard, no-portal fast path runs no windows and counts nothing.
+type ShardedStats struct {
+	Windows        uint64 // windows executed
+	Events         uint64 // events fired inside windows, all shards
+	EventsMaxShard uint64 // the busiest shard's events in each window, summed
+	SpinWaits      uint64 // barrier waits that found their gate open while spinning
+	ParkWaits      uint64 // barrier waits that gave up spinning and parked
+	PortalMsgs     uint64 // messages that entered any portal
+	PortalSpills   uint64 // of those, how many overflowed a ring into its spill slice
+}
+
+// Imbalance is Σ(max-shard events)/Σ(events) over all windows: the share
+// of the event work that sits on the windows' critical path. 1/shards is
+// perfect balance; 1 means one shard did everything.
+func (st ShardedStats) Imbalance() float64 {
+	if st.Events == 0 {
+		return 0
+	}
+	return float64(st.EventsMaxShard) / float64(st.Events)
+}
+
+func (st ShardedStats) String() string {
+	perWindow := 0.0
+	if st.Windows > 0 {
+		perWindow = float64(st.Events) / float64(st.Windows)
+	}
+	return fmt.Sprintf("windows=%d events/window=%.1f imbalance=%.2f waits spin=%d park=%d portal msgs=%d spills=%d",
+		st.Windows, perWindow, st.Imbalance(), st.SpinWaits, st.ParkWaits, st.PortalMsgs, st.PortalSpills)
+}
+
+func (st *ShardedStats) countWait(parked bool) {
+	if parked {
+		st.ParkWaits++
+	} else {
+		st.SpinWaits++
+	}
+}
+
+// Stats returns the window-loop counters accumulated over every Run
+// variant so far. Call it between runs, not from inside an event.
+func (s *Sharded) Stats() ShardedStats {
+	st := s.stats
+	for _, p := range s.portals {
+		st.PortalMsgs += p.sent
+		st.PortalSpills += p.spilled
+	}
+	return st
+}
+
+// countWindow folds the window that just ended into the counters.
+func (s *Sharded) countWindow() {
+	var sum, max uint64
+	for i, sim := range s.shards {
+		d := sim.fired - s.firedAt[i]
+		s.firedAt[i] = sim.fired
+		sum += d
+		if d > max {
+			max = d
+		}
+	}
+	s.stats.Windows++
+	s.stats.Events += sum
+	s.stats.EventsMaxShard += max
 }
 
 // nextEventAt returns the earliest pending event time across all shards.
@@ -343,6 +541,7 @@ type portalMsg struct {
 // shard (link frames, engine completions) stay intact across the shard
 // boundary.
 type Portal struct {
+	// Fixed at wiring time, read by everyone.
 	id      int
 	src     int
 	dst     int
@@ -350,26 +549,36 @@ type Portal struct {
 	srcSim  *Simulator
 	dstSim  *Simulator
 	deliver func([]byte)
+	ring    []portalMsg
 
-	// SPSC ring: the source worker stores and publishes via tail, the
-	// coordinator consumes via head. head ≤ tail always; both only grow.
-	ring []portalMsg
-	head atomic.Uint64
-	tail atomic.Uint64
+	// The mutable fields are grouped by the goroutine that writes them
+	// while a window runs, one cache line per group, so the two shards of
+	// a cross-shard link and the coordinator never write the same line.
+	_ [cacheLine]byte
 
-	// spill absorbs windows that queue more than the ring capacity. Only
-	// the producer appends (during a window) and only the coordinator
-	// reads (at the barrier), with the barrier's happens-before between.
-	spill    []portalMsg
-	spillPos int
+	// Source worker, inside a window. tail publishes ring slots (SPSC:
+	// head ≤ tail always, both only grow); spill absorbs windows that
+	// queue more than the ring holds, appended only by the producer and
+	// read only at the barrier.
+	tail  atomic.Uint64
+	spill []portalMsg
+	sent  uint64
 
-	// free recycles arrival events on the destination side. Pushed by
-	// arrival.Complete (destination worker, inside a window) and popped
-	// by scheduleArrival (coordinator, at the barrier); the phases never
-	// overlap.
+	_ [cacheLine]byte
+
+	// Destination worker, inside a window: free recycles arrival records,
+	// pushed by arrival.Complete and popped by scheduleArrival at the
+	// barrier; the phases never overlap.
 	free *arrival
 
-	sent uint64
+	_ [cacheLine]byte
+
+	// Coordinator, at the barrier.
+	head     atomic.Uint64
+	spillPos int
+	spilled  uint64 // messages consumed from spill
+
+	_ [cacheLine]byte
 }
 
 // Latency returns the portal's fixed crossing latency (its lookahead
@@ -417,6 +626,7 @@ func (p *Portal) popMsg() {
 	}
 	p.spill[p.spillPos] = portalMsg{}
 	p.spillPos++
+	p.spilled++
 	if p.spillPos == len(p.spill) {
 		p.spill, p.spillPos = p.spill[:0], 0
 	}

@@ -3,7 +3,10 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // ringWorld builds a ring of `nodes` logical partitions over `shards`
@@ -306,5 +309,88 @@ func TestShardedRunZeroAlloc(t *testing.T) {
 		sh.Run()
 	}); n > 64 {
 		t.Fatalf("sharded run allocates %v per %d-hop run, want ≤ 64", n, perRun)
+	}
+}
+
+// TestShardedGoldenTraceAnyProcs runs the ring at GOMAXPROCS 1 and 2 with
+// 2, 4 and 8 shards — every barrier regime: spinning (shards ≤ procs) and
+// parking at once (shards > procs, including 8 workers on one P). The
+// trace must not depend on which.
+func TestShardedGoldenTraceAnyProcs(t *testing.T) {
+	const nodes, hops = 8, 40
+	want := ringWorld(42, 1, nodes, hops)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{2, 4, 8} {
+			if got := ringWorld(42, shards, nodes, hops); !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS=%d shards=%d: trace differs from the 1-shard trace", procs, shards)
+			}
+		}
+	}
+}
+
+// TestShardedWorkersExit: the per-Run worker goroutines are gone once a
+// Run variant returns — whether it ran the heaps dry, stopped at a
+// RunUntil limit with events still pending, or had nothing to do.
+func TestShardedWorkersExit(t *testing.T) {
+	sh := NewSharded(1, 4)
+	p := sh.Connect(0, 3, 10, func([]byte) {})
+	for i := 0; i < 4; i++ {
+		sh.Shard(i).ScheduleAtDetached(Time(5+i), func() {})
+		sh.Shard(i).ScheduleAtDetached(1000, func() {})
+	}
+	p.Send([]byte{1})
+	before := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"bounded, events left", func() { sh.RunUntil(100) }},
+		{"to completion", sh.Run},
+		{"nothing pending", sh.Run},
+	} {
+		c.run()
+		// A worker's last act is to release the coordinator, so it can
+		// still be a few instructions from exiting when run returns.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines after the run, %d before", c.name, n, before)
+		}
+	}
+}
+
+// TestShardedStats checks the window-loop counters against a world whose
+// numbers are known: one portal overflowing its ring in one window.
+func TestShardedStats(t *testing.T) {
+	const n = portalRingSize + 500
+	sh := NewSharded(1, 2)
+	p := sh.Connect(0, 1, 10, func([]byte) {})
+	data := []byte{1}
+	sh.Shard(0).ScheduleAtDetached(1, func() {
+		for i := 0; i < n; i++ {
+			p.Send(data)
+		}
+	})
+	sh.Run()
+	st := sh.Stats()
+	if st.Windows != 2 || st.Events != n+1 || st.EventsMaxShard != n+1 {
+		t.Errorf("windows=%d events=%d max-shard=%d, want 2, %d, %d", st.Windows, st.Events, st.EventsMaxShard, n+1, n+1)
+	}
+	if st.Imbalance() != 1 {
+		t.Errorf("imbalance = %v, want 1 (each window's events sit on one shard)", st.Imbalance())
+	}
+	if st.PortalMsgs != n || st.PortalSpills != 500 {
+		t.Errorf("portal msgs=%d spills=%d, want %d, 500", st.PortalMsgs, st.PortalSpills, n)
+	}
+	// Coordinator and worker each wait once per window and once to stop.
+	if got, want := st.SpinWaits+st.ParkWaits, 2*(st.Windows+1); got != want {
+		t.Errorf("barrier waits = %d, want %d", got, want)
+	}
+	if s := st.String(); s == "" {
+		t.Error("empty String()")
 	}
 }
