@@ -137,34 +137,46 @@ func EncodedLen(header []byte) (total int, ok bool) {
 	return headerSize + plen + crcSize, true
 }
 
-// Decode parses and integrity-checks an encoded bitstream.
-func Decode(data []byte) (*Bitstream, error) {
-	if len(data) < minEncoded {
-		return nil, ErrTooShort
+// Check validates an encoded bitstream the way Decode does — magic, format
+// version, declared length, CRC-32 — without building the image, and
+// returns its AppVersion. A boot path needs exactly that: a verdict and a
+// version to compare for freshness. It does not allocate on a valid image.
+func Check(encoded []byte) (appVersion uint32, err error) {
+	if len(encoded) < minEncoded {
+		return 0, ErrTooShort
 	}
-	if !bytes.Equal(data[0:4], magic[:]) {
-		return nil, ErrBadMagic
+	if !bytes.Equal(encoded[0:4], magic[:]) {
+		return 0, ErrBadMagic
 	}
-	if v := binary.BigEndian.Uint16(data[4:6]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	if v := binary.BigEndian.Uint16(encoded[4:6]); v != FormatVersion {
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	plen := int(binary.BigEndian.Uint32(data[68:72]))
+	plen := int(binary.BigEndian.Uint32(encoded[68:72]))
 	if plen > maxPayload {
-		return nil, ErrTooLarge
+		return 0, ErrTooLarge
 	}
 	total := headerSize + plen + crcSize
-	if len(data) < total {
-		return nil, ErrTooShort
+	if len(encoded) < total {
+		return 0, ErrTooShort
 	}
-	body := data[:headerSize+plen]
-	wantCRC := binary.BigEndian.Uint32(data[headerSize+plen : total])
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, ErrBadCRC
+	wantCRC := binary.BigEndian.Uint32(encoded[headerSize+plen : total])
+	if crc32.ChecksumIEEE(encoded[:headerSize+plen]) != wantCRC {
+		return 0, ErrBadCRC
 	}
+	return binary.BigEndian.Uint32(encoded[40:44]), nil
+}
+
+// Decode parses and integrity-checks an encoded bitstream.
+func Decode(data []byte) (*Bitstream, error) {
+	version, err := Check(data)
+	if err != nil {
+		return nil, err
+	}
+	plen := int(binary.BigEndian.Uint32(data[68:72]))
 	b := &Bitstream{
 		Flags:        binary.BigEndian.Uint16(data[6:8]),
 		AppName:      cString(data[8:40]),
-		AppVersion:   binary.BigEndian.Uint32(data[40:44]),
+		AppVersion:   version,
 		Device:       cString(data[44:60]),
 		ClockKHz:     binary.BigEndian.Uint32(data[60:64]),
 		DatapathBits: binary.BigEndian.Uint16(data[64:66]),

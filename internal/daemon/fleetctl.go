@@ -239,8 +239,12 @@ type fleetShard struct {
 	attempted int
 	failed    int
 	updated   []FleetMember // healthy on the target image (rollback set)
-	lastWave  []FleetMember // the batch pushed this round (bake set)
-	failures  []MemberError
+	// lastWave is the bake set: the members the last wave appended to
+	// updated. A private copy, never a sub-slice of updated — memberOut
+	// compacts updated in place, and ranging over an alias of it would
+	// skip the neighbour of every member the bake removes.
+	lastWave []FleetMember
+	failures []MemberError
 
 	tripped      bool
 	rolledBack   int
@@ -410,7 +414,8 @@ func (c *FleetController) Rollout(signed []byte) FleetReport {
 }
 
 // shardActive reports whether shard s still has work: members left to
-// push, or (with Bake on) a final pushed wave awaiting its health bake.
+// push, or (with Bake on) members the final wave updated awaiting their
+// health bake.
 func (c *FleetController) shardActive(s *fleetShard) bool {
 	if s.tripped {
 		return false
@@ -427,9 +432,6 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 	// and they count toward the shard gate like any other failure.
 	if c.cfg.Bake && len(s.lastWave) > 0 {
 		for _, m := range s.lastWave {
-			if !memberIn(s.updated, m) {
-				continue
-			}
 			if err := c.health(m); err != nil {
 				s.bakeFailures++
 				s.failed++
@@ -463,6 +465,7 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 	s.next += n
 	s.waves++
 
+	first := len(s.updated)
 	for _, m := range batch {
 		s.attempted++
 		if err := m.Push(signed, c.cfg.TargetSlot, true); err != nil {
@@ -488,7 +491,7 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 		}
 		s.updated = append(s.updated, m)
 	}
-	s.lastWave = batch
+	s.lastWave = append(s.lastWave[:0], s.updated[first:]...)
 	if c.cfg.WaveCost != nil {
 		s.costNs += c.cfg.WaveCost(round, batch)
 	}
@@ -601,15 +604,6 @@ func (c *FleetController) AggregateTelemetry() (telemetry.Snapshot, FoldStats) {
 		stats.SnapErrs += e
 	}
 	return global.Snapshot(), stats
-}
-
-func memberIn(ms []FleetMember, m FleetMember) bool {
-	for _, x := range ms {
-		if x == m {
-			return true
-		}
-	}
-	return false
 }
 
 func memberOut(ms []FleetMember, m FleetMember) []FleetMember {

@@ -243,6 +243,40 @@ func TestBakeCatchesLateWedge(t *testing.T) {
 	}
 }
 
+// TestBakeCatchesAdjacentLateWedges: two neighbours of one wave hang before
+// the next. The bake removes the first from the updated set, which shifts
+// the second down a slot — a bake set that aliased the updated set would
+// step over it.
+func TestBakeCatchesAdjacentLateWedges(t *testing.T) {
+	fakes := buildFakes(12)
+	fakes[3].late, fakes[4].late = true, true // wave 1 pushes cables 2..5
+	c := NewFleetController(FleetConfig{
+		Shards: 1, TargetSlot: 2, Canaries: 2, WaveSize: 4, Bake: true,
+		MaxFailureFrac: 0.5,
+	}, asMembers(fakes))
+	rep := c.Rollout([]byte{1})
+
+	if rep.BakeFailures != 2 {
+		t.Fatalf("bake failures = %d, want 2 (report %+v)", rep.BakeFailures, rep)
+	}
+	if rep.BlastRadius != 2 || rep.Remediated != 2 || rep.BadEnd != 0 {
+		t.Errorf("blast=%d remediated=%d badEnd=%d", rep.BlastRadius, rep.Remediated, rep.BadEnd)
+	}
+	for _, i := range []int{3, 4} {
+		if fakes[i].slot != 1 || !fakes[i].running {
+			t.Errorf("late-wedged %s: slot=%d running=%v, want restored to 1", fakes[i].name, fakes[i].slot, fakes[i].running)
+		}
+	}
+	if rep.Updated != 10 || len(c.shards[0].updated) != 10 {
+		t.Errorf("updated = %d (set of %d), want 12 less exactly the 2 wedged", rep.Updated, len(c.shards[0].updated))
+	}
+	for _, m := range c.shards[0].updated {
+		if m == FleetMember(fakes[3]) || m == FleetMember(fakes[4]) {
+			t.Errorf("%s still in the updated set", m.Name())
+		}
+	}
+}
+
 // TestWedgeRemediation: a member that wedges on the target image (blast
 // radius) is individually rebooted back even when the shard gate holds.
 func TestWedgeRemediation(t *testing.T) {
@@ -322,6 +356,16 @@ func chaosFleet(t testing.TB, n int, seed int64) ([]FleetMember, []byte) {
 	return BuildSimFleet(n, parent, cfg, 3, 1, old), simImage(t, 9)
 }
 
+// slowestPush is the WaveCost the sim tests use: a wave's members push in
+// parallel on the wire, so it costs its slowest member.
+func slowestPush(_ int, batch []FleetMember) uint64 {
+	var maxNs uint64
+	for _, m := range batch {
+		maxNs = max(maxNs, m.(*SimMember).LastOpCostNs())
+	}
+	return maxNs
+}
+
 // TestSimRolloutNoBadImages is the headline invariant under chaos: after
 // a full rollout with transport faults, tampered images, power cuts and
 // wedges, no member is left running an image that fails verification and
@@ -343,6 +387,7 @@ func TestSimRolloutNoBadImages(t *testing.T) {
 	if rep.Attempted != 2000 {
 		t.Errorf("attempted = %d, want 2000", rep.Attempted)
 	}
+	onTarget := 0
 	for _, m := range members {
 		sm := m.(*SimMember)
 		if sm.OnBadImage() {
@@ -351,6 +396,15 @@ func TestSimRolloutNoBadImages(t *testing.T) {
 		if sm.Wedged() {
 			t.Errorf("%s left wedged", sm.Name())
 		}
+		if v, _ := sm.ActiveVersion(); sm.ActiveSlot() == 2 {
+			onTarget++
+			if v != 9 {
+				t.Errorf("%s counted updated but runs v%d, not the pushed v9", sm.Name(), v)
+			}
+		}
+	}
+	if onTarget != rep.Updated {
+		t.Errorf("%d members run from the target slot, controller reports %d updated", onTarget, rep.Updated)
 	}
 	if rep.CostNs == 0 && c.cfg.WaveCost != nil {
 		t.Error("cost accounting lost")
@@ -366,15 +420,7 @@ func TestSimRolloutDeterministic(t *testing.T) {
 		c := NewFleetController(FleetConfig{
 			Shards: 8, TargetSlot: 2, Canaries: 4, WaveSize: 32, Bake: true,
 			MaxFailureFrac: 0.5, GlobalMaxFailureFrac: 0.8,
-			WaveCost: func(_ int, batch []FleetMember) uint64 {
-				var maxNs uint64
-				for _, m := range batch {
-					if ns := m.(*SimMember).LastOpCostNs(); ns > maxNs {
-						maxNs = ns
-					}
-				}
-				return maxNs
-			},
+			WaveCost: slowestPush,
 		}, members)
 		rep := c.Rollout(img)
 		repJSON, err := json.Marshal(rep)

@@ -14,9 +14,11 @@ import (
 // SimMember is a lightweight in-memory FleetMember for fleet-scale
 // simulation: no TCP, no flash device, no netsim event loop — just the
 // A/B slot state machine, signature verification, and a per-member fault
-// injector driving the chaos a real OTA wave would see. 100k–1M of these
-// fit in memory, which is what lets the fleet_ota experiment exercise the
-// controller at the paper's deployment scale.
+// injector driving the chaos a real OTA wave would see. A member costs
+// ≈600 B to build (measured: the struct with its config, four slots, the
+// name, the injector and its 8-byte lane stream; the images are shared), so
+// 100k of them are ≈60 MB and 1M ≈600 MB, which is what lets the fleet_ota
+// experiment exercise the controller at the paper's deployment scale.
 //
 // A SimMember is driven by exactly one shard worker at a time (the
 // FleetMember contract), so it carries no locks; its randomness comes
@@ -32,6 +34,10 @@ type SimMember struct {
 	slots      []simSlot
 	activeSlot int
 	running    bool
+	// version is the AppVersion of the image running from activeSlot,
+	// remembered when the slot boots: what a pushed image must not be
+	// older than.
+	version uint32
 
 	// wedged marks a member that booted the target image but hung;
 	// lateWedged only manifests from the second Stats read after boot
@@ -85,6 +91,13 @@ type SimMemberConfig struct {
 // slot startSlot. inj must be the member's private injector (typically
 // parent.Derive(lane)).
 func NewSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) *SimMember {
+	version, _ := imageVersion(goodImage, cfg.Key)
+	return newSimMember(name, inj, cfg, slots, startSlot, goodImage, version)
+}
+
+// newSimMember takes goodImage's already-verified version, so a fleet that
+// shares one image verifies it once, not once per member.
+func newSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte, version uint32) *SimMember {
 	if slots < 2 {
 		slots = 2
 	}
@@ -95,9 +108,22 @@ func NewSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots,
 		slots:      make([]simSlot, slots),
 		activeSlot: startSlot,
 		running:    true,
+		version:    version,
 	}
 	m.slots[startSlot] = simSlot{img: goodImage, ok: true}
 	return m
+}
+
+// imageVersion verifies a signed image the way the boot ROM would —
+// signature, then magic, format, length and CRC — and returns its
+// AppVersion; ok is false when any layer rejects it.
+func imageVersion(signed, key []byte) (version uint32, ok bool) {
+	body, err := bitstream.Verify(signed, key)
+	if err != nil {
+		return 0, false
+	}
+	version, err = bitstream.Check(body)
+	return version, err == nil
 }
 
 // Name implements FleetMember.
@@ -175,7 +201,7 @@ func (m *SimMember) Push(signed []byte, slot int, rebootAfter bool) error {
 		return lastErr
 	}
 	if rebootAfter {
-		cost += m.boot(slot)
+		cost += m.boot(slot, true)
 	}
 	m.bumpCost(cost)
 	if lastErr != nil {
@@ -207,19 +233,28 @@ func (m *SimMember) storeImage(signed []byte, slot int) {
 }
 
 // boot attempts to activate slot, falling back to the current active
-// slot when the image fails verification (the golden-fallback path).
+// slot when the boot ROM rejects the image (the golden-fallback path).
+// fresh is the push path's anti-rollback (core.Module.InstallSigned's):
+// an image older than the running one is rejected like any other bad
+// slot, an equal one is a re-push and boots. The rollback path passes
+// false — going back to the previous, older slot is its whole point.
 // Returns the simulated boot cost.
-func (m *SimMember) boot(slot int) uint64 {
+func (m *SimMember) boot(slot int, fresh bool) uint64 {
 	m.boots++
 	m.wedged, m.lateWedged, m.statsReads = false, false, 0
-	if !m.slotBootable(slot) {
+	version, ok := m.slotBootable(slot)
+	if ok && fresh && m.running && version < m.version {
+		ok = false
+	}
+	if !ok {
 		// Boot ROM rejects the slot and re-activates the previous image.
 		m.fallbacks++
-		m.running = m.slotBootable(m.activeSlot)
+		_, m.running = m.slotBootable(m.activeSlot)
 		return 2 * simBootNs
 	}
 	m.activeSlot = slot
 	m.running = true
+	m.version = version
 	if m.inj.Roll(m.cfg.WedgeProb) {
 		m.wedged = true
 	} else if m.inj.Roll(m.cfg.LateWedgeProb) {
@@ -228,23 +263,17 @@ func (m *SimMember) boot(slot int) uint64 {
 	return simBootNs
 }
 
-// slotBootable verifies a slot the way the boot ROM would: bytes present,
-// no power-cut scar, signature + CRC + freshness all valid. The fast path
-// (identical bytes to a previously verified image) is skipped on purpose:
+// slotBootable verifies a slot the way the boot ROM would — bytes present,
+// no power-cut scar, signature and CRC valid — and returns the image's
+// AppVersion for the caller's freshness check. The fast path (identical
+// bytes to a previously verified image) is skipped on purpose:
 // verification cost is charged to simBootNs either way.
-func (m *SimMember) slotBootable(slot int) bool {
+func (m *SimMember) slotBootable(slot int) (version uint32, ok bool) {
 	s := m.slots[slot]
 	if len(s.img) == 0 || !s.ok {
-		return false
+		return 0, false
 	}
-	body, err := bitstream.Verify(s.img, m.cfg.Key)
-	if err != nil {
-		return false
-	}
-	if _, err := bitstream.Decode(body); err != nil {
-		return false
-	}
-	return true
+	return imageVersion(s.img, m.cfg.Key)
 }
 
 // Reboot implements FleetMember: boot into slot (the rollback path).
@@ -253,7 +282,7 @@ func (m *SimMember) Reboot(slot int) error {
 	if slot < 0 || slot >= len(m.slots) {
 		return errSlotRange
 	}
-	m.bumpCost(m.boot(slot))
+	m.bumpCost(m.boot(slot, false))
 	if !m.running {
 		return fmt.Errorf("daemon: %s failed to boot slot %d", m.name, slot)
 	}
@@ -290,9 +319,19 @@ func (m *SimMember) ActiveSlot() int { return m.activeSlot }
 // wedged and late-wedged members alike.
 func (m *SimMember) Running() bool { return m.running && !m.wedged && !m.lateWedged }
 
+// ActiveVersion re-verifies the active slot and returns the AppVersion of
+// the image in it — ground truth read from the slot's bytes, not the
+// version remembered at boot. ok is false when the slot fails verification.
+func (m *SimMember) ActiveVersion() (version uint32, ok bool) {
+	return m.slotBootable(m.activeSlot)
+}
+
 // OnBadImage reports whether the member's active slot fails verification
 // — the invariant the fleet controller must drive to zero.
-func (m *SimMember) OnBadImage() bool { return !m.slotBootable(m.activeSlot) }
+func (m *SimMember) OnBadImage() bool {
+	_, ok := m.ActiveVersion()
+	return !ok
+}
 
 func (m *SimMember) bumpCost(ns uint64) {
 	m.costNs += ns
@@ -339,10 +378,11 @@ func (m *SimMember) Telemetry() (telemetry.Snapshot, error) {
 // running in startSlot, each with its own injector derived from parent
 // (lane = member index). Deterministic for a fixed parent seed.
 func BuildSimFleet(n int, parent *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) []FleetMember {
+	version, _ := imageVersion(goodImage, cfg.Key)
 	ms := make([]FleetMember, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("sim-%06d", i)
-		ms[i] = NewSimMember(name, parent.Derive(uint64(i)), cfg, slots, startSlot, goodImage)
+		ms[i] = newSimMember(name, parent.Derive(uint64(i)), cfg, slots, startSlot, goodImage, version)
 	}
 	return ms
 }

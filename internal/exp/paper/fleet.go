@@ -41,6 +41,8 @@ const (
 	fleetShardGate      = 0.5 // per-shard failure fraction gate
 	fleetGlobalGate     = 0.8 // cross-shard circuit breaker
 	fleetRetryAttempts  = 4
+	fleetOldVersion     = 3 // AppVersion every member starts on
+	fleetNewVersion     = 9 // AppVersion the rollout pushes
 )
 
 // Per-event probabilities at fault-rate multiplier 1.0 (the bench's
@@ -87,6 +89,12 @@ type FleetOTAResult struct {
 	// fleet-smoke CI target; no omitempty so the zero is visible).
 	BadEnd int `json:"modules_bad_end"`
 
+	// StaleEnd is its freshness counterpart, summed the same way: members
+	// running from the target slot — what the controller counts updated —
+	// whose image is not the pushed version (a re-signed downgrade that
+	// booted). Also 0, also asserted by fleet-smoke.
+	StaleEnd int `json:"modules_stale_version"`
+
 	// MemberSnaps/ShardFolds echo the telemetry-aggregation shape at the
 	// max-rate point of trial 0: the shard layer folded MemberSnaps
 	// per-member snapshots, the global merge touched only ShardFolds
@@ -103,7 +111,7 @@ type fleetPoint struct {
 	blast, remediated, rolledBack float64
 	tripped, aborts, bakeFails    float64
 	retries, injected             float64
-	badEnd                        float64
+	badEnd, staleEnd              float64
 	memberSnaps, shardFolds       float64
 }
 
@@ -126,11 +134,11 @@ func buildFleetImages() (*fleetImages, error) {
 		}
 		return bitstream.Sign(enc, build.DefaultAuthKey), nil
 	}
-	old, err := mk(3)
+	old, err := mk(fleetOldVersion)
 	if err != nil {
 		return nil, err
 	}
-	new_, err := mk(9)
+	new_, err := mk(fleetNewVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -200,12 +208,17 @@ func fleetOTATrial(img *fleetImages, trialSeed int64, rateIdx int, rate float64,
 	}
 	// The invariant behind "bounded blast radius": nobody ends on an
 	// image that fails verification, and nobody is left wedged on the
-	// target. Counted here (not just trusted from the report) so the
-	// smoke gate sees ground truth.
+	// target — and whoever runs from the target slot runs the version that
+	// was pushed. Counted here from the slots' bytes (not just trusted
+	// from the report) so the smoke gate sees ground truth.
 	for _, m := range members {
 		sm := m.(*daemon.SimMember)
-		if sm.OnBadImage() || sm.Wedged() {
+		version, ok := sm.ActiveVersion()
+		if !ok || sm.Wedged() {
 			p.badEnd++
+		}
+		if sm.ActiveSlot() == fleetTargetSlot && version != fleetNewVersion {
+			p.staleEnd++
 		}
 		p.injected += float64(sm.Injector().Stats().Total())
 	}
@@ -265,6 +278,8 @@ func fleetSweep(ctx exp.RunContext) (FleetOTAResult, error) {
 		})
 		badEnd := tr.Metric(func(r []fleetPoint) float64 { return r[ri].badEnd })
 		res.BadEnd += int(badEnd.Mean * float64(badEnd.N))
+		staleEnd := tr.Metric(func(r []fleetPoint) float64 { return r[ri].staleEnd })
+		res.StaleEnd += int(staleEnd.Mean * float64(staleEnd.N))
 	}
 	if last := tr.Metric(func(r []fleetPoint) float64 { return r[len(fleetRateFracs)-1].memberSnaps }); last.N > 0 {
 		res.MemberSnaps = int(last.Mean)
@@ -296,8 +311,8 @@ func (r FleetOTAResult) Render() string {
 		"Fleet OTA under chaos: %d modules over %d controller shards (canaries %d/shard, waves of %d, shard gate >%.0f%%, breaker >%.0f%%), %d trials\n",
 		r.Modules, r.Shards, fleetCanaries, fleetWaveSize, fleetShardGate*100, fleetGlobalGate*100, r.Trials)
 	foot := fmt.Sprintf(
-		"\nmodules left on a bad image: %d; telemetry: %d member snaps folded in shards, global merge touched %d folds\n",
-		r.BadEnd, r.MemberSnaps, r.ShardFolds)
+		"\nmodules left on a bad image: %d, updated but on a stale version: %d; telemetry: %d member snaps folded in shards, global merge touched %d folds\n",
+		r.BadEnd, r.StaleEnd, r.MemberSnaps, r.ShardFolds)
 	return head + t.String() + foot
 }
 
@@ -316,6 +331,7 @@ func runFleetOTA(ctx exp.RunContext) (exp.Result, error) {
 			exp.FromSummary("blast_radius_at_max", "modules", last.BlastRadius),
 			exp.FromSummary("rolled_back_at_max", "modules", last.RolledBack),
 			exp.Scalar("modules_bad_end", "", float64(r.BadEnd)),
+			exp.Scalar("modules_stale_version", "", float64(r.StaleEnd)),
 		}
 	}
 	return exp.NewResult(env, r.Render), nil

@@ -46,6 +46,9 @@ func TestFleetOTAInvariants(t *testing.T) {
 	if r.BadEnd != 0 {
 		t.Fatalf("modules_bad_end = %d, want 0", r.BadEnd)
 	}
+	if r.StaleEnd != 0 {
+		t.Fatalf("modules_stale_version = %d, want 0", r.StaleEnd)
+	}
 	if r.MemberSnaps != r.Modules {
 		t.Errorf("shard layer folded %d member snaps, want %d", r.MemberSnaps, r.Modules)
 	}

@@ -9,6 +9,15 @@
 // explicitly (typically with runner.TrialSeed derivatives), so any fault
 // schedule is reproducible bit-for-bit. An Injector is not safe for
 // concurrent use: give each module/simulator its own.
+//
+// Two generators sit under that rand.Rand. New and NewFrom keep math/rand's
+// own source, whose streams the experiment goldens pin. Derive — one lane
+// per fleet member, a handful of draws each — uses laneSource, SplitMix64
+// with 8 bytes of state seeded by assignment, because math/rand's source is
+// 607 words (4.9 KB) that cost ≈10 µs to seed: at 100k members that was
+// 85 % of the fleet's build time and 5.4 of its 6 KB per member. A lane's
+// stream is a pure function of (root seed, lane) and differs from what
+// New(runner.TrialSeed(seed, lane)) would draw.
 package faults
 
 import (
@@ -87,7 +96,25 @@ type Injector struct {
 	seed     int64
 	seeded   bool
 	lazySeed sync.Once
+
+	// lane backs rng on a Derive-built injector (rng points into it), so a
+	// lane costs one Injector and one rand.Rand, nothing else.
+	lane laneSource
 }
+
+// laneSource is SplitMix64 as a rand.Source64. Draw k of a source seeded
+// with s is runner.TrialSeed(s, k): the lanes run on the repo-wide mixer,
+// not a second algorithm.
+type laneSource uint64
+
+func (s *laneSource) Uint64() uint64 {
+	v := runner.TrialSeed(int64(*s), 0)
+	*s += 0x9E3779B97F4A7C15 // TrialSeed's per-trial increment
+	return uint64(v)
+}
+
+func (s *laneSource) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *laneSource) Seed(seed int64) { *s = laneSource(seed) }
 
 // New builds an injector with its own RNG.
 func New(seed int64, rates Rates) *Injector {
@@ -108,7 +135,8 @@ func NewFrom(rng *rand.Rand, rates Rates) *Injector {
 // *rand.Rand is NOT safe for concurrent use, but Derive on a New-built
 // parent is a pure function of (seed, lane) — callable from any number
 // of goroutines at once — and two Derives of the same lane replay the
-// same fault schedule.
+// same fault schedule. The lane draws from a laneSource (see the package
+// comment), so building it costs an assignment, not a 607-word seeding.
 //
 // Parents built with NewFrom have no root seed of their own; the first
 // Derive draws one from the shared RNG (once, so later Derives stay
@@ -120,7 +148,10 @@ func (in *Injector) Derive(lane uint64) *Injector {
 			in.seeded = true
 		}
 	})
-	return New(runner.TrialSeed(in.seed, int(lane)), in.rates)
+	seed := runner.TrialSeed(in.seed, int(lane))
+	d := &Injector{rates: in.rates, seed: seed, seeded: true, lane: laneSource(seed)}
+	d.rng = rand.New(&d.lane)
+	return d
 }
 
 // Rates returns the configured probabilities.

@@ -99,6 +99,20 @@ func Map[T any](n int, opts Options, fn func(trial int, rng *rand.Rand) (T, erro
 		mu.Unlock()
 		cancel()
 	}
+	// superseded reports whether a trial a worker has already received can
+	// be dropped: the caller gave up, or a lower trial has failed. Trials
+	// are dispatched in increasing order, so when trial j fails every
+	// i < j is already in some worker's hands — and must still run, or a
+	// lower failure would go unreported whenever its worker was scheduled
+	// after the cancel.
+	superseded := func(trial int) bool {
+		if opts.Context != nil && opts.Context.Err() != nil {
+			return true
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return trial > errTrial
+	}
 
 	workers := opts.workers(n)
 	if workers == 1 {
@@ -127,7 +141,7 @@ func Map[T any](n int, opts Options, fn func(trial int, rng *rand.Rand) (T, erro
 		go func() {
 			defer wg.Done()
 			for i := range trials {
-				if ctx.Err() != nil {
+				if superseded(i) {
 					continue // drain
 				}
 				r, err := fn(i, TrialRand(opts.Seed, i))

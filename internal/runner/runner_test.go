@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // trialFingerprint is a result whose value depends on the trial's RNG
@@ -88,24 +87,36 @@ func TestTrialSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
+// TestMapFirstErrorIsLowestTrial: the higher failing trial fails first in
+// wall time — the lower one waits on a channel until it has run — and the
+// reported error must still be the lower trial's. The worker holding the
+// lower trial may be scheduled before or after the failure cancels the
+// run; the rounds cover both orders, and the second is what a worker that
+// drops every trial it receives after a cancel gets wrong.
 func TestMapFirstErrorIsLowestTrial(t *testing.T) {
-	boom7 := errors.New("trial 7")
-	boom23 := errors.New("trial 23")
-	for _, par := range []int{1, 8} {
-		_, err := Map(64, Options{Parallelism: par}, func(trial int, rng *rand.Rand) (int, error) {
-			switch trial {
-			case 23:
-				return 0, boom23
-			case 7:
-				// Make the higher trial likely to fail first in wall time
-				// when parallel; the reported error must still be trial 7's.
-				time.Sleep(2 * time.Millisecond)
-				return 0, boom7
+	errLo, errHi := errors.New("lower trial"), errors.New("higher trial")
+	for _, tc := range []struct{ par, lo, hi int }{
+		{1, 7, 23}, {2, 7, 23}, {8, 7, 23}, {8, 7, 8}, {8, 0, 63},
+	} {
+		for round := 0; round < 30; round++ {
+			ranHi := make(chan struct{})
+			_, err := Map(64, Options{Parallelism: tc.par}, func(trial int, rng *rand.Rand) (int, error) {
+				switch trial {
+				case tc.hi:
+					close(ranHi)
+					return 0, errHi
+				case tc.lo:
+					if tc.par > 1 { // one worker runs trials in order: hi never precedes lo
+						<-ranHi
+					}
+					return 0, errLo
+				}
+				return trial, nil
+			})
+			if !errors.Is(err, errLo) {
+				t.Fatalf("parallelism %d, trials %d and %d fail, round %d: err = %v, want trial %d's",
+					tc.par, tc.lo, tc.hi, round, err, tc.lo)
 			}
-			return trial, nil
-		})
-		if !errors.Is(err, boom7) {
-			t.Fatalf("parallelism %d: err = %v, want trial 7's", par, err)
 		}
 	}
 }
@@ -162,9 +173,10 @@ func TestRunJobs(t *testing.T) {
 		t.Fatalf("err=%v a=%v b=%v", err, a.Load(), b.Load())
 	}
 	boom := errors.New("job 0")
+	ran1 := make(chan struct{})
 	err = Run(Options{Parallelism: 2},
-		func() error { time.Sleep(time.Millisecond); return boom },
-		func() error { return errors.New("job 1") },
+		func() error { <-ran1; return boom },
+		func() error { close(ran1); return errors.New("job 1") },
 	)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want job 0's", err)
