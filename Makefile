@@ -11,7 +11,7 @@ RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/.
 # cover exactly these plus the root end-to-end suites.
 HOT_PKGS = ./internal/ppe ./internal/netsim ./internal/trafficgen .
 
-.PHONY: all build test race race-all bench bench-json bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke fleet-scale opt-smoke catalog-smoke overlay-smoke vet fmt check examples reports clean
+.PHONY: all build test race race-all bench bench-json bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke fleet-scale opt-smoke catalog-smoke vet fmt check examples reports clean
 
 all: build test
 
@@ -21,7 +21,7 @@ all: build test
 # the shard-determinism smoke, a short pass over every native fuzz
 # target, and a race-mode run of the default experiment suite with
 # telemetry attached.
-check: build test race vet bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke opt-smoke catalog-smoke overlay-smoke
+check: build test race vet bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke opt-smoke catalog-smoke
 
 build:
 	$(GO) build ./...
@@ -59,12 +59,17 @@ smoke:
 # JSON whether they run on one event heap or four (the Shards knob is
 # execution placement, not a model parameter). Only wall-clock lines may
 # differ. The four-shard side runs on one P, so every barrier wait parks:
-# the window loop's oversubscribed regime is under the same gate.
+# the window loop's oversubscribed regime is under the same gate. The
+# overlay failover run must also deliver zero frames to the withdrawn
+# peer after convergence, with every affected flow re-converged.
+SHARD_EXPS = linerate,overlay_linerate,overlay_failover
 shard-smoke:
-	@$(GO) run ./cmd/flexsfp-bench -run linerate,reliability -json -shards 1 | grep -v '"wall_ms"' > /tmp/flexsfp-shards1.json; \
-	GOMAXPROCS=1 $(GO) run ./cmd/flexsfp-bench -run linerate,reliability -json -shards 4 | grep -v '"wall_ms"' > /tmp/flexsfp-shards4.json; \
-	diff /tmp/flexsfp-shards1.json /tmp/flexsfp-shards4.json > /dev/null || { echo "shard-smoke: -shards 1 and -shards 4 JSON differ" >&2; exit 1; }; \
-	echo "shard-smoke: -shards 1 == -shards 4"
+	@one="$$($(GO) run ./cmd/flexsfp-bench -run $(SHARD_EXPS) -json -shards 1 | grep -v '"wall_ms"')"; \
+	four="$$(GOMAXPROCS=1 $(GO) run ./cmd/flexsfp-bench -run $(SHARD_EXPS) -json -shards 4 | grep -v '"wall_ms"')"; \
+	test "$$one" = "$$four" || { echo "shard-smoke: -shards 1 and -shards 4 JSON differ" >&2; exit 1; }; \
+	printf '%s\n' "$$one" | grep -A1 '"name": "frames_to_withdrawn_post"' | grep -q '"mean": 0' || { echo "shard-smoke: frames delivered to the withdrawn peer" >&2; exit 1; }; \
+	printf '%s\n' "$$one" | grep -A1 '"name": "recovered_fraction"' | grep -q '"mean": 1' || { echo "shard-smoke: a flow failed to re-converge" >&2; exit 1; }; \
+	echo "shard-smoke: -shards 1 == -shards 4, 0 frames to withdrawn peer, all flows re-converged"
 
 # Short mutation pass over every native fuzz target (go fuzz accepts one
 # target per invocation). Longer runs: go test -fuzz=<target> <pkg>.
@@ -124,19 +129,6 @@ catalog-smoke:
 	printf '%s\n' "$$out" | grep -A2 '"name": "fits_all"' | grep -q '"mean": 1' || { echo "catalog-smoke: an app does not fit the MPF200T" >&2; exit 1; }; \
 	printf '%s\n' "$$out" | grep -A2 '"name": "new_apps_line_rate"' | grep -q '"mean": 1' || { echo "catalog-smoke: a new app dropped frames on its matched profile" >&2; exit 1; }; \
 	echo "catalog-smoke: all apps fit, edge-protocol trio holds line rate"
-
-# Overlay-mesh gate: both overlay experiments must be shard-count
-# invariant (byte-identical JSON at -shards 1 and 4, only wall-clock
-# lines may differ), and the failover chaos run must deliver zero frames
-# to the withdrawn peer after convergence with every affected flow
-# re-converged.
-overlay-smoke:
-	@$(GO) run ./cmd/flexsfp-bench -run overlay_linerate,overlay_failover -json -shards 1 | grep -v '"wall_ms"' > /tmp/flexsfp-overlay1.json; \
-	GOMAXPROCS=1 $(GO) run ./cmd/flexsfp-bench -run overlay_linerate,overlay_failover -json -shards 4 | grep -v '"wall_ms"' > /tmp/flexsfp-overlay4.json; \
-	diff /tmp/flexsfp-overlay1.json /tmp/flexsfp-overlay4.json > /dev/null || { echo "overlay-smoke: -shards 1 and -shards 4 JSON differ" >&2; exit 1; }; \
-	grep -A1 '"name": "frames_to_withdrawn_post"' /tmp/flexsfp-overlay1.json | grep -q '"mean": 0' || { echo "overlay-smoke: frames delivered to the withdrawn peer" >&2; exit 1; }; \
-	grep -A1 '"name": "recovered_fraction"' /tmp/flexsfp-overlay1.json | grep -q '"mean": 1' || { echo "overlay-smoke: a flow failed to re-converge" >&2; exit 1; }; \
-	echo "overlay-smoke: shard-invariant, 0 frames to withdrawn peer, all flows re-converged"
 
 # Registry smoke check: the bench binary must enumerate a non-empty
 # experiment catalog with unique names (a broken registration init or a

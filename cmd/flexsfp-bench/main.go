@@ -27,10 +27,10 @@
 // PPE latency) are folded into the result envelopes. Off by default so
 // canonical outputs stay byte-identical.
 //
-// -shards runs supporting experiments (linerate, reliability) on the
-// conservatively-synchronized parallel simulation core: the topology is
-// partitioned over N event heaps advanced together under lookahead
-// synchronization. It is an execution-placement knob — results are
+// -shards sets how many event heaps the netsim experiments (linerate,
+// overlay_linerate, overlay_failover) partition their topology over; they
+// always run on the conservatively-synchronized parallel simulation core,
+// and 0 means one heap. It is an execution-placement knob — results are
 // byte-identical at any shard count, and it is deliberately absent from
 // the JSON params echo.
 //
@@ -92,7 +92,7 @@ func main() {
 	clockHz := flag.Int64("clock", 0, "PPE clock override in Hz (0 = §5.1 baseline 156.25 MHz)")
 	width := flag.Int("width", 0, "PPE datapath width override in bits (0 = §5.1 baseline 64)")
 	withTelemetry := flag.Bool("telemetry", false, "instrument experiment modules and fold headline counters into results")
-	shards := flag.Int("shards", 0, "partition supporting experiments over N parallel simulation shards (0 = single-heap)")
+	shards := flag.Int("shards", 0, "partition the netsim experiments over N parallel simulation shards (0 = 1)")
 	fleetSize := flag.Int("fleet", 0, "simulated module count for the fleet_ota experiment (0 = its default)")
 	fleetShards := flag.Int("fleet-shards", 0, "fleet controller worker shard count for fleet_ota (0 = its default)")
 	optimize := flag.Bool("opt", false, "run the pipeline optimizer over every program experiments build")

@@ -2,10 +2,10 @@
 // operates 100k–1M cables from one process (ROADMAP item 1). Members are
 // partitioned across W worker shards by a stable hash of their name;
 // OTA pushes advance in lock-stepped waves where every shard runs its
-// own canary gate (mgmt.CanaryConfig semantics) and a shard that trips
-// its gate rolls back only its own members — bounding blast radius —
-// while a global circuit breaker aborts the remaining waves when the
-// cross-shard failure rate breaches its threshold. Telemetry aggregates
+// own canary gate and a shard that trips its gate rolls back only its
+// own members — bounding blast radius — while a global circuit breaker
+// aborts the remaining waves when the cross-shard failure rate breaches
+// its threshold. Telemetry aggregates
 // hierarchically: each shard pre-folds its members' snapshots and the
 // global merge touches only the W per-shard folds.
 package daemon
@@ -22,7 +22,8 @@ import (
 
 // FleetMember is one managed module as the controller sees it. The
 // production implementation is ClientMember (a mgmt.Client over TCP or
-// an in-band transport); fleet-scale simulation uses SimMember.
+// an in-band transport, and what the §4.2 chaos experiment drives);
+// fleet-scale simulation uses SimMember.
 //
 // A member's methods are only ever called from its own shard's worker,
 // so implementations need not be safe for concurrent use — but two
@@ -97,11 +98,10 @@ func ShardFor(name string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// FleetConfig tunes a sharded rollout. The per-shard gate fields carry
-// mgmt.CanaryConfig semantics: Canaries members are updated and
-// health-checked before a shard fans out in waves, and a shard whose
-// cumulative failed/attempted fraction exceeds MaxFailureFrac trips —
-// rolling back only its own members.
+// FleetConfig tunes a sharded rollout. Per shard, Canaries members are
+// updated and health-checked before the shard fans out in waves, and a
+// shard whose cumulative failed/attempted fraction exceeds MaxFailureFrac
+// trips — rolling back only its own members.
 type FleetConfig struct {
 	// Shards is the worker shard count W (<=1 means a single shard).
 	Shards int
@@ -112,8 +112,7 @@ type FleetConfig struct {
 	// WaveSize bounds each shard's per-wave batch after its canaries;
 	// 0 = all remaining members in one wave.
 	WaveSize int
-	// MaxFailureFrac is the per-shard gate threshold; default 0.25
-	// (mgmt.CanaryConfig's default).
+	// MaxFailureFrac is the per-shard gate threshold; default 0.25.
 	MaxFailureFrac float64
 	// GlobalMaxFailureFrac is the circuit breaker: when the cross-shard
 	// cumulative failure fraction exceeds it at a wave barrier, all
@@ -266,7 +265,9 @@ type FleetController struct {
 
 // NewFleetController partitions members over cfg.Shards worker shards by
 // ShardFor of their (unique) names. Members are sorted by name first, so
-// shard composition and wave order are independent of input order.
+// shard composition and wave order are independent of input order. The
+// member set is fixed here — there is no Add or Remove — so every wave,
+// gate and rollback of a Rollout addresses exactly these members.
 func NewFleetController(cfg FleetConfig, members []FleetMember) *FleetController {
 	cfg.setDefaults()
 	sorted := append([]FleetMember(nil), members...)

@@ -7,8 +7,13 @@ import (
 	"reflect"
 	"testing"
 
+	"flexsfp/internal/apps"
 	"flexsfp/internal/bitstream"
+	"flexsfp/internal/build"
+	"flexsfp/internal/core"
 	"flexsfp/internal/faults"
+	"flexsfp/internal/fpga"
+	"flexsfp/internal/hls"
 	"flexsfp/internal/mgmt"
 	"flexsfp/internal/telemetry"
 )
@@ -474,5 +479,161 @@ func TestSimPushBackoffDeterministic(t *testing.T) {
 	}
 	if a.retries == 0 {
 		t.Fatal("test exercised no retries — raise the fault rates")
+	}
+}
+
+// --- ClientMember: the controller over real mgmt agents ---
+
+// agentFleet builds n NAT modules running v1 from slot 1, each behind an
+// in-process mgmt.Agent transport that drains the module's own simulator
+// after every request (so reboots complete within it), and wraps each
+// module's client in a ClientMember.
+func agentFleet(t *testing.T, n int) ([]FleetMember, []*core.Module) {
+	t.Helper()
+	members := make([]FleetMember, n)
+	mods := make([]*core.Module, n)
+	for i := range members {
+		name := fmt.Sprintf("%c-port", 'a'+i)
+		sim := build.NewSim(int64(i + 1))
+		mod, _, err := build.Module(sim, build.ModuleSpec{
+			Name: name, DeviceID: uint32(i + 1), Shell: hls.TwoWayCore, App: "nat",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent := mgmt.NewAgent(mod)
+		c := mgmt.NewClient(mgmt.TransportFunc(func(req []byte) ([]byte, error) {
+			resp := agent.Handle(req)
+			sim.Run()
+			return resp, nil
+		}))
+		members[i], mods[i] = NewClientMember(name, c), mod
+	}
+	return members, mods
+}
+
+// agentImage is the signed v2 of the NAT image agentFleet runs.
+func agentImage(t *testing.T) []byte {
+	t.Helper()
+	app, err := apps.NewRegistry().New("nat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Configure(nil); err != nil {
+		t.Fatal(err)
+	}
+	prog := app.Program()
+	prog.Version++
+	d, err := hls.Compile(prog, hls.Options{
+		Device: fpga.MPF200T, Shell: hls.TwoWayCore,
+		ClockHz: build.BaseClockHz, DatapathBits: build.BaseDatapathBits,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := d.Bitstream.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bitstream.Sign(enc, build.DefaultAuthKey)
+}
+
+// onTarget is the default health check with one member singled out as
+// unhealthy.
+func onTarget(bad string) func(FleetMember) error {
+	return func(m FleetMember) error {
+		if m.Name() == bad {
+			return errors.New("loss spike")
+		}
+		st, err := m.Stats()
+		if err != nil {
+			return err
+		}
+		if !st.Running || st.ActiveSlot != 2 {
+			return fmt.Errorf("running=%v slot=%d", st.Running, st.ActiveSlot)
+		}
+		return nil
+	}
+}
+
+func TestClientMemberRolloutAllHealthy(t *testing.T) {
+	members, mods := agentFleet(t, 5)
+	c := NewFleetController(FleetConfig{TargetSlot: 2, Canaries: 2, WaveSize: 2}, members)
+	rep := c.Rollout(agentImage(t))
+
+	if rep.TrippedShards != 0 || rep.Updated != 5 || rep.Failed != 0 {
+		t.Fatalf("healthy rollout: %+v", rep)
+	}
+	if rep.Waves != 3 {
+		t.Errorf("waves = %d, want 3 (2 canaries, then waves of 2)", rep.Waves)
+	}
+	if ms := c.ShardMembers(0); ms[0].Name() != "a-port" || ms[1].Name() != "b-port" {
+		t.Errorf("canaries = %s, %s; want the first two names", ms[0].Name(), ms[1].Name())
+	}
+	for _, m := range mods {
+		if !m.Running() || m.ActiveSlot() != 2 {
+			t.Errorf("%s: running=%v slot=%d", m.Name(), m.Running(), m.ActiveSlot())
+		}
+	}
+}
+
+// An unhealthy canary trips the gate after round 0: only the canary was
+// attempted, it is restored, and the rest never see the image.
+func TestClientMemberRolloutUnhealthyCanaryTrips(t *testing.T) {
+	members, mods := agentFleet(t, 4)
+	rep := NewFleetController(FleetConfig{
+		TargetSlot: 2, Canaries: 1,
+		HealthCheck: func(FleetMember) error { return errors.New("loss spike") },
+	}, members).Rollout(agentImage(t))
+
+	if rep.TrippedShards != 1 || rep.Waves != 1 {
+		t.Fatalf("tripped=%d waves=%d, want the gate tripped after round 0", rep.TrippedShards, rep.Waves)
+	}
+	if rep.Attempted != 1 || len(rep.Errors) != 1 || rep.Errors[0].Name != "a-port" {
+		t.Errorf("attempted=%d errors=%+v, want only the canary", rep.Attempted, rep.Errors)
+	}
+	if rep.Remediated != 1 || rep.BadEnd != 0 {
+		t.Errorf("remediated=%d badEnd=%d", rep.Remediated, rep.BadEnd)
+	}
+	for i, m := range mods {
+		if !m.Running() || m.ActiveSlot() != 1 {
+			t.Errorf("%s: running=%v slot=%d, want slot 1", m.Name(), m.Running(), m.ActiveSlot())
+		}
+		if _, _, err := m.Flash.LoadBitstream(2); (err == nil) != (i == 0) {
+			t.Errorf("%s: image in slot 2 = %v, want only the canary pushed", m.Name(), err == nil)
+		}
+	}
+}
+
+// Below the gate the rollout goes on, and the one failed member — booted
+// onto the target but unhealthy — is restored to its previous slot.
+func TestClientMemberToleratedFailureRemediated(t *testing.T) {
+	members, mods := agentFleet(t, 5)
+	rep := NewFleetController(FleetConfig{
+		TargetSlot: 2, Canaries: 1, WaveSize: 2, MaxFailureFrac: 0.5,
+		HealthCheck: onTarget("c-port"),
+	}, members).Rollout(agentImage(t))
+
+	if rep.TrippedShards != 0 || rep.Updated != 4 || rep.Failed != 1 {
+		t.Fatalf("tripped=%d updated=%d failed=%d", rep.TrippedShards, rep.Updated, rep.Failed)
+	}
+	if rep.Remediated != 1 || rep.BadEnd != 0 {
+		t.Errorf("remediated=%d badEnd=%d", rep.Remediated, rep.BadEnd)
+	}
+	for _, m := range mods {
+		want := 2
+		if m.Name() == "c-port" {
+			want = 1
+		}
+		if !m.Running() || m.ActiveSlot() != want {
+			t.Errorf("%s: running=%v slot=%d, want %d", m.Name(), m.Running(), m.ActiveSlot(), want)
+		}
+	}
+}
+
+func TestClientMemberRolloutEmpty(t *testing.T) {
+	rep := NewFleetController(FleetConfig{TargetSlot: 2}, nil).Rollout([]byte{1})
+	if want := (FleetReport{Shards: 1, PerShard: []ShardReport{{}}}); !reflect.DeepEqual(rep, want) {
+		t.Errorf("empty rollout = %+v, want %+v", rep, want)
 	}
 }

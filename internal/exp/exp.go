@@ -54,13 +54,12 @@ type RunContext struct {
 	// headline counters into the result envelope. Off by default so
 	// canonical envelopes stay byte-identical.
 	Telemetry bool
-	// Shards selects the parallel simulation core (netsim.Sharded) for
-	// experiments that support it: the topology is partitioned over this
-	// many event heaps advanced under conservative lookahead
-	// synchronization. 0 or 1 keeps the single-heap path. Shards is an
-	// execution-placement knob, not a model parameter — results are
-	// byte-identical at any shard count, which is why it is deliberately
-	// NOT echoed in Params.
+	// Shards is how many event heaps the netsim experiments (which always
+	// run on the parallel simulation core, netsim.Sharded) partition
+	// their topology over, advanced under conservative lookahead
+	// synchronization; 0 means 1. Shards is an execution-placement knob,
+	// not a model parameter — results are byte-identical at any shard
+	// count, which is why it is deliberately NOT echoed in Params.
 	Shards int
 	// FleetSize overrides the simulated module count for fleet-scale
 	// experiments (fleet_ota); 0 keeps the experiment's default. Unlike

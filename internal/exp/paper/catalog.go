@@ -10,7 +10,6 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/fpga"
 	"flexsfp/internal/hls"
-	"flexsfp/internal/netsim"
 	"flexsfp/internal/runner"
 	"flexsfp/internal/trafficgen"
 )
@@ -67,8 +66,8 @@ func catalogProfile(app string) trafficgen.Profile {
 	return trafficgen.ProfileElephantMice
 }
 
-// runCatalogApp prices one app and drives it for 1 ms at the 10G wire
-// rate of its profile's mean frame size, on a private simulator.
+// runCatalogApp prices one app and drives it through the line-rate probe
+// with its matched profile, on a private simulator.
 func runCatalogApp(ctx exp.RunContext, name string) (CatalogAppRow, error) {
 	cfg, err := apps.CanonicalConfig(name)
 	if err != nil {
@@ -99,33 +98,11 @@ func runCatalogApp(ctx exp.RunContext, name string) (CatalogAppRow, error) {
 	if err != nil {
 		return CatalogAppRow{}, err
 	}
-	meter := netsim.NewRateMeter(sim)
-	mod.SetTx(1, func(b []byte) {
-		meter.Observe(len(b))
-		trafficgen.PutBuffer(b)
-	})
-	mod.SetTx(0, trafficgen.PutBuffer)
-
-	total, weight := 0, 0
-	for _, wf := range tmpl {
-		total += len(wf.Frame) * wf.Weight
-		weight += wf.Weight
-	}
-	mean := float64(total) / float64(weight)
-	pps := 10e9 / ((mean + 20) * 8)
-
-	wire := netsim.NewLink(sim, 10_000_000_000, 0, mod.RxEdge)
-	gen := trafficgen.New(sim, trafficgen.Config{PPS: pps, Templates: tmpl},
-		func(b []byte) bool { return wire.Send(b) })
-	gen.Run(0)
-	sim.RunFor(netsim.Millisecond)
-	gen.Stop()
-	sim.RunFor(100 * netsim.Microsecond)
-
-	window := netsim.Duration(netsim.Millisecond).Seconds()
-	row.OfferedPPS = float64(gen.Sent) / window
-	row.DeliveredPPS = float64(meter.Frames) / window
-	row.Drops = mod.Engine().Stats().QueueDrop
+	probe := newLineProbe(sim, mod)
+	probe.start(trafficgen.Config{Templates: tmpl})
+	probe.run()
+	s := probe.sample()
+	row.OfferedPPS, row.DeliveredPPS, row.Drops = s.offeredPPS, s.deliveredPPS, s.drops
 	// The blocking apps drop frames by design; line rate here means the
 	// queue never overflowed, exactly like the §5.1 sweep.
 	row.LineRate = row.Drops == 0

@@ -7,6 +7,7 @@ import (
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/build"
 	"flexsfp/internal/core"
+	"flexsfp/internal/daemon"
 	"flexsfp/internal/exp"
 	"flexsfp/internal/faults"
 	"flexsfp/internal/fpga"
@@ -18,8 +19,9 @@ import (
 
 // ---------------------------------------------------------------------------
 // Reconfiguration under faults (§4.2 made adversarial): a fleet-wide canary
-// rollout of a new bitstream while the fault injector attacks the mgmt
-// transport (connection drops, stalls, byte corruption), cuts power during
+// rollout of a new bitstream (daemon.FleetController driving each module's
+// mgmt.Client through a ClientMember) while the fault injector attacks the
+// mgmt transport (connection drops, stalls, byte corruption), cuts power during
 // flash commits, and wedges freshly configured PPEs so the watchdog must
 // fall back to golden. Sweeps a fault-rate multiplier and reports recovery
 // time, rollout availability, and self-healing counters as mean ± 95% CI.
@@ -127,11 +129,11 @@ func buildFaultImages() (*faultImages, error) {
 
 // reconfigFaultsTrial runs one fleet rollout at one fault rate.
 func reconfigFaultsTrial(img *faultImages, trialSeed int64, rateIdx int, rate float64) (faultPoint, error) {
-	fleet := mgmt.NewFleet()
 	mods := make([]*core.Module, faultFleetModules)
 	sims := make([]*netsim.Simulator, faultFleetModules)
 	injs := make([]*faults.Injector, faultFleetModules)
-	names := make([]string, faultFleetModules)
+	clients := make([]*mgmt.Client, faultFleetModules)
+	members := make([]daemon.FleetMember, faultFleetModules)
 
 	rates := faultBaseRates.Scaled(rate)
 	wedgeProb := faultWedgeProb * rate
@@ -139,7 +141,6 @@ func reconfigFaultsTrial(img *faultImages, trialSeed int64, rateIdx int, rate fl
 
 	for i := 0; i < faultFleetModules; i++ {
 		name := fmt.Sprintf("sfp-%02d", i)
-		names[i] = name
 		lane := int64(rateIdx*64 + i)
 		sim := netsim.New(runner.TrialSeed(trialSeed, int(1000+lane)))
 		inj := faults.New(runner.TrialSeed(trialSeed, int(2000+lane)), rates)
@@ -182,20 +183,21 @@ func reconfigFaultsTrial(img *faultImages, trialSeed int64, rateIdx int, rate fl
 			sim.Run()
 			return resp, nil
 		})
-		fleet.Add(name, inj.WrapTransport(base))
-		mods[i], sims[i], injs[i] = mod, sim, inj
+		c := mgmt.NewClient(inj.WrapTransport(base))
+		c.SetRetryPolicy(mgmt.RetryPolicy{MaxAttempts: faultRetryAttempts})
+		mods[i], sims[i], injs[i], clients[i] = mod, sim, inj, c
+		members[i] = daemon.NewClientMember(name, c)
 	}
-	fleet.SetRetryPolicy(mgmt.RetryPolicy{MaxAttempts: faultRetryAttempts})
 
-	rep := fleet.PushCanary(img.signedV2, mgmt.CanaryConfig{
+	rep := daemon.NewFleetController(daemon.FleetConfig{
 		TargetSlot:     faultTargetSlot,
 		Canaries:       faultCanaries,
 		WaveSize:       faultWaveSize,
 		MaxFailureFrac: faultMaxFailFrac,
-	})
+	}, members).Rollout(img.signedV2)
 
 	var p faultPoint
-	if rep.RolledBack {
+	if rep.TrippedShards > 0 {
 		p.rollback = 1
 	}
 	for i, mod := range mods {
@@ -210,9 +212,7 @@ func reconfigFaultsTrial(img *faultImages, trialSeed int64, rateIdx int, rate fl
 		p.golden += float64(st.GoldenFallbacks)
 		p.watchdog += float64(st.WatchdogTrips)
 		p.recoveryMs += float64(sims[i].Now()) / float64(netsim.Millisecond)
-		if c, ok := fleet.Client(names[i]); ok {
-			p.retries += float64(c.Retries())
-		}
+		p.retries += float64(clients[i].Retries())
 		p.injected += float64(injs[i].Stats().Total())
 	}
 	p.avail /= faultFleetModules

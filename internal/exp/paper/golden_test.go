@@ -16,6 +16,22 @@ package paper
 // so envelope additions (params echo, summary metrics) and timing
 // fields (wall_ms) are allowed, but any drift in experiment output is
 // not.
+//
+// Re-captured in PR 25, value by value (never whole files), when each
+// experiment was left with one execution path:
+//
+//   - linerate IMIX GoodputGbps (golden_default.json, and its summary in
+//     golden_trials.json): the legacy Shards=0 path was deleted, so the
+//     sweep always runs on netsim.Sharded, whose IMIX size draws come
+//     from the case's partition stream (Sharded.Stream) rather than a
+//     private simulator's RNG. The fixed-size points do not draw and
+//     did not move.
+//   - faults rate-0.25 RecoveryMs mean/stddev/min (golden_faults.json):
+//     the rollout moved from mgmt.Fleet.PushCanary to
+//     daemon.FleetController, which issues a different sequence of
+//     mgmt calls (health-checks a push whose connection dropped, restores
+//     a failed member on its own), so the injectors' draws land on
+//     different requests.
 
 import (
 	"encoding/json"

@@ -2,7 +2,6 @@ package paper
 
 import (
 	"fmt"
-	"math/rand"
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/build"
@@ -68,118 +67,91 @@ func lineRateCases() []lineRateCase {
 	}
 }
 
-// runLineRateCase measures one frame-size point on its own simulator.
-func runLineRateCase(ctx exp.RunContext, tc lineRateCase) (LineRatePoint, error) {
-	sim := build.NewSim(ctx.Seed)
-	mod, _, err := build.Module(sim, build.ModuleSpec{
-		Name: "lr-dut", DeviceID: 1, Shell: hls.TwoWayCore, App: "nat",
-		ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
-		Optimize: ctx.Optimize,
-		Config: apps.NATConfig{Mappings: []apps.NATMapping{
-			{Internal: "10.1.0.1", External: "203.0.113.1"},
-		}},
-	})
-	if err != nil {
-		return LineRatePoint{}, err
-	}
-	// Instrumentation covers the module/PPE counters only: the per-event
-	// simulator histogram (Simulator.AttachTelemetry) costs ~30ns on every
-	// scheduled event, which is ~8% of this sweep's wall time — too hot
-	// for a performance measurement. It stays a daemon-side facility.
-	var reg *telemetry.Registry
-	if ctx.Telemetry {
-		reg = telemetry.New()
-		mod.AttachTelemetry(reg)
-	}
-	meter := netsim.NewRateMeter(sim)
+// The §5.1 line-rate probe, shared by linerate, catalog and pipeline_opt:
+// a rate meter on port 1, buffer-recycling sinks on both ports, and a
+// generator that reaches the module through an actual 10G wire. The
+// link's serialization enforces the physical per-frame spacing a real
+// tester is bound by (a mean-paced generator would otherwise burst
+// mixed-size traffic above wire rate).
+const (
+	lineProbeWindow = netsim.Millisecond       // measured window
+	lineProbeDrain  = 100 * netsim.Microsecond // in-flight frames leave
+)
+
+// lineProbe is one module under the probe.
+type lineProbe struct {
+	sim   *netsim.Simulator
+	mod   *core.Module
+	meter *netsim.RateMeter
+	gen   *trafficgen.Generator
+}
+
+// newLineProbe installs the meter and the sinks on mod.
+func newLineProbe(sim *netsim.Simulator, mod *core.Module) *lineProbe {
+	p := &lineProbe{sim: sim, mod: mod, meter: netsim.NewRateMeter(sim)}
 	mod.SetTx(1, func(b []byte) {
-		meter.Observe(len(b))
+		p.meter.Observe(len(b))
 		trafficgen.PutBuffer(b)
 	})
 	mod.SetTx(0, trafficgen.PutBuffer)
+	return p
+}
 
-	// Offered rate: line rate for the mean frame size of the mix.
-	mean := 64.0
-	if tc.size > 0 {
-		mean = float64(tc.size)
+// start offers cfg at 10G line rate for its mix's mean frame size (plus
+// the 20 B of preamble and inter-frame gap every frame costs on the wire).
+func (p *lineProbe) start(cfg trafficgen.Config) {
+	total, weight := 0, 0
+	if len(cfg.Templates) > 0 {
+		for _, wf := range cfg.Templates {
+			total += len(wf.Frame) * wf.Weight
+			weight += wf.Weight
+		}
 	} else {
-		total, weight := 0, 0
-		for _, e := range tc.sizes {
+		for _, e := range cfg.Sizes {
 			total += e.Size * e.Weight
 			weight += e.Weight
 		}
-		mean = float64(total) / float64(weight)
 	}
-	pps := 10e9 / ((mean + 20) * 8)
-	// Traffic reaches the module through an actual 10G wire: the
-	// link's serialization enforces the physical per-frame spacing a
-	// real tester is bound by (a mean-paced generator would otherwise
-	// burst mixed-size traffic above wire rate).
-	wire := netsim.NewLink(sim, 10_000_000_000, 0, mod.RxEdge)
-	gen := trafficgen.New(sim, trafficgen.Config{
-		PPS: pps, Sizes: tc.sizes, Flows: 32,
-	}, func(b []byte) bool {
-		return wire.Send(b)
-	})
-	gen.Run(0)
-	sim.RunFor(netsim.Millisecond)
-	gen.Stop()
-	sim.RunFor(100 * netsim.Microsecond)
+	mean := float64(total) / float64(weight)
+	cfg.PPS = 10e9 / ((mean + 20) * 8)
+	wire := netsim.NewLink(p.sim, 10_000_000_000, 0, p.mod.RxEdge)
+	p.gen = trafficgen.New(p.sim, cfg, wire.Send)
+	p.gen.Run(0)
+}
 
-	deliveredPPS := float64(meter.Frames) / netsim.Duration(netsim.Millisecond).Seconds()
-	p := LineRatePoint{
-		Label:        tc.label,
-		FrameSize:    tc.size,
-		OfferedPPS:   float64(gen.Sent) / netsim.Duration(netsim.Millisecond).Seconds(),
-		DeliveredPPS: deliveredPPS,
-		GoodputGbps:  float64(meter.Bytes) * 8 / netsim.Duration(netsim.Millisecond).Seconds() / 1e9,
-		Drops:        mod.Engine().Stats().QueueDrop,
-		LineRate:     mod.Engine().Stats().QueueDrop == 0,
+// run drives a probe that owns its simulator through the window and the
+// drain.
+func (p *lineProbe) run() {
+	p.sim.RunFor(lineProbeWindow)
+	p.gen.Stop()
+	p.sim.RunFor(lineProbeDrain)
+}
+
+// lineSample is a probe's measurement over the window.
+type lineSample struct {
+	offeredPPS, deliveredPPS, goodputGbps float64
+	drops                                 uint64
+}
+
+func (p *lineProbe) sample() lineSample {
+	window := lineProbeWindow.Seconds()
+	return lineSample{
+		offeredPPS:   float64(p.gen.Sent) / window,
+		deliveredPPS: float64(p.meter.Frames) / window,
+		goodputGbps:  float64(p.meter.Bytes) * 8 / window / 1e9,
+		drops:        p.mod.Engine().Stats().QueueDrop,
 	}
-	if reg != nil {
-		snap := reg.Snapshot()
-		ct := &CaseTelemetry{}
-		ct.FramesIn, _ = snap.Counter("ppe.frames_in")
-		ct.BytesIn, _ = snap.Counter("ppe.bytes_in")
-		ct.QueueDrops, _ = snap.Counter("ppe.queue_drops")
-		if lat, ok := snap.Histogram("ppe.latency_ns"); ok && lat.Count > 0 {
-			ct.MeanLatencyNs = float64(lat.Sum) / float64(lat.Count)
-			ct.MaxLatencyNs = lat.Max
-		}
-		if qd, ok := snap.Histogram("ppe.queue_depth"); ok {
-			ct.MaxQueueDepth = qd.Max
-		}
-		p.Telemetry = ct
-	}
-	return p, nil
 }
 
 // LineRateExperiment drives the NAT module at 10G line rate across frame
 // sizes (the §5.1 "simple end-to-end test, which confirmed line-rate
-// performance"). Each case runs on its own simulator with the same seed,
-// so the cases fan out across workers and the sweep matches the old
-// sequential loop exactly.
+// performance").
 func LineRateExperiment(seed int64) (LineRateResult, error) {
-	return lineRateSingle(exp.RunContext{Seed: seed})
+	return lineRateSweep(exp.RunContext{Seed: seed})
 }
 
-func lineRateSingle(ctx exp.RunContext) (LineRateResult, error) {
-	if ctx.Shards > 0 {
-		return lineRateSharded(ctx)
-	}
-	cases := lineRateCases()
-	points, err := runner.Map(len(cases), runner.Options{Seed: ctx.Seed, Parallelism: ctx.Parallelism},
-		func(i int, _ *rand.Rand) (LineRatePoint, error) {
-			return runLineRateCase(ctx, cases[i])
-		})
-	if err != nil {
-		return LineRateResult{}, err
-	}
-	return LineRateResult{Points: points}, nil
-}
-
-// lineRateSharded runs the sweep on the parallel simulation core: the
-// cases are logical partitions placed round-robin over ctx.Shards event
+// lineRateSweep runs the sweep on the parallel simulation core: the cases
+// are logical partitions placed round-robin over max(ctx.Shards, 1) event
 // heaps and advanced together. The cases never interact, so one
 // conservative window covers the whole run and the shards execute wall-
 // clock-parallel with no barrier traffic.
@@ -189,21 +161,12 @@ func lineRateSingle(ctx exp.RunContext) (LineRateResult, error) {
 // RNG), and every absolute timestamp in a case's world is the common
 // post-boot epoch plus a shift-invariant offset — link and engine
 // picosecond arithmetic is linear in whole-nanosecond shifts — so the
-// sweep's JSON is byte-identical at any shard count. (It intentionally
-// does not match the legacy Shards=0 path, which seeds each case's
-// private simulator differently; the goldens pin the legacy path.)
-func lineRateSharded(ctx exp.RunContext) (LineRateResult, error) {
+// sweep's JSON is byte-identical at any shard count.
+func lineRateSweep(ctx exp.RunContext) (LineRateResult, error) {
 	cases := lineRateCases()
-	sh := netsim.NewSharded(ctx.Seed, ctx.Shards)
-
-	type caseWorld struct {
-		sim   *netsim.Simulator
-		mod   *core.Module
-		meter *netsim.RateMeter
-		gen   *trafficgen.Generator
-		reg   *telemetry.Registry
-	}
-	worlds := make([]caseWorld, len(cases))
+	sh := netsim.NewSharded(ctx.Seed, max(ctx.Shards, 1))
+	probes := make([]*lineProbe, len(cases))
+	regs := make([]*telemetry.Registry, len(cases))
 
 	// Wiring pass: build every case's module on its home shard. Boots
 	// advance shard clocks unevenly (co-located cases boot back to back),
@@ -222,84 +185,65 @@ func lineRateSharded(ctx exp.RunContext) (LineRateResult, error) {
 		if err != nil {
 			return LineRateResult{}, err
 		}
-		w := &worlds[i]
-		w.sim, w.mod = sim, mod
+		// Instrumentation covers the module/PPE counters only: the
+		// per-event simulator histogram (Simulator.AttachTelemetry) costs
+		// ~30ns on every scheduled event — too hot for a performance
+		// measurement. It stays a daemon-side facility.
 		if ctx.Telemetry {
-			w.reg = telemetry.New()
-			mod.AttachTelemetry(w.reg)
+			regs[i] = telemetry.New()
+			mod.AttachTelemetry(regs[i])
 		}
-		w.meter = netsim.NewRateMeter(sim)
-		meter := w.meter
-		mod.SetTx(1, func(b []byte) {
-			meter.Observe(len(b))
-			trafficgen.PutBuffer(b)
-		})
-		mod.SetTx(0, trafficgen.PutBuffer)
+		probes[i] = newLineProbe(sim, mod)
 	}
 	epoch := sh.AlignClocks()
 
-	// Measurement pass: identical shape and arithmetic to runLineRateCase,
-	// with all cases sharing the 1 ms window that starts at the epoch.
+	// Measurement pass: all cases share the window that starts at the epoch.
 	for i, tc := range cases {
-		mean := 64.0
-		if tc.size > 0 {
-			mean = float64(tc.size)
-		} else {
-			total, weight := 0, 0
-			for _, e := range tc.sizes {
-				total += e.Size * e.Weight
-				weight += e.Weight
-			}
-			mean = float64(total) / float64(weight)
-		}
-		pps := 10e9 / ((mean + 20) * 8)
-		w := &worlds[i]
-		wire := netsim.NewLink(w.sim, 10_000_000_000, 0, w.mod.RxEdge)
-		w.gen = trafficgen.New(w.sim, trafficgen.Config{
-			PPS: pps, Sizes: tc.sizes, Flows: 32,
-			Rand: sh.Stream(i),
-		}, func(b []byte) bool {
-			return wire.Send(b)
-		})
-		w.gen.Run(0)
+		probes[i].start(trafficgen.Config{Sizes: tc.sizes, Flows: 32, Rand: sh.Stream(i)})
 	}
-	sh.RunUntil(epoch.Add(netsim.Millisecond))
-	for i := range worlds {
-		worlds[i].gen.Stop()
+	sh.RunUntil(epoch.Add(lineProbeWindow))
+	for _, p := range probes {
+		p.gen.Stop()
 	}
-	sh.RunUntil(epoch.Add(netsim.Millisecond + 100*netsim.Microsecond))
+	sh.RunUntil(epoch.Add(lineProbeWindow + lineProbeDrain))
 	ctx.Progressf("linerate: %d shards: %v", sh.Shards(), sh.Stats())
 
 	res := LineRateResult{Points: make([]LineRatePoint, len(cases))}
 	for i, tc := range cases {
-		w := &worlds[i]
-		p := LineRatePoint{
+		s := probes[i].sample()
+		res.Points[i] = LineRatePoint{
 			Label:        tc.label,
 			FrameSize:    tc.size,
-			OfferedPPS:   float64(w.gen.Sent) / netsim.Duration(netsim.Millisecond).Seconds(),
-			DeliveredPPS: float64(w.meter.Frames) / netsim.Duration(netsim.Millisecond).Seconds(),
-			GoodputGbps:  float64(w.meter.Bytes) * 8 / netsim.Duration(netsim.Millisecond).Seconds() / 1e9,
-			Drops:        w.mod.Engine().Stats().QueueDrop,
-			LineRate:     w.mod.Engine().Stats().QueueDrop == 0,
+			OfferedPPS:   s.offeredPPS,
+			DeliveredPPS: s.deliveredPPS,
+			GoodputGbps:  s.goodputGbps,
+			Drops:        s.drops,
+			LineRate:     s.drops == 0,
+			Telemetry:    caseTelemetry(regs[i]),
 		}
-		if w.reg != nil {
-			snap := w.reg.Snapshot()
-			ct := &CaseTelemetry{}
-			ct.FramesIn, _ = snap.Counter("ppe.frames_in")
-			ct.BytesIn, _ = snap.Counter("ppe.bytes_in")
-			ct.QueueDrops, _ = snap.Counter("ppe.queue_drops")
-			if lat, ok := snap.Histogram("ppe.latency_ns"); ok && lat.Count > 0 {
-				ct.MeanLatencyNs = float64(lat.Sum) / float64(lat.Count)
-				ct.MaxLatencyNs = lat.Max
-			}
-			if qd, ok := snap.Histogram("ppe.queue_depth"); ok {
-				ct.MaxQueueDepth = qd.Max
-			}
-			p.Telemetry = ct
-		}
-		res.Points[i] = p
 	}
 	return res, nil
+}
+
+// caseTelemetry folds an instrumented case's registry into its headline
+// counters; nil when the case was not instrumented.
+func caseTelemetry(reg *telemetry.Registry) *CaseTelemetry {
+	if reg == nil {
+		return nil
+	}
+	snap := reg.Snapshot()
+	ct := &CaseTelemetry{}
+	ct.FramesIn, _ = snap.Counter("ppe.frames_in")
+	ct.BytesIn, _ = snap.Counter("ppe.bytes_in")
+	ct.QueueDrops, _ = snap.Counter("ppe.queue_drops")
+	if lat, ok := snap.Histogram("ppe.latency_ns"); ok && lat.Count > 0 {
+		ct.MeanLatencyNs = float64(lat.Sum) / float64(lat.Count)
+		ct.MaxLatencyNs = lat.Max
+	}
+	if qd, ok := snap.Histogram("ppe.queue_depth"); ok {
+		ct.MaxQueueDepth = qd.Max
+	}
+	return ct
 }
 
 // Render formats the sweep.
@@ -345,7 +289,7 @@ func LineRateExperimentTrials(rootSeed int64, trials, parallelism int) (LineRate
 
 func lineRateTrials(ctx exp.RunContext) (LineRateTrialsResult, error) {
 	tr, err := exp.RunTrials(ctx, func(_ int, seed int64) (LineRateResult, error) {
-		return lineRateSingle(exp.RunContext{
+		return lineRateSweep(exp.RunContext{
 			Seed: seed, ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,
 			Telemetry: ctx.Telemetry, Shards: ctx.Shards, Optimize: ctx.Optimize,
 		})
@@ -406,7 +350,7 @@ func runLineRate(ctx exp.RunContext) (exp.Result, error) {
 		}
 		return exp.NewResult(env, r.Render), nil
 	}
-	r, err := lineRateSingle(ctx)
+	r, err := lineRateSweep(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"flexsfp/internal/build"
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
-	"flexsfp/internal/netsim"
 	"flexsfp/internal/opt"
 	"flexsfp/internal/ppe"
 	"flexsfp/internal/trafficgen"
@@ -193,7 +192,7 @@ func serviceCycles64(p *ppe.Program) int64 {
 // unoptimized module is program-bound below line rate; the measured
 // delivered-rate gap is the optimizer's end-to-end win.
 func xdpLineRateDelta(ctx exp.RunContext) (LineRateDelta, error) {
-	run := func(optimize bool) (float64, float64, uint64, int64, error) {
+	run := func(optimize bool) (lineSample, int64, error) {
 		sim := build.NewSim(ctx.Seed)
 		mod, _, err := build.Module(sim, build.ModuleSpec{
 			Name: "opt-dut", DeviceID: 1, Shell: hls.TwoWayCore, App: "xdp",
@@ -205,52 +204,34 @@ func xdpLineRateDelta(ctx exp.RunContext) (LineRateDelta, error) {
 			},
 		})
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return lineSample{}, 0, err
 		}
-		meter := netsim.NewRateMeter(sim)
-		mod.SetTx(1, func(b []byte) {
-			meter.Observe(len(b))
-			trafficgen.PutBuffer(b)
-		})
-		mod.SetTx(0, trafficgen.PutBuffer)
-
-		pps := 10e9 / ((64 + 20) * 8)
-		wire := netsim.NewLink(sim, 10_000_000_000, 0, mod.RxEdge)
-		gen := trafficgen.New(sim, trafficgen.Config{
-			PPS: pps, Sizes: []trafficgen.IMIXEntry{{Size: 64, Weight: 1}}, Flows: 32,
-		}, func(b []byte) bool {
-			return wire.Send(b)
-		})
-		gen.Run(0)
-		sim.RunFor(netsim.Millisecond)
-		gen.Stop()
-		sim.RunFor(100 * netsim.Microsecond)
-
-		offered := float64(gen.Sent) / netsim.Duration(netsim.Millisecond).Seconds()
-		delivered := float64(meter.Frames) / netsim.Duration(netsim.Millisecond).Seconds()
-		return offered, delivered, mod.Engine().Stats().QueueDrop, mod.Engine().ServiceCycles(64), nil
+		probe := newLineProbe(sim, mod)
+		probe.start(trafficgen.Config{Sizes: []trafficgen.IMIXEntry{{Size: 64, Weight: 1}}, Flows: 32})
+		probe.run()
+		return probe.sample(), mod.Engine().ServiceCycles(64), nil
 	}
 
-	offered, offD, offDrops, offSvc, err := run(false)
+	off, offSvc, err := run(false)
 	if err != nil {
 		return LineRateDelta{}, err
 	}
-	_, onD, onDrops, onSvc, err := run(true)
+	on, onSvc, err := run(true)
 	if err != nil {
 		return LineRateDelta{}, err
 	}
 	d := LineRateDelta{
 		App:              "xdp",
-		OfferedMpps:      offered / 1e6,
-		DeliveredOffMpps: offD / 1e6,
-		DeliveredOnMpps:  onD / 1e6,
-		DropsOff:         offDrops,
-		DropsOn:          onDrops,
+		OfferedMpps:      off.offeredPPS / 1e6,
+		DeliveredOffMpps: off.deliveredPPS / 1e6,
+		DeliveredOnMpps:  on.deliveredPPS / 1e6,
+		DropsOff:         off.drops,
+		DropsOn:          on.drops,
 		ServiceCyclesOff: offSvc,
 		ServiceCyclesOn:  onSvc,
 	}
-	if offD > 0 {
-		d.GainPct = (onD/offD - 1) * 100
+	if off.deliveredPPS > 0 {
+		d.GainPct = (on.deliveredPPS/off.deliveredPPS - 1) * 100
 	}
 	return d, nil
 }

@@ -25,18 +25,6 @@ func ReliabilityExperiment(seed int64) ReliabilityResult {
 	}
 }
 
-// ReliabilityExperimentSharded runs the fleet on the parallel simulation
-// core. RunFleetSharded's partition seeding matches RunFleet's exactly,
-// so the result — and its JSON envelope — is bit-identical to the
-// default path at any shard count.
-func ReliabilityExperimentSharded(seed int64, shards int) ReliabilityResult {
-	cfg := reliability.DefaultFleet()
-	return ReliabilityResult{
-		Report: reliability.RunFleetSharded(seed, reliability.DefaultVCSEL(), cfg, shards),
-		Config: cfg,
-	}
-}
-
 // Render formats the fleet report.
 func (r ReliabilityResult) Render() string {
 	rep := r.Report
@@ -102,16 +90,7 @@ func runReliability(ctx exp.RunContext) (exp.Result, error) {
 		}
 		return exp.NewResult(env, r.Render), nil
 	}
-	var r ReliabilityResult
-	if ctx.Shards > 1 {
-		// Placement-only knob: same partition seeding, same report bits,
-		// executed across ctx.Shards event heaps. (The multi-trial path
-		// above already fans out across workers; Shards applies to the
-		// single-seed fleet.)
-		r = ReliabilityExperimentSharded(ctx.Seed, ctx.Shards)
-	} else {
-		r = ReliabilityExperiment(ctx.Seed)
-	}
+	r := ReliabilityExperiment(ctx.Seed)
 	env.Detail = r
 	env.Metrics = []exp.Metric{
 		exp.Scalar("mttf_years", "yr", r.Report.MTTFYears),

@@ -33,7 +33,7 @@ func envelopeJSON(t *testing.T, name string, ctx exp.RunContext) []byte {
 // TestShardsByteIdenticalJSON is the acceptance pin: for every sharded
 // netsim experiment, shards ∈ {1, 2, 4, 8} produce byte-identical JSON.
 func TestShardsByteIdenticalJSON(t *testing.T) {
-	for _, name := range []string{"linerate", "reliability", "overlay_linerate", "overlay_failover"} {
+	for _, name := range []string{"linerate", "overlay_linerate", "overlay_failover"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -71,17 +71,6 @@ func TestShardsNotEchoedInParams(t *testing.T) {
 		if k == "shards" {
 			t.Fatal("Shards leaked into the params echo; sharded and unsharded envelopes can no longer be identical")
 		}
-	}
-}
-
-// TestReliabilityShardedMatchesDefault pins the stronger property the
-// fleet experiment offers: its sharded execution reproduces the default
-// (unsharded) envelope exactly, because the partition seeding is shared.
-func TestReliabilityShardedMatchesDefault(t *testing.T) {
-	def := envelopeJSON(t, "reliability", exp.RunContext{Seed: 42})
-	sh := envelopeJSON(t, "reliability", exp.RunContext{Seed: 42, Shards: 8})
-	if string(def) != string(sh) {
-		t.Fatalf("sharded fleet envelope differs from default path\ndefault: %s\nsharded: %s", def, sh)
 	}
 }
 

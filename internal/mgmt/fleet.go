@@ -1,7 +1,6 @@
 package mgmt
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -72,18 +71,16 @@ type Outcome struct {
 	Err  error
 }
 
-// memberRef is a (name, client) pair captured by snapshot.
+// memberRef is a (name, client) pair captured by fanOut.
 type memberRef struct {
 	name string
 	c    *Client
 }
 
-// snapshot captures the member set once, sorted by name. Multi-wave
-// operations (PushCanary, PushAll) run entirely against one snapshot, so
-// a concurrent Add can't enlarge a rollout mid-flight and a concurrent
-// Remove can't silently drop a member from its outcome accounting — or
-// from the rollback set.
-func (f *Fleet) snapshot() []memberRef {
+// fanOut captures the current members once, sorted by name, and runs op
+// against each concurrently; outcomes come back in name order. (Staged
+// rollouts with canaries, waves and rollback are daemon.FleetController's.)
+func (f *Fleet) fanOut(op func(name string, c *Client) error) []Outcome {
 	f.mu.Lock()
 	ms := make([]memberRef, 0, len(f.members))
 	for n, c := range f.members {
@@ -91,22 +88,9 @@ func (f *Fleet) snapshot() []memberRef {
 	}
 	f.mu.Unlock()
 	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	return ms
-}
-
-// fanOut snapshots the current members and runs op against each
-// concurrently.
-func (f *Fleet) fanOut(op func(name string, c *Client) error) []Outcome {
-	return fanOutRefs(f.snapshot(), op)
-}
-
-// fanOutRefs runs op concurrently against the captured members; outcomes
-// come back in the given order.
-func fanOutRefs(ms []memberRef, op func(name string, c *Client) error) []Outcome {
 	out := make([]Outcome, len(ms))
 	var wg sync.WaitGroup
 	for i, m := range ms {
-		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -157,187 +141,6 @@ func (f *Fleet) PushAll(signed []byte, slot int, rebootAfter bool) []Outcome {
 	return f.fanOut(func(name string, c *Client) error {
 		return c.PushBitstream(signed, slot, rebootAfter)
 	})
-}
-
-// CanaryConfig tunes a staged fleet rollout.
-type CanaryConfig struct {
-	// TargetSlot is the flash slot the new image is pushed to; every
-	// updated module reboots into it.
-	TargetSlot int
-	// Canaries is how many members (in sorted-name order) are updated
-	// and health-checked before the fleet-wide fan-out; default 1.
-	Canaries int
-	// WaveSize bounds each post-canary batch; 0 = all remaining at once.
-	WaveSize int
-	// MaxFailureFrac is the cumulative failed/attempted fraction above
-	// which the rollout aborts and rolls back; default 0.25.
-	MaxFailureFrac float64
-	// HealthCheck validates a member after its push+reboot. nil uses the
-	// default: the module must report Running with TargetSlot active —
-	// which catches both a dead module and one the watchdog already fell
-	// back to golden.
-	HealthCheck func(name string, c *Client) error
-}
-
-// CanaryReport is the outcome of a staged rollout.
-type CanaryReport struct {
-	Canaries []string // members used as canaries
-	Updated  []string // members pushed and healthy (includes canaries)
-	Failed   []Outcome
-	// RolledBack is set when the failure fraction breached the threshold
-	// and every attempted member — updated or failed — was rebooted back
-	// into its previous slot (best-effort; see RollbackErrs).
-	RolledBack   bool
-	RollbackErrs []Outcome
-	// PrevSlots records each member's active slot before the rollout
-	// (members whose pre-flight stats read failed are absent).
-	PrevSlots map[string]int
-}
-
-// PushCanary performs a canary rollout (§2.1's fleet-wide feature rollout
-// made safe): push the signed image to a few canaries first, verify their
-// health, then fan out in waves — aborting and rebooting every updated
-// member back into its previous slot if the cumulative failure fraction
-// breaches the threshold.
-func (f *Fleet) PushCanary(signed []byte, cfg CanaryConfig) CanaryReport {
-	// One membership snapshot drives the whole rollout: waves, health
-	// checks, and rollback all address these clients, so concurrent
-	// Add/Remove cannot skew which members count toward the failure
-	// fraction or escape the rollback set.
-	ms := f.snapshot()
-	rep := CanaryReport{PrevSlots: make(map[string]int)}
-	if len(ms) == 0 {
-		return rep
-	}
-	k := cfg.Canaries
-	if k <= 0 {
-		k = 1
-	}
-	if k > len(ms) {
-		k = len(ms)
-	}
-	maxFrac := cfg.MaxFailureFrac
-	if maxFrac <= 0 {
-		maxFrac = 0.25
-	}
-	health := cfg.HealthCheck
-	if health == nil {
-		health = func(_ string, c *Client) error {
-			s, err := c.ReadStats()
-			if err != nil {
-				return err
-			}
-			if !s.Running {
-				return errors.New("mgmt: module not running after update")
-			}
-			if s.ActiveSlot != cfg.TargetSlot {
-				return fmt.Errorf("mgmt: module recovered on slot %d, not target %d",
-					s.ActiveSlot, cfg.TargetSlot)
-			}
-			return nil
-		}
-	}
-
-	// Pre-flight: remember where everyone is running so we can roll back.
-	var statsMu sync.Mutex
-	fanOutRefs(ms, func(name string, c *Client) error {
-		s, err := c.ReadStats()
-		if err != nil {
-			return err
-		}
-		statsMu.Lock()
-		rep.PrevSlots[name] = s.ActiveSlot
-		statsMu.Unlock()
-		return nil
-	})
-
-	attempted, failed := 0, 0
-	wave := func(group []memberRef) {
-		out := fanOutRefs(group, func(name string, c *Client) error {
-			if err := c.PushBitstream(signed, cfg.TargetSlot, true); err != nil {
-				return err
-			}
-			return health(name, c)
-		})
-		for _, o := range out {
-			attempted++
-			if o.Err != nil {
-				failed++
-				rep.Failed = append(rep.Failed, o)
-			} else {
-				rep.Updated = append(rep.Updated, o.Name)
-			}
-		}
-	}
-	breached := func() bool {
-		return attempted > 0 && float64(failed)/float64(attempted) > maxFrac
-	}
-
-	// rollbackAll reverts every attempted member. Failed members are
-	// included: a member that rebooted into the target slot and flunked
-	// its health check (or recovered onto golden) is exactly the one that
-	// needs restoring; members that never left their previous slot absorb
-	// a harmless reboot into it.
-	rollbackAll := func() {
-		attemptedSet := make(map[string]bool, len(rep.Updated)+len(rep.Failed))
-		for _, n := range rep.Updated {
-			attemptedSet[n] = true
-		}
-		for _, o := range rep.Failed {
-			attemptedSet[o.Name] = true
-		}
-		var targets []memberRef
-		for _, m := range ms {
-			if attemptedSet[m.name] {
-				targets = append(targets, m)
-			}
-		}
-		rep.RolledBack = true
-		rep.RollbackErrs = rollback(targets, rep.PrevSlots)
-	}
-
-	for _, m := range ms[:k] {
-		rep.Canaries = append(rep.Canaries, m.name)
-	}
-	wave(ms[:k])
-	if breached() {
-		rollbackAll()
-		return rep
-	}
-	rest := ms[k:]
-	step := cfg.WaveSize
-	if step <= 0 {
-		step = len(rest)
-	}
-	for start := 0; start < len(rest); start += step {
-		end := min(start+step, len(rest))
-		wave(rest[start:end])
-		if breached() {
-			rollbackAll()
-			return rep
-		}
-	}
-	return rep
-}
-
-// rollback reboots the captured members into their pre-rollout slots
-// (snapshot refs, so a member removed from the fleet mid-rollout is
-// still restored).
-func rollback(targets []memberRef, prevSlots map[string]int) []Outcome {
-	var errs []Outcome
-	out := fanOutRefs(targets, func(name string, c *Client) error {
-		prev, ok := prevSlots[name]
-		if !ok {
-			return errors.New("mgmt: previous slot unknown; not rolled back")
-		}
-		return c.Reboot(prev)
-	})
-	for _, o := range out {
-		if o.Err != nil {
-			errs = append(errs, o)
-		}
-	}
-	return errs
 }
 
 // Failures filters outcomes to the failed ones.

@@ -21,6 +21,8 @@
 package overlay
 
 import (
+	"errors"
+	"math"
 	"sort"
 	"sync"
 
@@ -34,7 +36,7 @@ import (
 type Rendezvous struct {
 	mu     sync.Mutex
 	gen    uint64
-	nextID uint16
+	nextID int               // next unassigned peer id; > MaxUint16 when spent
 	ids    map[string]uint16 // name → stable peer id, never reused
 	peers  map[string]mgmt.OverlayEndpoint
 }
@@ -47,22 +49,30 @@ func NewRendezvous() *Rendezvous {
 	}
 }
 
+// errPeerIDsExhausted refuses a new name once every 16-bit peer ID has
+// been handed out.
+var errPeerIDsExhausted = errors.New("overlay: peer id space exhausted")
+
 // Register adds or refreshes an endpoint and returns the new generation.
 // The name keeps its stable ID across re-registrations (a rebooted cable
-// comes back as the same peer).
-func (r *Rendezvous) Register(e mgmt.OverlayEndpoint) uint64 {
+// comes back as the same peer). IDs are never reused, so after 65 536
+// distinct names a new name is refused rather than handed a live peer's ID.
+func (r *Rendezvous) Register(e mgmt.OverlayEndpoint) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id, ok := r.ids[e.Name]
 	if !ok {
-		id = r.nextID
+		if r.nextID > math.MaxUint16 {
+			return r.gen, errPeerIDsExhausted
+		}
+		id = uint16(r.nextID)
 		r.nextID++
 		r.ids[e.Name] = id
 	}
 	e.ID = id
 	r.peers[e.Name] = e
 	r.gen++
-	return r.gen
+	return r.gen, nil
 }
 
 // Withdraw removes an endpoint by name. Its prefixes fail over to their
@@ -168,7 +178,11 @@ func (r *Rendezvous) dispatch(msg mgmt.Message) mgmt.Message {
 		if e.Mode != apps.MeshModeGRE && e.Mode != apps.MeshModeVXLAN {
 			return errMsg(mgmt.CodeBadBody, "overlay: unknown encap mode")
 		}
-		return ok(mgmt.EncodeOverlayGeneration(r.Register(e)))
+		gen, err := r.Register(e)
+		if err != nil {
+			return errMsg(mgmt.CodeOpFailed, err.Error())
+		}
+		return ok(mgmt.EncodeOverlayGeneration(gen))
 	case mgmt.MsgOverlayWithdraw:
 		name, err := mgmt.DecodeOverlayWithdraw(msg.Body)
 		if err != nil {

@@ -248,3 +248,47 @@ func TestRendezvousChurnRace(t *testing.T) {
 		}
 	}
 }
+
+// The 16-bit peer ID space is spent after 65 536 distinct names: the next
+// new name is refused (it would otherwise wrap onto the first name's live
+// ID), while known names still re-register under their own IDs.
+func TestRendezvousPeerIDsExhausted(t *testing.T) {
+	r := NewRendezvous()
+	const ids = 1 << 16
+	for i := 0; i < ids; i++ {
+		if _, err := r.Register(mgmt.OverlayEndpoint{Name: fmt.Sprintf("n%d", i)}); err != nil {
+			t.Fatalf("name %d of %d refused: %v", i+1, ids, err)
+		}
+	}
+	gen := r.Generation()
+	if _, err := r.Register(mgmt.OverlayEndpoint{Name: "one-too-many"}); err == nil {
+		t.Fatal("65 537th distinct name was handed an ID")
+	}
+	if r.Generation() != gen {
+		t.Error("refused registration bumped the generation")
+	}
+	if _, err := r.Register(mgmt.OverlayEndpoint{Name: "n0"}); err != nil {
+		t.Errorf("re-registering a known name failed: %v", err)
+	}
+	seen := make(map[uint16]string, ids)
+	for _, p := range r.Table().Peers {
+		if other, dup := seen[p.ID]; dup {
+			t.Fatalf("%s and %s share peer id %d", other, p.Name, p.ID)
+		}
+		seen[p.ID] = p.Name
+	}
+	if len(seen) != ids {
+		t.Errorf("%d live peers, want %d", len(seen), ids)
+	}
+
+	e := testEndpoint(0)
+	e.Name = "one-too-many"
+	resp, err := mgmt.DecodeMessage(r.Handle(mgmt.Message{Type: mgmt.MsgOverlayRegister, ReqID: 1,
+		Body: mgmt.EncodeOverlayRegister(e)}.Encode()))
+	if err != nil || resp.Type != mgmt.MsgError {
+		t.Fatalf("Handle response = %+v (%v), want MsgError", resp, err)
+	}
+	if code, _, err := mgmt.ParseError(resp.Body); err != nil || code != mgmt.CodeOpFailed {
+		t.Errorf("error code = %d (%v), want CodeOpFailed", code, err)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"flexsfp/internal/netsim"
 	"flexsfp/internal/runner"
 )
 
@@ -186,14 +185,17 @@ func shardLen(shard, modules int) int {
 
 // RunFleet simulates the fleet deterministically for a seed, sharding the
 // module population across all available cores. The report is
-// bit-identical for any GOMAXPROCS and matches RunFleetSerial.
+// bit-identical for any GOMAXPROCS.
 func RunFleet(seed int64, m VCSELModel, cfg FleetConfig) FleetReport {
-	return RunFleetParallel(seed, m, cfg, 0)
+	return runFleet(seed, m, cfg, 0)
 }
 
-// RunFleetParallel is RunFleet with an explicit worker bound (0 =
-// GOMAXPROCS).
-func RunFleetParallel(seed int64, m VCSELModel, cfg FleetConfig, parallelism int) FleetReport {
+// runFleet is the partition loop behind both entry points: shard i of
+// fleetShardSize modules draws from runner.TrialRand(seed, i) on at most
+// parallelism workers (0 = GOMAXPROCS; 1 runs inline on the caller), and
+// the shards merge in index order, so the worker bound never changes a
+// bit of the report.
+func runFleet(seed int64, m VCSELModel, cfg FleetConfig, parallelism int) FleetReport {
 	if !validConfig(m, cfg) {
 		return FleetReport{}
 	}
@@ -202,52 +204,6 @@ func RunFleetParallel(seed int64, m VCSELModel, cfg FleetConfig, parallelism int
 		func(shard int, rng *rand.Rand) (fleetShard, error) {
 			return simShard(rng, shardLen(shard, cfg.Modules), m, cfg), nil
 		})
-	return reduceShards(shards, cfg)
-}
-
-// RunFleetSharded runs the fleet on the parallel simulation core: each
-// partition of fleetShardSize modules becomes one detached event on its
-// home shard of a netsim.Sharded world, and the shards execute the
-// partitions wall-clock-parallel under the conservative window loop. The
-// partitions are seeded exactly like RunFleet's workers —
-// runner.TrialRand(seed, partition) — and merged in partition order, so
-// the report is bit-identical to RunFleet and RunFleetSerial at any shard
-// count. shards <= 1 collapses to the serial reference.
-func RunFleetSharded(seed int64, m VCSELModel, cfg FleetConfig, shards int) FleetReport {
-	if !validConfig(m, cfg) {
-		return FleetReport{}
-	}
-	if shards <= 1 {
-		return RunFleetSerial(seed, m, cfg)
-	}
-	sh := netsim.NewSharded(seed, shards)
-	parts := make([]fleetShard, shardCount(cfg.Modules))
-	for p := range parts {
-		p := p
-		// One simulated nanosecond per partition index spaces the events so
-		// the window loop has a defined global order; partitions on the
-		// same shard execute back to back.
-		sh.Shard(sh.ShardFor(p)).ScheduleAtDetached(netsim.Time(p+1), func() {
-			parts[p] = simShard(runner.TrialRand(seed, p), shardLen(p, cfg.Modules), m, cfg)
-		})
-	}
-	sh.Run()
-	return reduceShards(parts, cfg)
-}
-
-// RunFleetSerial is the single-loop reference implementation: same
-// per-shard seeding, executed on the calling goroutine with no pool. It
-// exists to pin the sharded path's semantics (RunFleet must match it
-// exactly) and as the baseline for the fleet speedup benchmark.
-func RunFleetSerial(seed int64, m VCSELModel, cfg FleetConfig) FleetReport {
-	if !validConfig(m, cfg) {
-		return FleetReport{}
-	}
-	shards := make([]fleetShard, shardCount(cfg.Modules))
-	for shard := range shards {
-		rng := runner.TrialRand(seed, shard)
-		shards[shard] = simShard(rng, shardLen(shard, cfg.Modules), m, cfg)
-	}
 	return reduceShards(shards, cfg)
 }
 
@@ -283,7 +239,7 @@ func RunFleetTrials(rootSeed int64, trials int, m VCSELModel, cfg FleetConfig, p
 	reports, _ := runner.Map(trials,
 		runner.Options{Seed: rootSeed, Parallelism: parallelism},
 		func(trial int, _ *rand.Rand) (FleetReport, error) {
-			return RunFleetSerial(runner.TrialSeed(rootSeed, trial), m, cfg), nil
+			return runFleet(runner.TrialSeed(rootSeed, trial), m, cfg, 1), nil
 		})
 	rep := FleetTrialsReport{Trials: trials, Modules: cfg.Modules}
 	rep.Failures = runner.Collect(reports, func(r FleetReport) float64 { return float64(r.Failures) })

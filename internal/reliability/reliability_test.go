@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"flexsfp/internal/runner"
 )
 
 func TestLognormalTTFStatistics(t *testing.T) {
@@ -151,20 +153,34 @@ func TestInspectionIntervalMatters(t *testing.T) {
 	}
 }
 
-// The sharded pool path must match the single-loop reference bit for bit,
-// for any worker count and for fleets that don't divide evenly into
-// shards.
+// runFleetSerial is the oracle: the partition loop written out on the
+// calling goroutine, with the same per-shard seeding as runFleet.
+func runFleetSerial(seed int64, m VCSELModel, cfg FleetConfig) FleetReport {
+	if !validConfig(m, cfg) {
+		return FleetReport{}
+	}
+	shards := make([]fleetShard, shardCount(cfg.Modules))
+	for shard := range shards {
+		shards[shard] = simShard(runner.TrialRand(seed, shard), shardLen(shard, cfg.Modules), m, cfg)
+	}
+	return reduceShards(shards, cfg)
+}
+
+// RunFleet's worker pool must match the serial oracle bit for bit, at any
+// GOMAXPROCS and for fleets that don't divide evenly into shards.
 func TestShardedFleetMatchesSerial(t *testing.T) {
 	m := DefaultVCSEL()
 	for _, modules := range []int{1, 100, 1023, 1024, 1025, 10000} {
 		cfg := DefaultFleet()
 		cfg.Modules = modules
-		want := RunFleetSerial(11, m, cfg)
-		for _, par := range []int{0, 1, 2, 8} {
-			got := RunFleetParallel(11, m, cfg, par)
+		want := runFleetSerial(11, m, cfg)
+		for _, procs := range []int{1, 8} {
+			old := runtime.GOMAXPROCS(procs)
+			got := RunFleet(11, m, cfg)
+			runtime.GOMAXPROCS(old)
 			if got != want {
-				t.Fatalf("modules=%d parallelism=%d: sharded report diverged from serial:\n%+v\nvs\n%+v",
-					modules, par, got, want)
+				t.Fatalf("modules=%d GOMAXPROCS=%d: sharded report diverged from serial:\n%+v\nvs\n%+v",
+					modules, procs, got, want)
 			}
 		}
 	}
@@ -202,8 +218,8 @@ func TestFleetEdgeCaseConfigs(t *testing.T) {
 			mm, cfg := m, DefaultFleet()
 			tc.mutate(&mm, &cfg)
 			for name, rep := range map[string]FleetReport{
-				"RunFleet":       RunFleet(11, mm, cfg),
-				"RunFleetSerial": RunFleetSerial(11, mm, cfg),
+				"RunFleet":        RunFleet(11, mm, cfg),
+				"runFleet/inline": runFleet(11, mm, cfg, 1),
 			} {
 				if rep != (FleetReport{}) {
 					t.Errorf("%s returned %+v, want zero report", name, rep)
@@ -250,32 +266,5 @@ func TestRunFleetTrials(t *testing.T) {
 	}
 	if zero := RunFleetTrials(11, 0, m, cfg, 0); zero != (FleetTrialsReport{}) {
 		t.Error("zero trials should yield zero report")
-	}
-}
-
-// TestFleetShardedPDESMatchesSerial pins the netsim.Sharded execution of
-// the fleet: partitions become events on shard heaps, but the partition
-// seeding is RunFleet's, so the report must be bit-identical to the
-// serial reference at every shard count — including fleets that don't
-// divide evenly into partitions or shards.
-func TestFleetShardedPDESMatchesSerial(t *testing.T) {
-	m := DefaultVCSEL()
-	for _, modules := range []int{1, 1023, 1024, 4096, 10000} {
-		cfg := DefaultFleet()
-		cfg.Modules = modules
-		want := RunFleetSerial(11, m, cfg)
-		for _, shards := range []int{0, 1, 2, 3, 4, 8} {
-			got := RunFleetSharded(11, m, cfg, shards)
-			if got != want {
-				t.Fatalf("modules=%d shards=%d: PDES report diverged from serial:\n%+v\nvs\n%+v",
-					modules, shards, got, want)
-			}
-		}
-	}
-	// Invalid config stays a zero-value report on the sharded path too.
-	bad := DefaultFleet()
-	bad.Modules = 0
-	if got := RunFleetSharded(3, m, bad, 4); got != (FleetReport{}) {
-		t.Fatalf("invalid config: got %+v, want zero report", got)
 	}
 }
