@@ -7,11 +7,12 @@ GO ?= go
 # still sweeps everything.
 RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/... ./internal/faults ./internal/ppe ./internal/reliability ./internal/telemetry ./internal/daemon ./internal/opt/... ./internal/xdp ./internal/trafficgen ./internal/packet ./internal/apps ./internal/overlay
 
-# Packages holding the per-frame hot paths; bench-json and the smoke run
-# cover exactly these plus the root end-to-end suites.
-HOT_PKGS = ./internal/ppe ./internal/netsim ./internal/trafficgen .
+# Packages holding the per-frame hot paths and their microbenchmarks;
+# the smoke run covers exactly these. End-to-end performance is the
+# ledger's job: go run ./benchmark.
+HOT_PKGS = ./internal/ppe ./internal/netsim ./internal/trafficgen ./internal/apps ./internal/packet
 
-.PHONY: all build test race race-all bench bench-json bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke fleet-scale opt-smoke catalog-smoke vet fmt check examples reports clean
+.PHONY: all build test race race-all bench bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke fleet-scale opt-smoke catalog-smoke vet fmt check examples reports clean
 
 all: build test
 
@@ -42,12 +43,6 @@ race-all:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable hot-path numbers (the blob tracked in
-# docs/BENCH_PR*.json): every benchmark in the hot-path packages, one
-# sample each, as JSON on stdout.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -count=1 $(HOT_PKGS) | $(GO) run ./tools/benchjson
-
 # Fast hot-path gate: zero-alloc regression tests plus one iteration of
 # every benchmark (catches bit-rotted benches and alloc creep without
 # paying for full measurement runs).
@@ -77,7 +72,6 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/mgmt > /dev/null
 	$(GO) test -fuzz 'FuzzAgentHandle' -fuzztime 10s ./internal/mgmt > /dev/null
 	$(GO) test -fuzz 'FuzzPacketDecode' -fuzztime 10s ./internal/packet > /dev/null
-	$(GO) test -fuzz 'FuzzParserDecodeLayers' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzViewVsDecode' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzSumBytes' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzXDPVerify' -fuzztime 10s ./internal/xdp > /dev/null

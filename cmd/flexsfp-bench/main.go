@@ -71,7 +71,7 @@ type jsonExperiment struct {
 }
 
 // jsonReport is the top-level -json blob, stable enough to diff across
-// runs (BENCH_*.json tracking).
+// runs (every line but wall_ms is deterministic).
 type jsonReport struct {
 	Seed        int64            `json:"seed"`
 	Trials      int              `json:"trials"`

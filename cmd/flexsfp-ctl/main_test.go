@@ -183,3 +183,25 @@ func TestEndToEndSharded(t *testing.T) {
 		t.Fatalf("sharded daemon: ppe.frames_in = %d (ok=%v); traffic did not cross the portal", framesIn, ok)
 	}
 }
+
+// TestDaemonWorldShardInvariant pins that the daemon builds one world at
+// any shard count: the module, the traffic source and the wire between
+// them are the same partitions whether they share one heap or not, so
+// the management view of the pre-run traffic is byte-identical.
+func TestDaemonWorldShardInvariant(t *testing.T) {
+	var want string
+	for _, shards := range []int{0, 1, 2, 4} {
+		d := startDaemon(t, daemon.Config{
+			DeviceID: 11, Telemetry: true, TraceEvery: 1,
+			TrafficPPS: 1000, SimShards: shards,
+		})
+		got := ctl(t, d.Addr(), "stats") + ctl(t, d.Addr(), "trace", "-max", "64")
+		if shards == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("SimShards=%d: output differs from SimShards=0\n got: %s\nwant: %s", shards, got, want)
+		}
+	}
+}

@@ -44,7 +44,7 @@ func main() {
 		tel         = flag.Bool("telemetry", true, "enable metric registry and packet tracing")
 		traceEvery  = flag.Int("trace-every", 64, "sample 1-in-N frames for tracing")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP address for the JSON metrics endpoint (empty = off)")
-		simShards   = flag.Int("sim-shards", 0, "run the world on N parallel simulation shards (module + traffic source; 0/1 = single heap)")
+		simShards   = flag.Int("sim-shards", 0, "run the world on N parallel simulation shards (module + traffic source; 0 = 1 shard; output is the same at any N)")
 
 		ovlListen = flag.String("overlay-listen", "", "host an overlay rendezvous on this TCP address (empty = off)")
 		ovlJoin   = flag.String("overlay-join", "", "overlay rendezvous address to register with (empty with -overlay-listen = join in-process)")

@@ -2,9 +2,7 @@
 // programmable SFP+ transceiver model (HotNets '25, "FlexSFP: Rethinking
 // Network Intelligence Inside the Cable") with its FPGA resource/power/
 // cost models, the three architecture shells, an XDP-like programming
-// model, a use-case application catalog, an embedded control plane, and
-// an experiment harness that regenerates every table and figure of the
-// paper's evaluation.
+// model, a use-case application catalog, and an embedded control plane.
 //
 // Quick start:
 //

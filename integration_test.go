@@ -5,8 +5,6 @@ package flexsfp
 // public API the way the examples do.
 
 import (
-	"encoding/binary"
-	"strings"
 	"testing"
 
 	"flexsfp/internal/apps"
@@ -446,10 +444,5 @@ func TestTelemetryPathOverLinks(t *testing.T) {
 func TestVerdictNameStrings(t *testing.T) {
 	if OneWayFilter.String() != "one-way-filter" || ActiveCore.String() != "active-core" {
 		t.Error("shell names changed")
-	}
-	var key [8]byte
-	binary.BigEndian.PutUint64(key[:], 1)
-	if !strings.Contains(FormFactorExperiment().Render(), "QSFP") {
-		t.Error("form-factor render missing modules")
 	}
 }

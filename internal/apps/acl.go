@@ -63,7 +63,7 @@ type aclApp struct {
 // NewACL builds an ACL instance.
 func NewACL() *aclApp {
 	a := &aclApp{state: ppe.NewState()}
-	spec := ppe.TableSpec{Name: "rules", Kind: ppe.TableTernary, KeyBits: FiveTupleKeyBits, ValueBits: 8, Size: ACLRuleSize}
+	spec := ppe.TableSpec{Name: "rules", Kind: ppe.TableTernary, KeyBits: packet.FiveTupleKeyBits, ValueBits: 8, Size: ACLRuleSize}
 	a.rules = a.state.AddTernary(spec)
 	a.verdicts = a.state.AddCounters("verdicts", aclCounters)
 	a.prog = &ppe.Program{

@@ -50,7 +50,7 @@ type netflowApp struct {
 // exports and ages them.
 func NewNetFlow() *netflowApp {
 	a := &netflowApp{state: ppe.NewState()}
-	spec := ppe.TableSpec{Name: "flows", Kind: ppe.TableExact, KeyBits: FiveTupleKeyBits, ValueBits: 16, Size: NetFlowTableSize}
+	spec := ppe.TableSpec{Name: "flows", Kind: ppe.TableExact, KeyBits: packet.FiveTupleKeyBits, ValueBits: 16, Size: NetFlowTableSize}
 	a.flows = a.state.AddTable(spec)
 	a.meta = a.state.AddCounters("meta", nfCounters)
 	a.stats = a.state.AddCounters("flowstats", NetFlowTableSize)

@@ -17,13 +17,8 @@ package apps
 
 import (
 	"flexsfp/internal/core"
-	"flexsfp/internal/packet"
 	"flexsfp/internal/ppe"
 )
-
-// FiveTupleKeyBits is the ACL/LB/flow key width (re-exported from the
-// shared parser for existing table-spec call sites).
-const FiveTupleKeyBits = packet.FiveTupleKeyBits
 
 // dirEnabled reports whether a packet traveling d should be processed
 // under an app's configured direction filter ("both" by default).

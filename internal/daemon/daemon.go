@@ -36,10 +36,11 @@ type Config struct {
 	TrafficPPS float64
 	Seed       int64
 
-	// SimShards >= 2 runs the daemon's world on the parallel simulation
-	// core: the module lives on shard 0 and the traffic source on shard
-	// 1, joined by a simulated 10G wire whose propagation delay is the
-	// conservative lookahead. 0 or 1 keeps the single-heap simulator.
+	// SimShards is the number of event heaps the daemon's world runs on
+	// (0 means 1). The module is partition 0 and the traffic source
+	// partition 1, joined by a simulated 10G wire whose propagation delay
+	// is the conservative lookahead; at 2 or more shards they run on
+	// different heaps. The world is the same at any shard count.
 	SimShards int
 
 	// Telemetry enables the metric registry, packet tracer, and the
@@ -64,13 +65,12 @@ type Config struct {
 type Daemon struct {
 	Design *hls.Design
 
-	cfg     Config
-	sim     *netsim.Simulator // the module's shard (the whole world when unsharded)
-	sharded *netsim.Sharded   // non-nil when SimShards >= 2
-	mod     *core.Module
-	reg     *telemetry.Registry
-	srv     *mgmt.Server
-	addr    string
+	cfg   Config
+	world *netsim.Sharded
+	mod   *core.Module
+	reg   *telemetry.Registry
+	srv   *mgmt.Server
+	addr  string
 
 	httpLn   net.Listener
 	httpSrv  *http.Server
@@ -110,14 +110,8 @@ func Start(cfg Config) (*Daemon, error) {
 		logf = func(string, ...any) {}
 	}
 
-	var sharded *netsim.Sharded
-	var sim *netsim.Simulator
-	if cfg.SimShards >= 2 {
-		sharded = netsim.NewSharded(cfg.Seed, cfg.SimShards)
-		sim = sharded.Shard(0)
-	} else {
-		sim = build.NewSim(cfg.Seed)
-	}
+	world := netsim.NewSharded(cfg.Seed, max(cfg.SimShards, 1))
+	sim := world.Shard(0)
 	if cfg.Overlay != nil && cfg.Overlay.IP != "" && cfg.App == "mesh" && cfg.ConfigJSON == "" {
 		// An overlay endpoint with no explicit app config encapsulates
 		// with exactly the parameters it registers.
@@ -142,7 +136,7 @@ func Start(cfg Config) (*Daemon, error) {
 	mod.SetTx(core.PortEdge, func([]byte) {})
 	mod.SetTx(core.PortOptical, func([]byte) {})
 
-	d := &Daemon{Design: design, cfg: cfg, sim: sim, sharded: sharded, mod: mod}
+	d := &Daemon{Design: design, cfg: cfg, world: world, mod: mod}
 	agent := mgmt.NewAgent(mod)
 
 	var tracer *telemetry.Tracer
@@ -167,42 +161,29 @@ func Start(cfg Config) (*Daemon, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		resp := agent.Handle(req)
-		d.runAll()
+		d.world.Run()
 		return resp
 	}
 
 	if cfg.TrafficPPS > 0 {
 		d.mu.Lock()
-		if sharded != nil {
-			// Sharded world: the generator lives on shard 1 and reaches
-			// the module over a cross-shard 10G wire; the wire's 5 ns
-			// propagation delay is the conservative lookahead. The
-			// generator draws from its partition stream so the workload
-			// is identical at any SimShards value.
-			genSim := sharded.Shard(1 % sharded.Shards())
-			wire := sharded.ConnectLink(1%sharded.Shards(), 0, 10_000_000_000, 5*netsim.Nanosecond, mod.RxEdge)
-			gen := trafficgen.New(genSim, trafficgen.Config{
-				PPS: cfg.TrafficPPS, Flows: 64, Rand: sharded.Stream(1),
-			}, func(b []byte) bool { return wire.Send(b) })
-			if tracer != nil {
-				gen.SetTracer(tracer)
-			}
-			sharded.AlignClocks()
-			gen.Run(uint64(cfg.TrafficPPS)) // one second of traffic
-			sharded.RunFor(netsim.Second)
-			gen.Stop()
-			sharded.Run()
-		} else {
-			gen := trafficgen.New(sim, trafficgen.Config{PPS: cfg.TrafficPPS, Flows: 64},
-				func(b []byte) bool { mod.RxEdge(b); return true })
-			if tracer != nil {
-				gen.SetTracer(tracer)
-			}
-			gen.Run(uint64(cfg.TrafficPPS)) // one second of traffic
-			sim.RunFor(netsim.Second)
-			gen.Stop()
-			sim.Run()
+		// The generator is partition 1 and reaches the module over a 10G
+		// wire; the wire's 5 ns propagation delay is the conservative
+		// lookahead. The generator draws from its partition stream so the
+		// workload is identical at any SimShards value.
+		src := world.ShardFor(1)
+		wire := world.ConnectLink(src, 0, 10_000_000_000, 5*netsim.Nanosecond, mod.RxEdge)
+		gen := trafficgen.New(world.Shard(src), trafficgen.Config{
+			PPS: cfg.TrafficPPS, Flows: 64, Rand: world.Stream(1),
+		}, func(b []byte) bool { return wire.Send(b) })
+		if tracer != nil {
+			gen.SetTracer(tracer)
 		}
+		world.AlignClocks()
+		gen.Run(uint64(cfg.TrafficPPS)) // one second of traffic
+		world.RunFor(netsim.Second)
+		gen.Stop()
+		world.Run()
 		d.mu.Unlock()
 		logf("pre-ran %.0f pps of traffic for 1s of simulated time", cfg.TrafficPPS)
 	}
@@ -231,16 +212,6 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	logf("management listening on %s", addr)
 	return d, nil
-}
-
-// runAll drains the simulated world — every shard of the parallel core,
-// or the single simulator. Callers hold d.mu.
-func (d *Daemon) runAll() {
-	if d.sharded != nil {
-		d.sharded.Run()
-		return
-	}
-	d.sim.Run()
 }
 
 // Addr is the management listener's resolved address.

@@ -33,16 +33,11 @@ type ArchitectureResult struct {
 	Points []ArchPoint
 }
 
-// ArchitectureExperiment loads each shell with minimum-size line-rate
-// traffic and measures what survives: One-Way-Filter carries both
-// directions at 156.25 MHz (only one through the PPE); Two-Way-Core at
-// the same clock saturates ("aggregating traffic from both interfaces
-// effectively doubles the packet rate", §4.1); doubling the clock
-// restores line rate.
-func ArchitectureExperiment(seed int64) (ArchitectureResult, error) {
-	return archSingle(exp.RunContext{Seed: seed})
-}
-
+// archSingle loads each shell with minimum-size line-rate traffic and
+// measures what survives: One-Way-Filter carries both directions at
+// 156.25 MHz (only one through the PPE); Two-Way-Core at the same clock
+// saturates ("aggregating traffic from both interfaces effectively
+// doubles the packet rate", §4.1); doubling the clock restores line rate.
 func archSingle(ctx exp.RunContext) (ArchitectureResult, error) {
 	var res ArchitectureResult
 	type cfg struct {

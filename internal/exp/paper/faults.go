@@ -224,15 +224,9 @@ func reconfigFaultsTrial(img *faultImages, trialSeed int64, rateIdx int, rate fl
 // faultRateFracs are the sweep points as fractions of the max rate.
 var faultRateFracs = []float64{0, 0.25, 0.5, 1.0}
 
-// ReconfigUnderFaultsExperiment sweeps fault rates over trials independent
-// seeds (workers bounded by parallelism; 0 = GOMAXPROCS). maxRate <= 0
-// defaults to 0.2.
-func ReconfigUnderFaultsExperiment(rootSeed int64, trials, parallelism int, maxRate float64) (ReconfigUnderFaultsResult, error) {
-	return faultsSweep(exp.RunContext{
-		Seed: rootSeed, Trials: trials, Parallelism: parallelism, FaultRate: maxRate,
-	})
-}
-
+// faultsSweep sweeps fault rates over ctx.Trials independent seeds
+// (workers bounded by ctx.Parallelism; 0 = GOMAXPROCS). The max rate
+// travels as ctx.FaultRate; <= 0 defaults to 0.2.
 func faultsSweep(ctx exp.RunContext) (ReconfigUnderFaultsResult, error) {
 	maxRate := ctx.FaultRate
 	if maxRate <= 0 {

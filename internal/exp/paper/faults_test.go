@@ -3,10 +3,12 @@ package paper
 import (
 	"reflect"
 	"testing"
+
+	"flexsfp/internal/exp"
 )
 
 func TestReconfigUnderFaultsCleanBaseline(t *testing.T) {
-	res, err := ReconfigUnderFaultsExperiment(3, 2, 1, 0.5)
+	res, err := faultsSweep(exp.RunContext{Seed: 3, Trials: 2, Parallelism: 1, FaultRate: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +45,11 @@ func TestReconfigUnderFaultsCleanBaseline(t *testing.T) {
 }
 
 func TestReconfigUnderFaultsDeterministicAcrossParallelism(t *testing.T) {
-	r1, err := ReconfigUnderFaultsExperiment(5, 3, 1, 1.0)
+	r1, err := faultsSweep(exp.RunContext{Seed: 5, Trials: 3, Parallelism: 1, FaultRate: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := ReconfigUnderFaultsExperiment(5, 3, 4, 1.0)
+	r4, err := faultsSweep(exp.RunContext{Seed: 5, Trials: 3, Parallelism: 4, FaultRate: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,10 @@ type FormFactorResult struct {
 	Plans []core.FormFactorPlan
 }
 
-// FormFactorExperiment plans PPE configurations for 10/25/100/400 Gb/s on
+// formFactorSingle plans PPE configurations for 10/25/100/400 Gb/s on
 // 28/16/7 nm silicon and reports which pluggable module each lands in.
 // The planner is deterministic; the seed is accepted for the uniform
 // RunContext contract but never consumed.
-func FormFactorExperiment(seed int64) FormFactorResult {
-	r, _ := formFactorSingle(exp.RunContext{Seed: seed})
-	return r
-}
-
 func formFactorSingle(ctx exp.RunContext) (FormFactorResult, error) {
 	var res FormFactorResult
 	rates := []float64{10, 25, 100, 400}

@@ -32,13 +32,9 @@ type GapResult struct {
 	Points     []GapPoint
 }
 
-// AccelerationGapExperiment runs an ACL micro-task at 1 Mpps over the
-// three paths of §2: host CPU (latency/jitter/contention), SmartNIC
-// (cost/power overkill), and the FlexSFP cheap path.
-func AccelerationGapExperiment(seed int64) (GapResult, error) {
-	return gapSingle(exp.RunContext{Seed: seed})
-}
-
+// gapSingle runs an ACL micro-task at 1 Mpps over the three paths of §2:
+// host CPU (latency/jitter/contention), SmartNIC (cost/power overkill),
+// and the FlexSFP cheap path.
 func gapSingle(ctx exp.RunContext) (GapResult, error) {
 	const offeredPPS = 1_000_000
 	const frames = 20000

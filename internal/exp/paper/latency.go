@@ -30,15 +30,10 @@ type LatencyOverheadResult struct {
 	Points []LatencyPoint
 }
 
-// LatencyOverheadExperiment measures the in-cable processing latency the
-// PPE adds over a plain transceiver, per frame size, by timing single
-// frames through both modules. Timing single frames draws no
-// randomness, so the result is seed-independent; the historical entry
-// point pins seed 1.
-func LatencyOverheadExperiment() (LatencyOverheadResult, error) {
-	return latencySingle(exp.RunContext{Seed: 1})
-}
-
+// latencySingle measures the in-cable processing latency the PPE adds
+// over a plain transceiver, per frame size, by timing single frames
+// through both modules. Timing single frames draws no randomness, so the
+// result is seed-independent.
 func latencySingle(ctx exp.RunContext) (LatencyOverheadResult, error) {
 	var res LatencyOverheadResult
 	for _, size := range []int{64, 256, 512, 1024, 1518} {

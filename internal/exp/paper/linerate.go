@@ -143,14 +143,11 @@ func (p *lineProbe) sample() lineSample {
 	}
 }
 
-// LineRateExperiment drives the NAT module at 10G line rate across frame
-// sizes (the §5.1 "simple end-to-end test, which confirmed line-rate
+// lineRateSweep drives the NAT module at 10G line rate across frame sizes
+// (the §5.1 "simple end-to-end test, which confirmed line-rate
 // performance").
-func LineRateExperiment(seed int64) (LineRateResult, error) {
-	return lineRateSweep(exp.RunContext{Seed: seed})
-}
-
-// lineRateSweep runs the sweep on the parallel simulation core: the cases
+//
+// The sweep runs on the parallel simulation core: the cases
 // are logical partitions placed round-robin over max(ctx.Shards, 1) event
 // heaps and advanced together. The cases never interact, so one
 // conservative window covers the whole run and the shards execute wall-
@@ -281,12 +278,8 @@ type LineRateTrialsResult struct {
 	Points []LineRatePointTrials
 }
 
-// LineRateExperimentTrials runs the line-rate sweep for trials seeds in
+// lineRateTrials runs the line-rate sweep for ctx.Trials seeds in
 // parallel and reduces per frame-size point.
-func LineRateExperimentTrials(rootSeed int64, trials, parallelism int) (LineRateTrialsResult, error) {
-	return lineRateTrials(exp.RunContext{Seed: rootSeed, Trials: trials, Parallelism: parallelism})
-}
-
 func lineRateTrials(ctx exp.RunContext) (LineRateTrialsResult, error) {
 	tr, err := exp.RunTrials(ctx, func(_ int, seed int64) (LineRateResult, error) {
 		return lineRateSweep(exp.RunContext{

@@ -25,13 +25,9 @@ type PowerResult struct {
 	PaperNICOnly, PaperWithSFP, PaperWithFlex float64
 }
 
-// PowerExperiment runs the three-step §5 procedure: baseline, standard
-// SFP under line-rate stress, FlexSFP (NAT, Two-Way-Core) under
-// bidirectional line-rate stress.
-func PowerExperiment(seed int64) (PowerResult, error) {
-	return powerSingle(exp.RunContext{Seed: seed})
-}
-
+// powerSingle runs the three-step §5 procedure: baseline, standard SFP
+// under line-rate stress, FlexSFP (NAT, Two-Way-Core) under bidirectional
+// line-rate stress.
 func powerSingle(ctx exp.RunContext) (PowerResult, error) {
 	sim := build.NewSim(ctx.Seed)
 
@@ -103,12 +99,8 @@ type PowerTrialsResult struct {
 	PaperNICOnly, PaperWithSFP, PaperWithFlex float64
 }
 
-// PowerExperimentTrials runs the §5 power procedure for trials seeds in
-// parallel (workers bounded by parallelism; 0 = GOMAXPROCS).
-func PowerExperimentTrials(rootSeed int64, trials, parallelism int) (PowerTrialsResult, error) {
-	return powerTrials(exp.RunContext{Seed: rootSeed, Trials: trials, Parallelism: parallelism})
-}
-
+// powerTrials runs the §5 power procedure for ctx.Trials seeds in
+// parallel (workers bounded by ctx.Parallelism; 0 = GOMAXPROCS).
 func powerTrials(ctx exp.RunContext) (PowerTrialsResult, error) {
 	tr, err := exp.RunTrials(ctx, func(_ int, seed int64) (PowerResult, error) {
 		return powerSingle(exp.RunContext{

@@ -42,15 +42,10 @@ type RetrofitResult struct {
 	SpotCheckPowerW   float64
 }
 
-// RetrofitEconomicsExperiment prices the §2.1 decision for a 48-port
-// aggregation switch and runs a functional spot check: a fully
-// FlexSFP-populated switch enforcing an IPv6-filtering policy per port.
-// The spot-check traffic is deterministic; the historical entry point
-// pins seed 1.
-func RetrofitEconomicsExperiment() (RetrofitResult, error) {
-	return retrofitSingle(exp.RunContext{Seed: 1})
-}
-
+// retrofitSingle prices the §2.1 decision for a 48-port aggregation
+// switch and runs a functional spot check: a fully FlexSFP-populated
+// switch enforcing an IPv6-filtering policy per port. The spot-check
+// traffic is deterministic.
 func retrofitSingle(ctx exp.RunContext) (RetrofitResult, error) {
 	const ports = 48
 	res := RetrofitResult{

@@ -38,18 +38,13 @@ type ScalabilityResult struct {
 	Points []ScalePoint
 }
 
-// ScalabilityExperiment sweeps the PPE design space: scaling by widening
-// the datapath and/or raising the clock, with the resource, timing, and
+// scaleSingle sweeps the PPE design space: scaling by widening the
+// datapath and/or raising the clock, with the resource, timing, and
 // thermal consequences §5.3 describes. The sweep is a deterministic
 // design-space evaluation — the seed is accepted for the uniform
 // RunContext contract but never consumed. The grid points are
 // independent design evaluations, so they fan out across workers and
 // merge back in grid order.
-func ScalabilityExperiment(seed int64) ScalabilityResult {
-	r, _ := scaleSingle(exp.RunContext{Seed: seed})
-	return r
-}
-
 func scaleSingle(ctx exp.RunContext) (ScalabilityResult, error) {
 	prog := apps.NewNAT().Program()
 	widths := []int{64, 128, 256, 512}

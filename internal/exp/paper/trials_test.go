@@ -5,17 +5,19 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"flexsfp/internal/exp"
 )
 
 // TestPowerExperimentTrials checks that the multi-seed power experiment
 // agrees with the single-seed paper numbers and is bit-identical for any
 // worker count (each trial's seed is a pure function of the root seed).
 func TestPowerExperimentTrials(t *testing.T) {
-	serial, err := PowerExperimentTrials(7, 3, 1)
+	serial, err := powerTrials(exp.RunContext{Seed: 7, Trials: 3, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := PowerExperimentTrials(7, 3, 8)
+	parallel, err := powerTrials(exp.RunContext{Seed: 7, Trials: 3, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +48,11 @@ func TestPowerExperimentTrials(t *testing.T) {
 // reduction over trials, line rate sustained in every trial, and
 // parallelism-independence.
 func TestLineRateExperimentTrials(t *testing.T) {
-	serial, err := LineRateExperimentTrials(3, 2, 1)
+	serial, err := lineRateTrials(exp.RunContext{Seed: 3, Trials: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := LineRateExperimentTrials(3, 2, 8)
+	parallel, err := lineRateTrials(exp.RunContext{Seed: 3, Trials: 2, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,22 @@ func TestNATAppMatchesTable1(t *testing.T) {
 	}
 }
 
+// TestNATTableSizeLSRAMCurve sweeps the NAT table size: the LSRAM cost
+// strictly grows with capacity (the "promising potential for larger
+// tables" note in §5.1).
+func TestNATTableSizeLSRAMCurve(t *testing.T) {
+	prev := 0
+	for _, size := range []int{4096, 8192, 16384, 32768, 65536} {
+		p := natProgram()
+		p.Tables[0].Size = size
+		r := EstimateProgram(p, 64)
+		if r.LSRAM <= prev {
+			t.Errorf("%d entries: LSRAM = %d, not above %d", size, r.LSRAM, prev)
+		}
+		prev = r.LSRAM
+	}
+}
+
 func TestShellMatchesTable1Rows(t *testing.T) {
 	rows := ShellBreakdown(OneWayFilter)
 	want := []struct {

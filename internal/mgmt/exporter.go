@@ -94,9 +94,6 @@ func (e *FlowExporter) Stop() {
 	}
 }
 
-// ExportNow drains and sends immediately (also used by the ticker).
-func (e *FlowExporter) ExportNow(src FlowSource) { e.exportOnce(src) }
-
 func (e *FlowExporter) exportOnce(src FlowSource) {
 	records := src.Export()
 	for start := 0; start < len(records); start += e.MaxRecordsPerPacket {

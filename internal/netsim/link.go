@@ -184,9 +184,6 @@ func (l *Link) SetUp(up bool) {
 	l.down = !up
 }
 
-// Busy reports whether the transmitter is currently serializing a frame.
-func (l *Link) Busy() bool { return int64(l.sim.Now())*1000 < l.busyUntilPs }
-
 // QueueDepth returns the number of frames waiting behind the transmitter.
 func (l *Link) QueueDepth() int { return l.queued }
 

@@ -82,9 +82,6 @@ type Event struct {
 	pooled   bool // recycled onto the simulator free-list after firing
 }
 
-// At returns the simulated time at which the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
@@ -171,14 +168,6 @@ func (s *Simulator) ScheduleAtDetached(t Time, fn func()) {
 func (s *Simulator) ScheduleCompletionAt(t Time, c Completer) {
 	e := s.schedule(t, nil, true)
 	e.comp = c
-}
-
-// ScheduleCompletion is ScheduleCompletionAt relative to now.
-func (s *Simulator) ScheduleCompletion(d Duration, c Completer) {
-	if d < 0 {
-		d = 0
-	}
-	s.ScheduleCompletionAt(s.now.Add(d), c)
 }
 
 func (s *Simulator) schedule(t Time, fn func(), pooled bool) *Event {

@@ -64,7 +64,7 @@ func TestDHCPv4DecodeRejects(t *testing.T) {
 }
 
 // Decoding reuses the Options slice across calls, like the DNS layer, so
-// the zero-alloc Parser path can hold one DHCPv4 struct per pipeline.
+// a caller decoding in a loop can hold one DHCPv4 struct per pipeline.
 func TestDHCPv4OptionReuse(t *testing.T) {
 	wire := dhcpSample(t)
 	var d DHCPv4

@@ -103,3 +103,19 @@ func TestEndpointString(t *testing.T) {
 		t.Errorf("String = %q", e.String())
 	}
 }
+
+// BenchmarkFlowFastHash measures the symmetric flow hash used for
+// load-balancer steering.
+func BenchmarkFlowFastHash(b *testing.B) {
+	f := Flow{
+		Proto: IPProtocolTCP,
+		Src:   Endpoint{IP: ip1, Port: 1234},
+		Dst:   Endpoint{IP: ip2, Port: 443},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if f.FastHash() == 0 {
+			b.Fatal("zero hash")
+		}
+	}
+}

@@ -59,27 +59,3 @@ func FuzzPacketDecode(f *testing.F) {
 		_ = pkt.ErrorLayer()
 	})
 }
-
-// FuzzParserDecodeLayers covers the preallocated zero-alloc parser the
-// PPE hot path uses, which reuses layer structs across frames.
-func FuzzParserDecodeLayers(f *testing.F) {
-	for _, frame := range fuzzSeedFrames() {
-		f.Add(frame)
-	}
-	var (
-		eth  Ethernet
-		dot  Dot1Q
-		ip4  IPv4
-		ip6  IPv6
-		tcp  TCP
-		udp  UDP
-		dns  DNS
-		p    = NewParser(LayerTypeEthernet, &eth, &dot, &ip4, &ip6, &tcp, &udp, &dns)
-		decd []LayerType
-	)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Struct reuse across calls is the point: stale state from the
-		// previous frame must never leak into a panic on the next.
-		_ = p.DecodeLayers(data, &decd)
-	})
-}

@@ -53,18 +53,12 @@ func TestBitflipNeverPanics(t *testing.T) {
 		Payload: []byte{0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 'a', 0, 0, 1, 0, 1},
 	})
 	rng := rand.New(rand.NewSource(9))
-	var eth Ethernet
-	var ip IPv4
-	var udp UDP
-	var dns DNS
-	p := NewParser(LayerTypeEthernet, &eth, &ip, &udp, &dns)
-	var decoded []LayerType
 	for i := 0; i < 5000; i++ {
 		mut := append([]byte(nil), full...)
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)
 		}
-		_ = p.DecodeLayers(mut, &decoded)
+		_ = NewPacket(mut, LayerTypeEthernet).Layers()
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package packet implements a compact, allocation-conscious layered packet
 // library in the style of gopacket: typed layers with zero-copy decoding,
-// a DecodingLayerParser-like fast path, reverse-order serialization with
-// length/checksum fixup, and symmetric flow hashing for load balancing.
+// a single-pass View over a frame for the datapath, reverse-order
+// serialization with length/checksum fixup, and symmetric flow hashing for
+// load balancing.
 //
 // It covers the protocols the FlexSFP paper's use cases need: Ethernet,
 // 802.1Q/QinQ VLAN, MPLS, ARP, IPv4, IPv6, TCP, UDP, ICMPv4, GRE, VXLAN,
@@ -138,61 +139,8 @@ type SerializableLayer interface {
 	SerializeTo(b *SerializeBuffer, opts SerializeOptions) error
 }
 
-// Parser is a gopacket DecodingLayerParser-style zero-allocation parser:
-// it decodes a byte slice into a fixed set of caller-owned layer structs,
-// appending the types seen to a caller-provided slice.
-type Parser struct {
-	first    LayerType
-	decoders [layerTypeMax]Layer
-	// Truncated is set after DecodeLayers when decoding stopped early due
-	// to a missing decoder rather than an error.
-	Truncated bool
-}
-
-// NewParser builds a parser starting at first, dispatching to the given
-// layer structs by their LayerType.
-func NewParser(first LayerType, layers ...Layer) *Parser {
-	p := &Parser{first: first}
-	for _, l := range layers {
-		p.AddLayer(l)
-	}
-	return p
-}
-
-// AddLayer registers an additional decoding layer.
-func (p *Parser) AddLayer(l Layer) {
-	p.decoders[l.LayerType()] = l
-}
-
-// DecodeLayers decodes data into the registered layers, appending decoded
-// layer types to *decoded (which is truncated first). Decoding stops
-// without error when a layer type has no registered decoder; p.Truncated
-// reports that case.
-func (p *Parser) DecodeLayers(data []byte, decoded *[]LayerType) error {
-	*decoded = (*decoded)[:0]
-	p.Truncated = false
-	typ := p.first
-	for typ != LayerTypeZero && typ != LayerTypePayload {
-		dec := p.decoders[typ]
-		if dec == nil {
-			p.Truncated = true
-			return nil
-		}
-		if err := dec.DecodeFromBytes(data); err != nil {
-			return fmt.Errorf("decoding %v: %w", typ, err)
-		}
-		*decoded = append(*decoded, typ)
-		data = dec.LayerPayload()
-		typ = dec.NextLayerType()
-		if len(data) == 0 {
-			break
-		}
-	}
-	return nil
-}
-
 // Packet is the convenience (allocating) decode path: it decodes data into
-// a list of freshly allocated layers. Use Parser in fast paths.
+// a list of freshly allocated layers. Use View in fast paths.
 type Packet struct {
 	layers []Layer
 	data   []byte

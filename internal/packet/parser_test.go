@@ -4,122 +4,6 @@ import (
 	"testing"
 )
 
-func TestParserFastPath(t *testing.T) {
-	data := MustBuild(Spec{
-		SrcMAC: macA, DstMAC: macB,
-		SrcIP: ip1, DstIP: ip2,
-		Proto: IPProtocolTCP, SrcPort: 1111, DstPort: 80,
-	})
-	var (
-		eth Ethernet
-		ip4 IPv4
-		tcp TCP
-	)
-	p := NewParser(LayerTypeEthernet, &eth, &ip4, &tcp)
-	var decoded []LayerType
-	if err := p.DecodeLayers(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeTCP}
-	if len(decoded) != len(want) {
-		t.Fatalf("decoded = %v, want %v", decoded, want)
-	}
-	for i := range want {
-		if decoded[i] != want[i] {
-			t.Fatalf("decoded = %v, want %v", decoded, want)
-		}
-	}
-	if tcp.DstPort != 80 {
-		t.Errorf("tcp.DstPort = %d", tcp.DstPort)
-	}
-	if p.Truncated {
-		t.Error("Truncated set on full decode")
-	}
-}
-
-func TestParserStopsAtUnregistered(t *testing.T) {
-	data := MustBuild(Spec{
-		SrcMAC: macA, DstMAC: macB,
-		SrcIP: ip1, DstIP: ip2,
-		Proto: IPProtocolUDP, SrcPort: 1, DstPort: 2,
-		Payload: []byte("xx"),
-	})
-	var eth Ethernet
-	var ip4 IPv4
-	p := NewParser(LayerTypeEthernet, &eth, &ip4)
-	var decoded []LayerType
-	if err := p.DecodeLayers(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 {
-		t.Fatalf("decoded = %v", decoded)
-	}
-	if !p.Truncated {
-		t.Error("Truncated not set when decoder missing")
-	}
-}
-
-func TestParserReusesState(t *testing.T) {
-	var eth Ethernet
-	var ip4 IPv4
-	var udp UDP
-	p := NewParser(LayerTypeEthernet, &eth, &ip4, &udp)
-	var decoded []LayerType
-	for i := 0; i < 100; i++ {
-		data := MustBuild(Spec{
-			SrcMAC: macA, DstMAC: macB,
-			SrcIP: ip1, DstIP: ip2,
-			SrcPort: uint16(i), DstPort: 2000,
-		})
-		if err := p.DecodeLayers(data, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		if udp.SrcPort != uint16(i) {
-			t.Fatalf("iteration %d: SrcPort = %d", i, udp.SrcPort)
-		}
-	}
-}
-
-func TestParserErrorWrapsLayer(t *testing.T) {
-	// Valid Ethernet claiming IPv4 but with a garbage (version 0) payload.
-	data := make([]byte, 34)
-	copy(data[0:6], macB[:])
-	copy(data[6:12], macA[:])
-	data[12], data[13] = 0x08, 0x00
-	var eth Ethernet
-	var ip4 IPv4
-	p := NewParser(LayerTypeEthernet, &eth, &ip4)
-	var decoded []LayerType
-	err := p.DecodeLayers(data, &decoded)
-	if err == nil {
-		t.Fatal("expected decode error")
-	}
-	if len(decoded) != 1 || decoded[0] != LayerTypeEthernet {
-		t.Errorf("decoded = %v, want [Ethernet]", decoded)
-	}
-}
-
-func TestParserZeroAlloc(t *testing.T) {
-	data := MustBuild(Spec{
-		SrcMAC: macA, DstMAC: macB,
-		SrcIP: ip1, DstIP: ip2,
-		Proto: IPProtocolTCP, SrcPort: 1111, DstPort: 80,
-	})
-	var eth Ethernet
-	var ip4 IPv4
-	var tcp TCP
-	p := NewParser(LayerTypeEthernet, &eth, &ip4, &tcp)
-	decoded := make([]LayerType, 0, 8)
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := p.DecodeLayers(data, &decoded); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("DecodeLayers allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 func TestNewPacketFullStack(t *testing.T) {
 	data := MustBuild(Spec{
 		SrcMAC: macA, DstMAC: macB,

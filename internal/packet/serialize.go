@@ -88,11 +88,6 @@ func (b *SerializeBuffer) AppendBytes(n int) []byte {
 	return b.buf[old:]
 }
 
-// PushPayload appends raw payload bytes.
-func (b *SerializeBuffer) PushPayload(p []byte) {
-	copy(b.AppendBytes(len(p)), p)
-}
-
 // SerializeLayers clears b and serializes the given layers into it, last
 // layer first, so each lower layer sees its final payload.
 func SerializeLayers(b *SerializeBuffer, opts SerializeOptions, layers ...SerializableLayer) error {

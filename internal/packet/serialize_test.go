@@ -179,3 +179,22 @@ func TestChecksumAlwaysVerifiesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkSerializeTCP measures full-stack serialization with checksums.
+func BenchmarkSerializeTCP(b *testing.B) {
+	eth := &Ethernet{EtherType: EtherTypeIPv4}
+	ip := &IPv4{TTL: 64, Protocol: IPProtocolTCP, SrcIP: ip1, DstIP: ip2}
+	tcp := &TCP{SrcPort: 1, DstPort: 2, Window: 1000}
+	if err := tcp.SetNetworkLayerForChecksum(ip1, ip2); err != nil {
+		b.Fatal(err)
+	}
+	pl := Payload(make([]byte, 64))
+	buf := NewSerializeBuffer()
+	opts := SerializeOptions{FixLengths: true, ComputeChecksums: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := SerializeLayers(buf, opts, eth, ip, tcp, &pl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

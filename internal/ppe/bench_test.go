@@ -49,3 +49,22 @@ func BenchmarkEngineSubmitQueued(b *testing.B) {
 		sim.Run()
 	}
 }
+
+// BenchmarkTernaryLookup measures the 64-entry register TCAM.
+func BenchmarkTernaryLookup(b *testing.B) {
+	tab := NewTernaryTable(TableSpec{Name: "acl", Kind: TableTernary, KeyBits: 104, ValueBits: 8, Size: 64})
+	key := make([]byte, 13)
+	for i := 0; i < 64; i++ {
+		v := make([]byte, 13)
+		m := make([]byte, 13)
+		v[0], m[0] = byte(i), 0xff
+		if err := tab.Add(TernaryEntry{Value: v, Mask: m, Priority: i, Data: []byte{1}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	key[0] = 63 // worst case: matches the lowest-priority entry
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tab.Lookup(key)
+	}
+}

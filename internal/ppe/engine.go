@@ -93,12 +93,6 @@ func (c *completion) Complete() {
 	e.freeComp = c
 }
 
-// Frame is one burst-submission element (see SubmitBurst).
-type Frame struct {
-	Data []byte
-	Dir  Direction
-}
-
 // EngineStats counts engine activity.
 type EngineStats struct {
 	In        uint64 // frames accepted
@@ -182,12 +176,6 @@ func (e *Engine) CapacityPPS(n int) float64 {
 	return float64(e.clockHz) / float64(e.ServiceCycles(n))
 }
 
-// CapacityBitsPerSec returns the maximum sustainable payload bit rate for
-// frames of n bytes.
-func (e *Engine) CapacityBitsPerSec(n int) float64 {
-	return e.CapacityPPS(n) * float64(n) * 8
-}
-
 // Latency returns the processing latency (pipeline depth + service) for a
 // frame of n bytes, excluding queueing.
 func (e *Engine) Latency(n int) netsim.Duration {
@@ -213,37 +201,15 @@ func (e *Engine) Utilization() float64 {
 // queue is full and the frame was dropped. The data slice is owned by the
 // engine until the verdict callback fires; the *Ctx passed to the verdict
 // callback is pooled and must not be retained past that callback.
+//
+// Submission is allocation-free in steady state: occupancy accounting,
+// queue admission, and scheduling of the frame's pooled completion.
 func (e *Engine) Submit(data []byte, dir Direction) bool {
 	if e.prog == nil {
 		panic("ppe: Submit before SetProgram")
 	}
 	now := e.sim.Now()
-	return e.submitAt(now, int64(now)*1000, data, dir)
-}
-
-// SubmitBurst offers a batch of frames back to back, amortizing the
-// scheduler interaction (a single clock read) across the batch the way a
-// DMA engine posts a descriptor ring. It returns the number of frames
-// accepted; the rest were queue drops. Frames are processed in order with
-// identical semantics to calling Submit once per frame.
-func (e *Engine) SubmitBurst(frames []Frame) int {
-	if e.prog == nil {
-		panic("ppe: SubmitBurst before SetProgram")
-	}
-	now := e.sim.Now()
 	nowPs := int64(now) * 1000
-	accepted := 0
-	for i := range frames {
-		if e.submitAt(now, nowPs, frames[i].Data, frames[i].Dir) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
-// submitAt is the allocation-free submission core: occupancy accounting,
-// queue admission, and scheduling of the frame's pooled completion.
-func (e *Engine) submitAt(now netsim.Time, nowPs int64, data []byte, dir Direction) bool {
 	startPs := e.busyUntilPs
 	if startPs < nowPs {
 		startPs = nowPs
@@ -291,6 +257,3 @@ func (e *Engine) submitAt(now netsim.Time, nowPs int64, data []byte, dir Directi
 	e.sim.ScheduleCompletionAt(netsim.Time((donePs+999)/1000), c)
 	return true
 }
-
-// SetOutput replaces the verdict callback (used when wiring shells).
-func (e *Engine) SetOutput(out func(Verdict, *Ctx)) { e.out = out }

@@ -180,9 +180,6 @@ func (t *Table) hashKey(key []byte) uint64 {
 // KeyBytes returns the exact key length in bytes.
 func (t *Table) KeyBytes() int { return t.keyLen }
 
-// ValueBytes returns the exact value length in bytes.
-func (t *Table) ValueBytes() int { return t.valLen }
-
 func (t *Table) checkSizes(key, value []byte) error {
 	if len(key) != t.keyLen {
 		return fmt.Errorf("%w: got %d bytes, want %d", ErrKeySize, len(key), t.keyLen)

@@ -409,103 +409,6 @@ func TestEngineSubmitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitBurstZeroAlloc asserts the batched path is also
-// allocation-free for a steady-state burst.
-func TestEngineSubmitBurstZeroAlloc(t *testing.T) {
-	sim := netsim.New(1)
-	e := NewEngine(sim, clock156, 64, nil)
-	if err := e.SetProgram(passProgram()); err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 64)
-	burst := make([]Frame, 16)
-	for i := range burst {
-		burst[i] = Frame{Data: frame, Dir: DirEdgeToOptical}
-	}
-	for i := 0; i < 8; i++ {
-		e.SubmitBurst(burst)
-		sim.Run()
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if got := e.SubmitBurst(burst); got != len(burst) {
-			t.Fatalf("burst accepted %d of %d", got, len(burst))
-		}
-		sim.Run()
-	}); n != 0 {
-		t.Fatalf("Engine.SubmitBurst allocates %v per run, want 0", n)
-	}
-}
-
-// TestEngineSubmitBurstMatchesSubmit pins burst semantics: SubmitBurst
-// must be observationally identical to calling Submit per frame — same
-// verdict order, same stats, same queue-drop accounting.
-func TestEngineSubmitBurstMatchesSubmit(t *testing.T) {
-	run := func(burst bool) (EngineStats, []uint64) {
-		sim := netsim.New(1)
-		var order []uint64
-		e := NewEngine(sim, clock156, 64, func(v Verdict, ctx *Ctx) {
-			order = append(order, uint64(ctx.Data[0]))
-		})
-		e.QueueLimit = 4
-		if err := e.SetProgram(passProgram()); err != nil {
-			t.Fatal(err)
-		}
-		frames := make([]Frame, 12)
-		for i := range frames {
-			data := make([]byte, 64)
-			data[0] = byte(i)
-			frames[i] = Frame{Data: data, Dir: DirEdgeToOptical}
-		}
-		if burst {
-			e.SubmitBurst(frames)
-		} else {
-			for _, f := range frames {
-				e.Submit(f.Data, f.Dir)
-			}
-		}
-		sim.Run()
-		return e.Stats(), order
-	}
-	sa, oa := run(false)
-	sb, ob := run(true)
-	if sa != sb {
-		t.Fatalf("stats diverge: Submit %+v, SubmitBurst %+v", sa, sb)
-	}
-	if len(oa) != len(ob) {
-		t.Fatalf("verdict counts diverge: %d vs %d", len(oa), len(ob))
-	}
-	for i := range oa {
-		if oa[i] != ob[i] {
-			t.Fatalf("verdict order diverges at %d: %v vs %v", i, oa, ob)
-		}
-	}
-}
-
-// BenchmarkEngineSubmitBurst measures the batched hot path: one clock
-// read per 16 frames.
-func BenchmarkEngineSubmitBurst(b *testing.B) {
-	sim := netsim.New(1)
-	e := NewEngine(sim, 156_250_000, 64, nil)
-	if err := e.SetProgram(&Program{
-		Name:    "pass",
-		Stages:  1,
-		Handler: HandlerFunc(func(ctx *Ctx) Verdict { return VerdictPass }),
-	}); err != nil {
-		b.Fatal(err)
-	}
-	frame := make([]byte, 64)
-	burst := make([]Frame, 16)
-	for i := range burst {
-		burst[i] = Frame{Data: frame, Dir: DirEdgeToOptical}
-	}
-	b.ReportAllocs()
-	b.SetBytes(64 * int64(len(burst)))
-	for i := 0; i < b.N; i++ {
-		e.SubmitBurst(burst)
-		sim.Run()
-	}
-}
-
 // BenchmarkTableLookupPPE measures the bank read path in isolation with a
 // realistic NAT-shaped table.
 func BenchmarkTableLookupPPE(b *testing.B) {

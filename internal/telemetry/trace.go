@@ -95,9 +95,6 @@ func NewTracer(every int, size int) *Tracer {
 	return &Tracer{every: uint64(every), mask: uint64(n - 1), ring: make([]traceSlot, n)}
 }
 
-// SampleEvery returns the configured 1-in-N sampling period.
-func (t *Tracer) SampleEvery() int { return int(t.every) }
-
 // Cap returns the ring capacity in events.
 func (t *Tracer) Cap() int { return len(t.ring) }
 

@@ -97,20 +97,16 @@ func TestFlowsAreDistinctAndDecodable(t *testing.T) {
 func TestZipfSkew(t *testing.T) {
 	sim := netsim.New(4)
 	counts := map[uint16]int{}
-	// Parser and decoded slice are reused across frames — the zero-alloc
-	// decode idiom consumers of the generator should follow.
-	var eth packet.Ethernet
-	var ip packet.IPv4
-	var udp packet.UDP
-	p := packet.NewParser(packet.LayerTypeEthernet, &eth, &ip, &udp)
-	decoded := make([]packet.LayerType, 0, 4)
+	// One View is reused across frames — the zero-alloc decode idiom
+	// consumers of the generator should follow.
+	var v packet.View
 	g := New(sim, Config{
 		PPS: 1e6, Flows: 64, ZipfS: 1.2, SrcMAC: gMacA, DstMAC: gMacB,
 	}, func(b []byte) bool {
-		if err := p.DecodeLayers(b, &decoded); err != nil {
-			t.Fatal(err)
+		if !v.Parse(b) || v.Proto != packet.IPProtocolUDP {
+			t.Fatal("generator frame does not parse as UDP")
 		}
-		counts[udp.SrcPort]++
+		counts[v.SrcPort]++
 		PutBuffer(b)
 		return true
 	})
