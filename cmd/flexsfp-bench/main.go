@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -80,38 +81,50 @@ type jsonReport struct {
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
-func main() {
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	runList := flag.String("run", "all", "comma-separated experiment names or globs (see -list)")
-	seed := flag.Int64("seed", 1, "root simulation seed, applied uniformly to every experiment")
-	trials := flag.Int("trials", 1, "independent seeds per stochastic experiment (>1 reports mean ± 95% CI)")
-	parallel := flag.Int("parallel", 0, "max concurrent workers (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON results blob instead of tables")
-	withFaults := flag.Bool("faults", false, "include the opt-in fault-injection sweep in wildcard selections")
-	faultRate := flag.Float64("fault-rate", 0.2, "max fault-rate multiplier swept by the faults experiment")
-	clockHz := flag.Int64("clock", 0, "PPE clock override in Hz (0 = §5.1 baseline 156.25 MHz)")
-	width := flag.Int("width", 0, "PPE datapath width override in bits (0 = §5.1 baseline 64)")
-	withTelemetry := flag.Bool("telemetry", false, "instrument experiment modules and fold headline counters into results")
-	shards := flag.Int("shards", 0, "partition the netsim experiments over N parallel simulation shards (0 = 1)")
-	fleetSize := flag.Int("fleet", 0, "simulated module count for the fleet_ota experiment (0 = its default)")
-	fleetShards := flag.Int("fleet-shards", 0, "fleet controller worker shard count for fleet_ota (0 = its default)")
-	optimize := flag.Bool("opt", false, "run the pipeline optimizer over every program experiments build")
-	verbose := flag.Bool("v", false, "print experiment progress to stderr")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the selected
+// experiments and writes the report to stdout, returning the exit code.
+// With no args it prints the default report docs/RESULTS.txt holds.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flexsfp-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	runList := fs.String("run", "all", "comma-separated experiment names or globs (see -list)")
+	seed := fs.Int64("seed", 1, "root simulation seed, applied uniformly to every experiment")
+	trials := fs.Int("trials", 1, "independent seeds per stochastic experiment (>1 reports mean ± 95% CI)")
+	parallel := fs.Int("parallel", 0, "max concurrent workers (0 = GOMAXPROCS)")
+	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON results blob instead of tables")
+	withFaults := fs.Bool("faults", false, "include the opt-in fault-injection sweep in wildcard selections")
+	faultRate := fs.Float64("fault-rate", 0.2, "max fault-rate multiplier swept by the faults experiment")
+	clockHz := fs.Int64("clock", 0, "PPE clock override in Hz (0 = §5.1 baseline 156.25 MHz)")
+	width := fs.Int("width", 0, "PPE datapath width override in bits (0 = §5.1 baseline 64)")
+	withTelemetry := fs.Bool("telemetry", false, "instrument experiment modules and fold headline counters into results")
+	shards := fs.Int("shards", 0, "partition the netsim experiments over N parallel simulation shards (0 = 1)")
+	fleetSize := fs.Int("fleet", 0, "simulated module count for the fleet_ota experiment (0 = its default)")
+	fleetShards := fs.Int("fleet-shards", 0, "fleet controller worker shard count for fleet_ota (0 = its default)")
+	optimize := fs.Bool("opt", false, "run the pipeline optimizer over every program experiments build")
+	verbose := fs.Bool("v", false, "print experiment progress to stderr")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		fmt.Print(exp.Default.List())
-		return
+		fmt.Fprint(stdout, exp.Default.List())
+		return 0
 	}
 
 	chosen, err := exp.Default.Select(*runList, *withFaults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flexsfp-bench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "flexsfp-bench: %v\n", err)
+		return 2
 	}
 	if len(chosen) == 0 {
-		fmt.Fprintf(os.Stderr, "flexsfp-bench: no experiment matched -run=%s\n", *runList)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "flexsfp-bench: no experiment matched -run=%s\n", *runList)
+		return 2
 	}
 
 	ctx := exp.RunContext{
@@ -131,7 +144,7 @@ func main() {
 		var mu sync.Mutex
 		ctx.Progress = func(msg string) {
 			mu.Lock()
-			fmt.Fprintln(os.Stderr, "flexsfp-bench:", msg)
+			fmt.Fprintln(stderr, "flexsfp-bench:", msg)
 			mu.Unlock()
 		}
 	}
@@ -157,8 +170,8 @@ func main() {
 	}
 	start := time.Now()
 	if err := runner.Run(runner.Options{Parallelism: *parallel}, jobs...); err != nil {
-		fmt.Fprintf(os.Stderr, "flexsfp-bench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "flexsfp-bench: %v\n", err)
+		return 1
 	}
 
 	if *jsonOut {
@@ -178,15 +191,16 @@ func main() {
 				Metrics: env.Detail,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(blob); err != nil {
-			fmt.Fprintf(os.Stderr, "flexsfp-bench: encode: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "flexsfp-bench: encode: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	for _, res := range results {
-		fmt.Println(res.Render())
+		fmt.Fprintln(stdout, res.Render())
 	}
+	return 0
 }

@@ -26,7 +26,7 @@ import (
 const tenGig = 10_000_000_000
 
 func main() {
-	sim := flexsfp.NewSim(1)
+	sim := netsim.New(1)
 
 	// Legacy switch: port 0 = uplink, ports 1-3 = subscribers.
 	sw := switchsim.New(sim, "agg-metro-17", 4)

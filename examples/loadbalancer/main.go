@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	sim := flexsfp.NewSim(1)
+	sim := netsim.New(1)
 
 	backends := []apps.LBBackend{
 		{IP: "10.0.1.1", MAC: "02:be:00:00:00:01"},

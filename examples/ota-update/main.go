@@ -34,7 +34,7 @@ var (
 )
 
 func main() {
-	sim := flexsfp.NewSim(1)
+	sim := netsim.New(1)
 
 	// A module in the field, currently running NAT.
 	mod, _, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	sim := flexsfp.NewSim(1)
+	sim := netsim.New(1)
 
 	// 1. Compile the NAT app and boot it in a Two-Way-Core module.
 	mod, design, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{

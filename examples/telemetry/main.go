@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	sim := flexsfp.NewSim(1)
+	sim := netsim.New(1)
 
 	// Build the three-node path: source → transit → sink.
 	roles := []struct {

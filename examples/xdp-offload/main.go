@@ -20,6 +20,7 @@ import (
 	"flexsfp"
 	"flexsfp/internal/apps"
 	"flexsfp/internal/core"
+	"flexsfp/internal/netsim"
 	"flexsfp/internal/opt"
 	"flexsfp/internal/packet"
 	"flexsfp/internal/xdp"
@@ -75,7 +76,7 @@ func main() {
 	// (Optimize in the app config packs the program; Optimize in the spec
 	// records the pass pipeline in the signed manifest so boot re-checks
 	// the optimized structure).
-	sim := flexsfp.NewSim(1)
+	sim := netsim.New(1)
 	mod, design, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{
 		Name: "xdp-sfp", DeviceID: 11, Shell: flexsfp.OneWayFilter, App: "xdp",
 		Optimize: true,

@@ -6,7 +6,7 @@
 //
 // Quick start:
 //
-//	sim := flexsfp.NewSim(1)
+//	sim := netsim.New(1) // the simulation world: flexsfp/internal/netsim
 //	mod, design, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{
 //	    Name: "sfp-0", Shell: flexsfp.TwoWayCore, App: "nat",
 //	    Config: apps.NATConfig{Mappings: []apps.NATMapping{
@@ -39,9 +39,6 @@ const (
 	BaseClockHz      = build.BaseClockHz
 	BaseDatapathBits = build.BaseDatapathBits
 )
-
-// NewSim creates a deterministic simulation world.
-func NewSim(seed int64) *netsim.Simulator { return build.NewSim(seed) }
 
 // ModuleSpec describes a module to build and boot in one call.
 type ModuleSpec = build.ModuleSpec

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"flexsfp/internal/apps"
+	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 )
 
 func TestBuildModuleQuickstart(t *testing.T) {
-	sim := NewSim(1)
+	sim := netsim.New(1)
 	mod, design, err := BuildModule(sim, ModuleSpec{
 		Name: "sfp-0", DeviceID: 42, Shell: TwoWayCore, App: "nat",
 		Config: apps.NATConfig{Mappings: []apps.NATMapping{
@@ -47,7 +48,7 @@ func TestBuildModuleQuickstart(t *testing.T) {
 }
 
 func TestBuildModuleErrors(t *testing.T) {
-	sim := NewSim(1)
+	sim := netsim.New(1)
 	if _, _, err := BuildModule(sim, ModuleSpec{Name: "x"}); err == nil {
 		t.Error("missing app accepted")
 	}

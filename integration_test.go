@@ -24,7 +24,7 @@ const igTenGig = 10_000_000_000
 // host and verifies symmetric NAT translation across the span with real
 // link serialization.
 func TestEndToEndPathThroughFibers(t *testing.T) {
-	sim := NewSim(1)
+	sim := netsim.New(1)
 
 	left, _, err := BuildModule(sim, ModuleSpec{
 		Name: "left", DeviceID: 1, Shell: TwoWayCore, App: "nat",
@@ -83,7 +83,7 @@ func TestEndToEndPathThroughFibers(t *testing.T) {
 // frames flowing during a reboot are dropped and counted, then service
 // resumes with the new app.
 func TestOTAUnderTraffic(t *testing.T) {
-	sim := NewSim(2)
+	sim := netsim.New(2)
 	mod, _, err := BuildModule(sim, ModuleSpec{
 		Name: "dut", DeviceID: 3, Shell: TwoWayCore, App: "nat",
 	})
@@ -143,7 +143,7 @@ func TestOTAUnderTraffic(t *testing.T) {
 // a module accounts flows in the data plane while its control plane
 // originates NetFlow-style export datagrams out the dedicated port.
 func TestActiveCoreFlowExport(t *testing.T) {
-	sim := NewSim(3)
+	sim := netsim.New(3)
 	mod, _, err := BuildModule(sim, ModuleSpec{
 		Name: "exporter", DeviceID: 77, Shell: ActiveCore, App: "netflow",
 	})
@@ -218,7 +218,7 @@ func TestActiveCoreFlowExport(t *testing.T) {
 // TestMonitorDetectsMicroburstInTopology drives a microburst through a
 // monitor-equipped module inside the simulator.
 func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
-	sim := NewSim(4)
+	sim := netsim.New(4)
 	mod, _, err := BuildModule(sim, ModuleSpec{
 		Name: "probe", DeviceID: 5, Shell: TwoWayCore, App: "monitor",
 		Config: apps.MonitorConfig{BurstFrames: 50, BurstWindowNs: 10_000, GapNs: 5_000_000},
@@ -279,7 +279,7 @@ func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
 // with FlexSFPs managed over in-band control, and checks fleet-wide stats
 // collection — the "centralized orchestration across a fleet" of §4.1.
 func TestRetrofitFleetOnSwitch(t *testing.T) {
-	sim := NewSim(5)
+	sim := netsim.New(5)
 	sw := switchsim.New(sim, "fleet-sw", 8)
 	var mods []*core.Module
 	var hosts []*switchsim.Host
@@ -352,7 +352,7 @@ func captureControl(mod *core.Module, out *[]byte) func([]byte) {
 // latency against a plain SFP — the §6 "latency overhead" question.
 func TestStandardVsFlexLatency(t *testing.T) {
 	measure := func(useFlex bool) netsim.Duration {
-		sim := NewSim(6)
+		sim := netsim.New(6)
 		var rx netsim.Time
 		frame := packet.MustBuild(packet.Spec{
 			SrcMAC: packet.MustMAC("02:00:00:00:00:41"),
@@ -391,7 +391,7 @@ func TestStandardVsFlexLatency(t *testing.T) {
 // TestTelemetryPathOverLinks runs source→transit→sink over fibers and
 // checks hop timestamps are ordered and spaced by the link delays.
 func TestTelemetryPathOverLinks(t *testing.T) {
-	sim := NewSim(7)
+	sim := netsim.New(7)
 	var mods []*core.Module
 	for i, role := range []string{"source", "transit", "sink"} {
 		mod, _, err := BuildModule(sim, ModuleSpec{

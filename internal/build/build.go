@@ -27,9 +27,6 @@ const (
 // DefaultAuthKey is the development fleet key used when none is given.
 var DefaultAuthKey = []byte("flexsfp-dev-fleet-key")
 
-// NewSim creates a deterministic simulation world.
-func NewSim(seed int64) *netsim.Simulator { return netsim.New(seed) }
-
 // ModuleSpec describes a module to build and boot in one call.
 type ModuleSpec struct {
 	Name     string

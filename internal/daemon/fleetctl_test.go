@@ -15,6 +15,7 @@ import (
 	"flexsfp/internal/fpga"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/mgmt"
+	"flexsfp/internal/netsim"
 	"flexsfp/internal/telemetry"
 )
 
@@ -494,7 +495,7 @@ func agentFleet(t *testing.T, n int) ([]FleetMember, []*core.Module) {
 	mods := make([]*core.Module, n)
 	for i := range members {
 		name := fmt.Sprintf("%c-port", 'a'+i)
-		sim := build.NewSim(int64(i + 1))
+		sim := netsim.New(int64(i + 1))
 		mod, _, err := build.Module(sim, build.ModuleSpec{
 			Name: name, DeviceID: uint32(i + 1), Shell: hls.TwoWayCore, App: "nat",
 		})

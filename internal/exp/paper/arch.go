@@ -53,7 +53,7 @@ func archSingle(ctx exp.RunContext) (ArchitectureResult, error) {
 		{hls.TwoWayCore, 2 * build.BaseClockHz, true},
 	}
 	for _, tc := range cases {
-		sim := build.NewSim(ctx.Seed)
+		sim := netsim.New(ctx.Seed)
 		mod, _, err := build.Module(sim, build.ModuleSpec{
 			Name: "arch-dut", DeviceID: 1, Shell: tc.shell, App: "nat",
 			ClockHz: tc.clock,

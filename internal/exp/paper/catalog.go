@@ -10,6 +10,7 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/fpga"
 	"flexsfp/internal/hls"
+	"flexsfp/internal/netsim"
 	"flexsfp/internal/runner"
 	"flexsfp/internal/trafficgen"
 )
@@ -76,7 +77,7 @@ func runCatalogApp(ctx exp.RunContext, name string) (CatalogAppRow, error) {
 	row := CatalogAppRow{App: name, Profile: string(catalogProfile(name))}
 
 	// Resource fit: shell + estimated program against the MPF200T.
-	sim := build.NewSim(ctx.Seed)
+	sim := netsim.New(ctx.Seed)
 	mod, _, err := build.Module(sim, build.ModuleSpec{
 		Name: "cat-" + name, DeviceID: 1, Shell: hls.TwoWayCore, App: name,
 		ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,

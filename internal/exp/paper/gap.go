@@ -50,7 +50,7 @@ func gapSingle(ctx exp.RunContext) (GapResult, error) {
 
 	// Host CPU path, with 30% background contention.
 	{
-		sim := build.NewSim(ctx.Seed)
+		sim := netsim.New(ctx.Seed)
 		var lat []netsim.Duration
 		h := baseline.NewHostCPU(sim, func(d []byte, l netsim.Duration) { lat = append(lat, l) })
 		h.Contention = 0.3
@@ -69,7 +69,7 @@ func gapSingle(ctx exp.RunContext) (GapResult, error) {
 
 	// SmartNIC path.
 	{
-		sim := build.NewSim(ctx.Seed)
+		sim := netsim.New(ctx.Seed)
 		var lat []netsim.Duration
 		s := baseline.NewSmartNIC(sim, func(d []byte, l netsim.Duration) { lat = append(lat, l) })
 		gen := trafficgen.New(sim, trafficgen.Config{PPS: offeredPPS}, func(b []byte) bool {
@@ -87,7 +87,7 @@ func gapSingle(ctx exp.RunContext) (GapResult, error) {
 
 	// FlexSFP path: the real module running the ACL app.
 	{
-		sim := build.NewSim(ctx.Seed)
+		sim := netsim.New(ctx.Seed)
 		mod, _, err := build.Module(sim, build.ModuleSpec{
 			Name: "gap-dut", DeviceID: 1, Shell: hls.TwoWayCore, App: "acl",
 			ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,

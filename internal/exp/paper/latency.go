@@ -45,7 +45,7 @@ func latencySingle(ctx exp.RunContext) (LatencyOverheadResult, error) {
 		})
 
 		// Plain SFP.
-		simA := build.NewSim(ctx.Seed)
+		simA := netsim.New(ctx.Seed)
 		sfp := core.NewStandardSFP(simA)
 		var plainAt netsim.Time
 		sfp.SetTx(core.PortOptical, func([]byte) { plainAt = simA.Now() })
@@ -53,7 +53,7 @@ func latencySingle(ctx exp.RunContext) (LatencyOverheadResult, error) {
 		simA.Run()
 
 		// FlexSFP with NAT.
-		simB := build.NewSim(ctx.Seed)
+		simB := netsim.New(ctx.Seed)
 		mod, _, err := build.Module(simB, build.ModuleSpec{
 			Name: "lat", DeviceID: 1, Shell: hls.TwoWayCore, App: "nat",
 			ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,

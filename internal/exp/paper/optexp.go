@@ -3,15 +3,16 @@ package paper
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/build"
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
+	"flexsfp/internal/netsim"
 	"flexsfp/internal/opt"
 	"flexsfp/internal/ppe"
+	"flexsfp/internal/runner"
 	"flexsfp/internal/trafficgen"
 )
 
@@ -157,7 +158,7 @@ func evalAppOpt(name string, seed int64) (AppOptResult, error) {
 	r.LUT4Saved = eb.LUT4 - ea.LUT4
 	r.USRAMSaved = eb.USRAM - ea.USRAM
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := runner.NewRand(seed)
 	for i := 0; i < optEquivFrames; i++ {
 		n := rng.Intn(220)
 		frame := make([]byte, n)
@@ -193,7 +194,7 @@ func serviceCycles64(p *ppe.Program) int64 {
 // delivered-rate gap is the optimizer's end-to-end win.
 func xdpLineRateDelta(ctx exp.RunContext) (LineRateDelta, error) {
 	run := func(optimize bool) (lineSample, int64, error) {
-		sim := build.NewSim(ctx.Seed)
+		sim := netsim.New(ctx.Seed)
 		mod, _, err := build.Module(sim, build.ModuleSpec{
 			Name: "opt-dut", DeviceID: 1, Shell: hls.TwoWayCore, App: "xdp",
 			ClockHz: ctx.ClockHz, DatapathBits: ctx.DatapathBits,

@@ -29,7 +29,7 @@ type PowerResult struct {
 // under line-rate stress, FlexSFP (NAT, Two-Way-Core) under bidirectional
 // line-rate stress.
 func powerSingle(ctx exp.RunContext) (PowerResult, error) {
-	sim := build.NewSim(ctx.Seed)
+	sim := netsim.New(ctx.Seed)
 
 	mod, _, err := build.Module(sim, build.ModuleSpec{
 		Name: "power-dut", DeviceID: 1, Shell: hls.TwoWayCore, App: "nat",

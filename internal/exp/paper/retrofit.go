@@ -83,7 +83,7 @@ func retrofitSingle(ctx exp.RunContext) (RetrofitResult, error) {
 	}
 
 	// Functional spot check on a smaller fully-populated switch.
-	sim := build.NewSim(ctx.Seed)
+	sim := netsim.New(ctx.Seed)
 	const checkPorts = 8
 	sw := switchsim.New(sim, "retrofit-check", checkPorts)
 	hosts := make([]*switchsim.Host, checkPorts)

@@ -10,20 +10,15 @@
 // schedule is reproducible bit-for-bit. An Injector is not safe for
 // concurrent use: give each module/simulator its own.
 //
-// Two generators sit under that rand.Rand. New and NewFrom keep math/rand's
-// own source, whose streams the experiment goldens pin. Derive — one lane
-// per fleet member, a handful of draws each — uses laneSource, SplitMix64
-// with 8 bytes of state seeded by assignment, because math/rand's source is
-// 607 words (4.9 KB) that cost ≈10 µs to seed: at 100k members that was
-// 85 % of the fleet's build time and 5.4 of its 6 KB per member. A lane's
-// stream is a pure function of (root seed, lane) and differs from what
-// New(runner.TrialSeed(seed, lane)) would draw.
+// That rand.Rand draws from a runner.Source embedded in the Injector, the
+// repo's one generator: 8 bytes seeded by assignment, so a fleet can
+// Derive one lane per member (a handful of draws each) for the cost of
+// one Injector and one rand.Rand.
 package faults
 
 import (
 	"errors"
 	"math/rand"
-	"sync"
 
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/flash"
@@ -90,68 +85,27 @@ type Injector struct {
 	rates Rates
 	stats Stats
 
-	// seed is the root the injector was built from (New); seeded marks it
-	// valid. Derive prefers this pure path so lane derivation never
-	// touches the shared rng.
-	seed     int64
-	seeded   bool
-	lazySeed sync.Once
-
-	// lane backs rng on a Derive-built injector (rng points into it), so a
-	// lane costs one Injector and one rand.Rand, nothing else.
-	lane laneSource
+	// seed is the root the injector was built from; Derive mixes lanes
+	// from it, never from src, so deriving leaves rng's stream alone.
+	seed int64
+	src  runner.Source // backs rng
 }
 
-// laneSource is SplitMix64 as a rand.Source64. Draw k of a source seeded
-// with s is runner.TrialSeed(s, k): the lanes run on the repo-wide mixer,
-// not a second algorithm.
-type laneSource uint64
-
-func (s *laneSource) Uint64() uint64 {
-	v := runner.TrialSeed(int64(*s), 0)
-	*s += 0x9E3779B97F4A7C15 // TrialSeed's per-trial increment
-	return uint64(v)
-}
-
-func (s *laneSource) Int63() int64    { return int64(s.Uint64() >> 1) }
-func (s *laneSource) Seed(seed int64) { *s = laneSource(seed) }
-
-// New builds an injector with its own RNG.
+// New builds an injector whose RNG is runner.NewRand(seed)'s stream.
 func New(seed int64, rates Rates) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), rates: rates, seed: seed, seeded: true}
+	in := &Injector{rates: rates, seed: seed, src: runner.Source(seed)}
+	in.rng = rand.New(&in.src)
+	return in
 }
 
-// NewFrom builds an injector drawing from an existing RNG — typically a
-// simulator's (netsim.Simulator.Rand), tying the fault schedule to the
-// run's root seed.
-func NewFrom(rng *rand.Rand, rates Rates) *Injector {
-	return &Injector{rng: rng, rates: rates}
-}
-
-// Derive returns an independent injector for one worker lane, seeded
-// from the parent's root seed and the lane index through the repo-wide
-// SplitMix64 mixer (runner.TrialSeed). This is how concurrent fleet
+// Derive returns an independent injector for one worker lane:
+// New(runner.TrialSeed(seed, lane), rates). This is how concurrent fleet
 // workers get goroutine-safe fault streams: the parent's embedded
-// *rand.Rand is NOT safe for concurrent use, but Derive on a New-built
-// parent is a pure function of (seed, lane) — callable from any number
-// of goroutines at once — and two Derives of the same lane replay the
-// same fault schedule. The lane draws from a laneSource (see the package
-// comment), so building it costs an assignment, not a 607-word seeding.
-//
-// Parents built with NewFrom have no root seed of their own; the first
-// Derive draws one from the shared RNG (once, so later Derives stay
-// pure). That first call must be serialized with the RNG's other users.
+// *rand.Rand is NOT safe for concurrent use, but Derive is a pure
+// function of (seed, lane) — callable from any number of goroutines at
+// once — and two Derives of the same lane replay the same fault schedule.
 func (in *Injector) Derive(lane uint64) *Injector {
-	in.lazySeed.Do(func() {
-		if !in.seeded {
-			in.seed = int64(in.rng.Uint64())
-			in.seeded = true
-		}
-	})
-	seed := runner.TrialSeed(in.seed, int(lane))
-	d := &Injector{rates: in.rates, seed: seed, seeded: true, lane: laneSource(seed)}
-	d.rng = rand.New(&d.lane)
-	return d
+	return New(runner.TrialSeed(in.seed, int(lane)), in.rates)
 }
 
 // Rates returns the configured probabilities.

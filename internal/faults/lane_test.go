@@ -2,39 +2,24 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"flexsfp/internal/runner"
 )
 
-// TestLaneSourceIsTrialSeedSequence ties laneSource to the repo-wide
-// mixer: draw k of a source seeded s is runner.TrialSeed(s, k), so the
-// increment the source carries cannot drift from TrialSeed's.
-func TestLaneSourceIsTrialSeedSequence(t *testing.T) {
+// TestDeriveIsNewOfTrialSeed: a lane is exactly the injector New builds
+// from the lane's derived seed, so the fleet's lanes and every other
+// injector share one seeding rule.
+func TestDeriveIsNewOfTrialSeed(t *testing.T) {
 	for _, seed := range []int64{0, 1, -1, 42, math.MinInt64} {
-		src := laneSource(seed)
-		for k := 0; k < 64; k++ {
-			if got, want := src.Uint64(), uint64(runner.TrialSeed(seed, k)); got != want {
-				t.Fatalf("seed %d draw %d = %#x, want TrialSeed = %#x", seed, k, got, want)
+		parent := New(seed, Rates{})
+		for _, lane := range []uint64{0, 1, 7, 99_999} {
+			a, b := parent.Derive(lane), New(runner.TrialSeed(seed, int(lane)), Rates{})
+			for i := 0; i < 64; i++ {
+				if x, y := a.rng.Float64(), b.rng.Float64(); x != y {
+					t.Fatalf("seed %d lane %d draw %d: Derive rolled %v, New(TrialSeed) %v", seed, lane, i, x, y)
+				}
 			}
-		}
-	}
-	var src laneSource
-	src.Seed(42)
-	if got, want := src.Int63(), runner.TrialSeed(42, 0); got != int64(uint64(want)>>1) {
-		t.Fatalf("Seed(42) then Int63 = %d, want TrialSeed(42, 0) >> 1", got)
-	}
-}
-
-// TestNewKeepsMathRandStream: only Derive'd lanes moved to the compact
-// source; New's stream is what the experiment goldens pin.
-func TestNewKeepsMathRandStream(t *testing.T) {
-	in := New(42, Rates{})
-	ref := rand.New(rand.NewSource(42))
-	for i := 0; i < 100; i++ {
-		if got, want := in.Roll(0.5), ref.Float64() < 0.5; got != want {
-			t.Fatalf("draw %d: New(42) left math/rand's stream", i)
 		}
 	}
 }

@@ -65,8 +65,8 @@ const maxTime = Time(1) << 62
 const streamSalt = 0x73747265616d73 // "streams"
 
 // NewSharded creates a parallel simulation world of n shards (clamped to
-// at least one). Shard i starts at time zero with an RNG seeded
-// runner.TrialSeed(seed, i).
+// at least one). Shard i starts at time zero with the RNG
+// runner.TrialRand(seed, i).
 func NewSharded(seed int64, n int) *Sharded {
 	if n < 1 {
 		n = 1
@@ -85,7 +85,7 @@ func NewSharded(seed int64, n int) *Sharded {
 	}, n)
 	for i := range s.shards {
 		s.shards[i] = &sims[i].sim
-		s.shards[i].rng = rand.New(rand.NewSource(runner.TrialSeed(seed, i)))
+		s.shards[i].rng = runner.TrialRand(seed, i)
 	}
 	return s
 }

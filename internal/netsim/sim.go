@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"flexsfp/internal/runner"
 	"flexsfp/internal/telemetry"
 )
 
@@ -111,9 +112,9 @@ type Simulator struct {
 }
 
 // New returns a simulator whose clock starts at zero and whose random
-// source is seeded deterministically with seed.
+// source is runner.NewRand(seed).
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: runner.NewRand(seed)}
 }
 
 // Now returns the current simulated time.

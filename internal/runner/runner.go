@@ -13,6 +13,11 @@
 // completion order. Together these make `-parallel 1` and `-parallel 64`
 // produce the same bytes, which is what lets the experiment suite claim
 // reproducibility while still using every core.
+//
+// Source is the repo's only rand.Source: SplitMix64 with 8 bytes of state,
+// whose draw k from seed s is TrialSeed(s, k). Every seeded stream —
+// trials, simulators, shards, partitions, fault injectors — is NewRand of
+// some seed, so how a seed becomes a stream is decided here alone.
 package runner
 
 import (
@@ -59,9 +64,35 @@ func TrialSeed(root int64, trial int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// TrialRand returns the deterministic random source for one trial.
+// Source is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) as a
+// rand.Source64. Draw k of Source(s) is TrialSeed(s, k), so a stream and
+// the per-trial seeds run on one mixer. Seeding is an assignment: the
+// whole state is the 8-byte counter.
+type Source uint64
+
+// Uint64 returns the next draw and advances the counter by TrialSeed's
+// per-trial increment.
+func (s *Source) Uint64() uint64 {
+	v := TrialSeed(int64(*s), 0)
+	*s += 0x9E3779B97F4A7C15
+	return uint64(v)
+}
+
+// Int63 returns the next draw's top 63 bits.
+func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed restarts the stream at seed.
+func (s *Source) Seed(seed int64) { *s = Source(seed) }
+
+// NewRand returns a deterministic random stream seeded with seed.
+func NewRand(seed int64) *rand.Rand {
+	src := Source(seed)
+	return rand.New(&src)
+}
+
+// TrialRand returns the deterministic random stream for one trial.
 func TrialRand(root int64, trial int) *rand.Rand {
-	return rand.New(rand.NewSource(TrialSeed(root, trial)))
+	return NewRand(TrialSeed(root, trial))
 }
 
 // Map runs fn for trials 0..n-1 on up to Options.Parallelism workers and

@@ -15,7 +15,7 @@ import (
 )
 
 func TestTracedPathThroughStack(t *testing.T) {
-	sim := NewSim(7)
+	sim := netsim.New(7)
 	mod, _, err := BuildModule(sim, ModuleSpec{
 		Name: "dut", DeviceID: 9, Shell: TwoWayCore, App: "nat",
 		Config: apps.NATConfig{
