@@ -42,6 +42,7 @@ func main() {
 	// Count flows per backend at the optical egress.
 	perBackend := map[netip.Addr]map[uint16]bool{}
 	mod.SetTx(core.PortOptical, func(b []byte) {
+		defer packet.PutBuffer(b)
 		pkt := packet.NewPacket(b, packet.LayerTypeEthernet)
 		ip, ok := pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4)
 		if !ok {
@@ -56,7 +57,7 @@ func main() {
 		}
 		perBackend[ip.DstIP][tcp.SrcPort] = true
 	})
-	mod.SetTx(core.PortEdge, func([]byte) {})
+	mod.SetTx(core.PortEdge, packet.PutBuffer)
 
 	// 2000 client flows toward the VIP.
 	gen := trafficgen.New(sim, trafficgen.Config{

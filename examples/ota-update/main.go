@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mod.SetTx(core.PortOptical, func([]byte) {})
+	mod.SetTx(core.PortOptical, packet.PutBuffer)
 	agent := mgmt.NewAgent(mod)
 	_ = agent // installed as the module's in-band control handler
 
@@ -110,7 +110,7 @@ func main() {
 
 	// Prove the new firewall is live: HTTPS passes, SSH is denied.
 	var egress int
-	mod.SetTx(core.PortOptical, func([]byte) { egress++ })
+	mod.SetTx(core.PortOptical, func(b []byte) { egress++; packet.PutBuffer(b) })
 	send := func(dport uint16) {
 		mod.RxEdge(packet.MustBuild(packet.Spec{
 			SrcMAC: stationMAC, DstMAC: packet.MustMAC("02:0c:00:00:00:99"),

@@ -55,8 +55,9 @@ func main() {
 				translated++
 			}
 		}
+		packet.PutBuffer(b)
 	})
-	mod.SetTx(core.PortEdge, func([]byte) {})
+	mod.SetTx(core.PortEdge, packet.PutBuffer)
 
 	gen := trafficgen.New(sim, trafficgen.Config{
 		PPS:   1_000_000,

@@ -54,9 +54,9 @@ func main() {
 	// source optical → transit edge (500 m), transit optical → sink edge (2 km).
 	link(mods[0], core.PortOptical, mods[1].RxEdge, 2500*netsim.Nanosecond)
 	link(mods[1], core.PortOptical, mods[2].RxEdge, 10*netsim.Microsecond)
-	mods[0].SetTx(core.PortEdge, func([]byte) {})
-	mods[1].SetTx(core.PortEdge, func([]byte) {})
-	mods[2].SetTx(core.PortEdge, func([]byte) {})
+	for _, m := range mods {
+		m.SetTx(core.PortEdge, packet.PutBuffer)
+	}
 
 	// Receiving host behind the sink.
 	var delivered int
@@ -64,6 +64,7 @@ func main() {
 	mods[2].SetTx(core.PortOptical, func(b []byte) {
 		delivered++
 		lastLen = len(b)
+		packet.PutBuffer(b)
 	})
 
 	// Send traffic into the source's edge.

@@ -90,8 +90,8 @@ func main() {
 
 	// 4. Traffic.
 	var passed, total int
-	mod.SetTx(core.PortOptical, func(b []byte) { passed++ })
-	mod.SetTx(core.PortEdge, func([]byte) {})
+	mod.SetTx(core.PortOptical, func(b []byte) { passed++; packet.PutBuffer(b) })
+	mod.SetTx(core.PortEdge, packet.PutBuffer)
 	send := func(dport uint16) {
 		total++
 		mod.RxEdge(packet.MustBuild(packet.Spec{

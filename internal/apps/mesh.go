@@ -140,7 +140,6 @@ type meshApp struct {
 	mtu      int
 
 	v        packet.View
-	ring     *frameRing
 	routeKey [4]byte
 
 	// cache is the per-peer outer header, rebuilt from the mesh_peers
@@ -216,9 +215,6 @@ func (a *meshApp) Configure(config []byte) error {
 	a.mtu = cfg.MTU
 	if a.mtu == 0 {
 		a.mtu = 1518
-	}
-	if a.ring == nil {
-		a.ring = newFrameRing()
 	}
 	// Build the (empty) cache eagerly so the first frame is already on
 	// the steady-state path.
@@ -312,23 +308,16 @@ func (a *meshApp) handleEgress(ctx *ppe.Ctx) ppe.Verdict {
 		a.ctr.Inc(MeshTooBig, size)
 		return ppe.VerdictDrop
 	}
-	out := a.ring.take(size)
-	enc.encap(out, ctx.Data)
-	ctx.Data = out
-	a.ctr.Inc(MeshEncapped, len(out))
+	ctx.Data = enc.encap(ctx.Data, 0)
+	a.ctr.Inc(MeshEncapped, len(ctx.Data))
 	return ppe.VerdictPass
 }
 
 // handleIngress decaps overlay traffic addressed to this cable's own
 // endpoint; everything else passes untouched.
 func (a *meshApp) handleIngress(ctx *ppe.Ctx) ppe.Verdict {
-	data := ctx.Data
-	if !a.v.Parse(data) || !a.v.IsIPv4 {
-		a.ctr.Inc(MeshPassed, len(data))
-		return ppe.VerdictPass
-	}
-	v := &a.v
-	if [4]byte(v.DstIPv4()) != a.local4 {
+	data, v := ctx.Data, &a.v
+	if !v.Parse(data) || !v.IsIPv4 || [4]byte(v.DstIPv4()) != a.local4 {
 		a.ctr.Inc(MeshPassed, len(data))
 		return ppe.VerdictPass
 	}
@@ -336,22 +325,15 @@ func (a *meshApp) handleIngress(ctx *ppe.Ctx) ppe.Verdict {
 	switch {
 	case a.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
 		var gre packet.GRE
+		// A frame that claims our endpoint without our key is corrupt or
+		// spoofed.
 		if gre.DecodeFromBytes(data[l4:]) != nil ||
-			gre.Protocol != packet.EtherTypeTransparentEthernet {
+			gre.Protocol != packet.EtherTypeTransparentEthernet ||
+			(a.greKey != 0 && (!gre.KeyPresent || gre.Key != a.greKey)) {
 			a.ctr.Inc(MeshErrors, len(data))
 			return ppe.VerdictDrop
 		}
-		if a.greKey != 0 && (!gre.KeyPresent || gre.Key != a.greKey) {
-			// Claims our endpoint without our key — corrupt or spoofed.
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		inner := gre.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		ctx.Data = out
-		a.ctr.Inc(MeshDecapped, len(out))
-		return ppe.VerdictPass
+		return a.decap(ctx, len(gre.LayerPayload()))
 	case a.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
 		if len(data) < l4+16 {
 			a.ctr.Inc(MeshErrors, len(data))
@@ -367,13 +349,16 @@ func (a *meshApp) handleIngress(ctx *ppe.Ctx) ppe.Verdict {
 			a.ctr.Inc(MeshPassed, len(data))
 			return ppe.VerdictPass
 		}
-		inner := vx.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		ctx.Data = out
-		a.ctr.Inc(MeshDecapped, len(out))
-		return ppe.VerdictPass
+		return a.decap(ctx, len(vx.LayerPayload()))
 	}
 	a.ctr.Inc(MeshPassed, len(data))
+	return ppe.VerdictPass
+}
+
+// decap strips the outer headers in front of the frame's last inner
+// bytes, in place.
+func (a *meshApp) decap(ctx *ppe.Ctx, inner int) ppe.Verdict {
+	ctx.Data = packet.Splice(ctx.Data, 0, len(ctx.Data)-inner, 0)
+	a.ctr.Inc(MeshDecapped, inner)
 	return ppe.VerdictPass
 }

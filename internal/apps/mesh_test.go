@@ -196,6 +196,9 @@ func TestMeshWithdrawnPeerFailsClosed(t *testing.T) {
 }
 
 // The mesh hot path is alloc-free in steady state (stable peer table).
+// Each run feeds a fresh pool buffer, as the datapath does: encap and
+// decap edit the frame in place, so a reused input would be garbage after
+// the first run.
 func TestMeshHandlerZeroAlloc(t *testing.T) {
 	a := newMeshApp(t, TunnelVXLAN, 1)
 	addMeshPeer(t, a, 2, meshTestPeer(MeshModeGRE, 2))
@@ -213,23 +216,48 @@ func TestMeshHandlerZeroAlloc(t *testing.T) {
 		})
 	}
 	ctx := &ppe.Ctx{Dir: ppe.DirEdgeToOptical, TimestampNs: 1}
+	var verdicts [2]ppe.Verdict
+	var lens [2]int
 	if n := testing.AllocsPerRun(200, func() {
-		for _, f := range frames {
-			ctx.Data = f
-			a.prog.Handler.HandlePacket(ctx)
+		for i, f := range frames {
+			ctx.Data = poolCopy(f)
+			verdicts[i] = a.prog.Handler.HandlePacket(ctx)
+			lens[i] = len(ctx.Data)
+			packet.PutBuffer(ctx.Data)
 		}
 	}); n != 0 {
 		t.Errorf("mesh egress: %.1f allocs/op, want 0", n)
 	}
+	// GRE with a key toward peer 2, VXLAN toward peer 3.
+	for i, over := range []int{42, 50} {
+		if verdicts[i] != ppe.VerdictPass || lens[i] != len(frames[i])+over {
+			t.Errorf("mesh egress frame %d: verdict %v, %dB, want Pass, %dB", i, verdicts[i], lens[i], len(frames[i])+over)
+		}
+	}
 
-	ctx.Data = frames[1]
+	ctx.Data = poolCopy(frames[1])
 	a.prog.Handler.HandlePacket(ctx)
 	wire := append([]byte(nil), ctx.Data...)
+	packet.PutBuffer(ctx.Data)
 	dctx := &ppe.Ctx{Dir: ppe.DirOpticalToEdge, TimestampNs: 1}
+	var v ppe.Verdict
+	var got int
 	if n := testing.AllocsPerRun(200, func() {
-		dctx.Data = wire
-		b.prog.Handler.HandlePacket(dctx)
+		dctx.Data = poolCopy(wire)
+		v = b.prog.Handler.HandlePacket(dctx)
+		got = len(dctx.Data)
+		packet.PutBuffer(dctx.Data)
 	}); n != 0 {
 		t.Errorf("mesh ingress: %.1f allocs/op, want 0", n)
 	}
+	if v != ppe.VerdictPass || got != len(frames[1]) {
+		t.Errorf("mesh ingress: verdict %v, %dB, want Pass, %dB (decapped)", v, got, len(frames[1]))
+	}
+}
+
+// poolCopy copies f into a pool buffer, the way frames enter the datapath.
+func poolCopy(f []byte) []byte {
+	b := packet.GetBuffer(len(f))
+	copy(b, f)
+	return b
 }

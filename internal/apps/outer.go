@@ -8,11 +8,12 @@ import (
 
 // outerHeader is a tunnel's outer header stack — Ethernet + IPv4, then
 // GRE, or UDP + VXLAN, or nothing (IP-in-IP) — serialized once when the
-// control plane names the remote, so wrapping a frame is two copies and
-// the handful of fields that depend on the payload: the IPv4 total length
-// and header checksum, and for VXLAN the UDP length, source port and
-// checksum. The bytes are those packet.SerializeLayers produces for the
-// same layers with FixLengths and ComputeChecksums.
+// control plane names the remote, so wrapping a frame is a shift of the
+// payload, a header copy and the handful of fields that depend on the
+// payload: the IPv4 total length and header checksum, and for VXLAN the
+// UDP length, source port and checksum. The bytes are those
+// packet.SerializeLayers produces for the same layers with FixLengths and
+// ComputeChecksums.
 type outerHeader struct {
 	// hdr holds every per-frame field as zero.
 	hdr []byte
@@ -49,11 +50,13 @@ func newOuterHeader(eth *packet.Ethernet, ip *packet.IPv4, shim ...packet.Serial
 // size is the length of payload wrapped in this header.
 func (h *outerHeader) size(payload []byte) int { return len(h.hdr) + len(payload) }
 
-// encap writes header and payload into out, which must be size(payload)
-// long.
-func (h *outerHeader) encap(out, payload []byte) {
+// encap wraps frame b, whose payload starts at del (IP-in-IP drops the
+// Ethernet header), and returns the wrapped frame: the header is written
+// in front of the payload, shifted within b's buffer (packet.Splice).
+func (h *outerHeader) encap(b []byte, del int) []byte {
+	out := packet.Splice(b, 0, del, len(h.hdr))
 	copy(out, h.hdr)
-	copy(out[len(h.hdr):], payload)
+	payload := out[len(h.hdr):]
 	ip := out[outerIPOff:outerUDPOff]
 	ipLen := uint16(len(out) - outerIPOff)
 	binary.BigEndian.PutUint16(ip[2:4], ipLen)
@@ -61,7 +64,7 @@ func (h *outerHeader) encap(out, payload []byte) {
 	sum = sum>>16 + sum&0xffff
 	binary.BigEndian.PutUint16(ip[10:12], ^uint16(sum))
 	if !h.udp {
-		return
+		return out
 	}
 	udp := out[outerUDPOff:]
 	// Source-port entropy from the inner frame keeps ECMP balanced.
@@ -72,4 +75,5 @@ func (h *outerHeader) encap(out, payload []byte) {
 		csum = 0xffff // RFC 768: transmitted as all ones
 	}
 	binary.BigEndian.PutUint16(udp[6:8], csum)
+	return out
 }

@@ -72,8 +72,7 @@ func TestOuterHeaderMatchesSerializeLayers(t *testing.T) {
 		for _, n := range []int{0, 1, 33, 34, 35, 60, 61, rng.Intn(1501), rng.Intn(1501) | 1} {
 			payload := make([]byte, n)
 			rng.Read(payload)
-			out := make([]byte, h.size(payload))
-			h.encap(out, payload)
+			out := h.encap(append([]byte(nil), payload...), 0)
 			if want := serializeOuter(t, eth, ip, udp, shim, payload); !bytes.Equal(out, want) {
 				t.Fatalf("mode %d payload %d B:\n got %x\nwant %x", mode, n, out[:len(h.hdr)], want[:len(h.hdr)])
 			}
@@ -95,10 +94,9 @@ func TestOuterHeaderUDPChecksumZero(t *testing.T) {
 	// frame checksums to c; storing c there brings the sum to all ones.
 	payload := make([]byte, 64)
 	rng.Read(payload[:62])
-	out := make([]byte, h.size(payload))
-	h.encap(out, payload)
+	out := h.encap(append([]byte(nil), payload...), 0)
 	copy(payload[62:], out[outerUDPOff+6:outerUDPOff+8])
-	h.encap(out, payload)
+	out = h.encap(append([]byte(nil), payload...), 0)
 	if got := binary.BigEndian.Uint16(out[outerUDPOff+6:]); got != 0xffff {
 		t.Fatalf("UDP checksum = %#04x, want 0xffff", got)
 	}

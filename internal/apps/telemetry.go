@@ -163,8 +163,8 @@ func (a *telemetryApp) sampled(data []byte) bool {
 	if !a.v.Parse(data) {
 		return false
 	}
-	key := a.v.FiveTupleKey(make([]byte, 0, 13))
-	h := packet.FNV64(key)
+	var key [13]byte
+	h := packet.FNV64(a.v.FiveTupleKey(key[:]))
 	return h&((1<<a.cfg.SampleShift)-1) == 0
 }
 
@@ -178,12 +178,9 @@ func (a *telemetryApp) appendHop(ctx *ppe.Ctx, hop packet.INTHop) ppe.Verdict {
 		return ppe.VerdictPass
 	}
 	// Insert one hop record in place: grow the frame by INTHopSize.
-	old := ctx.Data
 	shimEnd := 14 + 4 + len(in.Hops)*packet.INTHopSize
-	out := make([]byte, len(old)+packet.INTHopSize)
-	copy(out, old[:shimEnd])
+	out := packet.Splice(ctx.Data, shimEnd, 0, packet.INTHopSize)
 	writeHop(out[shimEnd:], hop)
-	copy(out[shimEnd+packet.INTHopSize:], old[shimEnd:])
 	out[15] = byte(len(in.Hops) + 1) // hop count
 	ctx.Data = out
 	a.ctr.Inc(INTAppended, len(out))
@@ -205,25 +202,20 @@ func writeHop(b []byte, h packet.INTHop) {
 	binary.BigEndian.PutUint64(b[8:16], h.TimestampNs)
 }
 
-// pushINT inserts a shim with one hop after the Ethernet header.
+// pushINT inserts a shim with one hop after the Ethernet header, in place.
 func pushINT(data []byte, orig packet.EtherType, hop packet.INTHop) []byte {
-	out := make([]byte, len(data)+4+packet.INTHopSize)
-	copy(out[:12], data[:12])
+	out := packet.Splice(data, 14, 0, 4+packet.INTHopSize)
 	binary.BigEndian.PutUint16(out[12:14], uint16(packet.EtherTypeINT))
 	out[14] = packet.INTVersion << 4
 	out[15] = 1
 	binary.BigEndian.PutUint16(out[16:18], uint16(orig))
 	writeHop(out[18:], hop)
-	copy(out[18+packet.INTHopSize:], data[14:])
 	return out
 }
 
-// popINT removes the shim, restoring the original EtherType.
+// popINT removes the shim in place, restoring the original EtherType.
 func popINT(data []byte, in *packet.INT) []byte {
-	shim := 4 + len(in.Hops)*packet.INTHopSize
-	out := make([]byte, len(data)-shim)
-	copy(out[:12], data[:12])
+	out := packet.Splice(data, 14, 4+len(in.Hops)*packet.INTHopSize, 0)
 	binary.BigEndian.PutUint16(out[12:14], uint16(in.OriginalEtherType))
-	copy(out[14:], data[14+shim:])
 	return out
 }

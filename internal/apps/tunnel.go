@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -73,24 +74,18 @@ type tunnelApp struct {
 	vni, greKey     uint32
 	ttl             uint8
 	mtu             int
-	buf             *packet.SerializeBuffer
 	v               packet.View
-	ring            *frameRing
 
-	// Persistent serialization state, built once at Configure so the hot
-	// path does not allocate (the property tests pin 0 allocs/op): the
-	// outer header encap prepends — nil when Configure accepted parameters
-	// that do not serialize (a VNI over 24 bits), which drops every edge
-	// frame as TunnelErrors — and the Ethernet re-wrap of IPIP decap.
-	outer    *outerHeader
-	outerEth packet.Ethernet
-	payload  packet.Payload
-	ethStack []packet.SerializableLayer
+	// outer is the header encap prepends, built once at Configure so the
+	// hot path does not allocate (the property tests pin 0 allocs/op). It
+	// is nil when Configure accepted parameters that do not serialize (a
+	// VNI over 24 bits), which drops every edge frame as TunnelErrors.
+	outer *outerHeader
 }
 
 // NewTunnel builds a tunnel endpoint instance.
 func NewTunnel() *tunnelApp {
-	a := &tunnelApp{state: ppe.NewState(), buf: packet.NewSerializeBuffer()}
+	a := &tunnelApp{state: ppe.NewState()}
 	a.ctr = a.state.AddCounters("tunnel", tunnelCounters)
 	a.prog = &ppe.Program{
 		Name:        "tunnel",
@@ -157,30 +152,26 @@ func (a *tunnelApp) Configure(config []byte) error {
 	if a.mtu == 0 {
 		a.mtu = 1518
 	}
-	a.buildStacks()
+	a.buildOuter()
 	return nil
 }
 
-// buildStacks prepares the persistent outer header (nil if it does not
-// serialize: see the field) and the IPIP decap re-wrap stack.
-func (a *tunnelApp) buildStacks() {
-	a.outerEth = packet.Ethernet{SrcMAC: a.localMAC, DstMAC: a.gwMAC, EtherType: packet.EtherTypeIPv4}
+// buildOuter prepares the persistent outer header (nil if it does not
+// serialize: see the field).
+func (a *tunnelApp) buildOuter() {
+	eth := packet.Ethernet{SrcMAC: a.localMAC, DstMAC: a.gwMAC, EtherType: packet.EtherTypeIPv4}
 	ip := packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: a.remote, DontFrag: true}
 	switch a.mode {
 	case TunnelGRE:
 		ip.Protocol = packet.IPProtocolGRE
 		gre := packet.GRE{Protocol: packet.EtherTypeTransparentEthernet, KeyPresent: a.greKey != 0, Key: a.greKey}
-		a.outer = newOuterHeader(&a.outerEth, &ip, &gre)
+		a.outer = newOuterHeader(&eth, &ip, &gre)
 	case TunnelVXLAN:
 		ip.Protocol = packet.IPProtocolUDP
-		a.outer = newOuterHeader(&a.outerEth, &ip, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: a.vni})
+		a.outer = newOuterHeader(&eth, &ip, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: a.vni})
 	case TunnelIPIP:
 		ip.Protocol = packet.IPProtocolIPv4
-		a.outer = newOuterHeader(&a.outerEth, &ip)
-	}
-	a.ethStack = []packet.SerializableLayer{&a.outerEth, &a.payload}
-	if a.ring == nil {
-		a.ring = newFrameRing()
+		a.outer = newOuterHeader(&eth, &ip)
 	}
 }
 
@@ -190,20 +181,20 @@ func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	}
 	switch ctx.Dir {
 	case ppe.DirEdgeToOptical:
-		payload := ctx.Data
+		del := 0
 		if a.mode == TunnelIPIP {
 			// IP-in-IP carries the inner IP packet only.
-			if !a.v.Parse(payload) || !a.v.IsIPv4 {
+			if !a.v.Parse(ctx.Data) || !a.v.IsIPv4 {
 				a.ctr.Inc(TunnelErrors, len(ctx.Data))
 				return ppe.VerdictDrop
 			}
-			payload = payload[a.v.L3Off:]
+			del = a.v.L3Off
 		}
 		if a.outer == nil {
 			a.ctr.Inc(TunnelErrors, len(ctx.Data))
 			return ppe.VerdictDrop
 		}
-		size := a.outer.size(payload)
+		size := a.outer.size(ctx.Data[del:])
 		if size > a.mtu {
 			// The outer header would push the frame past the egress MTU;
 			// outer packets carry DF, so the hardware drops (an ICMP
@@ -213,10 +204,8 @@ func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 			a.ctr.Inc(TunnelTooBig, size)
 			return ppe.VerdictDrop
 		}
-		out := a.ring.take(size)
-		a.outer.encap(out, payload)
-		ctx.Data = out
-		a.ctr.Inc(TunnelEncapped, len(out))
+		ctx.Data = a.outer.encap(ctx.Data, del)
+		a.ctr.Inc(TunnelEncapped, len(ctx.Data))
 	case ppe.DirOpticalToEdge:
 		out, st := a.decap(ctx.Data)
 		switch st {
@@ -233,17 +222,14 @@ func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	return ppe.VerdictPass
 }
 
-// decap classifies an optical-side frame and strips the tunnel header
-// when it is well-formed tunnel traffic addressed to this endpoint.
+// decap classifies an optical-side frame and strips the tunnel header, in
+// place, when it is well-formed tunnel traffic addressed to this endpoint.
 func (a *tunnelApp) decap(data []byte) ([]byte, decapStatus) {
-	if !a.v.Parse(data) || !a.v.IsIPv4 {
-		return nil, decapPass
-	}
 	v := &a.v
-	l4 := v.L3Off + v.IPv4HeaderLen()
-	if [4]byte(v.DstIPv4()) != a.local4 {
+	if !v.Parse(data) || !v.IsIPv4 || [4]byte(v.DstIPv4()) != a.local4 {
 		return nil, decapPass
 	}
+	l4 := v.L3Off + v.IPv4HeaderLen()
 	switch {
 	case a.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
 		var gre packet.GRE
@@ -251,10 +237,7 @@ func (a *tunnelApp) decap(data []byte) ([]byte, decapStatus) {
 			gre.Protocol != packet.EtherTypeTransparentEthernet {
 			return nil, decapErr
 		}
-		inner := gre.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		return out, decapOK
+		return packet.Splice(data, 0, len(data)-len(gre.LayerPayload()), 0), decapOK
 	case a.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
 		if len(data) < l4+16 {
 			return nil, decapErr
@@ -268,27 +251,15 @@ func (a *tunnelApp) decap(data []byte) ([]byte, decapStatus) {
 			// open — forward untouched.
 			return nil, decapPass
 		}
-		inner := vx.LayerPayload()
-		out := a.ring.take(len(inner))
-		copy(out, inner)
-		return out, decapOK
+		return packet.Splice(data, 0, len(data)-len(vx.LayerPayload()), 0), decapOK
 	case a.mode == TunnelIPIP && v.Proto == packet.IPProtocolIPv4:
 		// Re-wrap the inner IP packet in an Ethernet frame toward the
 		// edge host.
-		a.payload = packet.Payload(data[l4:])
-		if packet.SerializeLayers(a.buf, packet.SerializeOptions{}, a.ethStack...) != nil {
-			return nil, decapErr
-		}
-		out := a.ring.take(a.buf.Len())
-		copy(out, a.buf.Bytes())
+		out := packet.Splice(data, 0, l4, 14)
+		copy(out[0:6], a.gwMAC[:])
+		copy(out[6:12], a.localMAC[:])
+		binary.BigEndian.PutUint16(out[12:14], uint16(packet.EtherTypeIPv4))
 		return out, decapOK
 	}
 	return nil, decapPass
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -100,10 +100,8 @@ func TestTunnelRoundTripProperty(t *testing.T) {
 					t.Fatalf("frame %d: decoder rejects encapped frame: %v", i, pkt.ErrorLayer())
 				}
 
-				// decap(encap(f)) == f. Copy first: the ring cell behind
-				// encapped is owned by a, not b.
-				wire := append([]byte(nil), encapped...)
-				v, decapped := run(b.prog.Handler, wire, ppe.DirOpticalToEdge)
+				// decap(encap(f)) == f.
+				v, decapped := run(b.prog.Handler, encapped, ppe.DirOpticalToEdge)
 				if v != ppe.VerdictPass {
 					t.Fatalf("frame %d: decap verdict %v", i, v)
 				}
@@ -122,7 +120,9 @@ func TestTunnelRoundTripProperty(t *testing.T) {
 }
 
 // The handler hot path must not allocate: encap and decap for every
-// mode, pinned with AllocsPerRun.
+// mode, pinned with AllocsPerRun. Each run feeds a fresh pool buffer
+// (see TestMeshHandlerZeroAlloc) and the last one must have been wrapped
+// or unwrapped.
 func TestTunnelHandlerZeroAlloc(t *testing.T) {
 	for _, mode := range []string{TunnelGRE, TunnelVXLAN, TunnelIPIP} {
 		a := NewTunnel()
@@ -140,19 +140,31 @@ func TestTunnelHandlerZeroAlloc(t *testing.T) {
 		}
 		wire := append([]byte(nil), encapped...)
 
+		var v ppe.Verdict
+		var got int
 		ctx := &ppe.Ctx{Dir: ppe.DirEdgeToOptical, TimestampNs: 1}
 		if n := testing.AllocsPerRun(200, func() {
-			ctx.Data = inner
-			a.prog.Handler.HandlePacket(ctx)
+			ctx.Data = poolCopy(inner)
+			v = a.prog.Handler.HandlePacket(ctx)
+			got = len(ctx.Data)
+			packet.PutBuffer(ctx.Data)
 		}); n != 0 {
 			t.Errorf("%s encap: %.1f allocs/op, want 0", mode, n)
 		}
+		if v != ppe.VerdictPass || got != len(wire) {
+			t.Errorf("%s encap: verdict %v, %dB, want Pass, %dB", mode, v, got, len(wire))
+		}
 		ctx = &ppe.Ctx{Dir: ppe.DirOpticalToEdge, TimestampNs: 1}
 		if n := testing.AllocsPerRun(200, func() {
-			ctx.Data = wire
-			b.prog.Handler.HandlePacket(ctx)
+			ctx.Data = poolCopy(wire)
+			v = b.prog.Handler.HandlePacket(ctx)
+			got = len(ctx.Data)
+			packet.PutBuffer(ctx.Data)
 		}); n != 0 {
 			t.Errorf("%s decap: %.1f allocs/op, want 0", mode, n)
+		}
+		if v != ppe.VerdictPass || got != len(inner) {
+			t.Errorf("%s decap: verdict %v, %dB, want Pass, %dB", mode, v, got, len(inner))
 		}
 	}
 }

@@ -99,10 +99,9 @@ func (a *vlanApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	return ppe.VerdictPass
 }
 
-// push inserts the configured tag after the MAC addresses.
+// push inserts the configured tag after the MAC addresses, in place.
 func (a *vlanApp) push(data []byte) []byte {
-	out := make([]byte, len(data)+4)
-	copy(out[:12], data[:12])
+	out := packet.Splice(data, 12, 0, 4)
 	tpid := uint16(packet.EtherTypeDot1Q)
 	if a.cfg.QinQ {
 		tpid = uint16(packet.EtherTypeQinQ)
@@ -110,11 +109,11 @@ func (a *vlanApp) push(data []byte) []byte {
 	binary.BigEndian.PutUint16(out[12:14], tpid)
 	tci := uint16(a.cfg.Priority&0x7)<<13 | a.cfg.VLAN&0x0fff
 	binary.BigEndian.PutUint16(out[14:16], tci)
-	copy(out[16:], data[12:])
 	return out
 }
 
-// pop removes the outermost tag if it matches the configured VLAN.
+// pop removes the outermost tag, in place, if it matches the configured
+// VLAN.
 func (a *vlanApp) pop(data []byte) ([]byte, bool) {
 	if len(data) < 18 {
 		return data, false
@@ -127,8 +126,5 @@ func (a *vlanApp) pop(data []byte) ([]byte, bool) {
 	if vid != a.cfg.VLAN {
 		return data, false
 	}
-	out := make([]byte, len(data)-4)
-	copy(out[:12], data[:12])
-	copy(out[12:], data[16:])
-	return out, true
+	return packet.Splice(data, 12, 4, 0), true
 }

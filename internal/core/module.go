@@ -184,15 +184,20 @@ func (m *Module) ActiveSlot() int { return m.activeSlot }
 // Running reports whether a design is loaded and processing traffic.
 func (m *Module) Running() bool { return m.state == stateRunning }
 
-// SetTx wires the transmit callback of a port.
+// SetTx wires the transmit callback of a port. The sink owns every frame
+// it is handed: it releases it with packet.PutBuffer, passes it on, or
+// keeps it. A port without a sink drops (and releases) what it would send.
 func (m *Module) SetTx(p PortID, tx func([]byte)) { m.tx[p] = tx }
 
-// SetControlHandler installs the management-core message handler.
+// SetControlHandler installs the management-core message handler. The
+// payload is valid only during the call: the control frame carrying it
+// is released when the handler returns.
 func (m *Module) SetControlHandler(h func(payload []byte, from PortID) [][]byte) {
 	m.controlHandler = h
 }
 
-// SetPuntHandler installs the receiver for VerdictToCPU frames.
+// SetPuntHandler installs the receiver for VerdictToCPU frames. The
+// frame is released when the handler returns; copy what must outlive it.
 func (m *Module) SetPuntHandler(h func(data []byte, dir ppe.Direction)) {
 	m.puntHandler = h
 }
@@ -401,16 +406,19 @@ func (m *Module) rx(from PortID, data []byte) {
 	// disrupting the dataplane").
 	if isControlFrame(data) {
 		m.handleControl(from, data)
+		packet.PutBuffer(data)
 		return
 	}
 
 	if from == PortControl {
 		// Data on the control port is not forwarded.
+		packet.PutBuffer(data)
 		return
 	}
 
 	if m.state != stateRunning {
 		m.stats.RebootDrops++
+		packet.PutBuffer(data)
 		return
 	}
 
@@ -426,7 +434,9 @@ func (m *Module) rx(from PortID, data []byte) {
 		return
 	}
 
-	m.engine.Submit(data, dir)
+	if !m.engine.Submit(data, dir) {
+		packet.PutBuffer(data)
+	}
 }
 
 func (m *Module) verdict(v ppe.Verdict, ctx *ppe.Ctx) {
@@ -443,28 +453,32 @@ func (m *Module) verdict(v ppe.Verdict, ctx *ppe.Ctx) {
 	switch v {
 	case ppe.VerdictPass:
 		m.send(egress, ctx.Data)
-	case ppe.VerdictDrop:
-		// Dropped; engine already counted it.
 	case ppe.VerdictTx:
 		m.send(ingress, ctx.Data)
 	case ppe.VerdictRedirect:
 		p := PortID(ctx.RedirectPort)
 		if p >= 0 && p < numPorts {
 			m.send(p, ctx.Data)
+		} else {
+			packet.PutBuffer(ctx.Data)
 		}
 	case ppe.VerdictToCPU:
 		m.stats.PuntToCPU++
 		if m.puntHandler != nil {
 			m.puntHandler(ctx.Data, ctx.Dir)
 		}
+		packet.PutBuffer(ctx.Data)
+	default:
+		// VerdictDrop: the engine already counted it.
+		packet.PutBuffer(ctx.Data)
 	}
 }
 
+// send hands data to port p's sink, which then owns it; a port with no
+// sink, or a control port the shell lacks, drops and releases it.
 func (m *Module) send(p PortID, data []byte) {
-	if p == PortControl && m.cfg.Shell != hls.ActiveCore {
-		return
-	}
-	if m.tx[p] == nil {
+	if (p == PortControl && m.cfg.Shell != hls.ActiveCore) || m.tx[p] == nil {
+		packet.PutBuffer(data)
 		return
 	}
 	m.stats.Tx[p]++
@@ -476,7 +490,8 @@ func (m *Module) send(p PortID, data []byte) {
 
 // SendFrom lets the control plane originate traffic on a port — the
 // Active-Core capability (§4.1: "the control plane … can also originate
-// and terminate traffic").
+// and terminate traffic"). Unless it returns an error, data now belongs
+// to the module.
 func (m *Module) SendFrom(p PortID, data []byte) error {
 	if m.cfg.Shell != hls.ActiveCore && p == PortControl {
 		return fmt.Errorf("core: shell %v has no control port", m.cfg.Shell)
@@ -518,22 +533,8 @@ func (m *Module) handleControl(from PortID, data []byte) {
 		payload = tag.LayerPayload()
 	}
 	for _, resp := range m.controlHandler(payload, from) {
-		m.sendControl(from, eth.SrcMAC, resp)
+		m.send(from, packet.BuildEthernet(eth.SrcMAC, m.mac, packet.EtherTypeFlexControl, resp))
 	}
-}
-
-func (m *Module) sendControl(to PortID, dst packet.MAC, payload []byte) {
-	buf := packet.NewSerializeBuffer()
-	pl := packet.Payload(payload)
-	err := packet.SerializeLayers(buf, packet.SerializeOptions{},
-		&packet.Ethernet{SrcMAC: m.mac, DstMAC: dst, EtherType: packet.EtherTypeFlexControl},
-		&pl)
-	if err != nil {
-		return
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	m.send(to, out)
 }
 
 // DDM returns a diagnostics snapshot reflecting the laser state and the

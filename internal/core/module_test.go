@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"flexsfp/internal/bitstream"
@@ -501,4 +502,105 @@ func TestCorruptedSlotFallsBackToGolden(t *testing.T) {
 	if m.ActiveSlot() != 0 {
 		t.Errorf("active slot = %d, want golden fallback to 0", m.ActiveSlot())
 	}
+}
+
+// TestModuleReleasesOnEveryExit drives pool buffers through each of the
+// module's eight exits that end a frame's life — consumed control frame,
+// data on the control port, reboot drop, full input queue, verdict drop,
+// out-of-range redirect, punt, and a send with no sink — and pins 0
+// allocs per frame: a buffer any exit failed to release would be replaced
+// by a fresh 2 KiB one from the pool.
+func TestModuleReleasesOnEveryExit(t *testing.T) {
+	sim := netsim.New(1)
+	reg := NewRegistry()
+	verdict, redirect := ppe.VerdictPass, 0
+	reg.Register("exits", func() App {
+		return newTestApp("exits", ppe.HandlerFunc(func(ctx *ppe.Ctx) ppe.Verdict {
+			ctx.RedirectPort = redirect
+			return verdict
+		}))
+	})
+	m := NewModule(Config{Sim: sim, Shell: hls.TwoWayCore, Registry: reg, AuthKey: []byte("k"), QueueLimit: 1})
+	if _, err := m.Install(1, compileFor(t, reg, "exits", false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BootSync(1); err != nil {
+		t.Fatal(err)
+	}
+	m.SetControlHandler(func([]byte, PortID) [][]byte { return nil })
+	m.SetPuntHandler(func([]byte, ppe.Direction) {})
+	m.SetTx(PortEdge, packet.PutBuffer)
+	m.SetTx(PortControl, packet.PutBuffer) // a port TwoWayCore lacks
+
+	data := dataFrame(t)
+	buf := packet.NewSerializeBuffer()
+	pl := packet.Payload([]byte("cfg"))
+	if err := packet.SerializeLayers(buf, packet.SerializeOptions{},
+		&packet.Ethernet{SrcMAC: tMacA, DstMAC: m.MAC(), EtherType: packet.EtherTypeFlexControl}, &pl); err != nil {
+		t.Fatal(err)
+	}
+	control := append([]byte(nil), buf.Bytes()...)
+	pooled := func(f []byte) []byte {
+		b := packet.GetBuffer(len(f))
+		copy(b, f)
+		return b
+	}
+	verdictExit := func(v ppe.Verdict, port PortID) func() {
+		return func() {
+			verdict, redirect = v, int(port)
+			m.RxEdge(pooled(data))
+			sim.Run()
+		}
+	}
+	exits := []struct {
+		name string
+		run  func()
+		st   func() uint64 // the counter that proves the exit was taken
+	}{
+		{"consumed control frame", func() { m.RxEdge(pooled(control)) },
+			func() uint64 { return m.Stats().ControlFrames }},
+		{"data on the control port", func() { m.RxControl(pooled(data)) },
+			func() uint64 { return m.Stats().Rx[PortControl] }},
+		{"queue drop", func() {
+			verdict = ppe.VerdictTx // the admitted frames go out the edge sink
+			for i := 0; i < 3; i++ {
+				m.RxEdge(pooled(data))
+			}
+			sim.Run()
+		}, func() uint64 { return m.Engine().Stats().QueueDrop }},
+		{"verdict drop", verdictExit(ppe.VerdictDrop, 0), func() uint64 { return m.Engine().Stats().Drop }},
+		{"out-of-range redirect", verdictExit(ppe.VerdictRedirect, numPorts), func() uint64 { return m.Engine().Stats().Redirect }},
+		{"punt", verdictExit(ppe.VerdictToCPU, 0), func() uint64 { return m.Stats().PuntToCPU }},
+		{"no sink", verdictExit(ppe.VerdictPass, 0), func() uint64 { return m.Engine().Stats().Pass }},
+		{"control port the shell lacks", verdictExit(ppe.VerdictRedirect, PortControl), func() uint64 { return m.Engine().Stats().Redirect }},
+	}
+	for _, e := range exits {
+		before := e.st()
+		emptyPool()
+		if n := testing.AllocsPerRun(100, e.run); n != 0 {
+			t.Errorf("%s: %.1f allocs/frame, want 0", e.name, n)
+		}
+		if e.st() == before {
+			t.Errorf("%s: exit not taken", e.name)
+		}
+	}
+
+	m.Reboot(1)
+	before := m.Stats().RebootDrops
+	emptyPool()
+	if n := testing.AllocsPerRun(100, func() { m.RxEdge(pooled(data)) }); n != 0 {
+		t.Errorf("reboot drop: %.1f allocs/frame, want 0", n)
+	}
+	if m.Stats().RebootDrops == before {
+		t.Error("reboot drop: exit not taken")
+	}
+	sim.Run()
+}
+
+// emptyPool drops every idle pool buffer (two GCs clear a sync.Pool), so
+// buffers an earlier case released cannot stand in for ones a leaking
+// exit never returned.
+func emptyPool() {
+	runtime.GC()
+	runtime.GC()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/phy"
 )
 
@@ -46,6 +47,7 @@ func (s *StandardSFP) RxOptical(data []byte) { s.forward(PortOptical, PortEdge, 
 func (s *StandardSFP) forward(from, to PortID, data []byte) {
 	s.stats.Rx[from]++
 	if s.tx[to] == nil {
+		packet.PutBuffer(data)
 		return
 	}
 	s.sim.Schedule(s.RetimerDelay, func() {

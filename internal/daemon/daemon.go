@@ -20,6 +20,7 @@ import (
 	"flexsfp/internal/mgmt"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/overlay"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/telemetry"
 	"flexsfp/internal/trafficgen"
 )
@@ -133,8 +134,8 @@ func Start(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("building module: %w", err)
 	}
 	// Sink both data ports (standalone module on the bench).
-	mod.SetTx(core.PortEdge, func([]byte) {})
-	mod.SetTx(core.PortOptical, func([]byte) {})
+	mod.SetTx(core.PortEdge, packet.PutBuffer)
+	mod.SetTx(core.PortOptical, packet.PutBuffer)
 
 	d := &Daemon{Design: design, cfg: cfg, world: world, mod: mod}
 	agent := mgmt.NewAgent(mod)

@@ -8,6 +8,7 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/phy"
 	"flexsfp/internal/trafficgen"
 )
@@ -62,8 +63,8 @@ func archSingle(ctx exp.RunContext) (ArchitectureResult, error) {
 			return res, err
 		}
 		var delivered uint64
-		mod.SetTx(0, func(b []byte) { delivered++; trafficgen.PutBuffer(b) })
-		mod.SetTx(1, func(b []byte) { delivered++; trafficgen.PutBuffer(b) })
+		mod.SetTx(0, func(b []byte) { delivered++; packet.PutBuffer(b) })
+		mod.SetTx(1, func(b []byte) { delivered++; packet.PutBuffer(b) })
 
 		pps := phy.LineRatePPS(phy.DataRateBps, 64)
 		var offered uint64

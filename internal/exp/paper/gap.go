@@ -11,6 +11,7 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/trafficgen"
 )
 
@@ -103,6 +104,7 @@ func gapSingle(ctx exp.RunContext) (GapResult, error) {
 		n := 0
 		mod.SetTx(1, func(b []byte) {
 			lat = append(lat, sim.Now().Sub(sent[len(lat)]))
+			packet.PutBuffer(b)
 		})
 		gen := trafficgen.New(sim, trafficgen.Config{PPS: offeredPPS}, func(b []byte) bool {
 			sent[n] = sim.Now()

@@ -48,7 +48,7 @@ func latencySingle(ctx exp.RunContext) (LatencyOverheadResult, error) {
 		simA := netsim.New(ctx.Seed)
 		sfp := core.NewStandardSFP(simA)
 		var plainAt netsim.Time
-		sfp.SetTx(core.PortOptical, func([]byte) { plainAt = simA.Now() })
+		sfp.SetTx(core.PortOptical, func(b []byte) { plainAt = simA.Now(); packet.PutBuffer(b) })
 		sfp.RxEdge(append([]byte(nil), frame...))
 		simA.Run()
 
@@ -62,7 +62,7 @@ func latencySingle(ctx exp.RunContext) (LatencyOverheadResult, error) {
 			return res, err
 		}
 		var flexAt netsim.Time
-		mod.SetTx(core.PortOptical, func([]byte) { flexAt = simB.Now() })
+		mod.SetTx(core.PortOptical, func(b []byte) { flexAt = simB.Now(); packet.PutBuffer(b) })
 		mod.RxEdge(append([]byte(nil), frame...))
 		simB.Run()
 

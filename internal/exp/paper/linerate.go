@@ -9,6 +9,7 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/runner"
 	"flexsfp/internal/telemetry"
 	"flexsfp/internal/trafficgen"
@@ -91,9 +92,9 @@ func newLineProbe(sim *netsim.Simulator, mod *core.Module) *lineProbe {
 	p := &lineProbe{sim: sim, mod: mod, meter: netsim.NewRateMeter(sim)}
 	mod.SetTx(1, func(b []byte) {
 		p.meter.Observe(len(b))
-		trafficgen.PutBuffer(b)
+		packet.PutBuffer(b)
 	})
-	mod.SetTx(0, trafficgen.PutBuffer)
+	mod.SetTx(0, packet.PutBuffer)
 	return p
 }
 

@@ -7,6 +7,7 @@ import (
 	"flexsfp/internal/exp"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/power"
 	"flexsfp/internal/runner"
 	"flexsfp/internal/trafficgen"
@@ -40,8 +41,8 @@ func powerSingle(ctx exp.RunContext) (PowerResult, error) {
 	}
 	// Recycle frames at the Tx sinks: the generator draws its buffers
 	// from the pool, so the steady state allocates nothing per frame.
-	mod.SetTx(0, trafficgen.PutBuffer)
-	mod.SetTx(1, trafficgen.PutBuffer)
+	mod.SetTx(0, packet.PutBuffer)
+	mod.SetTx(1, packet.PutBuffer)
 
 	// Bidirectional line-rate minimum-size stress for 1 ms of sim time.
 	pps := 14_880_952.0

@@ -24,20 +24,23 @@ type InBandTransport struct {
 // NewInBandTransport installs a tee on the module's port (normally
 // PortEdge) that captures control responses addressed to stationMAC and
 // forwards everything else to dataTx (which may be nil for a standalone
-// module). It returns the management transport.
+// module, whose data frames are then dropped). It returns the management
+// transport.
 func NewInBandTransport(mod *core.Module, port core.PortID, stationMAC packet.MAC, dataTx func([]byte)) *InBandTransport {
 	t := &InBandTransport{mod: mod, stationMAC: stationMAC, port: port}
+	if dataTx == nil {
+		dataTx = packet.PutBuffer
+	}
 	mod.SetTx(port, func(b []byte) {
 		var eth packet.Ethernet
 		if eth.DecodeFromBytes(b) == nil &&
 			eth.EtherType == packet.EtherTypeFlexControl &&
 			eth.DstMAC == stationMAC {
 			t.pending = append([]byte(nil), eth.LayerPayload()...)
+			packet.PutBuffer(b)
 			return
 		}
-		if dataTx != nil {
-			dataTx(b)
-		}
+		dataTx(b)
 	})
 	return t
 }
@@ -45,16 +48,8 @@ func NewInBandTransport(mod *core.Module, port core.PortID, stationMAC packet.MA
 // Do implements Transport: wrap the request in a control frame, inject
 // it, and return the captured response.
 func (t *InBandTransport) Do(req []byte) ([]byte, error) {
-	buf := packet.NewSerializeBuffer()
-	pl := packet.Payload(req)
-	err := packet.SerializeLayers(buf, packet.SerializeOptions{},
-		&packet.Ethernet{SrcMAC: t.stationMAC, DstMAC: t.mod.MAC(),
-			EtherType: packet.EtherTypeFlexControl}, &pl)
-	if err != nil {
-		return nil, err
-	}
 	t.pending = nil
-	frame := append([]byte(nil), buf.Bytes()...)
+	frame := packet.BuildEthernet(t.mod.MAC(), t.stationMAC, packet.EtherTypeFlexControl, req)
 	switch t.port {
 	case core.PortEdge:
 		t.mod.RxEdge(frame)

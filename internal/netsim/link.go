@@ -187,9 +187,10 @@ func (l *Link) SetUp(up bool) {
 // QueueDepth returns the number of frames waiting behind the transmitter.
 func (l *Link) QueueDepth() int { return l.queued }
 
-// Send enqueues data for transmission. It returns false if the frame was
-// dropped because the transmit queue is full. The data slice is retained
-// until delivery; callers that reuse buffers must copy first.
+// Send enqueues data for transmission. It returns false if the link is
+// down or the transmit queue is full: the frame was not taken and still
+// belongs to the caller. Otherwise the link owns data until it hands it
+// to the deliver callback, which owns it from then on.
 func (l *Link) Send(data []byte) bool {
 	if l.down {
 		l.stats.DownDrops++

@@ -26,13 +26,13 @@ type FabricSpec struct {
 	// alternating GRE / VXLAN so both datapaths are always exercised.
 	Mode func(i int) uint8
 	// Underlay link parameters. LinkBps defaults to 10G, LinkProp to
-	// 500ns, QueueLimit to 64 (it must stay well under the datapath
-	// frame ring, since a queued frame pins its ring cell).
+	// 500ns, QueueLimit to 64.
 	LinkBps    int64
 	LinkProp   netsim.Duration
 	QueueLimit int
 	// EdgeSink receives cable i's decapsulated edge-bound frames. It
-	// runs on cable i's shard goroutine: per-cable state only.
+	// runs on cable i's shard goroutine: per-cable state only. The frame
+	// is released when it returns; copy what must outlive the call.
 	EdgeSink func(i int, data []byte)
 }
 
@@ -53,7 +53,6 @@ type Cable struct {
 	// no fabric underlay address. Written only on this cable's shard.
 	NoLinkDrops uint64
 
-	ring *fabricRing
 	view packet.View
 }
 
@@ -157,9 +156,6 @@ func NewFabric(spec FabricSpec) (*Fabric, error) {
 			Ctl:      NewController(ep, rdvClient(), cableClient),
 			Endpoint: ep,
 			Links:    make([]*netsim.Link, n),
-			// Each outbound link can pin QueueLimit cells plus the one
-			// in serialization; size the copy ring safely above that.
-			ring: newFabricRing((n - 1) * (spec.QueueLimit + 4)),
 		}
 		f.Cables = append(f.Cables, c)
 	}
@@ -181,28 +177,28 @@ func NewFabric(spec FabricSpec) (*Fabric, error) {
 	}
 
 	// Datapath hookup: optical TX frames route to the peer link by outer
-	// destination IP; edge TX frames are the decapsulated deliveries.
+	// destination IP, which takes the module's frame as it is; edge TX
+	// frames are the decapsulated deliveries.
 	for i := 0; i < n; i++ {
 		c := f.Cables[i]
 		c.Mod.SetTx(core.PortOptical, func(data []byte) {
-			if !c.view.Parse(data) || !c.view.IsIPv4 {
-				c.NoLinkDrops++
-				return
+			var d [4]byte // stays zero, matching no link, for non-IPv4
+			if c.view.Parse(data) && c.view.IsIPv4 {
+				d = [4]byte(c.view.DstIPv4())
 			}
-			d := c.view.DstIPv4()
 			if d[0] != 10 || d[1] != 254 || d[2] != 0 || d[3] < 1 || int(d[3]) > n || int(d[3]) == c.Index+1 {
 				c.NoLinkDrops++
-				return
+				packet.PutBuffer(data)
+			} else if !c.Links[d[3]-1].Send(data) {
+				packet.PutBuffer(data)
 			}
-			// The module's frame ring owns data; the link retains what it
-			// is handed until delivery, so copy into the fabric's ring.
-			out := c.ring.take(len(data))
-			copy(out, data)
-			c.Links[d[3]-1].Send(out)
 		})
 		if spec.EdgeSink != nil {
 			idx := i
-			c.Mod.SetTx(core.PortEdge, func(data []byte) { spec.EdgeSink(idx, data) })
+			c.Mod.SetTx(core.PortEdge, func(data []byte) {
+				spec.EdgeSink(idx, data)
+				packet.PutBuffer(data)
+			})
 		}
 	}
 	return f, nil
@@ -253,39 +249,4 @@ func (f *Fabric) SetCableLinks(i int, up bool) {
 			l.SetUp(up)
 		}
 	}
-}
-
-// fabricRing is a reusable frame-copy pool for link transmission: a
-// queued frame is pinned by the link until delivery, so the pool must be
-// larger than the worst-case number of in-flight frames (bounded by the
-// per-link QueueLimit).
-type fabricRing struct {
-	slots [][]byte
-	next  int
-}
-
-func newFabricRing(n int) *fabricRing {
-	if n < 64 {
-		n = 64
-	}
-	r := &fabricRing{slots: make([][]byte, n)}
-	for i := range r.slots {
-		r.slots[i] = make([]byte, 0, 2048)
-	}
-	return r
-}
-
-func (r *fabricRing) take(n int) []byte {
-	s := r.slots[r.next]
-	if cap(s) < n {
-		s = make([]byte, n)
-		r.slots[r.next] = s
-	}
-	s = s[:n]
-	r.slots[r.next] = s
-	r.next++
-	if r.next == len(r.slots) {
-		r.next = 0
-	}
-	return s
 }

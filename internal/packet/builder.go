@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -132,6 +133,17 @@ func MustBuild(s Spec) []byte {
 		panic(err)
 	}
 	return b
+}
+
+// BuildEthernet returns payload behind an Ethernet header, in a pool
+// buffer (see GetBuffer).
+func BuildEthernet(dst, src MAC, et EtherType, payload []byte) []byte {
+	out := GetBuffer(14 + len(payload))
+	copy(out[0:6], dst[:])
+	copy(out[6:12], src[:])
+	binary.BigEndian.PutUint16(out[12:14], uint16(et))
+	copy(out[14:], payload)
+	return out
 }
 
 // ARPSpec describes an ARP frame for the builder (the IP-based Spec

@@ -198,9 +198,10 @@ func (e *Engine) Utilization() float64 {
 }
 
 // Submit offers a frame to the pipeline. It returns false if the input
-// queue is full and the frame was dropped. The data slice is owned by the
-// engine until the verdict callback fires; the *Ctx passed to the verdict
-// callback is pooled and must not be retained past that callback.
+// queue is full: the frame was not taken and still belongs to the caller,
+// which drops it. Otherwise the engine owns the data slice until the
+// verdict callback fires, and the callback owns ctx.Data; the *Ctx itself
+// is pooled and must not be retained past that callback.
 //
 // Submission is allocation-free in steady state: occupancy accounting,
 // queue admission, and scheduling of the frame's pooled completion.

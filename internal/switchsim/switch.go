@@ -88,9 +88,11 @@ func (c *Cage) Insert(x Transceiver) {
 	x.SetTx(core.PortEdge, func(data []byte) { c.sw.ingress(c.index, data) })
 	// Transceiver optical-side TX goes down the fiber.
 	x.SetTx(core.PortOptical, func(data []byte) {
-		if c.fiberTx != nil {
-			c.fiberTx(data)
+		if c.fiberTx == nil {
+			packet.PutBuffer(data)
+			return
 		}
+		c.fiberTx(data)
 	})
 }
 
@@ -103,17 +105,22 @@ func (c *Cage) SetFiberTx(tx func([]byte)) { c.fiberTx = tx }
 // DeliverFromFiber is the fiber's receive entry: frames arriving on the
 // port's optics.
 func (c *Cage) DeliverFromFiber(data []byte) {
-	if c.xcvr != nil {
-		c.xcvr.RxOptical(data)
+	if c.xcvr == nil {
+		packet.PutBuffer(data)
+		return
 	}
+	c.xcvr.RxOptical(data)
 }
 
 // ingress runs the fixed-function pipeline for a frame that entered the
-// fabric from port p.
+// fabric from port p. The switch owns data from here: it forwards it,
+// floods a copy to every other port, or drops it, and releases it in the
+// last two cases.
 func (sw *Switch) ingress(p int, data []byte) {
 	var eth packet.Ethernet
 	if err := eth.DecodeFromBytes(data); err != nil {
 		sw.stats.Dropped++
+		packet.PutBuffer(data)
 		return
 	}
 	// Learn.
@@ -124,19 +131,24 @@ func (sw *Switch) ingress(p int, data []byte) {
 		if out, ok := sw.macTable[eth.DstMAC]; ok && !eth.DstMAC.IsBroadcast() {
 			if out == p {
 				sw.stats.Dropped++ // hairpin: filtered
+				packet.PutBuffer(data)
 				return
 			}
 			sw.stats.Forwarded++
 			sw.egress(out, data)
 			return
 		}
-		// Flood.
+		// Flood: each port gets its own copy, because the transceiver
+		// behind it may rewrite the frame in place.
 		sw.stats.Flooded++
 		for i := range sw.cages {
 			if i != p {
-				sw.egress(i, data)
+				cp := packet.GetBuffer(len(data))
+				copy(cp, data)
+				sw.egress(i, cp)
 			}
 		}
+		packet.PutBuffer(data)
 	})
 }
 
@@ -145,6 +157,7 @@ func (sw *Switch) egress(i int, data []byte) {
 	c := sw.cages[i]
 	if c.xcvr == nil {
 		sw.stats.Dropped++
+		packet.PutBuffer(data)
 		return
 	}
 	c.xcvr.RxEdge(data)
@@ -188,7 +201,9 @@ type Host struct {
 	Name string
 	MAC  packet.MAC
 
-	tx      func([]byte) bool
+	tx func([]byte) bool
+	// OnFrame sees each received frame, which is released when it
+	// returns.
 	OnFrame func(data []byte)
 
 	RxFrames uint64
@@ -213,13 +228,14 @@ func (h *Host) Send(data []byte) bool {
 	return h.tx(data)
 }
 
-// Deliver is the host's receive entry.
+// Deliver is the host's receive entry: the end of a frame's life.
 func (h *Host) Deliver(data []byte) {
 	h.RxFrames++
 	h.RxBytes += uint64(len(data))
 	if h.OnFrame != nil {
 		h.OnFrame(data)
 	}
+	packet.PutBuffer(data)
 }
 
 // String implements fmt.Stringer.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flexsfp/internal/apps"
+	"flexsfp/internal/build"
 	"flexsfp/internal/core"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
@@ -234,5 +235,47 @@ func TestEmptyCageDrops(t *testing.T) {
 	sim.Run()
 	if sw.Stats().Dropped == 0 {
 		t.Error("frame to empty cage not counted as dropped")
+	}
+}
+
+// TestFloodGivesEachPortItsOwnFrame: a flood hands every port a copy.
+// Cages 1 and 2 hold NAT FlexSFPs mapping h1's address to different
+// externals; each rewrites its frame in place, so had they shared one
+// slice, cage 2 would see cage 1's rewrite, miss, and pass 100.64.0.1.
+func TestFloodGivesEachPortItsOwnFrame(t *testing.T) {
+	sim := netsim.New(1)
+	sw := New(sim, "agg-1", 3)
+	hosts := []*Host{NewHost("h1", macH1), NewHost("h2", macH2), NewHost("h3", macH3)}
+	sw.Cage(0).Insert(core.NewStandardSFP(sim))
+	for i, ext := range []string{"100.64.0.1", "100.64.0.2"} {
+		mod, _, err := build.Module(sim, build.ModuleSpec{
+			Name: hosts[i+1].Name, DeviceID: uint32(i + 1), Shell: hls.TwoWayCore, App: "nat",
+			Config: apps.NATConfig{Mappings: []apps.NATMapping{{Internal: ipH1.String(), External: ext}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.Cage(i + 1).Insert(mod)
+	}
+	got := make([]netip.Addr, len(hosts))
+	for i, h := range hosts {
+		Fiber(sim, sw.Cage(i), h, tenGig, 100)
+		h.OnFrame = func(data []byte) {
+			var v packet.View
+			if v.Parse(data) && v.IsIPv4 {
+				got[i] = netip.AddrFrom4([4]byte(v.SrcIPv4()))
+			}
+		}
+	}
+
+	hosts[0].Send(frame(t, macH1, macH3)) // h3 not learned yet: flooded
+	sim.Run()
+	if sw.Stats().Flooded != 1 {
+		t.Fatalf("flooded = %d, want 1", sw.Stats().Flooded)
+	}
+	for i, want := range []string{"100.64.0.1", "100.64.0.2"} {
+		if h := hosts[i+1]; got[i+1] != netip.MustParseAddr(want) {
+			t.Errorf("%s received source %v, want %s", h.Name, got[i+1], want)
+		}
 	}
 }

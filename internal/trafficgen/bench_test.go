@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 )
 
 // BenchmarkGenerate measures frame emission with a sink that consumes and
@@ -17,7 +18,7 @@ func BenchmarkGenerate(b *testing.B) {
 		SrcMAC: gMacA, DstMAC: gMacB,
 	}, func(buf []byte) bool {
 		got += uint64(len(buf))
-		PutBuffer(buf)
+		packet.PutBuffer(buf)
 		return true
 	})
 	b.ReportAllocs()
@@ -40,7 +41,7 @@ func BenchmarkGenerateIMIX(b *testing.B) {
 		SrcMAC: gMacA, DstMAC: gMacB,
 	}, func(buf []byte) bool {
 		got += uint64(len(buf))
-		PutBuffer(buf)
+		packet.PutBuffer(buf)
 		return true
 	})
 	b.ReportAllocs()

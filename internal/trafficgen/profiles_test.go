@@ -20,7 +20,7 @@ func collectProfile(t *testing.T, p Profile, seed int64, shards, partition int, 
 		Rand: sh.Stream(partition),
 	}, func(b []byte) bool {
 		out = append(out, append([]byte(nil), b...))
-		PutBuffer(b)
+		packet.PutBuffer(b)
 		return true
 	})
 	if err != nil {
@@ -145,9 +145,9 @@ func TestProfileEmissionZeroAlloc(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(500, func() {
 			frame := g.pickFrame()
-			buf := GetBuffer(len(frame))
+			buf := packet.GetBuffer(len(frame))
 			copy(buf, frame)
-			PutBuffer(buf)
+			packet.PutBuffer(buf)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: emission path allocates %.1f/op", p, allocs)

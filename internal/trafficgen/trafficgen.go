@@ -8,44 +8,14 @@ package trafficgen
 import (
 	"math/rand"
 	"net/netip"
-	"sync"
 
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 	"flexsfp/internal/telemetry"
 )
 
-// maxPooledFrame is the buffer size the frame pool hands out: large
-// enough for a 1518-byte frame plus tunnel/telemetry growth.
-const maxPooledFrame = 2048
-
-// framePool recycles emission buffers. Buffers are stored as fixed-size
-// array pointers so both Get and Put are allocation-free (a *[N]byte fits
-// in the interface word; no slice-header escape). The pool is shared by
-// all generators and is safe across the parallel experiment runner —
-// buffer contents are always fully overwritten on reuse, so recycling
-// cannot perturb deterministic results.
-var framePool = sync.Pool{New: func() any { return new([maxPooledFrame]byte) }}
-
-// GetBuffer returns a frame buffer of length n, recycled when possible.
-func GetBuffer(n int) []byte {
-	if n > maxPooledFrame {
-		return make([]byte, n)
-	}
-	a := framePool.Get().(*[maxPooledFrame]byte)
-	return a[:n:maxPooledFrame]
-}
-
-// PutBuffer returns a buffer obtained from GetBuffer to the pool. Sinks
-// call it once a frame's lifetime ends (after the verdict callback);
-// buffers that were resliced or did not come from the pool are ignored.
-// After PutBuffer the caller must not touch the slice again.
-func PutBuffer(b []byte) {
-	if cap(b) != maxPooledFrame {
-		return
-	}
-	framePool.Put((*[maxPooledFrame]byte)(b[:maxPooledFrame]))
-}
+// PutBuffer is packet.PutBuffer, kept for the benchmark's sinks.
+var PutBuffer = packet.PutBuffer
 
 // IMIXEntry is one component of a size mix.
 type IMIXEntry struct {
@@ -116,7 +86,7 @@ type Generator struct {
 	zipf      *rand.Zipf
 
 	Sent    uint64
-	Refused uint64 // sink returned false (downstream drop)
+	Refused uint64 // sink returned false (downstream drop; the frame was released)
 
 	// tracer, when set, samples emitted frames into the packet-trace ring
 	// and threads the trace ID through the synchronous sink call.
@@ -125,7 +95,10 @@ type Generator struct {
 	stopped bool
 }
 
-// New builds a generator; frames go to sink (which reports acceptance).
+// New builds a generator. Every frame is a fresh packet.GetBuffer copy of
+// its template, handed to sink: a sink that returns true owns the frame
+// from then on (see packet.PutBuffer); one that returns false refused it
+// and must not keep it, and the generator releases it.
 func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 	if cfg.PPS <= 0 {
 		panic("trafficgen: PPS must be positive")
@@ -251,10 +224,7 @@ func (g *Generator) Run(count uint64) {
 			return
 		}
 		frame := g.pickFrame()
-		// Copy into a pooled buffer: downstream mutates frames in place
-		// and may retain them until the verdict fires; consumers recycle
-		// with PutBuffer when done.
-		buf := GetBuffer(len(frame))
+		buf := packet.GetBuffer(len(frame))
 		copy(buf, frame)
 		if tr := g.tracer; tr != nil {
 			id, _ := tr.Sample()
@@ -265,11 +235,11 @@ func (g *Generator) Run(count uint64) {
 			// synchronous sink chain: link Send, or module rx → PPE submit.
 			tr.SetCurrent(id)
 		}
-		if g.sink(buf) {
-			g.Sent++
-		} else {
-			g.Sent++
+		accepted := g.sink(buf)
+		g.Sent++
+		if !accepted {
 			g.Refused++
+			packet.PutBuffer(buf)
 		}
 		if g.tracer != nil {
 			g.tracer.SetCurrent(0)

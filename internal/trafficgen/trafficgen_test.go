@@ -107,7 +107,7 @@ func TestZipfSkew(t *testing.T) {
 			t.Fatal("generator frame does not parse as UDP")
 		}
 		counts[v.SrcPort]++
-		PutBuffer(b)
+		packet.PutBuffer(b)
 		return true
 	})
 	g.Run(5000)

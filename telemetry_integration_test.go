@@ -10,6 +10,7 @@ import (
 	"flexsfp/internal/apps"
 	"flexsfp/internal/core"
 	"flexsfp/internal/netsim"
+	"flexsfp/internal/packet"
 	"flexsfp/internal/telemetry"
 	"flexsfp/internal/trafficgen"
 )
@@ -39,7 +40,7 @@ func TestTracedPathThroughStack(t *testing.T) {
 	var egressed int
 	mod.SetTx(core.PortOptical, func(b []byte) {
 		egressed++
-		trafficgen.PutBuffer(b)
+		packet.PutBuffer(b)
 	})
 
 	gen := trafficgen.New(sim, trafficgen.Config{PPS: 1_000_000, Flows: 1}, hostLink.Send)
