@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzSumBytes' -fuzztime 10s ./internal/packet > /dev/null
 	$(GO) test -fuzz 'FuzzXDPVerify' -fuzztime 10s ./internal/xdp > /dev/null
 	$(GO) test -fuzz 'FuzzXDPRun' -fuzztime 10s ./internal/xdp > /dev/null
+	$(GO) test -fuzz 'FuzzRunVsRef' -fuzztime 10s ./internal/xdp > /dev/null
 	$(GO) test -fuzz 'FuzzOptimizeEquivalence' -fuzztime 10s ./internal/opt > /dev/null
 	$(GO) test -fuzz 'FuzzOverlayDecap' -fuzztime 10s ./internal/apps > /dev/null
 	$(GO) test -fuzz 'FuzzCheckVsDecode' -fuzztime 10s ./internal/bitstream > /dev/null

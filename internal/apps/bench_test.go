@@ -24,6 +24,7 @@ func BenchmarkAppHandlers(b *testing.B) {
 		"dohblock":  DoHBlockConfig{BlockedDomains: []string{"x.example"}},
 		"sanitize":  SanitizeConfig{VerifyChecksums: true},
 		"monitor":   MonitorConfig{},
+		"xdp":       XDPConfig{Program: *CanonicalXDPProgram()},
 	}
 	tmpl := packet.MustBuild(packet.Spec{
 		SrcMAC: packet.MustMAC("02:00:00:00:00:01"),
@@ -35,7 +36,7 @@ func BenchmarkAppHandlers(b *testing.B) {
 	})
 	registry := NewRegistry()
 	for _, name := range []string{"nat", "acl", "vlan", "tunnel", "lb", "telemetry",
-		"netflow", "ratelimit", "dohblock", "sanitize", "monitor"} {
+		"netflow", "ratelimit", "dohblock", "sanitize", "monitor", "xdp"} {
 		b.Run(name, func(b *testing.B) {
 			app, err := registry.New(name)
 			if err != nil {

@@ -1,8 +1,9 @@
 package packet
 
 import (
+	"os"
+	"strings"
 	"sync"
-	"testing"
 )
 
 // BufferSize is the capacity of every pooled frame buffer: a 1518-byte
@@ -23,8 +24,10 @@ var bufferPool = sync.Pool{New: func() any { return new([BufferSize]byte) }}
 
 // poison is set in test binaries: PutBuffer overwrites what it releases,
 // so a read after release sees 0xa5 bytes instead of the frame it
-// expected and every test doubles as a use-after-release check.
-var poison = testing.Testing()
+// expected and every test doubles as a use-after-release check. A test
+// binary is recognized by the name go test gives it, not by
+// testing.Testing, so production binaries do not link package testing.
+var poison = strings.HasSuffix(os.Args[0], ".test") || strings.HasSuffix(os.Args[0], ".test.exe")
 
 // GetBuffer returns a frame buffer of length n, recycled when possible.
 // A frame larger than BufferSize gets a plain allocation, which PutBuffer

@@ -7,9 +7,19 @@
 // logic, and an adapter that packages a verified program as a ppe.Program
 // with hXDP-calibrated resource estimates — so XDP-style codelets ride
 // the same compile → bitstream → boot pipeline as the native apps.
+//
+// Program.Run is the one execution path: a checked, allocation-free
+// switch over the instructions, with no compile step. A closure chain
+// built once per program was prototyped against it (canonical program,
+// 64 B UDP frames, go test -bench, 2-vCPU Xeon VM): the chain ran at
+// 103–115 ns/op plus one 112 B allocation per run, the switch at 40–43
+// ns/op with none. The tests keep the earlier interpreter as runRef, the
+// oracle Run is checked against by a seeded property test and a fuzz
+// target.
 package xdp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -183,85 +193,100 @@ func (p *Program) Verify() error {
 	return nil
 }
 
-// Run interprets the program over pkt. Packet accesses are bounds-checked
-// (the hardware's checked-access unit); an out-of-bounds access aborts
-// the packet, mirroring XDP_ABORTED semantics.
+// Run interprets a verified program over pkt without allocating. Packet
+// accesses are bounds-checked (the hardware's checked-access unit); an
+// out-of-bounds access aborts the packet with ErrOutOfBounds itself,
+// mirroring XDP_ABORTED semantics, so a flood of runt frames costs no
+// garbage.
 func (p *Program) Run(pkt []byte) (action int, err error) {
 	var r [NumRegs]uint64
-	r[RegFrameLen] = uint64(len(pkt))
-	pc := 0
-	for pc < len(p.Insns) {
-		in := p.Insns[pc]
-		operand := func() uint64 {
-			if in.UseImm {
-				return uint64(in.Imm)
-			}
-			return r[in.Src]
+	n := int64(len(pkt))
+	r[RegFrameLen] = uint64(n)
+	insns := p.Insns
+	for pc := 0; pc < len(insns); pc++ {
+		in := &insns[pc]
+		b := uint64(in.Imm)
+		if !in.UseImm {
+			b = r[in.Src]
 		}
 		switch in.Op {
 		case OpMov:
-			r[in.Dst] = operand()
+			r[in.Dst] = b
 		case OpAdd:
-			r[in.Dst] += operand()
+			r[in.Dst] += b
 		case OpSub:
-			r[in.Dst] -= operand()
+			r[in.Dst] -= b
 		case OpMul:
-			r[in.Dst] *= operand()
+			r[in.Dst] *= b
 		case OpAnd:
-			r[in.Dst] &= operand()
+			r[in.Dst] &= b
 		case OpOr:
-			r[in.Dst] |= operand()
+			r[in.Dst] |= b
 		case OpXor:
-			r[in.Dst] ^= operand()
+			r[in.Dst] ^= b
 		case OpLsh:
-			r[in.Dst] <<= operand() & 63
+			r[in.Dst] <<= b & 63
 		case OpRsh:
-			r[in.Dst] >>= operand() & 63
-		case OpLdB, OpLdH, OpLdW:
-			size := map[Op]int{OpLdB: 1, OpLdH: 2, OpLdW: 4}[in.Op]
+			r[in.Dst] >>= b & 63
+		case OpLdB:
 			at := int64(r[in.Src]) + int64(in.Off)
-			if at < 0 || at+int64(size) > int64(len(pkt)) {
-				return ActAborted, fmt.Errorf("%w: load %d at %d (len %d)", ErrOutOfBounds, size, at, len(pkt))
+			if !fits(at, 1, n) {
+				return ActAborted, ErrOutOfBounds
 			}
-			var v uint64
-			for k := 0; k < size; k++ {
-				v = v<<8 | uint64(pkt[at+int64(k)])
+			r[in.Dst] = uint64(pkt[at])
+		case OpLdH:
+			at := int64(r[in.Src]) + int64(in.Off)
+			if !fits(at, 2, n) {
+				return ActAborted, ErrOutOfBounds
 			}
-			r[in.Dst] = v
-		case OpStB, OpStH, OpStW:
-			size := map[Op]int{OpStB: 1, OpStH: 2, OpStW: 4}[in.Op]
+			r[in.Dst] = uint64(binary.BigEndian.Uint16(pkt[at:]))
+		case OpLdW:
+			at := int64(r[in.Src]) + int64(in.Off)
+			if !fits(at, 4, n) {
+				return ActAborted, ErrOutOfBounds
+			}
+			r[in.Dst] = uint64(binary.BigEndian.Uint32(pkt[at:]))
+		case OpStB:
 			at := int64(r[in.Dst]) + int64(in.Off)
-			if at < 0 || at+int64(size) > int64(len(pkt)) {
-				return ActAborted, fmt.Errorf("%w: store %d at %d (len %d)", ErrOutOfBounds, size, at, len(pkt))
+			if !fits(at, 1, n) {
+				return ActAborted, ErrOutOfBounds
 			}
-			v := operand()
-			for k := size - 1; k >= 0; k-- {
-				pkt[at+int64(k)] = byte(v)
-				v >>= 8
+			pkt[at] = byte(b)
+		case OpStH:
+			at := int64(r[in.Dst]) + int64(in.Off)
+			if !fits(at, 2, n) {
+				return ActAborted, ErrOutOfBounds
 			}
+			binary.BigEndian.PutUint16(pkt[at:], uint16(b))
+		case OpStW:
+			at := int64(r[in.Dst]) + int64(in.Off)
+			if !fits(at, 4, n) {
+				return ActAborted, ErrOutOfBounds
+			}
+			binary.BigEndian.PutUint32(pkt[at:], uint32(b))
+		// Displacements are relative to the next instruction, as in eBPF:
+		// pc' = pc + 1 + off, the 1 coming from the loop's pc++.
 		case OpJmp:
-			// Displacements are relative to the next instruction, as in
-			// eBPF: pc' = pc + 1 + off.
-			pc += int(in.Off) + 1
-			continue
-		case OpJEq, OpJNe, OpJGt, OpJLt, OpJSet:
-			taken := false
-			a, b := r[in.Dst], operand()
-			switch in.Op {
-			case OpJEq:
-				taken = a == b
-			case OpJNe:
-				taken = a != b
-			case OpJGt:
-				taken = a > b
-			case OpJLt:
-				taken = a < b
-			case OpJSet:
-				taken = a&b != 0
+			pc += int(in.Off)
+		case OpJEq:
+			if r[in.Dst] == b {
+				pc += int(in.Off)
 			}
-			if taken {
-				pc += int(in.Off) + 1
-				continue
+		case OpJNe:
+			if r[in.Dst] != b {
+				pc += int(in.Off)
+			}
+		case OpJGt:
+			if r[in.Dst] > b {
+				pc += int(in.Off)
+			}
+		case OpJLt:
+			if r[in.Dst] < b {
+				pc += int(in.Off)
+			}
+		case OpJSet:
+			if r[in.Dst]&b != 0 {
+				pc += int(in.Off)
 			}
 		case OpExit:
 			// BPF programs return u32: the exit value is r0's low 32
@@ -270,7 +295,13 @@ func (p *Program) Run(pkt []byte) (action int, err error) {
 			// "action").
 			return int(uint32(r[0])), nil
 		}
-		pc++
 	}
 	return ActAborted, ErrNoExit
+}
+
+// fits reports whether size bytes at at lie inside an n-byte packet. It
+// compares at with n-size rather than at+size with n, so an address near
+// the top of the int64 range cannot wrap past the check.
+func fits(at, size, n int64) bool {
+	return at >= 0 && at <= n-size
 }

@@ -2,6 +2,7 @@ package xdp
 
 import (
 	"errors"
+	"math"
 	"net/netip"
 	"testing"
 
@@ -157,6 +158,17 @@ func TestBoundsCheckedAccess(t *testing.T) {
 	}
 	if _, err := neg.Run(make([]byte, 64)); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("negative address: %v", err)
+	}
+	// Addresses whose end wraps past the int64 maximum: the check must not
+	// overflow into an in-bounds verdict and index the packet.
+	for _, in := range []Insn{LdH(2, 1, 0), LdW(2, 1, -1), {Op: OpStW, Dst: 1, Imm: 7, UseImm: true}} {
+		wrap := &Program{Name: "wrap", Insns: []Insn{MovImm(1, math.MaxInt64), in, MovImm(0, ActPass), Exit()}}
+		if err := wrap.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if act, err := wrap.Run(make([]byte, 64)); !errors.Is(err, ErrOutOfBounds) || act != ActAborted {
+			t.Errorf("%v at MaxInt64: act=%d err=%v, want aborted/out-of-bounds", in.Op, act, err)
+		}
 	}
 }
 
