@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzRunVsRef' -fuzztime 10s ./internal/xdp > /dev/null
 	$(GO) test -fuzz 'FuzzOptimizeEquivalence' -fuzztime 10s ./internal/opt > /dev/null
 	$(GO) test -fuzz 'FuzzOverlayDecap' -fuzztime 10s ./internal/apps > /dev/null
+	$(GO) test -fuzz 'FuzzEngineVsRef' -fuzztime 10s ./internal/ppe > /dev/null
 	$(GO) test -fuzz 'FuzzCheckVsDecode' -fuzztime 10s ./internal/bitstream > /dev/null
 
 # Race-mode run of the default experiment suite with instrumentation

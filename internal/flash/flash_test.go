@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"flexsfp/internal/bitstream"
+	"flexsfp/internal/runner"
 )
 
 func TestFactoryFresh(t *testing.T) {
@@ -259,7 +260,7 @@ func TestProgramReadProperty(t *testing.T) {
 		}
 		return bytes.Equal(got, data)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: runner.NewRand(2)}); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,6 +3,8 @@ package fpga
 import (
 	"testing"
 	"testing/quick"
+
+	"flexsfp/internal/runner"
 )
 
 func TestResourcesAddScale(t *testing.T) {
@@ -195,7 +197,7 @@ func TestAchievableClockMonotonicity(t *testing.T) {
 		return MPF200T.AchievableClockMHz(b, wa) <= MPF200T.AchievableClockMHz(a, wa)+1e-9 &&
 			MPF200T.AchievableClockMHz(a, wb) <= MPF200T.AchievableClockMHz(a, wa)+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: runner.NewRand(3)}); err != nil {
 		t.Error(err)
 	}
 }
@@ -217,7 +219,7 @@ func TestFitsInProperty(t *testing.T) {
 		bigger := r.Add(Resources{LUT4: 1})
 		return r.FitsIn(r) && !bigger.FitsIn(r)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: runner.NewRand(4)}); err != nil {
 		t.Error(err)
 	}
 }

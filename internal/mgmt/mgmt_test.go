@@ -13,6 +13,7 @@ import (
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 	"flexsfp/internal/ppe"
+	"flexsfp/internal/runner"
 )
 
 // statefulApp exposes one of each control-plane object.
@@ -363,7 +364,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		}
 		return got.Type == m.Type && got.ReqID == reqID && bytes.Equal(got.Body, body)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: runner.NewRand(6)}); err != nil {
 		t.Error(err)
 	}
 }

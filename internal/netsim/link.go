@@ -50,55 +50,52 @@ type Link struct {
 	depthHist *telemetry.Histogram
 
 	// remote, when set (Sharded.ConnectLink), replaces local delivery: the
-	// frame's propagation delay rides the portal to another shard, so only
-	// the tx-done completion is scheduled locally (at txDone, not
-	// txDone+Prop) and the rx side fires on the destination shard.
+	// frame's propagation delay rides the portal to another shard, so its
+	// one completion is scheduled at txDone, not txDone+Prop, and the rx
+	// side fires on the destination shard.
 	remote *Portal
 
 	stats LinkStats
 }
 
-// linkFrame is the pooled record of one in-flight frame. It backs both of
-// the frame's scheduled completions — the tx-done stats tick and the
-// delivery at tx-done + propagation — through the simulator's typed-event
-// fast path, so Send allocates nothing in steady state. The tx-done event
-// is scheduled first and always fires first (earlier-or-equal time,
-// earlier sequence number), which the stage flag relies on.
+// linkFrame is the pooled record of one in-flight frame. It backs the
+// frame's one scheduled completion through the simulator's typed-event
+// fast path, so Send allocates nothing in steady state. The completion
+// fires at delivery (tx-done + propagation), or at tx-done on a
+// cross-shard link. Tx-done itself costs no event: nothing reads the
+// counters or the trace hop in between, so Complete records both,
+// stamping the hop with txDone.
 type linkFrame struct {
 	l       *Link
 	data    []byte
 	traceID uint64 // packet-trace identity captured at Send (0 = untraced)
-	txeod   bool   // tx-done already fired; next Complete is the delivery
+	txDone  Time   // when the frame's last bit left the transmitter
 	next    *linkFrame
 }
 
-// Complete implements netsim.Completer for both of the frame's events.
+// Complete implements netsim.Completer: the frame has left the
+// transmitter and reached the far end (or the portal).
 func (f *linkFrame) Complete() {
 	l := f.l
-	if !f.txeod {
-		// Frame has left the transmitter.
-		f.txeod = true
-		l.stats.TxFrames++
-		l.stats.TxBytes += uint64(len(f.data))
-		if l.tracer != nil {
-			l.tracer.Hop(f.traceID, telemetry.StageLinkTx, uint64(l.sim.Now()), len(f.data), 0)
-		}
-		return
+	data := f.data
+	id := f.traceID
+	l.stats.TxFrames++
+	l.stats.TxBytes += uint64(len(data))
+	if l.tracer != nil {
+		l.tracer.Hop(id, telemetry.StageLinkTx, uint64(f.txDone), len(data), 0)
 	}
 	if l.queued > 0 {
 		l.queued--
 	}
-	data := f.data
-	id := f.traceID
 	f.data = nil
 	f.traceID = 0
 	f.next = l.free
 	l.free = f
 	if l.remote != nil {
 		// Cross-shard link: the propagation delay rides the portal (it is
-		// the lookahead), so this second completion fired at tx-done and
-		// the rx side — including any tracer hop — belongs to the
-		// destination shard's deliver callback.
+		// the lookahead), so this completion fired at tx-done and the rx
+		// side — including any tracer hop — belongs to the destination
+		// shard's deliver callback.
 		l.remote.Send(data)
 		return
 	}
@@ -119,8 +116,14 @@ func (f *linkFrame) Complete() {
 }
 
 // LinkStats counts traffic carried and dropped by a Link.
+//
+// TxFrames and TxBytes count a frame once it has been delivered (or handed
+// to the portal of a cross-shard link), not at its tx-done instant: on a
+// local link with Prop > 0 they trail the wire by the propagation delay
+// while frames are in flight (and so does Utilization). No model code
+// reads them mid-flight; the saving is one event per frame.
 type LinkStats struct {
-	TxFrames  uint64 // frames fully serialized onto the wire
+	TxFrames  uint64 // frames fully serialized onto the wire and delivered
 	TxBytes   uint64 // frame bytes (excluding per-frame overhead)
 	Drops     uint64 // frames dropped at a full queue
 	DownDrops uint64 // frames dropped while the link was down
@@ -215,26 +218,25 @@ func (l *Link) Send(data []byte) bool {
 	if f != nil {
 		l.free = f.next
 		f.next = nil
-		f.txeod = false
 	} else {
 		f = &linkFrame{l: l}
 	}
 	f.data = data
+	f.txDone = txDone
 	if l.tracer != nil {
 		f.traceID = l.tracer.Current()
 	}
 	if l.depthHist != nil {
 		l.depthHist.Observe(uint64(l.queued))
 	}
-	l.sim.ScheduleCompletionAt(txDone, f)
+	at := txDone.Add(l.Prop)
 	if l.remote != nil {
-		// Cross-shard: the second completion hands the frame to the portal
-		// at tx-done; the propagation delay is applied by the portal as it
-		// crosses (Portal latency == Prop).
-		l.sim.ScheduleCompletionAt(txDone, f)
-	} else {
-		l.sim.ScheduleCompletionAt(txDone.Add(l.Prop), f)
+		// Cross-shard: the completion hands the frame to the portal at
+		// tx-done; the portal applies the propagation delay as it crosses
+		// (Portal latency == Prop).
+		at = txDone
 	}
+	l.sim.ScheduleCompletionAt(at, f)
 	return true
 }
 

@@ -305,12 +305,14 @@ func (s *Sharded) run(limit Time, bounded bool) {
 		}
 		s.countWindow()
 	}
-	if bounded {
-		for _, sim := range s.shards {
-			if sim.now < limit {
-				sim.now = limit
-			}
+	for _, sim := range s.shards {
+		if bounded && sim.now > limit {
+			continue // a shard already past limit keeps its own frontier
 		}
+		if bounded {
+			sim.now = limit
+		}
+		sim.cur = sim.seq // every event at or before now has fired
 	}
 }
 

@@ -10,6 +10,15 @@
 // across many Simulators (one event heap, clock, and RNG stream per
 // shard) and advances them together under conservative lookahead
 // synchronization — see shard.go.
+//
+// Per-frame event budget: a simulated frame costs one event per generator
+// emit, one per link hop (Link's delivery, or its portal hand-off on a
+// cross-shard link), one per engine verdict and one per portal arrival —
+// nothing else. An owner with a deferred effect that only it observes (an
+// engine's queue slot freeing when a frame's input occupancy ends) takes a
+// Mark instead of an event: MarkAt reserves the instant and the order an
+// event would have had, and the owner asks Passed when it next looks,
+// without a heap push or pop.
 package netsim
 
 import (
@@ -98,6 +107,13 @@ type Simulator struct {
 	rng    *rand.Rand
 	fired  uint64
 
+	// cur is the firing frontier at now, read by Passed: every event before
+	// now has fired, and so has every event at now whose seq is below cur.
+	// Step sets it to the seq of the event it fires; Run, RunUntil and
+	// Sharded's run loop, once they have fired everything at or before
+	// now, set it to seq, past every event and mark taken so far.
+	cur uint64
+
 	// free recycles fired detached events. Only events scheduled through
 	// the *Detached entry points land here: their callers hold no *Event,
 	// so reusing the object cannot alias a live handle. The simulator is
@@ -171,6 +187,35 @@ func (s *Simulator) ScheduleCompletionAt(t Time, c Completer) {
 	e.comp = c
 }
 
+// Mark is a reserved place in the event order: the (time, sequence) an
+// event scheduled at that moment would have had, with nothing scheduled.
+type Mark struct {
+	at  Time
+	seq uint64
+}
+
+// MarkAt reserves the place an event scheduled now at absolute time t
+// would take (t is clamped to now like ScheduleAt), without scheduling
+// anything. It consumes that event's sequence number, so every real event
+// keeps the relative order it would have had beside the event.
+func (s *Simulator) MarkAt(t Time) Mark {
+	if t < s.now {
+		t = s.now
+	}
+	m := Mark{at: t, seq: s.seq}
+	s.seq++
+	return m
+}
+
+// Passed reports whether the event m stands for would already have fired:
+// from inside a callback, whether it precedes the firing event; between
+// run calls, whether the run has fired it. A mark does not hold a run
+// open: Run stops at the last real event, and a mark beyond it stays
+// unpassed until the clock reaches its instant.
+func (s *Simulator) Passed(m Mark) bool {
+	return m.at < s.now || (m.at == s.now && m.seq < s.cur)
+}
+
 func (s *Simulator) schedule(t Time, fn func(), pooled bool) *Event {
 	if t < s.now {
 		t = s.now
@@ -203,7 +248,7 @@ func (s *Simulator) Step() bool {
 			s.gapHist.Observe(uint64(e.at - s.lastFire))
 			s.lastFire = e.at
 		}
-		s.now = e.at
+		s.now, s.cur = e.at, e.seq
 		s.fired++
 		if e.fn != nil {
 			e.fn()
@@ -227,6 +272,7 @@ func (s *Simulator) Step() bool {
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
+	s.cur = s.seq
 }
 
 // RunUntil executes all events scheduled at or before t, then advances the
@@ -239,8 +285,8 @@ func (s *Simulator) RunUntil(t Time) {
 		}
 		s.Step()
 	}
-	if s.now < t {
-		s.now = t
+	if s.now <= t {
+		s.now, s.cur = t, s.seq
 	}
 }
 

@@ -3,6 +3,8 @@ package netsim
 import (
 	"testing"
 	"testing/quick"
+
+	"flexsfp/internal/runner"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -236,7 +238,7 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 		return s.Now() == Time(max)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: runner.NewRand(7)}); err != nil {
 		t.Error(err)
 	}
 }

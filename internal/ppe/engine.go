@@ -31,9 +31,16 @@ type Engine struct {
 
 	busyUntilPs int64
 	busyPs      int64 // accumulated busy picoseconds (for utilization)
-	queued      int
-	release     func() // cached queue-slot release callback (no per-frame closure)
-	period      int64  // cached clock period in picoseconds
+	period      int64 // cached clock period in picoseconds
+
+	// marks holds one kernel mark per frame waiting for the pipeline input,
+	// at the instant its occupancy ends and its queue slot frees (FIFO:
+	// occupancy ends never decrease). A slot's release changes nothing but
+	// the queue depth, which only Submit reads, so it costs no event: Submit
+	// drops the marks that have passed, and the rest is the depth. Live
+	// marks are marks[head:]; the slice compacts when it fills.
+	marks []netsim.Mark
+	head  int
 
 	// freeComp recycles per-frame completion records (the pooled Ctx and
 	// its scheduled verdict). Intrusive list: the engine runs on the sim
@@ -114,15 +121,13 @@ func NewEngine(sim *netsim.Simulator, clockHz int64, datapathBits int, out func(
 	if datapathBits < 8 {
 		panic("ppe: datapath narrower than one byte")
 	}
-	e := &Engine{
+	return &Engine{
 		sim:          sim,
 		clockHz:      clockHz,
 		datapathBits: datapathBits,
 		out:          out,
 		period:       (1_000_000_000_000 + clockHz - 1) / clockHz,
 	}
-	e.release = func() { e.queued-- }
-	return e
 }
 
 // SetProgram loads (or replaces, on reconfiguration) the program.
@@ -204,7 +209,8 @@ func (e *Engine) Utilization() float64 {
 // is pooled and must not be retained past that callback.
 //
 // Submission is allocation-free in steady state: occupancy accounting,
-// queue admission, and scheduling of the frame's pooled completion.
+// queue admission, and scheduling of the frame's pooled completion — the
+// frame's one event.
 func (e *Engine) Submit(data []byte, dir Direction) bool {
 	if e.prog == nil {
 		panic("ppe: Submit before SetProgram")
@@ -215,7 +221,11 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 	if startPs < nowPs {
 		startPs = nowPs
 	}
-	if e.QueueLimit > 0 && startPs > nowPs && e.queued >= e.QueueLimit {
+	for e.head < len(e.marks) && e.sim.Passed(e.marks[e.head]) {
+		e.head++
+	}
+	queued := len(e.marks) - e.head
+	if e.QueueLimit > 0 && startPs > nowPs && queued >= e.QueueLimit {
 		e.stats.QueueDrop++
 		if e.tel != nil {
 			e.tel.QueueDrops.Inc()
@@ -227,11 +237,11 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 	e.busyPs += servicePs
 	if startPs > nowPs {
 		// The frame waits for the pipeline input until its own occupancy
-		// ends; release the queue slot then, not at verdict time. Counting
+		// ends; its queue slot frees then, not at verdict time. Counting
 		// the extra pipeline-depth cycles would overstate queue depth and
 		// queue-drop bursty arrivals that the real input buffer absorbs.
-		e.queued++
-		e.sim.ScheduleAtDetached(netsim.Time((e.busyUntilPs+999)/1000), e.release)
+		e.pushMark(e.sim.MarkAt(netsim.Time((e.busyUntilPs + 999) / 1000)))
+		queued++
 	}
 	e.stats.In++
 	e.stats.InBytes += uint64(len(data))
@@ -247,7 +257,7 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 	if t := e.tel; t != nil {
 		t.FramesIn.Inc()
 		t.BytesIn.Add(uint64(len(data)))
-		t.QueueDepth.Observe(uint64(e.queued))
+		t.QueueDepth.Observe(uint64(queued))
 		if t.Tracer != nil {
 			id := t.Tracer.Current()
 			c.ctx.TraceID = id
@@ -257,4 +267,15 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 	donePs := e.busyUntilPs + int64(e.depth)*e.period
 	e.sim.ScheduleCompletionAt(netsim.Time((donePs+999)/1000), c)
 	return true
+}
+
+// pushMark appends a waiting frame's slot-release mark, first sliding the
+// live marks to the front when the slice is full, so the FIFO stops
+// allocating once it has grown to the deepest queue it has held.
+func (e *Engine) pushMark(m netsim.Mark) {
+	if len(e.marks) == cap(e.marks) && e.head > 0 {
+		n := copy(e.marks, e.marks[e.head:])
+		e.marks, e.head = e.marks[:n], 0
+	}
+	e.marks = append(e.marks, m)
 }

@@ -409,6 +409,40 @@ func TestEngineSubmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineSubmitQueuedZeroAlloc covers the queued path that
+// TestEngineSubmitZeroAlloc never reaches: bursts that fill a 64-slot
+// queue and overflow it, then refill it over partly passed slot marks, so
+// Submit takes marks, drains them and refuses frames — all at zero
+// allocations once the mark FIFO has grown to the queue's depth.
+func TestEngineSubmitQueuedZeroAlloc(t *testing.T) {
+	sim := netsim.New(1)
+	e := NewEngine(sim, clock156, 64, nil)
+	if err := e.SetProgram(passProgram()); err != nil {
+		t.Fatal(err)
+	}
+	e.QueueLimit = 64
+	frame := make([]byte, 64)
+	burst := func() {
+		for i := 0; i < 80; i++ {
+			e.Submit(frame, DirEdgeToOptical)
+		}
+		sim.RunFor(netsim.Microsecond)
+		for i := 0; i < 40; i++ {
+			e.Submit(frame, DirEdgeToOptical)
+		}
+		sim.Run()
+	}
+	for i := 0; i < 4; i++ {
+		burst()
+	}
+	if e.Stats().QueueDrop == 0 {
+		t.Fatal("bursts never overflowed the queue")
+	}
+	if n := testing.AllocsPerRun(50, burst); n != 0 {
+		t.Fatalf("queued Engine.Submit bursts allocate %v per run, want 0", n)
+	}
+}
+
 // BenchmarkTableLookupPPE measures the bank read path in isolation with a
 // realistic NAT-shaped table.
 func BenchmarkTableLookupPPE(b *testing.B) {

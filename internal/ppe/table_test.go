@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"flexsfp/internal/runner"
 )
 
 func natSpec() TableSpec {
@@ -303,7 +305,7 @@ func TestTableLastWriteWinsProperty(t *testing.T) {
 		}
 		return tab.Len() == len(want)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: runner.NewRand(15)}); err != nil {
 		t.Error(err)
 	}
 }
