@@ -41,21 +41,17 @@ func main() {
 
 	// Count flows per backend at the optical egress.
 	perBackend := map[netip.Addr]map[uint16]bool{}
+	var v packet.View
 	mod.SetTx(core.PortOptical, func(b []byte) {
 		defer packet.PutBuffer(b)
-		pkt := packet.NewPacket(b, packet.LayerTypeEthernet)
-		ip, ok := pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4)
-		if !ok {
+		if !v.Parse(b) || !v.IsIPv4 || v.Proto != packet.IPProtocolTCP || v.L4Off == 0 {
 			return
 		}
-		tcp, ok := pkt.Layer(packet.LayerTypeTCP).(*packet.TCP)
-		if !ok {
-			return
+		dst := netip.AddrFrom4([4]byte(v.DstIPv4()))
+		if perBackend[dst] == nil {
+			perBackend[dst] = map[uint16]bool{}
 		}
-		if perBackend[ip.DstIP] == nil {
-			perBackend[ip.DstIP] = map[uint16]bool{}
-		}
-		perBackend[ip.DstIP][tcp.SrcPort] = true
+		perBackend[dst][v.SrcPort] = true
 	})
 	mod.SetTx(core.PortEdge, packet.PutBuffer)
 

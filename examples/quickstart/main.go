@@ -46,12 +46,12 @@ func main() {
 
 	// 2. Wire the optical side to a counter and translate some traffic.
 	var translated, total int
+	var v packet.View
 	mod.SetTx(core.PortOptical, func(b []byte) {
 		total++
-		pkt := packet.NewPacket(b, packet.LayerTypeEthernet)
-		if ip, ok := pkt.Layer(packet.LayerTypeIPv4).(*packet.IPv4); ok {
-			if ip.SrcIP == netip.MustParseAddr("203.0.113.10") ||
-				ip.SrcIP == netip.MustParseAddr("203.0.113.11") {
+		if v.Parse(b) && v.IsIPv4 {
+			if src := netip.AddrFrom4([4]byte(v.SrcIPv4())); src == netip.MustParseAddr("203.0.113.10") ||
+				src == netip.MustParseAddr("203.0.113.11") {
 				translated++
 			}
 		}

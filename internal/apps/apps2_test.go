@@ -2,6 +2,8 @@ package apps
 
 import (
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 
 	"flexsfp/internal/fpga"
@@ -124,6 +126,44 @@ func TestTelemetryShimOverheadBounds(t *testing.T) {
 	}
 	if sampled := overhead / 8; sampled > 0.02 {
 		t.Errorf("1-in-8 sampled MTU overhead = %.4f, want <= 0.02", sampled)
+	}
+}
+
+// The telemetry handler reads the shim through the parser view: source
+// and transit allocate nothing, and a sink allocates only the recorded
+// PathRecord's hop slice. Each run feeds a fresh pool buffer, since every
+// role edits the frame in place.
+func TestTelemetryHandlerZeroAlloc(t *testing.T) {
+	plain := udpFrame(t, ipInt, ipSrv, 9, 10)
+	_, oneHop := run(telemetryNode(t, TelemetrySource, 1).prog.Handler, poolCopy(plain), ppe.DirEdgeToOptical)
+	oneHop = append([]byte(nil), oneHop...)
+	_, twoHops := run(telemetryNode(t, TelemetryTransit, 2).prog.Handler, poolCopy(oneHop), ppe.DirEdgeToOptical)
+	twoHops = append([]byte(nil), twoHops...)
+
+	for _, tc := range []struct {
+		role      string
+		in        []byte
+		wantLen   int
+		maxAllocs float64
+	}{
+		{TelemetrySource, plain, len(oneHop), 0},
+		{TelemetryTransit, oneHop, len(twoHops), 0},
+		{TelemetrySink, twoHops, len(plain), 1},
+	} {
+		a := telemetryNode(t, tc.role, 3)
+		ctx := &ppe.Ctx{Dir: ppe.DirEdgeToOptical, TimestampNs: 1}
+		var got int
+		if n := testing.AllocsPerRun(200, func() {
+			ctx.Data = poolCopy(tc.in)
+			a.prog.Handler.HandlePacket(ctx)
+			got = len(ctx.Data)
+			packet.PutBuffer(ctx.Data)
+		}); n > tc.maxAllocs {
+			t.Errorf("%s: %.1f allocs/op, want <= %.0f", tc.role, n, tc.maxAllocs)
+		}
+		if got != tc.wantLen {
+			t.Errorf("%s: output %dB, want %dB", tc.role, got, tc.wantLen)
+		}
 	}
 }
 
@@ -351,6 +391,139 @@ func TestDoHIgnoresResponses(t *testing.T) {
 	frame := append([]byte(nil), buf.Bytes()...)
 	if v, _ := run(a.prog.Handler, frame, ppe.DirOpticalToEdge); v != ppe.VerdictPass {
 		t.Error("response dropped")
+	}
+}
+
+// The dohblock handler runs the same zero-alloc name match as dnsblock:
+// no frame it sees allocates, DNS or not.
+func TestDoHHandlerZeroAlloc(t *testing.T) {
+	a := NewDoHBlock()
+	cfg := DoHBlockConfig{BlockedDomains: []string{"ads.example"}, ResolverIPs: []string{"1.1.1.1"}}
+	if err := a.Configure(mustJSON(t, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  ppe.Verdict
+	}{
+		{"plain query", dnsQueryFrame(t, "good.example"), ppe.VerdictPass},
+		{"blocked subdomain", dnsQueryFrame(t, "a.very.long.sub.domain.of.ads.example"), ppe.VerdictDrop},
+		{"mixed case", dnsQueryFrame(t, "MiXeD.Example"), ppe.VerdictPass},
+		{"https to blocked resolver", packet.MustBuild(packet.Spec{
+			SrcMAC: macHost, DstMAC: macGW, SrcIP: ipInt, DstIP: netip.MustParseAddr("1.1.1.1"),
+			Proto: packet.IPProtocolTCP, SrcPort: 44444, DstPort: 443,
+		}), ppe.VerdictDrop},
+		{"non-DNS", udpFrame(t, ipInt, ipSrv, 1000, 2000), ppe.VerdictPass},
+	} {
+		ctx := &ppe.Ctx{Dir: ppe.DirEdgeToOptical}
+		var v ppe.Verdict
+		if n := testing.AllocsPerRun(200, func() {
+			ctx.Data = tc.frame
+			v = a.handle(ctx)
+		}); n != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, n)
+		}
+		if v != tc.want {
+			t.Errorf("%s: verdict %v, want %v", tc.name, v, tc.want)
+		}
+	}
+}
+
+// dnsPayloadFrame wraps a raw DNS message in a UDP query to port 53.
+func dnsPayloadFrame(msg []byte) []byte {
+	return packet.MustBuild(packet.Spec{
+		SrcMAC: macHost, DstMAC: macGW, SrcIP: ipInt, DstIP: ipSrv,
+		SrcPort: 5353, DstPort: packet.PortDNS, Payload: msg,
+	})
+}
+
+// dnsWireName encodes a dotted name as uncompressed DNS labels.
+func dnsWireName(name string) []byte {
+	var b []byte
+	for _, l := range strings.Split(name, ".") {
+		b = append(append(b, byte(len(l))), l...)
+	}
+	return append(b, 0)
+}
+
+// dnsHeader is a query header with the given section counts.
+func dnsHeader(qd, an uint16) []byte {
+	return []byte{0, 1, 0x01, 0, byte(qd >> 8), byte(qd), byte(an >> 8), byte(an), 0, 0, 0, 0}
+}
+
+// anyQuestionBlocked is the verdict dohblock gave before it shared
+// dnsblock's matcher: the whole message through the strict decoder, then
+// every question's name and parent suffixes.
+func anyQuestionBlocked(frame []byte, blocked ...string) bool {
+	var v packet.View
+	var d packet.DNS
+	if !v.Parse(frame) || v.L7Off == 0 || d.DecodeFromBytes(frame[v.L7Off:]) != nil || d.QR {
+		return false
+	}
+	for _, q := range d.Questions {
+		for name := strings.ToLower(q.Name); ; {
+			if slices.Contains(blocked, name) {
+				return true
+			}
+			dot := strings.IndexByte(name, '.')
+			if dot < 0 {
+				break
+			}
+			name = name[dot+1:]
+		}
+	}
+	return false
+}
+
+// dohblock reads only the first question, as dnsblock does. That changes
+// its verdict on exactly these query shapes, none of which a resolver
+// answers (RFC 9619 FORMERRs any QDCOUNT other than 1); the old column is
+// recomputed with the strict decoder so the table cannot drift.
+func TestDoHFirstQuestionOnlyVerdicts(t *testing.T) {
+	blocked := []string{"ads.example", "ads"}
+	typeClass := []byte{0, 1, 0, 1} // A, IN
+	question := func(name string) []byte { return append(dnsWireName(name), typeClass...) }
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+
+	for _, tc := range []struct {
+		name     string
+		msg      []byte
+		old, new ppe.Verdict
+	}{
+		// QDCOUNT 2, blocked name only in the second question.
+		{"blocked name in second question",
+			cat(dnsHeader(2, 0), question("good.example"), question("ads.example")),
+			ppe.VerdictDrop, ppe.VerdictPass},
+		// "ads" then a pointer to offset 11, the zero low byte of ARCOUNT:
+		// the decoder follows it to "ads", the view rejects a compressed
+		// first name.
+		{"compressed first QNAME",
+			cat(dnsHeader(1, 0), []byte{3, 'a', 'd', 's', 0xc0, 11}, typeClass),
+			ppe.VerdictDrop, ppe.VerdictPass},
+		// The first question is intact, but the answer's name is a forward
+		// compression pointer, which the strict decoder rejects.
+		{"malformed message, intact first QNAME",
+			cat(dnsHeader(1, 1), question("ads.example"), []byte{0xc0, 0xff}),
+			ppe.VerdictPass, ppe.VerdictDrop},
+		// No question at all: nothing to match, before and after.
+		{"QDCOUNT 0", dnsHeader(0, 0), ppe.VerdictPass, ppe.VerdictPass},
+	} {
+		frame := dnsPayloadFrame(tc.msg)
+		old := ppe.VerdictPass
+		if anyQuestionBlocked(frame, blocked...) {
+			old = ppe.VerdictDrop
+		}
+		if old != tc.old {
+			t.Errorf("%s: strict-decoder verdict %v, table says %v", tc.name, old, tc.old)
+		}
+		a := NewDoHBlock()
+		if err := a.Configure(mustJSON(t, DoHBlockConfig{BlockedDomains: blocked})); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := run(a.prog.Handler, frame, ppe.DirEdgeToOptical); v != tc.new {
+			t.Errorf("%s: verdict %v, want %v (was %v)", tc.name, v, tc.new, tc.old)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -13,12 +14,12 @@ import (
 // DNSBlockNames is the blocklist capacity (suffix hashes).
 const DNSBlockNames = 16384
 
-// DNSBlockConfig configures the line-rate DNS blocklist. Unlike the
-// dohblock app — which decodes the full DNS message and also cuts DoH
-// resolver traffic — this app models the hardware fast path: the QNAME
-// is extracted straight from the parser view with zero allocation and
-// every parent suffix is hashed against an exact-match table, so the
-// whole decision fits the match-action pipeline.
+// DNSBlockConfig configures the line-rate DNS blocklist. It models the
+// hardware fast path: the first question's QNAME is extracted straight
+// from the parser view with zero allocation and every parent suffix is
+// hashed against an exact-match table, so the whole decision fits the
+// match-action pipeline. The dohblock app runs the same name match and
+// also cuts DoH resolver traffic.
 type DNSBlockConfig struct {
 	// Domains are blocked together with all their subdomains.
 	Domains []string `json:"domains,omitempty"`
@@ -42,7 +43,6 @@ type dnsBlockApp struct {
 	ctr   *ppe.CounterBank
 	dir   string
 	v     packet.View
-	qbuf  [256]byte // QNAME scratch; keeps the handler allocation-free
 }
 
 // NewDNSBlock builds a DNS blocklist instance.
@@ -96,52 +96,64 @@ func (a *dnsBlockApp) Configure(config []byte) error {
 }
 
 // Block adds a domain (and implicitly all subdomains) to the blocklist.
-func (a *dnsBlockApp) Block(domain string) error {
-	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
-	if domain == "" {
-		return fmt.Errorf("dnsblock: empty domain")
-	}
-	var key [8]byte
-	binary.BigEndian.PutUint64(key[:], packet.FNV64([]byte(domain)))
-	return a.names.Add(key[:], []byte{1})
-}
+func (a *dnsBlockApp) Block(domain string) error { return blockName(a.names, "dnsblock", domain) }
 
 func (a *dnsBlockApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	if !a.v.Parse(ctx.Data) || !dirEnabled(a.dir, ctx.Dir) {
 		a.ctr.Inc(DNSBlockNonDNS, len(ctx.Data))
 		return ppe.VerdictPass
 	}
-	v := &a.v
-	if _, ok := v.DNSPayload(); !ok || v.DstPort != packet.PortDNS || v.DNSIsResponse() {
+	blocked, ok := dnsQueryBlocked(&a.v, a.names)
+	switch {
+	case !ok:
 		a.ctr.Inc(DNSBlockNonDNS, len(ctx.Data))
 		return ppe.VerdictPass
+	case blocked:
+		a.ctr.Inc(DNSBlockDropped, len(ctx.Data))
+		return ppe.VerdictDrop
 	}
-	name, ok := v.DNSQName(a.qbuf[:0])
+	a.ctr.Inc(DNSBlockPassed, len(ctx.Data))
+	return ppe.VerdictPass
+}
+
+// blockName adds a domain's hash to a blocked-name table; the domain and
+// all its subdomains then match dnsQueryBlocked.
+func blockName(names *ppe.Table, app, domain string) error {
+	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
+	if domain == "" {
+		return fmt.Errorf("%s: empty domain", app)
+	}
+	var key [8]byte
+	binary.BigEndian.PutUint64(key[:], packet.FNV64([]byte(domain)))
+	return names.Add(key[:], []byte{1})
+}
+
+// dnsQueryBlocked is the one DNS-name matcher. ok reports whether v is a
+// DNS query (UDP to port 53) with a readable first QNAME; blocked reports
+// whether that name or any parent suffix is in names. Only the first
+// question counts: resolvers answer FORMERR to any other question count
+// (RFC 9619).
+func dnsQueryBlocked(v *packet.View, names *ppe.Table) (blocked, ok bool) {
+	if _, ok := v.DNSPayload(); !ok || v.DstPort != packet.PortDNS || v.DNSIsResponse() {
+		return false, false
+	}
+	var buf [256]byte // QNAME scratch: stays on the stack
+	name, ok := v.DNSQName(buf[:0])
 	if !ok {
-		a.ctr.Inc(DNSBlockNonDNS, len(ctx.Data))
-		return ppe.VerdictPass
+		return false, false
 	}
 	// Walk the name and every parent suffix through the hash table, the
 	// way the pipeline's hash stage would over per-label boundaries.
 	for {
 		var key [8]byte
 		binary.BigEndian.PutUint64(key[:], packet.FNV64(name))
-		if _, blocked := a.names.Lookup(key[:]); blocked {
-			a.ctr.Inc(DNSBlockDropped, len(ctx.Data))
-			return ppe.VerdictDrop
+		if _, hit := names.Lookup(key[:]); hit {
+			return true, true
 		}
-		dot := -1
-		for i, c := range name {
-			if c == '.' {
-				dot = i
-				break
-			}
-		}
+		dot := bytes.IndexByte(name, '.')
 		if dot < 0 {
-			break
+			return false, true
 		}
 		name = name[dot+1:]
 	}
-	a.ctr.Inc(DNSBlockPassed, len(ctx.Data))
-	return ppe.VerdictPass
 }

@@ -1,11 +1,9 @@
 package apps
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"strings"
 
 	"flexsfp/internal/packet"
 	"flexsfp/internal/ppe"
@@ -96,15 +94,7 @@ func (a *dohApp) Configure(config []byte) error {
 }
 
 // BlockDomain adds a domain (and implicitly its subdomains) to the list.
-func (a *dohApp) BlockDomain(domain string) error {
-	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
-	if domain == "" {
-		return fmt.Errorf("dohblock: empty domain")
-	}
-	var key [8]byte
-	binary.BigEndian.PutUint64(key[:], packet.FNV64([]byte(domain)))
-	return a.names.Add(key[:], []byte{1})
-}
+func (a *dohApp) BlockDomain(domain string) error { return blockName(a.names, "dohblock", domain) }
 
 // BlockResolver adds a DoH endpoint IP.
 func (a *dohApp) BlockResolver(ip string) error {
@@ -131,41 +121,12 @@ func (a *dohApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 		}
 	}
 
-	// Plain-DNS path: inspect queries on UDP 53 (only when the full UDP
-	// header is present).
-	if v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortDNS &&
-		v.L4Off != 0 && len(ctx.Data) >= v.L4Off+8 {
-		if a.dnsBlocked(ctx.Data[v.L4Off+8:]) {
-			a.ctr.Inc(DoHDNSBlocked, len(ctx.Data))
-			return ppe.VerdictDrop
-		}
+	// Plain-DNS path: the first question of a query on UDP 53.
+	if blocked, _ := dnsQueryBlocked(v, a.names); blocked {
+		a.ctr.Inc(DoHDNSBlocked, len(ctx.Data))
+		return ppe.VerdictDrop
 	}
 
 	a.ctr.Inc(DoHPassed, len(ctx.Data))
 	return ppe.VerdictPass
-}
-
-// dnsBlocked decodes the query and checks the QNAME and every parent
-// suffix against the blocked-name table.
-func (a *dohApp) dnsBlocked(payload []byte) bool {
-	var d packet.DNS
-	if d.DecodeFromBytes(payload) != nil || d.QR {
-		return false
-	}
-	for _, q := range d.Questions {
-		name := strings.ToLower(q.Name)
-		for {
-			var key [8]byte
-			binary.BigEndian.PutUint64(key[:], packet.FNV64([]byte(name)))
-			if _, blocked := a.names.Lookup(key[:]); blocked {
-				return true
-			}
-			dot := strings.IndexByte(name, '.')
-			if dot < 0 {
-				break
-			}
-			name = name[dot+1:]
-		}
-	}
-	return false
 }

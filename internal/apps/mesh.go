@@ -130,15 +130,7 @@ type meshApp struct {
 	peers  *ppe.Table
 	ctr    *ppe.CounterBank
 
-	mode     string
-	local    netip.Addr
-	local4   [4]byte
-	localMAC packet.MAC
-	vni      uint32
-	greKey   uint32
-	ttl      uint8
-	mtu      int
-
+	overlayEndpoint
 	v        packet.View
 	routeKey [4]byte
 
@@ -195,26 +187,8 @@ func (a *meshApp) Configure(config []byte) error {
 	default:
 		return fmt.Errorf("mesh: unknown mode %q", cfg.Mode)
 	}
-	local, err := netip.ParseAddr(cfg.LocalIP)
-	if err != nil {
-		return fmt.Errorf("mesh local: %w", err)
-	}
-	if !local.Is4() {
-		return fmt.Errorf("mesh: IPv4 endpoint required")
-	}
-	lmac, err := packet.ParseMAC(cfg.LocalMAC)
-	if err != nil {
-		return fmt.Errorf("mesh local MAC: %w", err)
-	}
-	a.mode, a.local, a.local4, a.localMAC = cfg.Mode, local, local.As4(), lmac
-	a.vni, a.greKey = cfg.VNI, cfg.GREKey
-	a.ttl = cfg.TTL
-	if a.ttl == 0 {
-		a.ttl = 64
-	}
-	a.mtu = cfg.MTU
-	if a.mtu == 0 {
-		a.mtu = 1518
+	if err := a.configure("mesh", cfg.Mode, cfg.LocalIP, cfg.LocalMAC, cfg.VNI, cfg.GREKey, cfg.TTL, cfg.MTU); err != nil {
+		return err
 	}
 	// Build the (empty) cache eagerly so the first frame is already on
 	// the steady-state path.
@@ -240,26 +214,14 @@ func (a *meshApp) rebuildCache() {
 		if err != nil {
 			continue
 		}
-		if p.Mode != MeshModeGRE && p.Mode != MeshModeVXLAN {
-			continue
+		switch p.Mode {
+		case MeshModeGRE:
+			cache[id] = a.header(TunnelGRE, packet.MAC(p.MAC), netip.AddrFrom4(p.IP), p.VNI, p.GREKey)
+		case MeshModeVXLAN:
+			cache[id] = a.header(TunnelVXLAN, packet.MAC(p.MAC), netip.AddrFrom4(p.IP), p.VNI, p.GREKey)
 		}
-		cache[id] = a.buildEnc(p)
 	}
 	a.cache, a.cacheGen = cache, gen
-}
-
-// buildEnc serializes the outer header toward one GRE or VXLAN peer; nil
-// when the peer's parameters do not serialize.
-func (a *meshApp) buildEnc(p MeshPeer) *outerHeader {
-	eth := packet.Ethernet{SrcMAC: a.localMAC, DstMAC: packet.MAC(p.MAC), EtherType: packet.EtherTypeIPv4}
-	ip := packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: netip.AddrFrom4(p.IP), DontFrag: true}
-	if p.Mode == MeshModeGRE {
-		ip.Protocol = packet.IPProtocolGRE
-		gre := packet.GRE{Protocol: packet.EtherTypeTransparentEthernet, KeyPresent: p.GREKey != 0, Key: p.GREKey}
-		return newOuterHeader(&eth, &ip, &gre)
-	}
-	ip.Protocol = packet.IPProtocolUDP
-	return newOuterHeader(&eth, &ip, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: p.VNI})
 }
 
 func (a *meshApp) handle(ctx *ppe.Ctx) ppe.Verdict {
@@ -321,44 +283,16 @@ func (a *meshApp) handleIngress(ctx *ppe.Ctx) ppe.Verdict {
 		a.ctr.Inc(MeshPassed, len(data))
 		return ppe.VerdictPass
 	}
-	l4 := v.L3Off + v.IPv4HeaderLen()
-	switch {
-	case a.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
-		var gre packet.GRE
-		// A frame that claims our endpoint without our key is corrupt or
-		// spoofed.
-		if gre.DecodeFromBytes(data[l4:]) != nil ||
-			gre.Protocol != packet.EtherTypeTransparentEthernet ||
-			(a.greKey != 0 && (!gre.KeyPresent || gre.Key != a.greKey)) {
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		return a.decap(ctx, len(gre.LayerPayload()))
-	case a.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
-		if len(data) < l4+16 {
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		var vx packet.VXLAN
-		if vx.DecodeFromBytes(data[l4+8:]) != nil {
-			a.ctr.Inc(MeshErrors, len(data))
-			return ppe.VerdictDrop
-		}
-		if vx.VNI != a.vni {
-			// A foreign tenant's segment transiting us: not ours to open.
-			a.ctr.Inc(MeshPassed, len(data))
-			return ppe.VerdictPass
-		}
-		return a.decap(ctx, len(vx.LayerPayload()))
+	inner, st := a.classify(v)
+	switch st {
+	case decapErr:
+		a.ctr.Inc(MeshErrors, len(data))
+		return ppe.VerdictDrop
+	case decapOK:
+		ctx.Data = packet.Splice(data, 0, len(data)-inner, 0)
+		a.ctr.Inc(MeshDecapped, inner)
+		return ppe.VerdictPass
 	}
 	a.ctr.Inc(MeshPassed, len(data))
-	return ppe.VerdictPass
-}
-
-// decap strips the outer headers in front of the frame's last inner
-// bytes, in place.
-func (a *meshApp) decap(ctx *ppe.Ctx, inner int) ppe.Verdict {
-	ctx.Data = packet.Splice(ctx.Data, 0, len(ctx.Data)-inner, 0)
-	a.ctr.Inc(MeshDecapped, inner)
 	return ppe.VerdictPass
 }

@@ -10,7 +10,10 @@ import (
 	"flexsfp/internal/xdp"
 )
 
-// configuredApps instantiates every catalog app with a working config.
+// configuredApps instantiates every catalog app with a working config,
+// plus the second configs whose datapaths the first does not reach: the
+// telemetry transit and sink, the tunnel's other modes, and a keyed GRE
+// mesh endpoint that the wallFrames tunnel frames are addressed to.
 func configuredApps(t *testing.T) map[string]core.App {
 	t.Helper()
 	r := NewRegistry()
@@ -43,7 +46,48 @@ func configuredApps(t *testing.T) map[string]core.App {
 		}
 		out[name] = app
 	}
+	for _, extra := range []struct {
+		label, name string
+		config      any
+	}{
+		{"telemetry/transit", "telemetry", TelemetryConfig{Role: TelemetryTransit, DeviceID: 2}},
+		{"telemetry/sink", "telemetry", TelemetryConfig{Role: TelemetrySink, DeviceID: 3}},
+		{"tunnel/vxlan", "tunnel", tunnelConfig(TunnelVXLAN)},
+		{"tunnel/ipip", "tunnel", tunnelConfig(TunnelIPIP)},
+		{"mesh/gre", "mesh", MeshConfig{Mode: TunnelGRE, LocalIP: "10.255.0.1",
+			LocalMAC: "02:cc:cc:cc:cc:01", GREKey: 99}},
+	} {
+		app, err := r.New(extra.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Configure(mustJSON(t, extra.config)); err != nil {
+			t.Fatalf("%s: %v", extra.label, err)
+		}
+		out[extra.label] = app
+	}
 	return out
+}
+
+// wallFrames are the valid non-DNS frames the truncation and bitflip
+// walls start from: a TCP frame behind a VLAN tag, an INT-instrumented
+// frame, and one frame per tunnel mode addressed to the canonical decap
+// endpoint.
+func wallFrames(t *testing.T) [][]byte {
+	t.Helper()
+	tcp := packet.MustBuild(packet.Spec{
+		SrcMAC: macHost, DstMAC: macGW,
+		VLANs: []uint16{7},
+		SrcIP: ipInt, DstIP: ipSrv,
+		Proto: packet.IPProtocolTCP, SrcPort: 1234, DstPort: 443,
+		Payload: []byte("hello"),
+	})
+	_, instrumented := run(telemetryNode(t, TelemetrySource, 1).prog.Handler,
+		udpFrame(t, ipInt, ipSrv, 9, 10), ppe.DirEdgeToOptical)
+	return [][]byte{
+		tcp, instrumented,
+		encapTunnelFrame(TunnelGRE), encapTunnelFrame(TunnelVXLAN), encapTunnelFrame(TunnelIPIP),
+	}
 }
 
 // Every app handler must survive arbitrary hostile bytes in both
@@ -57,6 +101,11 @@ func TestAllHandlersSurviveGarbage(t *testing.T) {
 			n := rng.Intn(200)
 			data := make([]byte, n)
 			rng.Read(data)
+			// Every third frame claims INT, so the shim readers see
+			// garbage too.
+			if i%3 == 0 && n >= 14 {
+				data[12], data[13] = 0x88, 0xb6
+			}
 			ctx := &ppe.Ctx{Data: data, Dir: ppe.Direction(i % 2), TimestampNs: uint64(i * 100)}
 			func() {
 				defer func() {
@@ -72,48 +121,36 @@ func TestAllHandlersSurviveGarbage(t *testing.T) {
 
 // Every app handler must survive every truncation of a valid frame.
 func TestAllHandlersSurviveTruncation(t *testing.T) {
-	appsByName := configuredApps(t)
-	full := packet.MustBuild(packet.Spec{
-		SrcMAC: macHost, DstMAC: macGW,
-		VLANs: []uint16{7},
-		SrcIP: ipInt, DstIP: ipSrv,
-		Proto: packet.IPProtocolTCP, SrcPort: 1234, DstPort: 443,
-		Payload: []byte("hello"),
-	})
-	for name, app := range appsByName {
-		h := app.Program().Handler
-		for n := 0; n <= len(full); n++ {
-			data := append([]byte(nil), full[:n]...)
-			ctx := &ppe.Ctx{Data: data, Dir: ppe.DirEdgeToOptical, TimestampNs: 1}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s panicked at truncation %d: %v", name, n, r)
-					}
-				}()
-				h.HandlePacket(ctx)
-			}()
-		}
-	}
+	truncationWall(t, wallFrames(t))
 }
 
 // Truncations of a DNS query exercise the deep-parse (L7) paths.
 func TestAllHandlersSurviveDNSTruncation(t *testing.T) {
+	truncationWall(t, [][]byte{dnsQueryFrame(t, "deep.x.example")})
+}
+
+// truncationWall feeds every app handler every truncation of each frame,
+// in both directions, and fails on the first panic.
+func truncationWall(t *testing.T, frames [][]byte) {
+	t.Helper()
 	appsByName := configuredApps(t)
-	full := dnsQueryFrame(t, "deep.x.example")
-	for name, app := range appsByName {
-		h := app.Program().Handler
-		for n := 0; n <= len(full); n++ {
-			data := append([]byte(nil), full[:n]...)
-			ctx := &ppe.Ctx{Data: data, Dir: ppe.DirEdgeToOptical, TimestampNs: 1}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s panicked at DNS truncation %d: %v", name, n, r)
-					}
-				}()
-				h.HandlePacket(ctx)
-			}()
+	for _, full := range frames {
+		for name, app := range appsByName {
+			h := app.Program().Handler
+			for n := 0; n <= len(full); n++ {
+				data := append([]byte(nil), full[:n]...)
+				for _, dir := range []ppe.Direction{ppe.DirEdgeToOptical, ppe.DirOpticalToEdge} {
+					ctx := &ppe.Ctx{Data: append([]byte(nil), data...), Dir: dir, TimestampNs: 1}
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s panicked at truncation %d of a %dB frame: %v", name, n, len(full), r)
+							}
+						}()
+						h.HandlePacket(ctx)
+					}()
+				}
+			}
 		}
 	}
 }
@@ -122,10 +159,12 @@ func TestAllHandlersSurviveDNSTruncation(t *testing.T) {
 func TestAllHandlersSurviveBitflips(t *testing.T) {
 	appsByName := configuredApps(t)
 	rng := rand.New(rand.NewSource(23))
-	base := dnsQueryFrame(t, "x.example")
+	bases := append([][]byte{dnsQueryFrame(t, "deep.x.example")}, wallFrames(t)...)
+	bases = append(bases, dnsQueryFrame(t, "x.example"))
 	for name, app := range appsByName {
 		h := app.Program().Handler
 		for i := 0; i < 2000; i++ {
+			base := bases[i%len(bases)]
 			mut := append([]byte(nil), base...)
 			for k := 0; k < 1+rng.Intn(5); k++ {
 				mut[rng.Intn(len(mut))] ^= 1 << rng.Intn(8)

@@ -146,14 +146,19 @@ func (a *telemetryApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 		if et != packet.EtherTypeINT {
 			return ppe.VerdictPass
 		}
-		var in packet.INT
-		if in.DecodeFromBytes(data[14:]) != nil {
+		v := &a.v
+		v.Parse(data) // an INT frame is L2-only: Parse accepts it
+		n, ok := v.INTHops()
+		if !ok {
 			return ppe.VerdictDrop
 		}
-		hops := append(append([]packet.INTHop(nil), in.Hops...), hop)
-		a.record(PathRecord{Hops: hops, CapturedNs: ctx.TimestampNs})
-		ctx.Data = popINT(data, &in)
-		a.ctr.Inc(INTTerminated, len(ctx.Data))
+		a.record(v, n, hop, ctx.TimestampNs)
+		// Pop the shim in place, restoring the original EtherType.
+		orig := v.INTOriginalEtherType()
+		out := packet.Splice(data, 14, v.INTShimLen(), 0)
+		binary.BigEndian.PutUint16(out[12:14], uint16(orig))
+		ctx.Data = out
+		a.ctr.Inc(INTTerminated, len(out))
 		return ppe.VerdictPass
 	}
 	return ppe.VerdictPass
@@ -168,31 +173,43 @@ func (a *telemetryApp) sampled(data []byte) bool {
 	return h&((1<<a.cfg.SampleShift)-1) == 0
 }
 
+// appendHop adds one hop record to the INT shim at offset 14.
 func (a *telemetryApp) appendHop(ctx *ppe.Ctx, hop packet.INTHop) ppe.Verdict {
-	var in packet.INT
-	if in.DecodeFromBytes(ctx.Data[14:]) != nil {
+	v := &a.v
+	v.Parse(ctx.Data) // an INT frame is L2-only: Parse accepts it
+	n, ok := v.INTHops()
+	if !ok {
 		return ppe.VerdictDrop
 	}
-	if len(in.Hops) >= packet.INTMaxHops {
+	if n >= packet.INTMaxHops {
 		a.ctr.Inc(INTFullSkipped, len(ctx.Data))
 		return ppe.VerdictPass
 	}
 	// Insert one hop record in place: grow the frame by INTHopSize.
-	shimEnd := 14 + 4 + len(in.Hops)*packet.INTHopSize
+	shimEnd := 14 + v.INTShimLen()
 	out := packet.Splice(ctx.Data, shimEnd, 0, packet.INTHopSize)
 	writeHop(out[shimEnd:], hop)
-	out[15] = byte(len(in.Hops) + 1) // hop count
+	out[15] = byte(n + 1) // hop count
 	ctx.Data = out
 	a.ctr.Inc(INTAppended, len(out))
 	return ppe.VerdictPass
 }
 
-func (a *telemetryApp) record(p PathRecord) {
+// record keeps the path a sink terminates: the n hops of the shim v holds
+// plus the sink's own. Beyond paths' own growth, it allocates only the
+// record's hop slice.
+func (a *telemetryApp) record(v *packet.View, n int, last packet.INTHop, now uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.paths) < telemetryMaxPaths {
-		a.paths = append(a.paths, p)
+	if len(a.paths) >= telemetryMaxPaths {
+		return
 	}
+	hops := make([]packet.INTHop, n+1)
+	for i := range n {
+		hops[i] = v.INTHop(i)
+	}
+	hops[n] = last
+	a.paths = append(a.paths, PathRecord{Hops: hops, CapturedNs: now})
 }
 
 func writeHop(b []byte, h packet.INTHop) {
@@ -210,12 +227,5 @@ func pushINT(data []byte, orig packet.EtherType, hop packet.INTHop) []byte {
 	out[15] = 1
 	binary.BigEndian.PutUint16(out[16:18], uint16(orig))
 	writeHop(out[18:], hop)
-	return out
-}
-
-// popINT removes the shim in place, restoring the original EtherType.
-func popINT(data []byte, in *packet.INT) []byte {
-	out := packet.Splice(data, 14, 4+len(in.Hops)*packet.INTHopSize, 0)
-	binary.BigEndian.PutUint16(out[12:14], uint16(in.OriginalEtherType))
 	return out
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -29,8 +30,12 @@ type TunnelConfig struct {
 	// GatewayMAC is the next hop toward the tunnel remote.
 	GatewayMAC string `json:"gateway_mac"`
 	VNI        uint32 `json:"vni,omitempty"` // VXLAN
-	GREKey     uint32 `json:"gre_key,omitempty"`
-	TTL        uint8  `json:"ttl,omitempty"`
+	// GREKey, when nonzero, is written into every GRE header on encap and
+	// required on decap: a GRE frame addressed to this endpoint that
+	// carries no key, or another key, is dropped and counted in
+	// TunnelErrors, as the mesh does.
+	GREKey uint32 `json:"gre_key,omitempty"`
+	TTL    uint8  `json:"ttl,omitempty"`
 	// MTU bounds the encapsulated frame (outer packets carry DF); frames
 	// that would exceed it are dropped and counted. Default 1518.
 	MTU int `json:"mtu,omitempty"`
@@ -67,14 +72,10 @@ type tunnelApp struct {
 	state *ppe.State
 	ctr   *ppe.CounterBank
 
-	mode            string
-	local, remote   netip.Addr
-	local4          [4]byte
-	localMAC, gwMAC packet.MAC
-	vni, greKey     uint32
-	ttl             uint8
-	mtu             int
-	v               packet.View
+	overlayEndpoint
+	remote netip.Addr
+	gwMAC  packet.MAC
+	v      packet.View
 
 	// outer is the header encap prepends, built once at Configure so the
 	// hot path does not allocate (the property tests pin 0 allocs/op). It
@@ -121,58 +122,24 @@ func (a *tunnelApp) Configure(config []byte) error {
 	default:
 		return fmt.Errorf("tunnel: unknown mode %q", cfg.Mode)
 	}
-	local, err := netip.ParseAddr(cfg.LocalIP)
-	if err != nil {
-		return fmt.Errorf("tunnel local: %w", err)
+	var e overlayEndpoint
+	if err := e.configure("tunnel", cfg.Mode, cfg.LocalIP, cfg.LocalMAC, cfg.VNI, cfg.GREKey, cfg.TTL, cfg.MTU); err != nil {
+		return err
 	}
 	remote, err := netip.ParseAddr(cfg.RemoteIP)
 	if err != nil {
 		return fmt.Errorf("tunnel remote: %w", err)
 	}
-	if !local.Is4() || !remote.Is4() {
+	if !remote.Is4() {
 		return fmt.Errorf("tunnel: IPv4 endpoints required")
-	}
-	lmac, err := packet.ParseMAC(cfg.LocalMAC)
-	if err != nil {
-		return fmt.Errorf("tunnel local MAC: %w", err)
 	}
 	gmac, err := packet.ParseMAC(cfg.GatewayMAC)
 	if err != nil {
 		return fmt.Errorf("tunnel gateway MAC: %w", err)
 	}
-	a.mode, a.local, a.remote = cfg.Mode, local, remote
-	a.local4 = local.As4()
-	a.localMAC, a.gwMAC = lmac, gmac
-	a.vni, a.greKey = cfg.VNI, cfg.GREKey
-	a.ttl = cfg.TTL
-	if a.ttl == 0 {
-		a.ttl = 64
-	}
-	a.mtu = cfg.MTU
-	if a.mtu == 0 {
-		a.mtu = 1518
-	}
-	a.buildOuter()
+	a.overlayEndpoint, a.remote, a.gwMAC = e, remote, gmac
+	a.outer = e.header(e.mode, gmac, remote, e.vni, e.greKey)
 	return nil
-}
-
-// buildOuter prepares the persistent outer header (nil if it does not
-// serialize: see the field).
-func (a *tunnelApp) buildOuter() {
-	eth := packet.Ethernet{SrcMAC: a.localMAC, DstMAC: a.gwMAC, EtherType: packet.EtherTypeIPv4}
-	ip := packet.IPv4{TTL: a.ttl, SrcIP: a.local, DstIP: a.remote, DontFrag: true}
-	switch a.mode {
-	case TunnelGRE:
-		ip.Protocol = packet.IPProtocolGRE
-		gre := packet.GRE{Protocol: packet.EtherTypeTransparentEthernet, KeyPresent: a.greKey != 0, Key: a.greKey}
-		a.outer = newOuterHeader(&eth, &ip, &gre)
-	case TunnelVXLAN:
-		ip.Protocol = packet.IPProtocolUDP
-		a.outer = newOuterHeader(&eth, &ip, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: a.vni})
-	case TunnelIPIP:
-		ip.Protocol = packet.IPProtocolIPv4
-		a.outer = newOuterHeader(&eth, &ip)
-	}
 }
 
 func (a *tunnelApp) handle(ctx *ppe.Ctx) ppe.Verdict {
@@ -229,37 +196,103 @@ func (a *tunnelApp) decap(data []byte) ([]byte, decapStatus) {
 	if !v.Parse(data) || !v.IsIPv4 || [4]byte(v.DstIPv4()) != a.local4 {
 		return nil, decapPass
 	}
-	l4 := v.L3Off + v.IPv4HeaderLen()
-	switch {
-	case a.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
-		var gre packet.GRE
-		if gre.DecodeFromBytes(data[l4:]) != nil ||
-			gre.Protocol != packet.EtherTypeTransparentEthernet {
-			return nil, decapErr
-		}
-		return packet.Splice(data, 0, len(data)-len(gre.LayerPayload()), 0), decapOK
-	case a.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
-		if len(data) < l4+16 {
-			return nil, decapErr
-		}
-		var vx packet.VXLAN
-		if vx.DecodeFromBytes(data[l4+8:]) != nil {
-			return nil, decapErr
-		}
-		if vx.VNI != a.vni {
-			// Well-formed but a different tenant's segment: not ours to
-			// open — forward untouched.
+	if a.mode == TunnelIPIP {
+		if v.Proto != packet.IPProtocolIPv4 {
 			return nil, decapPass
 		}
-		return packet.Splice(data, 0, len(data)-len(vx.LayerPayload()), 0), decapOK
-	case a.mode == TunnelIPIP && v.Proto == packet.IPProtocolIPv4:
 		// Re-wrap the inner IP packet in an Ethernet frame toward the
 		// edge host.
-		out := packet.Splice(data, 0, l4, 14)
+		out := packet.Splice(data, 0, v.L3Off+v.IPv4HeaderLen(), 14)
 		copy(out[0:6], a.gwMAC[:])
 		copy(out[6:12], a.localMAC[:])
 		binary.BigEndian.PutUint16(out[12:14], uint16(packet.EtherTypeIPv4))
 		return out, decapOK
 	}
-	return nil, decapPass
+	inner, st := a.classify(v)
+	if st != decapOK {
+		return nil, st
+	}
+	return packet.Splice(data, 0, len(data)-inner, 0), decapOK
+}
+
+// overlayEndpoint is what a GRE, VXLAN or IP-in-IP endpoint — the point
+// tunnel or one mesh cable — knows of itself: its address, the VNI and GRE
+// key remotes use toward it, and the fields of the outer headers it sends.
+type overlayEndpoint struct {
+	mode        string
+	local       netip.Addr
+	local4      [4]byte
+	localMAC    packet.MAC
+	vni, greKey uint32
+	ttl         uint8
+	mtu         int
+}
+
+// configure validates the endpoint's address and MAC and fills it in. TTL
+// defaults to 64 and MTU to 1518.
+func (e *overlayEndpoint) configure(app, mode, localIP, localMAC string, vni, greKey uint32, ttl uint8, mtu int) error {
+	local, err := netip.ParseAddr(localIP)
+	if err != nil {
+		return fmt.Errorf("%s local: %w", app, err)
+	}
+	if !local.Is4() {
+		return fmt.Errorf("%s: IPv4 endpoint required", app)
+	}
+	mac, err := packet.ParseMAC(localMAC)
+	if err != nil {
+		return fmt.Errorf("%s local MAC: %w", app, err)
+	}
+	*e = overlayEndpoint{mode: mode, local: local, local4: local.As4(), localMAC: mac,
+		vni: vni, greKey: greKey, ttl: cmp.Or(ttl, 64), mtu: cmp.Or(mtu, 1518)}
+	return nil
+}
+
+// header builds the outer header toward one remote: GRE with the remote's
+// key, VXLAN with its VNI, or IP-in-IP. It is nil when the header does not
+// serialize (a VNI over 24 bits).
+func (e *overlayEndpoint) header(mode string, mac packet.MAC, ip netip.Addr, vni, greKey uint32) *outerHeader {
+	eth := packet.Ethernet{SrcMAC: e.localMAC, DstMAC: mac, EtherType: packet.EtherTypeIPv4}
+	outer := packet.IPv4{TTL: e.ttl, SrcIP: e.local, DstIP: ip, DontFrag: true}
+	switch mode {
+	case TunnelGRE:
+		outer.Protocol = packet.IPProtocolGRE
+		gre := packet.GRE{Protocol: packet.EtherTypeTransparentEthernet, KeyPresent: greKey != 0, Key: greKey}
+		return newOuterHeader(&eth, &outer, &gre)
+	case TunnelVXLAN:
+		outer.Protocol = packet.IPProtocolUDP
+		return newOuterHeader(&eth, &outer, &packet.UDP{DstPort: packet.PortVXLAN}, &packet.VXLAN{VNI: vni})
+	}
+	outer.Protocol = packet.IPProtocolIPv4
+	return newOuterHeader(&eth, &outer)
+}
+
+// classify is the one GRE/VXLAN decap classifier, shared by the point
+// tunnel and the mesh. v is a parsed IPv4 frame addressed to this
+// endpoint. On decapOK, inner is the length of the inner Ethernet frame,
+// which ends the frame. A configured GRE key is required: a GRE frame that
+// claims the endpoint without it is corrupt or spoofed.
+func (e *overlayEndpoint) classify(v *packet.View) (inner int, st decapStatus) {
+	switch {
+	case e.mode == TunnelGRE && v.Proto == packet.IPProtocolGRE:
+		n, ok := v.GREHeaderLen()
+		if !ok || v.GREProtocol() != packet.EtherTypeTransparentEthernet {
+			return 0, decapErr
+		}
+		if key, present := v.GREKey(); e.greKey != 0 && (!present || key != e.greKey) {
+			return 0, decapErr
+		}
+		return len(v.Data) - v.L4Off - n, decapOK
+	case e.mode == TunnelVXLAN && v.Proto == packet.IPProtocolUDP && v.DstPort == packet.PortVXLAN:
+		vni, ok := v.VXLANVNI()
+		if !ok {
+			return 0, decapErr
+		}
+		if vni != e.vni {
+			// Well-formed but a different tenant's segment: not ours to
+			// open — forward untouched.
+			return 0, decapPass
+		}
+		return len(v.Data) - v.L7Off - packet.VXLANHeaderLen, decapOK
+	}
+	return 0, decapPass
 }

@@ -308,6 +308,47 @@ func TestTunnelDecapMalformedVectors(t *testing.T) {
 	}
 }
 
+// A tunnel in GRE mode with a key enforces it on decap, as the mesh does:
+// a frame addressed to the endpoint with another key, or none, is an error
+// and is dropped, never decapped.
+func TestTunnelGREDecapEnforcesKey(t *testing.T) {
+	const l4 = 34                          // eth(14) + outer IPv4(20)
+	withKey := encapTunnelFrame(TunnelGRE) // tunnelConfig's key, 99
+	wrongKey := append([]byte(nil), withKey...)
+	binary.BigEndian.PutUint32(wrongKey[l4+4:], 98)
+	noKey := append(append([]byte(nil), withKey[:l4]...), 0, 0, 0x65, 0x58) // no flags, TEB
+	noKey = append(noKey, withKey[l4+8:]...)
+	binary.BigEndian.PutUint16(noKey[16:], uint16(len(noKey)-14))
+	fixIPv4Checksum(noKey, 14, 20)
+
+	for _, tc := range []struct {
+		name    string
+		frame   []byte
+		verdict ppe.Verdict
+		counter int
+	}{
+		{"key 99", withKey, ppe.VerdictPass, TunnelDecapped},
+		{"key 98", wrongKey, ppe.VerdictDrop, TunnelErrors},
+		{"no key", noKey, ppe.VerdictDrop, TunnelErrors},
+	} {
+		b := NewTunnel()
+		if err := b.Configure(mustJSON(t, tunnelConfig(TunnelGRE))); err != nil {
+			t.Fatal(err)
+		}
+		in := len(tc.frame)
+		v, out := run(b.prog.Handler, tc.frame, ppe.DirOpticalToEdge)
+		if v != tc.verdict {
+			t.Errorf("%s: verdict %v, want %v", tc.name, v, tc.verdict)
+		}
+		if n, _ := b.ctr.Read(tc.counter); n != 1 {
+			t.Errorf("%s: counter %d = %d, want 1", tc.name, tc.counter, n)
+		}
+		if tc.counter == TunnelDecapped && len(out) != in-tunnelOverhead(TunnelGRE) {
+			t.Errorf("%s: decapped %dB from %dB", tc.name, len(out), in)
+		}
+	}
+}
+
 // FuzzOverlayDecap throws arbitrary wire bytes at the optical-to-edge
 // decap path of both overlay datapaths (the point tunnel and the mesh):
 // malformed outer headers must never panic, and every frame must land in

@@ -11,8 +11,8 @@
 //
 // All header access goes through the shared packet.View — the software
 // model of the hardware parser stage — so every app reads the same
-// offsets the traffic generator and the XDP datapath do. The private
-// per-app parser this package used to carry is gone.
+// offsets the traffic generator and the XDP datapath do. No app runs the
+// layered decoder.
 package apps
 
 import (

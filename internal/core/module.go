@@ -404,8 +404,8 @@ func (m *Module) rx(from PortID, data []byte) {
 	// every state except a dead module: configuration must stay reachable
 	// (§4.1 "allowing remote access to the control logic without
 	// disrupting the dataplane").
-	if isControlFrame(data) {
-		m.handleControl(from, data)
+	if payload, ok := controlPayload(data); ok {
+		m.handleControl(from, data, payload)
 		packet.PutBuffer(data)
 		return
 	}
@@ -500,40 +500,37 @@ func (m *Module) SendFrom(p PortID, data []byte) error {
 	return nil
 }
 
-// isControlFrame peeks at the EtherType (handling one optional VLAN tag).
-func isControlFrame(data []byte) bool {
+// controlPayload returns the payload of an in-band control frame: one
+// with the FlexControl EtherType, behind at most one VLAN tag. It reads
+// fixed offsets only, since it runs on every received frame.
+func controlPayload(data []byte) ([]byte, bool) {
 	if len(data) < 14 {
-		return false
+		return nil, false
 	}
 	et := packet.EtherType(binary.BigEndian.Uint16(data[12:14]))
+	off := 14
 	if et == packet.EtherTypeDot1Q || et == packet.EtherTypeQinQ {
 		if len(data) < 18 {
-			return false
+			return nil, false
 		}
 		et = packet.EtherType(binary.BigEndian.Uint16(data[16:18]))
+		off = 18
 	}
-	return et == packet.EtherTypeFlexControl
+	if et != packet.EtherTypeFlexControl {
+		return nil, false
+	}
+	return data[off:], true
 }
 
-func (m *Module) handleControl(from PortID, data []byte) {
+// handleControl answers a control frame toward its sender.
+func (m *Module) handleControl(from PortID, data, payload []byte) {
 	m.stats.ControlFrames++
 	if m.controlHandler == nil {
 		return
 	}
-	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(data); err != nil {
-		return
-	}
-	payload := eth.LayerPayload()
-	if eth.EtherType == packet.EtherTypeDot1Q || eth.EtherType == packet.EtherTypeQinQ {
-		var tag packet.Dot1Q
-		if err := tag.DecodeFromBytes(payload); err != nil {
-			return
-		}
-		payload = tag.LayerPayload()
-	}
+	src := packet.MAC(data[6:12])
 	for _, resp := range m.controlHandler(payload, from) {
-		m.send(from, packet.BuildEthernet(eth.SrcMAC, m.mac, packet.EtherTypeFlexControl, resp))
+		m.send(from, packet.BuildEthernet(src, m.mac, packet.EtherTypeFlexControl, resp))
 	}
 }
 

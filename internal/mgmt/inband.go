@@ -1,6 +1,7 @@
 package mgmt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flexsfp/internal/core"
@@ -32,11 +33,10 @@ func NewInBandTransport(mod *core.Module, port core.PortID, stationMAC packet.MA
 		dataTx = packet.PutBuffer
 	}
 	mod.SetTx(port, func(b []byte) {
-		var eth packet.Ethernet
-		if eth.DecodeFromBytes(b) == nil &&
-			eth.EtherType == packet.EtherTypeFlexControl &&
-			eth.DstMAC == stationMAC {
-			t.pending = append([]byte(nil), eth.LayerPayload()...)
+		if len(b) >= 14 &&
+			packet.EtherType(binary.BigEndian.Uint16(b[12:14])) == packet.EtherTypeFlexControl &&
+			packet.MAC(b[0:6]) == stationMAC {
+			t.pending = append([]byte(nil), b[14:]...)
 			packet.PutBuffer(b)
 			return
 		}

@@ -12,7 +12,9 @@ import (
 // single-pass View must agree on offsets, protocol, addresses and ports.
 // The View is deliberately laxer (it ignores IP total-length fields), so
 // the comparison is one-directional — decoder success implies View
-// agreement — with the exact ARP equivalence checked both ways.
+// agreement — with the exact ARP equivalence checked both ways. The lazy
+// GRE, VXLAN and INT accessors are checked both ways too, against their
+// layer decoders on the same bytes (checkLazyAccessors).
 func FuzzViewVsDecode(f *testing.F) {
 	for _, frame := range fuzzSeedFrames() {
 		f.Add(frame)
@@ -32,9 +34,28 @@ func FuzzViewVsDecode(f *testing.F) {
 			Proto: IPProtocolUDP, SrcPort: PortDHCPClient, DstPort: PortDHCPServer, Payload: dhcp}))
 	}
 
+	for c := 0; c < 8; c++ {
+		// Every combination of the GRE checksum, key and sequence bits.
+		var flags uint16
+		for i, bit := range []uint16{0x8000, 0x2000, 0x1000} {
+			if c>>i&1 == 1 {
+				flags |= bit
+			}
+		}
+		f.Add(greSeedFrame(flags))
+	}
+	f.Add(vxlanSeedFrame(0x08))
+	f.Add(vxlanSeedFrame(0x00)) // I flag clear
+	for _, hops := range []int{0, 1, INTMaxHops, INTMaxHops + 1} {
+		f.Add(intSeedFrame(hops))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v View
 		parsed := v.Parse(data)
+		if parsed {
+			checkLazyAccessors(t, &v)
+		}
 
 		pkt := NewPacket(data, LayerTypeEthernet)
 		layers := pkt.Layers()
@@ -151,4 +172,117 @@ func compareL4(t *testing.T, v *View, layers []Layer, i int) {
 			t.Fatalf("UDP ports: view %d/%d, decoder %d/%d", v.SrcPort, v.DstPort, l4.SrcPort, l4.DstPort)
 		}
 	}
+}
+
+// checkLazyAccessors holds each lazy accessor to its layer decoder on the
+// same bytes, both ways: the decoder accepts exactly when the accessor
+// does, and then every field and the inner offset agree. A frame without
+// the header's protocol must not satisfy its accessor.
+func checkLazyAccessors(t *testing.T, v *View) {
+	t.Helper()
+	d := v.Data
+
+	n, ok := v.GREHeaderLen()
+	if v.Proto == IPProtocolGRE && v.L4Off != 0 {
+		var g GRE
+		err := g.DecodeFromBytes(d[v.L4Off:])
+		if (err == nil) != ok {
+			t.Fatalf("GRE: decoder error %v, accessor ok %v", err, ok)
+		}
+		if ok {
+			key, present := v.GREKey()
+			if v.L4Off+n != len(d)-len(g.LayerPayload()) {
+				t.Fatalf("GRE inner offset: view %d, decoder %d", v.L4Off+n, len(d)-len(g.LayerPayload()))
+			}
+			if v.GREProtocol() != g.Protocol || present != g.KeyPresent || key != g.Key {
+				t.Fatalf("GRE fields: view %v/%v/%#x, decoder %v/%v/%#x",
+					v.GREProtocol(), present, key, g.Protocol, g.KeyPresent, g.Key)
+			}
+		}
+	} else if ok {
+		t.Fatal("GRE accessor accepted a frame without a GRE header")
+	}
+
+	vni, ok := v.VXLANVNI()
+	if v.Proto == IPProtocolUDP && v.DstPort == PortVXLAN && v.L7Off != 0 {
+		var x VXLAN
+		err := x.DecodeFromBytes(d[v.L7Off:])
+		if (err == nil) != ok {
+			t.Fatalf("VXLAN: decoder error %v, accessor ok %v", err, ok)
+		}
+		if ok && (vni != x.VNI || v.L7Off+VXLANHeaderLen != len(d)-len(x.LayerPayload())) {
+			t.Fatalf("VXLAN: view VNI %d inner %d, decoder %d %d",
+				vni, v.L7Off+VXLANHeaderLen, x.VNI, len(d)-len(x.LayerPayload()))
+		}
+	} else if ok {
+		t.Fatal("VXLAN accessor accepted a frame without a VXLAN header")
+	}
+
+	hops, ok := v.INTHops()
+	if v.EtherType == EtherTypeINT {
+		var in INT
+		err := in.DecodeFromBytes(d[v.L3Off:])
+		if (err == nil) != ok {
+			t.Fatalf("INT: decoder error %v, accessor ok %v", err, ok)
+		}
+		if !ok {
+			return
+		}
+		if hops != len(in.Hops) || v.INTOriginalEtherType() != in.OriginalEtherType ||
+			v.L3Off+v.INTShimLen() != len(d)-len(in.LayerPayload()) {
+			t.Fatalf("INT: view %d hops/%v/inner %d, decoder %d/%v/%d", hops, v.INTOriginalEtherType(),
+				v.L3Off+v.INTShimLen(), len(in.Hops), in.OriginalEtherType, len(d)-len(in.LayerPayload()))
+		}
+		for i, h := range in.Hops {
+			if v.INTHop(i) != h {
+				t.Fatalf("INT hop %d: view %+v, decoder %+v", i, v.INTHop(i), h)
+			}
+		}
+	} else if ok {
+		t.Fatal("INT accessor accepted a frame without an INT shim")
+	}
+}
+
+// greSeedFrame is an IPv4 frame carrying a GRE header with the given flag
+// word. Each optional field holds distinct bytes, so reading one in
+// place of another shows.
+func greSeedFrame(flags uint16) []byte {
+	f := MustBuild(Spec{SrcMAC: macA, DstMAC: macB, SrcIP: ip1, DstIP: ip2, SrcPort: 1, DstPort: 2})[:34]
+	f[23] = byte(IPProtocolGRE)
+	f = binary.BigEndian.AppendUint16(f, flags)
+	f = binary.BigEndian.AppendUint16(f, uint16(EtherTypeTransparentEthernet))
+	for i, bit := range []uint16{0x8000, 0x2000, 0x1000} {
+		if flags&bit != 0 {
+			f = append(f, bytes.Repeat([]byte{byte(0x11 * (i + 1))}, 4)...)
+		}
+	}
+	f = append(f, MustBuild(Spec{SrcMAC: macB, DstMAC: macA, SrcIP: ip2, DstIP: ip1, SrcPort: 3, DstPort: 4})...)
+	binary.BigEndian.PutUint16(f[16:], uint16(len(f)-14))
+	f[24], f[25] = 0, 0
+	binary.BigEndian.PutUint16(f[24:], Checksum(f[14:34]))
+	return f
+}
+
+// vxlanSeedFrame is a UDP frame to port 4789 with an 8-byte VXLAN header
+// whose flag byte is flags, VNI 0x123456.
+func vxlanSeedFrame(flags byte) []byte {
+	payload := append([]byte{flags, 0, 0, 0, 0x12, 0x34, 0x56, 0},
+		MustBuild(Spec{SrcMAC: macB, DstMAC: macA, SrcIP: ip2, DstIP: ip1, SrcPort: 3, DstPort: 4})...)
+	return MustBuild(Spec{SrcMAC: macA, DstMAC: macB, SrcIP: ip1, DstIP: ip2,
+		SrcPort: 5000, DstPort: PortVXLAN, Payload: payload})
+}
+
+// intSeedFrame is an Ethernet frame carrying a version-1 INT shim with the
+// given hop count and that many distinct hop records, in front of an IPv4
+// packet.
+func intSeedFrame(hops int) []byte {
+	inner := MustBuild(Spec{SrcMAC: macA, DstMAC: macB, SrcIP: ip1, DstIP: ip2, SrcPort: 1, DstPort: 2})
+	f := append([]byte(nil), inner[:12]...)
+	f = binary.BigEndian.AppendUint16(f, uint16(EtherTypeINT))
+	f = append(f, INTVersion<<4, byte(hops))
+	f = binary.BigEndian.AppendUint16(f, uint16(EtherTypeIPv4))
+	for i := 0; i < hops; i++ {
+		f = append(f, bytes.Repeat([]byte{byte(i + 1)}, INTHopSize)...)
+	}
+	return append(f, inner[14:]...)
 }

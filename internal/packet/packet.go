@@ -1,8 +1,10 @@
-// Package packet implements a compact, allocation-conscious layered packet
-// library in the style of gopacket: typed layers with zero-copy decoding,
-// a single-pass View over a frame for the datapath, reverse-order
-// serialization with length/checksum fixup, and symmetric flow hashing for
-// load balancing.
+// Package packet implements a compact, allocation-conscious packet library
+// in the style of gopacket. View, a single-pass parser with lazy field
+// accessors, is the only parser the datapath runs. The typed layers with
+// zero-copy decoding (DecodeFromBytes, NewPacket) are the inspection tool
+// and the test oracle View is checked against. The package also provides
+// reverse-order serialization with length/checksum fixup and symmetric
+// flow hashing for load balancing.
 //
 // It covers the protocols the FlexSFP paper's use cases need: Ethernet,
 // 802.1Q/QinQ VLAN, MPLS, ARP, IPv4, IPv6, TCP, UDP, ICMPv4, GRE, VXLAN,

@@ -4,23 +4,27 @@ import "encoding/binary"
 
 // View holds the header offsets of a frame, computed by a single linear
 // scan — the software model of the hardware parser stage every PPE
-// pipeline shares. It is the fast-path complement to the full layered
-// decoder: one pass fills offsets for L2/VLAN/ARP, IPv4/IPv6 (with
-// extension-header skipping), and TCP/UDP/ICMP, plus fast-path field
-// accessors for DNS and DHCPv4. Parse allocates nothing, so apps and the
-// traffic generator can keep a View per instance and reuse it per frame.
+// pipeline shares, and the only parser any production datapath runs. One
+// pass fills offsets for L2/VLAN/ARP, IPv4/IPv6 (with extension-header
+// skipping), and TCP/UDP/ICMP; lazy accessors read the DNS, DHCPv4, GRE,
+// VXLAN and INT headers in place only for the apps that ask. Parse
+// allocates nothing, so apps and the traffic generator can keep a View per
+// instance and reuse it per frame. The layered decoder (Decode, NewPacket)
+// is the inspection tool and the test oracle.
 //
 // A View is a weaker oracle than Decode on purpose: it ignores the IP
 // total-length fields (hardware streams the wire bytes it has), so it can
 // report offsets on frames the strict decoder rejects as truncated. The
 // FuzzViewVsDecode differential target pins the invariant that matters:
-// whenever the full decoder accepts a layer, the View agrees with it.
+// whenever the full decoder accepts a layer, the View agrees with it, and
+// each lazy accessor accepts exactly the bytes its layer decoder accepts.
 type View struct {
 	Data []byte
 
-	L3Off   int // start of ARP/IPv4/IPv6 header (after VLAN tags)
-	VLANEnd int // byte after the last VLAN tag (== L3Off when tagged)
-	NVLAN   int
+	L3Off     int // start of ARP/IPv4/IPv6 header (after VLAN tags)
+	VLANEnd   int // byte after the last VLAN tag (== L3Off when tagged)
+	NVLAN     int
+	EtherType EtherType // EtherType after the VLAN tags
 
 	IsARP  bool
 	IsIPv4 bool
@@ -58,6 +62,7 @@ func (v *View) Parse(data []byte) bool {
 	}
 	v.VLANEnd = off
 	v.L3Off = off
+	v.EtherType = et
 	switch et {
 	case EtherTypeIPv4:
 		return v.parseIPv4(off)
@@ -436,4 +441,102 @@ func (v *View) DHCPMsgType() (DHCPMsgType, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Tunnel fast-path accessors: the GRE header at L4Off and the VXLAN header
+// at L7Off, read in place. Parse never looks at them, so only the apps that
+// decapsulate pay for them.
+
+// GREHeaderLen returns the length of the GRE header at L4Off — 4 bytes
+// plus 4 for each of the checksum, key and sequence fields present — when
+// the frame's protocol is GRE and the header is version 0 and complete.
+func (v *View) GREHeaderLen() (int, bool) {
+	if v.Proto != IPProtocolGRE || v.L4Off == 0 || len(v.Data) < v.L4Off+4 {
+		return 0, false
+	}
+	flags := binary.BigEndian.Uint16(v.Data[v.L4Off:])
+	if flags&0x0007 != 0 {
+		return 0, false
+	}
+	n := 4
+	for _, bit := range [...]uint16{0x8000, 0x2000, 0x1000} { // checksum, key, sequence
+		if flags&bit != 0 {
+			n += 4
+		}
+	}
+	if len(v.Data) < v.L4Off+n {
+		return 0, false
+	}
+	return n, true
+}
+
+// GREProtocol returns the GRE protocol type (valid when GREHeaderLen ok).
+func (v *View) GREProtocol() EtherType {
+	return EtherType(binary.BigEndian.Uint16(v.Data[v.L4Off+2:]))
+}
+
+// GREKey returns the GRE key and whether the header carries one (valid
+// when GREHeaderLen ok). The key follows the checksum word when both are
+// present.
+func (v *View) GREKey() (key uint32, present bool) {
+	flags := binary.BigEndian.Uint16(v.Data[v.L4Off:])
+	if flags&0x2000 == 0 {
+		return 0, false
+	}
+	off := v.L4Off + 4
+	if flags&0x8000 != 0 {
+		off += 4
+	}
+	return binary.BigEndian.Uint32(v.Data[off:]), true
+}
+
+// VXLANHeaderLen is the size of the VXLAN header.
+const VXLANHeaderLen = 8
+
+// VXLANVNI returns the 24-bit VNI when the frame is UDP to port 4789 with
+// a complete VXLAN header at L7Off whose I flag is set. The inner frame
+// starts at L7Off+VXLANHeaderLen.
+func (v *View) VXLANVNI() (uint32, bool) {
+	if v.Proto != IPProtocolUDP || v.DstPort != PortVXLAN || v.L7Off == 0 ||
+		len(v.Data) < v.L7Off+VXLANHeaderLen || v.Data[v.L7Off]&0x08 == 0 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(v.Data[v.L7Off+4:]) >> 8, true
+}
+
+// INT fast-path accessors: the FlexSFP telemetry shim read in place at
+// L3Off, for frames whose EtherType is EtherTypeINT.
+
+// INTHops returns the shim's hop count when the frame carries a version-1
+// INT shim with at most INTMaxHops hop records, all present.
+func (v *View) INTHops() (int, bool) {
+	d := v.Data
+	if v.EtherType != EtherTypeINT || len(d) < v.L3Off+4 || d[v.L3Off]>>4 != INTVersion {
+		return 0, false
+	}
+	hops := int(d[v.L3Off+1])
+	if hops > INTMaxHops || len(d) < v.L3Off+4+hops*INTHopSize {
+		return 0, false
+	}
+	return hops, true
+}
+
+// INTShimLen returns the shim size in bytes (valid when INTHops ok).
+func (v *View) INTShimLen() int { return 4 + int(v.Data[v.L3Off+1])*INTHopSize }
+
+// INTOriginalEtherType returns the EtherType the shim displaced (valid
+// when INTHops ok).
+func (v *View) INTOriginalEtherType() EtherType {
+	return EtherType(binary.BigEndian.Uint16(v.Data[v.L3Off+2:]))
+}
+
+// INTHop returns hop record i (valid when INTHops ok and i < hops).
+func (v *View) INTHop(i int) INTHop {
+	r := v.Data[v.L3Off+4+i*INTHopSize:]
+	return INTHop{
+		DeviceID:    binary.BigEndian.Uint32(r[0:4]),
+		IngressPort: binary.BigEndian.Uint16(r[4:6]),
+		EgressPort:  binary.BigEndian.Uint16(r[6:8]),
+		TimestampNs: binary.BigEndian.Uint64(r[8:16]),
+	}
 }

@@ -117,18 +117,18 @@ func (c *Cage) DeliverFromFiber(data []byte) {
 // floods a copy to every other port, or drops it, and releases it in the
 // last two cases.
 func (sw *Switch) ingress(p int, data []byte) {
-	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(data); err != nil {
+	if len(data) < 14 {
 		sw.stats.Dropped++
 		packet.PutBuffer(data)
 		return
 	}
+	dst, src := packet.MAC(data[0:6]), packet.MAC(data[6:12])
 	// Learn.
-	if !eth.SrcMAC.IsMulticast() {
-		sw.macTable[eth.SrcMAC] = p
+	if !src.IsMulticast() {
+		sw.macTable[src] = p
 	}
 	sw.sim.Schedule(FabricDelay, func() {
-		if out, ok := sw.macTable[eth.DstMAC]; ok && !eth.DstMAC.IsBroadcast() {
+		if out, ok := sw.macTable[dst]; ok && !dst.IsBroadcast() {
 			if out == p {
 				sw.stats.Dropped++ // hairpin: filtered
 				packet.PutBuffer(data)
