@@ -2,10 +2,11 @@ GO ?= go
 
 # Packages with real concurrency (fleet fan-out, TCP serving, parallel
 # trial runner, the registry-driven experiment harness, fault-injected
-# transports, the lock-free datapath tables, the telemetry record paths):
+# transports, the lock-free datapath tables, the telemetry record paths,
+# the HMAC state bitstream.Verify shares across shard workers):
 # the race pass focuses here so `make check` stays fast; `make race-all`
 # still sweeps everything.
-RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/... ./internal/faults ./internal/ppe ./internal/reliability ./internal/telemetry ./internal/daemon ./internal/opt/... ./internal/xdp ./internal/trafficgen ./internal/packet ./internal/apps ./internal/overlay
+RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/... ./internal/faults ./internal/ppe ./internal/reliability ./internal/telemetry ./internal/daemon ./internal/opt/... ./internal/xdp ./internal/trafficgen ./internal/packet ./internal/apps ./internal/overlay ./internal/bitstream
 
 # Packages holding the per-frame hot paths and their microbenchmarks;
 # the smoke run covers exactly these. End-to-end performance is the
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzOverlayDecap' -fuzztime 10s ./internal/apps > /dev/null
 	$(GO) test -fuzz 'FuzzEngineVsRef' -fuzztime 10s ./internal/ppe > /dev/null
 	$(GO) test -fuzz 'FuzzCheckVsDecode' -fuzztime 10s ./internal/bitstream > /dev/null
+	$(GO) test -fuzz 'FuzzVerifyVsHMAC' -fuzztime 10s ./internal/bitstream > /dev/null
 
 # Race-mode run of the default experiment suite with instrumentation
 # attached: the parallel trial runner records into shared registries, so
@@ -95,7 +97,7 @@ telemetry-smoke:
 # updated) — both counted from member ground truth in the fleet_ota
 # detail payload. fleet-smoke is the small run `check` makes; fleet-scale
 # is the paper's upper deployment scale, one million simulated cables
-# (≈17 s and 1.6 GB on the 2-vCPU reference host, so not in `check`).
+# (≈7 s and 1.2 GB on the 2-vCPU reference host, so not in `check`).
 # Both print the run's wall time.
 fleet-smoke: FLEET_ARGS = -fleet 2000 -fleet-shards 8
 fleet-scale: FLEET_ARGS = -fleet 1000000

@@ -10,10 +10,13 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"sync"
 )
 
 // Format constants.
@@ -193,25 +196,59 @@ func cString(b []byte) string {
 }
 
 // Sign wraps encoded bitstream bytes with an HMAC-SHA256 tag computed
-// under key. The result is what travels over the network.
+// under key. The result is what travels over the network. The keyed HMAC
+// state behind it is reused across calls under an equal key (see keyedMAC);
+// the tag is always computed over the whole of encoded.
 func Sign(encoded, key []byte) []byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(encoded)
-	return append(append([]byte(nil), encoded...), m.Sum(nil)...)
+	s := keyedMAC(key)
+	defer macPool.Put(s)
+	out := make([]byte, len(encoded), len(encoded)+macSize)
+	copy(out, encoded)
+	s.mac.Write(encoded)
+	return s.mac.Sum(out)
 }
 
 // Verify checks the HMAC tag of a signed blob and returns the inner
-// encoded bitstream bytes.
+// encoded bitstream bytes (a sub-slice of signed). Every call computes the
+// full HMAC of the body and compares the whole tag in constant time; only
+// the keyed HMAC state is reused across calls under an equal key, never a
+// verdict. It does not allocate once a state for key is pooled.
 func Verify(signed, key []byte) ([]byte, error) {
 	if len(signed) < macSize {
 		return nil, ErrTooShort
 	}
 	body := signed[:len(signed)-macSize]
 	tag := signed[len(signed)-macSize:]
-	m := hmac.New(sha256.New, key)
-	m.Write(body)
-	if !hmac.Equal(tag, m.Sum(nil)) {
+	s := keyedMAC(key)
+	defer macPool.Put(s)
+	s.mac.Write(body)
+	if !hmac.Equal(tag, s.mac.Sum(s.sum[:0])) {
 		return nil, ErrBadMAC
 	}
 	return body, nil
+}
+
+// macState is one HMAC-SHA256 state keyed under a private copy of key.
+// crypto/hmac saves the padded key states on the first Reset and restores
+// them on later ones, so a reused state skips hashing both 64-byte pads.
+type macState struct {
+	key []byte
+	mac hash.Hash
+	sum [macSize]byte
+}
+
+// macPool holds reset-ready HMAC states. The controller's shard workers
+// verify concurrently, so each takes its own state and puts it back.
+var macPool sync.Pool
+
+// keyedMAC returns a reset HMAC state for key: a pooled one when its key
+// equals key, else a fresh one. The key is copied, so a caller mutating
+// its slice afterwards cannot re-key a pooled state.
+func keyedMAC(key []byte) *macState {
+	if s, ok := macPool.Get().(*macState); ok && subtle.ConstantTimeCompare(s.key, key) == 1 {
+		s.mac.Reset()
+		return s
+	}
+	k := append([]byte{}, key...)
+	return &macState{key: k, mac: hmac.New(sha256.New, k)}
 }

@@ -13,6 +13,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,8 +37,10 @@ type FleetMember interface {
 	Stats() (mgmt.Stats, error)
 	// Reboot boots the member into slot (the rollback path).
 	Reboot(slot int) error
-	// Telemetry reads the member's metric snapshot.
-	Telemetry() (telemetry.Snapshot, error)
+	// Telemetry reads the member's metric snapshot into dst, which the
+	// caller owns and reuses from member to member: an implementation may
+	// refill dst's slices in place and must not keep them.
+	Telemetry(dst *telemetry.Snapshot) error
 }
 
 // ClientMember adapts a mgmt.Client to FleetMember.
@@ -68,8 +71,15 @@ func (m *ClientMember) Stats() (mgmt.Stats, error) { return m.c.ReadStats() }
 // Reboot implements FleetMember.
 func (m *ClientMember) Reboot(slot int) error { return m.c.Reboot(slot) }
 
-// Telemetry implements FleetMember.
-func (m *ClientMember) Telemetry() (telemetry.Snapshot, error) { return m.c.Telemetry() }
+// Telemetry implements FleetMember with the snapshot the agent returns.
+func (m *ClientMember) Telemetry(dst *telemetry.Snapshot) error {
+	snap, err := m.c.Telemetry()
+	if err != nil {
+		return err
+	}
+	*dst = snap
+	return nil
+}
 
 // ShardFor maps a member name to its worker shard in [0, shards) with a
 // stable FNV-1a/SplitMix64 hash: the same name lands on the same shard
@@ -228,21 +238,24 @@ const maxReportErrors = 32
 // fleetShard is one worker shard's private state. All mutation happens
 // on the shard's own worker goroutine; the controller reads it only at
 // wave barriers.
+//
+// Members are addressed by their index in members throughout: prev,
+// updated and lastWave all hold or are indexed by it.
 type fleetShard struct {
 	index   int
 	members []FleetMember
-	prev    map[string]int // member -> pre-rollout active slot
+	prev    []int // members[i]'s pre-rollout active slot; -1 when unknown
 
 	next      int // index of the first member not yet pushed
 	waves     int
 	attempted int
 	failed    int
-	updated   []FleetMember // healthy on the target image (rollback set)
+	updated   []int // healthy on the target image (rollback set), ascending
 	// lastWave is the bake set: the members the last wave appended to
-	// updated. A private copy, never a sub-slice of updated — memberOut
+	// updated. A private copy, never a sub-slice of updated — the bake
 	// compacts updated in place, and ranging over an alias of it would
 	// skip the neighbour of every member the bake removes.
-	lastWave []FleetMember
+	lastWave []int
 	failures []MemberError
 
 	tripped      bool
@@ -274,11 +287,14 @@ func NewFleetController(cfg FleetConfig, members []FleetMember) *FleetController
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
 	c := &FleetController{cfg: cfg, shards: make([]*fleetShard, cfg.Shards)}
 	for i := range c.shards {
-		c.shards[i] = &fleetShard{index: i, prev: make(map[string]int)}
+		c.shards[i] = &fleetShard{index: i}
 	}
 	for _, m := range sorted {
 		s := c.shards[ShardFor(m.Name(), cfg.Shards)]
 		s.members = append(s.members, m)
+	}
+	for _, s := range c.shards {
+		s.prev = make([]int, len(s.members))
 	}
 	c.health = cfg.HealthCheck
 	if c.health == nil {
@@ -333,9 +349,10 @@ func (c *FleetController) parallelShards(fn func(s *fleetShard)) {
 func (c *FleetController) Rollout(signed []byte) FleetReport {
 	// Pre-flight: record every member's active slot for rollback.
 	c.parallelShards(func(s *fleetShard) {
-		for _, m := range s.members {
+		for i, m := range s.members {
+			s.prev[i] = -1
 			if st, err := m.Stats(); err == nil {
-				s.prev[m.Name()] = st.ActiveSlot
+				s.prev[i] = st.ActiveSlot
 			}
 		}
 	})
@@ -432,13 +449,15 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 	// after bake time) move from updated to failed and are remediated,
 	// and they count toward the shard gate like any other failure.
 	if c.cfg.Bake && len(s.lastWave) > 0 {
-		for _, m := range s.lastWave {
-			if err := c.health(m); err != nil {
+		for _, i := range s.lastWave {
+			if err := c.health(s.members[i]); err != nil {
 				s.bakeFailures++
 				s.failed++
-				s.updated = memberOut(s.updated, m)
-				s.fail(m, fmt.Errorf("bake: %w", err))
-				c.remediate(s, m)
+				if j, ok := slices.BinarySearch(s.updated, i); ok {
+					s.updated = slices.Delete(s.updated, j, j+1)
+				}
+				s.fail(i, fmt.Errorf("bake: %w", err))
+				c.remediate(s, i)
 			}
 		}
 		if s.attempted > 0 && float64(s.failed)/float64(s.attempted) > c.cfg.MaxFailureFrac {
@@ -462,12 +481,14 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 	if n <= 0 || n > len(s.members)-s.next {
 		n = len(s.members) - s.next
 	}
-	batch := s.members[s.next : s.next+n]
+	start := s.next
+	batch := s.members[start : start+n]
 	s.next += n
 	s.waves++
 
 	first := len(s.updated)
-	for _, m := range batch {
+	for k, m := range batch {
+		i := start + k
 		s.attempted++
 		if err := m.Push(signed, c.cfg.TargetSlot, true); err != nil {
 			// A dropped connection may still have landed the push and
@@ -476,21 +497,21 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 			// counts as updated; anything else is a failure, and a
 			// member stuck unhealthy on the target is restored.
 			if herr := c.health(m); herr == nil {
-				s.updated = append(s.updated, m)
+				s.updated = append(s.updated, i)
 				continue
 			}
 			s.failed++
-			s.fail(m, err)
-			c.remediate(s, m)
+			s.fail(i, err)
+			c.remediate(s, i)
 			continue
 		}
 		if err := c.health(m); err != nil {
 			s.failed++
-			s.fail(m, err)
-			c.remediate(s, m)
+			s.fail(i, err)
+			c.remediate(s, i)
 			continue
 		}
-		s.updated = append(s.updated, m)
+		s.updated = append(s.updated, i)
 	}
 	s.lastWave = append(s.lastWave[:0], s.updated[first:]...)
 	if c.cfg.WaveCost != nil {
@@ -498,10 +519,10 @@ func (c *FleetController) runWave(s *fleetShard, signed []byte, round int) {
 	}
 }
 
-// fail records a bounded, deterministic failure sample.
-func (s *fleetShard) fail(m FleetMember, err error) {
+// fail records a bounded, deterministic failure sample for member i.
+func (s *fleetShard) fail(i int, err error) {
 	if len(s.failures) < maxReportErrors {
-		s.failures = append(s.failures, MemberError{Name: m.Name(), Err: err.Error()})
+		s.failures = append(s.failures, MemberError{Name: s.members[i].Name(), Err: err.Error()})
 	}
 }
 
@@ -510,14 +531,15 @@ func (s *fleetShard) fail(m FleetMember, err error) {
 // its pre-rollout slot, retrying the reboot until health agrees. Members
 // that never activated the target (push failed, or the boot FSM already
 // fell back) need nothing.
-func (c *FleetController) remediate(s *fleetShard, m FleetMember) {
+func (c *FleetController) remediate(s *fleetShard, i int) {
+	m := s.members[i]
 	st, err := m.Stats()
 	if err != nil || st.ActiveSlot != c.cfg.TargetSlot {
 		return
 	}
 	s.blast++
-	prev, ok := s.prev[m.Name()]
-	if !ok {
+	prev := s.prev[i]
+	if prev < 0 {
 		s.badEnd++
 		return
 	}
@@ -537,10 +559,9 @@ func (c *FleetController) remediate(s *fleetShard, m FleetMember) {
 // shard's rollback never reaches another shard's members, which is the
 // blast-radius bound.
 func (c *FleetController) rollbackShard(s *fleetShard) {
-	targets := append([]FleetMember(nil), s.updated...)
-	for _, m := range targets {
-		prev, ok := s.prev[m.Name()]
-		if !ok {
+	for _, i := range s.updated {
+		m, prev := s.members[i], s.prev[i]
+		if prev < 0 {
 			s.rollbackErrs++
 			continue
 		}
@@ -584,9 +605,9 @@ func (c *FleetController) AggregateTelemetry() (telemetry.Snapshot, FoldStats) {
 	errs := make([]int, len(c.shards))
 	c.parallelShards(func(s *fleetShard) {
 		f := telemetry.NewFold()
+		var snap telemetry.Snapshot // refilled by every member of the shard
 		for _, m := range s.members {
-			snap, err := m.Telemetry()
-			if err != nil {
+			if err := m.Telemetry(&snap); err != nil {
 				errs[s.index]++
 				continue
 			}
@@ -605,13 +626,4 @@ func (c *FleetController) AggregateTelemetry() (telemetry.Snapshot, FoldStats) {
 		stats.SnapErrs += e
 	}
 	return global.Snapshot(), stats
-}
-
-func memberOut(ms []FleetMember, m FleetMember) []FleetMember {
-	for i, x := range ms {
-		if x == m {
-			return append(ms[:i], ms[i+1:]...)
-		}
-	}
-	return ms
 }

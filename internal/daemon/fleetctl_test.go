@@ -68,10 +68,11 @@ func (m *fakeMember) Reboot(slot int) error {
 	return nil
 }
 
-func (m *fakeMember) Telemetry() (telemetry.Snapshot, error) {
-	return telemetry.Snapshot{
+func (m *fakeMember) Telemetry(dst *telemetry.Snapshot) error {
+	*dst = telemetry.Snapshot{
 		Counters: []telemetry.CounterSnap{{Name: "pushes", Value: uint64(m.pushes)}},
-	}, nil
+	}
+	return nil
 }
 
 func buildFakes(n int) []*fakeMember {
@@ -276,8 +277,8 @@ func TestBakeCatchesAdjacentLateWedges(t *testing.T) {
 	if rep.Updated != 10 || len(c.shards[0].updated) != 10 {
 		t.Errorf("updated = %d (set of %d), want 12 less exactly the 2 wedged", rep.Updated, len(c.shards[0].updated))
 	}
-	for _, m := range c.shards[0].updated {
-		if m == FleetMember(fakes[3]) || m == FleetMember(fakes[4]) {
+	for _, i := range c.shards[0].updated {
+		if m := c.shards[0].members[i]; m == FleetMember(fakes[3]) || m == FleetMember(fakes[4]) {
 			t.Errorf("%s still in the updated set", m.Name())
 		}
 	}

@@ -3,6 +3,8 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/faults"
@@ -15,9 +17,9 @@ import (
 // simulation: no TCP, no flash device, no netsim event loop — just the
 // A/B slot state machine, signature verification, and a per-member fault
 // injector driving the chaos a real OTA wave would see. A member costs
-// ≈600 B to build (measured: the struct with its config, four slots, the
+// ≈570 B to build (measured: the struct with its config, four slots, the
 // name, the injector and its 8-byte lane stream; the images are shared), so
-// 100k of them are ≈60 MB and 1M ≈600 MB, which is what lets the fleet_ota
+// 100k of them are ≈57 MB and 1M ≈570 MB, which is what lets the fleet_ota
 // experiment exercise the controller at the paper's deployment scale.
 //
 // A SimMember is driven by exactly one shard worker at a time (the
@@ -92,26 +94,25 @@ type SimMemberConfig struct {
 // parent.Derive(lane)).
 func NewSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) *SimMember {
 	version, _ := imageVersion(goodImage, cfg.Key)
-	return newSimMember(name, inj, cfg, slots, startSlot, goodImage, version)
+	m := new(SimMember)
+	m.init(name, inj, cfg, make([]simSlot, max(slots, 2)), startSlot, goodImage, version)
+	return m
 }
 
-// newSimMember takes goodImage's already-verified version, so a fleet that
-// shares one image verifies it once, not once per member.
-func newSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte, version uint32) *SimMember {
-	if slots < 2 {
-		slots = 2
-	}
-	m := &SimMember{
+// init sets up a zero member over the caller's slot array. It takes
+// goodImage's already-verified version, so a fleet that shares one image
+// verifies it once, not once per member.
+func (m *SimMember) init(name string, inj *faults.Injector, cfg SimMemberConfig, slots []simSlot, startSlot int, goodImage []byte, version uint32) {
+	*m = SimMember{
 		name:       name,
 		inj:        inj,
 		cfg:        cfg,
-		slots:      make([]simSlot, slots),
+		slots:      slots,
 		activeSlot: startSlot,
 		running:    true,
 		version:    version,
 	}
 	m.slots[startSlot] = simSlot{img: goodImage, ok: true}
-	return m
 }
 
 // imageVersion verifies a signed image the way the boot ROM would —
@@ -340,14 +341,19 @@ func (m *SimMember) bumpCost(ns uint64) {
 
 // Telemetry implements FleetMember: a small snapshot in registry form so
 // per-member data flows through the same hierarchical fold as real
-// modules' telemetry.
-func (m *SimMember) Telemetry() (telemetry.Snapshot, error) {
-	buckets := []telemetry.BucketSnap{
-		{UpperBound: uint64(netsim.Millisecond), Count: 0},
-		{UpperBound: uint64(10 * netsim.Millisecond), Count: 0},
-		{UpperBound: uint64(100 * netsim.Millisecond), Count: 0},
-		{Overflow: true, Count: 0},
+// modules' telemetry. It refills dst's slices in place, so folding a
+// fleet through one reused snapshot allocates nothing per member.
+func (m *SimMember) Telemetry(dst *telemetry.Snapshot) error {
+	var buckets []telemetry.BucketSnap
+	if len(dst.Histograms) > 0 {
+		buckets = dst.Histograms[0].Buckets[:0]
 	}
+	buckets = append(buckets,
+		telemetry.BucketSnap{UpperBound: uint64(netsim.Millisecond)},
+		telemetry.BucketSnap{UpperBound: uint64(10 * netsim.Millisecond)},
+		telemetry.BucketSnap{UpperBound: uint64(100 * netsim.Millisecond)},
+		telemetry.BucketSnap{Overflow: true},
+	)
 	switch {
 	case m.costNs <= uint64(netsim.Millisecond):
 		buckets[0].Count = 1
@@ -358,31 +364,56 @@ func (m *SimMember) Telemetry() (telemetry.Snapshot, error) {
 	default:
 		buckets[3].Count = 1
 	}
-	snap := telemetry.Snapshot{
-		Counters: []telemetry.CounterSnap{
-			{Name: "ota_boots", Value: m.boots},
-			{Name: "ota_fallbacks", Value: m.fallbacks},
-			{Name: "ota_pushes", Value: m.pushes},
-			{Name: "ota_retries", Value: m.retries},
-		},
-		Histograms: []telemetry.HistogramSnap{{
+	*dst = telemetry.Snapshot{
+		Counters: append(dst.Counters[:0],
+			telemetry.CounterSnap{Name: "ota_boots", Value: m.boots},
+			telemetry.CounterSnap{Name: "ota_fallbacks", Value: m.fallbacks},
+			telemetry.CounterSnap{Name: "ota_pushes", Value: m.pushes},
+			telemetry.CounterSnap{Name: "ota_retries", Value: m.retries},
+		),
+		Gauges: dst.Gauges[:0],
+		Histograms: append(dst.Histograms[:0], telemetry.HistogramSnap{
 			Name: "ota_member_cost_ns", Count: 1, Sum: m.costNs,
 			Min: m.costNs, Max: m.costNs, Mean: float64(m.costNs),
 			Buckets: buckets,
-		}},
+		}),
 	}
-	return snap, nil
+	return nil
 }
 
 // BuildSimFleet constructs n members named sim-000000… with goodImage
 // running in startSlot, each with its own injector derived from parent
-// (lane = member index). Deterministic for a fixed parent seed.
+// (lane = member index). Deterministic for a fixed parent seed. The
+// members, their slots and their names are each carved from one array,
+// so what a member allocates on its own is its injector and that
+// injector's rand.Rand.
 func BuildSimFleet(n int, parent *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) []FleetMember {
 	version, _ := imageVersion(goodImage, cfg.Key)
+	slots = max(slots, 2)
+	sims := make([]SimMember, n)
+	slotArr := make([]simSlot, n*slots)
+	var names strings.Builder
+	names.Grow(n * len("sim-000000"))
+	var name [24]byte
 	ms := make([]FleetMember, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("sim-%06d", i)
-		ms[i] = newSimMember(name, parent.Derive(uint64(i)), cfg, slots, startSlot, goodImage, version)
+	for i := range sims {
+		// names.String() views the builder's buffer without copying, so
+		// each name is a substring of one backing array.
+		off := names.Len()
+		names.Write(appendSimName(name[:0], i))
+		sims[i].init(names.String()[off:], parent.Derive(uint64(i)), cfg,
+			slotArr[i*slots:(i+1)*slots:(i+1)*slots], startSlot, goodImage, version)
+		ms[i] = &sims[i]
 	}
 	return ms
+}
+
+// appendSimName appends fmt.Sprintf("sim-%06d", i) to b without
+// allocating.
+func appendSimName(b []byte, i int) []byte {
+	b = append(b, "sim-"...)
+	for d := 100_000; d > 1 && i < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(i), 10)
 }

@@ -4,11 +4,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"flexsfp/internal/bitstream"
 	"flexsfp/internal/faults"
+	"flexsfp/internal/telemetry"
 )
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
 
 // TestBuildSimFleetBytesPerMember pins what a simulated member costs to
 // build: with math/rand's 607-word source under every lane it was ≈6 KiB,
@@ -27,10 +33,110 @@ func TestBuildSimFleetBytesPerMember(t *testing.T) {
 		t.Fatalf("built %d members, want %d", len(members), n)
 	}
 	perMember := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.0f B and %.1f allocations per member",
-		perMember, float64(after.Mallocs-before.Mallocs)/n)
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.0f B and %.1f allocations per member", perMember, allocs)
 	if perMember > 1024 {
 		t.Errorf("BuildSimFleet allocates %.0f B per member, want <= 1024", perMember)
+	}
+	// Members, slots and names come from one array each; what is left per
+	// member is its injector.
+	if allocs > 3 {
+		t.Errorf("BuildSimFleet makes %.1f allocations per member, want <= 3", allocs)
+	}
+	for _, i := range []int{0, 7, 999, n - 1} {
+		if got, want := members[i].Name(), fmt.Sprintf("sim-%06d", i); got != want {
+			t.Errorf("member %d is named %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestSimNameMatchesSprintf: the allocation-free name formatter agrees
+// with sim-%06d past the six-digit width.
+func TestSimNameMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 12_345_678} {
+		if got, want := string(appendSimName(nil, i)), fmt.Sprintf("sim-%06d", i); got != want {
+			t.Errorf("appendSimName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestSimMemberPushZeroAlloc: a clean push, its boot (which re-verifies
+// the image) and the health read allocate nothing.
+func TestSimMemberPushZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	img := simImage(t, 3)
+	m := NewSimMember("sim-x", faults.New(1, faults.Rates{}).Derive(0),
+		SimMemberConfig{Key: simKey}, 3, 1, img)
+	var err error
+	n := testing.AllocsPerRun(100, func() {
+		if err = m.Push(img, 2, true); err == nil {
+			_, err = m.Stats()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Errorf("push+boot+stats allocates %v times, want 0", n)
+	}
+	if st, _ := m.Stats(); !st.Running || st.ActiveSlot != 2 || st.GoldenFallbacks != 0 {
+		t.Errorf("after clean pushes: %+v", st)
+	}
+}
+
+// TestAggregateTelemetryAllocsFlat: the fold reads every member through one
+// reused snapshot per shard, so its allocations do not grow with the fleet.
+func TestAggregateTelemetryAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		members, _ := chaosFleet(t, n, 5)
+		c := NewFleetController(FleetConfig{Shards: 8, TargetSlot: 2}, members)
+		var snap telemetry.Snapshot
+		a := testing.AllocsPerRun(5, func() { snap, _ = c.AggregateTelemetry() })
+		if v, ok := snap.Counter("ota_boots"); !ok || v != 0 {
+			t.Fatalf("%d members: ota_boots = %d (%v), want 0 before any rollout", n, v, ok)
+		}
+		if h, ok := snap.Histogram("ota_member_cost_ns"); !ok || h.Count != uint64(n) {
+			t.Fatalf("%d members: cost histogram %+v, want %d samples", n, h, n)
+		}
+		return a
+	}
+	small, large := allocs(1_000), allocs(4_000)
+	t.Logf("AggregateTelemetry: %v allocations at 1k members, %v at 4k", small, large)
+	if large > small+16 {
+		t.Errorf("fold allocations grow with the fleet: %v at 1k members, %v at 4k", small, large)
+	}
+}
+
+// TestSimMemberReverifiesEveryBoot: a boot verifies the slot's bytes as
+// they are now, not a verdict remembered for that slice. A payload byte
+// flipped in place in the running slot makes its next boot fall back.
+func TestSimMemberReverifiesEveryBoot(t *testing.T) {
+	m := NewSimMember("sim-x", faults.New(1, faults.Rates{}).Derive(0),
+		SimMemberConfig{Key: simKey}, 3, 1, simImage(t, 3))
+	private := simImage(t, 4) // the member's own copy, stored without copying
+	if err := m.Push(private, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := m.Stats()
+	if before.ActiveSlot != 2 || !before.Running {
+		t.Fatalf("clean push: %+v, want running on slot 2", before)
+	}
+
+	private[bitstream.HeaderSize+17] ^= 0x01
+	if err := m.Reboot(2); err == nil {
+		t.Error("Reboot(2) booted a slot whose payload changed after it verified")
+	}
+	after, _ := m.Stats()
+	if after.GoldenFallbacks != before.GoldenFallbacks+1 {
+		t.Errorf("GoldenFallbacks = %d, want %d", after.GoldenFallbacks, before.GoldenFallbacks+1)
+	}
+	if after.Running || !m.OnBadImage() {
+		t.Errorf("running=%v onBadImage=%v on the tampered slot, want down and flagged", after.Running, m.OnBadImage())
+	}
+	if err := m.Reboot(1); err != nil {
+		t.Errorf("rollback to the untouched slot 1: %v", err)
 	}
 }
 

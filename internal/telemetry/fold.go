@@ -51,7 +51,9 @@ func NewFold() *Fold {
 	}
 }
 
-// Add folds one member snapshot in (the shard layer).
+// Add folds one member snapshot in (the shard layer). It copies what it
+// keeps and retains no reference to s's slices, so the caller may refill
+// one snapshot for every member it folds.
 func (f *Fold) Add(s Snapshot) {
 	f.snaps++
 	for _, c := range s.Counters {
