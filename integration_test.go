@@ -104,7 +104,7 @@ func TestOTAUnderTraffic(t *testing.T) {
 	gen.Run(0)
 
 	// Mid-stream, push an ACL image and reboot into it.
-	sim.Schedule(10*netsim.Millisecond, func() {
+	sim.ScheduleDetached(10*netsim.Millisecond, func() {
 		app, _ := apps.NewRegistry().New("acl")
 		d, cerr := hls.Compile(app.Program(), hls.Options{
 			ClockHz: BaseClockHz, DatapathBits: BaseDatapathBits,
@@ -139,82 +139,6 @@ func TestOTAUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestActiveCoreFlowExport runs the §4.1 Active-Core vision end to end:
-// a module accounts flows in the data plane while its control plane
-// originates NetFlow-style export datagrams out the dedicated port.
-func TestActiveCoreFlowExport(t *testing.T) {
-	sim := netsim.New(3)
-	mod, _, err := BuildModule(sim, ModuleSpec{
-		Name: "exporter", DeviceID: 77, Shell: ActiveCore, App: "netflow",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod.SetTx(core.PortOptical, func([]byte) {})
-	mod.SetTx(core.PortEdge, func([]byte) {})
-
-	// Collector on the control port.
-	var got []mgmt.FlowRecord
-	var fromDevice uint32
-	mod.SetTx(core.PortControl, func(b []byte) {
-		pkt := packet.NewPacket(b, packet.LayerTypeEthernet)
-		udp, ok := pkt.Layer(packet.LayerTypeUDP).(*packet.UDP)
-		if !ok || udp.DstPort != 2055 {
-			return
-		}
-		dev, _, recs, perr := mgmt.ParseExport(udp.LayerPayload())
-		if perr != nil {
-			t.Error(perr)
-			return
-		}
-		fromDevice = dev
-		got = append(got, recs...)
-	})
-
-	// Traffic: 8 flows.
-	gen := trafficgen.New(sim, trafficgen.Config{PPS: 100_000, Flows: 8},
-		func(b []byte) bool { mod.RxEdge(b); return true })
-	gen.Run(2000)
-
-	// Periodic exporter bridging the app's records.
-	nf := mod.App().(interface{ Export() []apps.FlowStat })
-	exp := mgmt.NewFlowExporter(sim, mod)
-	exp.Start(25*netsim.Millisecond, mgmt.FlowSourceFunc(func() []mgmt.FlowRecord {
-		stats := nf.Export()
-		out := make([]mgmt.FlowRecord, len(stats))
-		for i, s := range stats {
-			out[i] = mgmt.FlowRecord{Key: s.Key, Packets: s.Packets, Bytes: s.Bytes}
-		}
-		return out
-	}))
-	sim.RunFor(60 * netsim.Millisecond)
-	exp.Stop()
-	sim.Run()
-
-	if fromDevice != 77 {
-		t.Errorf("export device = %d", fromDevice)
-	}
-	if exp.Packets == 0 || exp.Exported == 0 {
-		t.Fatalf("exporter sent %d packets / %d records", exp.Packets, exp.Exported)
-	}
-	// Two export rounds × 8 flows.
-	if len(got) != 16 {
-		t.Errorf("collector got %d records, want 16", len(got))
-	}
-	var total uint64
-	seen := map[string]bool{}
-	for _, r := range got {
-		seen[string(r.Key)] = true
-		total += r.Packets
-	}
-	if len(seen) != 8 {
-		t.Errorf("distinct flows = %d, want 8", len(seen))
-	}
-	if total < 2000 {
-		t.Errorf("cumulative exported packets = %d, want ≥2000", total)
-	}
-}
-
 // TestMonitorDetectsMicroburstInTopology drives a microburst through a
 // monitor-equipped module inside the simulator.
 func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
@@ -235,10 +159,10 @@ func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
 	bg.Run(0)
 
 	// A microburst at t = 5 ms: 100 frames back to back at line rate.
-	sim.Schedule(5*netsim.Millisecond, func() {
+	sim.ScheduleDetached(5*netsim.Millisecond, func() {
 		for i := 0; i < 100; i++ {
 			i := i
-			sim.Schedule(netsim.Duration(i*68), func() {
+			sim.ScheduleDetached(netsim.Duration(i*68), func() {
 				mod.RxEdge(packet.MustBuild(packet.Spec{
 					SrcMAC: packet.MustMAC("02:00:00:00:00:31"),
 					DstMAC: packet.MustMAC("02:00:00:00:00:32"),
@@ -249,7 +173,7 @@ func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
 		}
 	})
 	// A link flap: silence from 8 ms to 20 ms.
-	sim.Schedule(8*netsim.Millisecond, func() { bg.Stop() })
+	sim.ScheduleDetached(8*netsim.Millisecond, func() { bg.Stop() })
 	sim.RunFor(20 * netsim.Millisecond)
 	bg2 := trafficgen.New(sim, trafficgen.Config{PPS: 1_000_000},
 		func(b []byte) bool { mod.RxEdge(b); return true })

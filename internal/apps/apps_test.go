@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"net/netip"
 	"testing"
+	"testing/quick"
 
 	"flexsfp/internal/hls"
 	"flexsfp/internal/packet"
 	"flexsfp/internal/ppe"
+	"flexsfp/internal/runner"
 )
 
 var (
@@ -533,6 +535,31 @@ func TestLBFlowStickiness(t *testing.T) {
 		} else if dst != first {
 			t.Fatal("same flow steered to different backends")
 		}
+	}
+}
+
+// TestSymmetricFlowHashProperty: the load balancer's flow hash is the
+// same for both directions of a connection, and the protocol is part of
+// the flow.
+func TestSymmetricFlowHashProperty(t *testing.T) {
+	hash := func(proto packet.IPProtocol, src, dst [4]byte, sp, dp uint16) uint64 {
+		var v packet.View
+		v.Parse(packet.MustBuild(packet.Spec{
+			SrcMAC: macHost, DstMAC: macGW,
+			SrcIP: netip.AddrFrom4(src), DstIP: netip.AddrFrom4(dst),
+			Proto: proto, SrcPort: sp, DstPort: dp,
+		}))
+		return symmetricFlowHash(&v)
+	}
+	symmetric := func(a, b [4]byte, pa, pb uint16) bool {
+		return hash(packet.IPProtocolTCP, a, b, pa, pb) == hash(packet.IPProtocolTCP, b, a, pb, pa)
+	}
+	if err := quick.Check(symmetric, &quick.Config{Rand: runner.NewRand(11)}); err != nil {
+		t.Error(err)
+	}
+	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
+	if hash(packet.IPProtocolTCP, a, b, 1, 2) == hash(packet.IPProtocolUDP, a, b, 1, 2) {
+		t.Error("flow hash ignores the protocol")
 	}
 }
 

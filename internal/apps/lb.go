@@ -135,7 +135,7 @@ func (a *lbApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 		return ppe.VerdictDrop
 	}
 	// Symmetric flow hash keeps both directions of a connection on the
-	// same backend (the packet.Flow.FastHash property).
+	// same backend.
 	h := symmetricFlowHash(v)
 	var key [2]byte
 	binary.BigEndian.PutUint16(key[:], uint16(h%n))
@@ -150,7 +150,9 @@ func (a *lbApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	return ppe.VerdictPass
 }
 
-// symmetricFlowHash mirrors packet.Flow.FastHash over the raw view.
+// symmetricFlowHash hashes the view's 5-tuple so that A→B and B→A
+// collide: each endpoint (address, port) is hashed alone and the two are
+// combined commutatively, then the protocol is mixed in.
 func symmetricFlowHash(v *packet.View) uint64 {
 	var sb, db [6]byte
 	copy(sb[:4], v.SrcIPv4())

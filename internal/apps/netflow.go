@@ -26,13 +26,6 @@ const (
 	nfCounters
 )
 
-// FlowStat is one exported flow record.
-type FlowStat struct {
-	Key     []byte // 13-byte 5-tuple
-	Packets uint64
-	Bytes   uint64
-}
-
 type netflowApp struct {
 	prog  *ppe.Program
 	state *ppe.State
@@ -47,7 +40,9 @@ type netflowApp struct {
 
 // NewNetFlow builds a flow-accounting instance. Flows are learned in the
 // data plane (first packet allocates a counter index); the control plane
-// exports and ages them.
+// reads them as the "flows" table (5-tuple → index) and the "flowstats"
+// counter bank (packets and bytes per index), through table-dump and
+// counter reads.
 func NewNetFlow() *netflowApp {
 	a := &netflowApp{state: ppe.NewState()}
 	spec := ppe.TableSpec{Name: "flows", Kind: ppe.TableExact, KeyBits: packet.FiveTupleKeyBits, ValueBits: 16, Size: NetFlowTableSize}
@@ -120,17 +115,4 @@ func (a *netflowApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	a.meta.Inc(NFMatched, len(ctx.Data))
 	a.stats.Inc(int(binary.BigEndian.Uint16(val)), len(ctx.Data))
 	return ppe.VerdictPass
-}
-
-// Export snapshots all flows with their counters (the control-plane
-// export path; an ActiveCore module can originate these as packets).
-func (a *netflowApp) Export() []FlowStat {
-	snap := a.flows.Snapshot()
-	out := make([]FlowStat, 0, len(snap))
-	for _, e := range snap {
-		idx := int(binary.BigEndian.Uint16(e.Value))
-		pkts, bytes := a.stats.Read(idx)
-		out = append(out, FlowStat{Key: e.Key, Packets: pkts, Bytes: bytes})
-	}
-	return out
 }

@@ -26,7 +26,7 @@ func TestHostCPUProcessesAndJitters(t *testing.T) {
 	h := NewHostCPU(sim, func(d []byte, l netsim.Duration) { lat = append(lat, l) })
 	for i := 0; i < 1000; i++ {
 		i := i
-		sim.Schedule(netsim.Duration(i)*netsim.Microsecond, func() {
+		sim.ScheduleDetached(netsim.Duration(i)*netsim.Microsecond, func() {
 			h.Submit(make([]byte, 64))
 		})
 	}
@@ -51,11 +51,15 @@ func TestHostCPUOverloadDrops(t *testing.T) {
 	h.QueueLimit = 8
 	// Offer 10 Mpps (100 ns spacing) against ~1.8 Mpps capacity.
 	n := 0
-	sim.Every(100, func() bool {
+	var offer func()
+	offer = func() {
 		h.Submit(make([]byte, 64))
 		n++
-		return n < 10000
-	})
+		if n < 10000 {
+			sim.ScheduleDetached(100, offer)
+		}
+	}
+	sim.ScheduleDetached(100, offer)
 	sim.Run()
 	if h.Drops == 0 {
 		t.Error("no drops at 5x overload")
@@ -76,7 +80,7 @@ func TestHostCPUContentionHurtsLatency(t *testing.T) {
 		h.JitterFrac = 0
 		for i := 0; i < 100; i++ {
 			i := i
-			sim.Schedule(netsim.Duration(i)*10*netsim.Microsecond, func() {
+			sim.ScheduleDetached(netsim.Duration(i)*10*netsim.Microsecond, func() {
 				h.Submit(make([]byte, 64))
 			})
 		}
@@ -94,7 +98,7 @@ func TestSmartNICFixedLatency(t *testing.T) {
 	s := NewSmartNIC(sim, func(d []byte, l netsim.Duration) { lat = append(lat, l) })
 	for i := 0; i < 100; i++ {
 		i := i
-		sim.Schedule(netsim.Duration(i)*netsim.Microsecond, func() {
+		sim.ScheduleDetached(netsim.Duration(i)*netsim.Microsecond, func() {
 			s.Submit(make([]byte, 64))
 		})
 	}

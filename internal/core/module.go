@@ -54,8 +54,6 @@ const FPGAConfigTime = 30 * netsim.Millisecond
 
 // Module errors.
 var (
-	ErrNotRunning   = errors.New("core: module not running")
-	ErrRebooting    = errors.New("core: module is rebooting")
 	ErrWrongDevice  = errors.New("core: bitstream targets a different device")
 	ErrNoRegistry   = errors.New("core: module has no application registry")
 	ErrBadSignature = errors.New("core: bitstream signature rejected")
@@ -258,7 +256,7 @@ func (m *Module) Reboot(slot int) {
 	}
 	m.state = stateRebooting
 	_, readTime, _ := m.Flash.LoadBitstream(slot)
-	m.sim.Schedule(readTime+FPGAConfigTime, func() {
+	m.sim.ScheduleDetached(readTime+FPGAConfigTime, func() {
 		if err := m.bootNow(slot); err != nil {
 			// Failed boot: fall back to the previously running design,
 			// then to the golden image (§4.2's reboot FSM made safe).
@@ -320,7 +318,7 @@ func (m *Module) armWatchdog(slot int) {
 	if delay <= 0 {
 		delay = netsim.Millisecond
 	}
-	m.sim.Schedule(delay, func() {
+	m.sim.ScheduleDetached(delay, func() {
 		if m.state != stateRunning || m.activeSlot != slot {
 			return // superseded by another reboot
 		}
@@ -486,18 +484,6 @@ func (m *Module) send(p PortID, data []byte) {
 		tr.Hop(tr.Current(), telemetry.StageTx, uint64(m.sim.Now()), len(data), uint8(p))
 	}
 	m.tx[p](data)
-}
-
-// SendFrom lets the control plane originate traffic on a port — the
-// Active-Core capability (§4.1: "the control plane … can also originate
-// and terminate traffic"). Unless it returns an error, data now belongs
-// to the module.
-func (m *Module) SendFrom(p PortID, data []byte) error {
-	if m.cfg.Shell != hls.ActiveCore && p == PortControl {
-		return fmt.Errorf("core: shell %v has no control port", m.cfg.Shell)
-	}
-	m.send(p, data)
-	return nil
 }
 
 // controlPayload returns the payload of an in-band control frame: one

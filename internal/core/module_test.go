@@ -432,24 +432,6 @@ func TestModuleDDMTracksLaser(t *testing.T) {
 	}
 }
 
-func TestActiveCoreOriginatesTraffic(t *testing.T) {
-	sim := netsim.New(1)
-	m := newRunningModule(t, sim, hls.ActiveCore)
-	var ctrlOut int
-	m.SetTx(PortControl, func(d []byte) { ctrlOut++ })
-	if err := m.SendFrom(PortControl, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if ctrlOut != 1 {
-		t.Errorf("control tx = %d", ctrlOut)
-	}
-	// Non-ActiveCore shells have no control port.
-	m2 := newRunningModule(t, sim, hls.TwoWayCore)
-	if err := m2.SendFrom(PortControl, make([]byte, 64)); err == nil {
-		t.Error("TwoWayCore sent from control port")
-	}
-}
-
 func TestControlFrameUnderVLANTag(t *testing.T) {
 	sim := netsim.New(1)
 	m := newRunningModule(t, sim, hls.TwoWayCore)

@@ -50,7 +50,7 @@ func (s *StandardSFP) forward(from, to PortID, data []byte) {
 		packet.PutBuffer(data)
 		return
 	}
-	s.sim.Schedule(s.RetimerDelay, func() {
+	s.sim.ScheduleDetached(s.RetimerDelay, func() {
 		s.stats.Tx[to]++
 		s.tx[to](data)
 	})

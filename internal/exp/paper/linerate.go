@@ -89,7 +89,7 @@ type lineProbe struct {
 
 // newLineProbe installs the meter and the sinks on mod.
 func newLineProbe(sim *netsim.Simulator, mod *core.Module) *lineProbe {
-	p := &lineProbe{sim: sim, mod: mod, meter: netsim.NewRateMeter(sim)}
+	p := &lineProbe{sim: sim, mod: mod, meter: netsim.NewRateMeter()}
 	mod.SetTx(1, func(b []byte) {
 		p.meter.Observe(len(b))
 		packet.PutBuffer(b)

@@ -30,7 +30,6 @@ import (
 var (
 	ErrConnDropped = errors.New("faults: connection dropped")
 	ErrStalled     = errors.New("faults: request stalled past deadline")
-	ErrFrameLost   = errors.New("faults: control frame lost")
 )
 
 // Rates are per-event fault probabilities in [0, 1].

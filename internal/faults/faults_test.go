@@ -228,7 +228,7 @@ func TestFlapLinkDropsWhileDown(t *testing.T) {
 	if st.DownDrops != 1 || st.Flaps != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if !link.Up() {
+	if !link.Send(append([]byte(nil), frame...)) {
 		t.Error("link still down after the flap window")
 	}
 	if in.Stats().LinkFlaps != 1 {

@@ -91,6 +91,14 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return
 		}
 		s.mu.Lock()
+		if s.ln != ln {
+			// Accepted just before Close (or a later Listen) replaced ln:
+			// Close has already swept the connections, so this one must
+			// not be served.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		go s.serveConn(conn)

@@ -1,11 +1,57 @@
 package mgmt
 
 import (
+	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// lateListener hands out its one connection only once Close has been
+// called: the connection Accept returned just before the server closed.
+type lateListener struct {
+	closed chan struct{}
+	once   sync.Once
+	conn   net.Conn
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	<-l.closed
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestServerDropsConnAcceptedDuringClose: a connection that Accept
+// returns while Close runs is closed, not registered and served after
+// Close has swept the connection set.
+func TestServerDropsConnAcceptedDuringClose(t *testing.T) {
+	srvEnd, cliEnd := net.Pipe()
+	defer cliEnd.Close()
+	ln := &lateListener{closed: make(chan struct{}), conn: srvEnd}
+	srv := NewServer(func(req []byte) []byte { return req })
+	srv.mu.Lock()
+	srv.ln = ln // what Listen does with a real listener
+	srv.mu.Unlock()
+	go srv.acceptLoop(ln)
+	srv.Close()
+	cliEnd.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var b [1]byte
+	if _, err := cliEnd.Read(b[:]); err != io.EOF {
+		t.Fatalf("read from a connection accepted during Close = %v, want EOF", err)
+	}
+}
 
 // TestServerTimesOutHungClient covers the slow-loris case: a client that
 // opens a connection and trickles (or stops sending) a frame must not pin

@@ -39,18 +39,6 @@ func BenchmarkScheduleBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleHandle measures the handle-returning Schedule path
-// (cancelable events are never pooled).
-func BenchmarkScheduleHandle(b *testing.B) {
-	sim := New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim.Schedule(1, fn)
-		sim.Run()
-	}
-}
-
 // BenchmarkSchedule isolates the 4-ary heap push: b.N events scheduled
 // at pseudo-random offsets into an ever-deepening heap, drained outside
 // the timed region. Sift-up cost dominates.
@@ -140,7 +128,7 @@ func BenchmarkShardedWindow(b *testing.B) {
 							sim.ScheduleDetached(100, tick)
 						}
 					}
-					sim.ScheduleAtDetached(Time(j), tick)
+					sim.ScheduleAt(Time(j), tick)
 				}
 			}
 			b.ReportAllocs()

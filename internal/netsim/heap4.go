@@ -4,21 +4,21 @@ package netsim
 //
 // It replaces the earlier container/heap implementation on the scheduler
 // hot path: container/heap moves elements through `any`, which boxes the
-// *Event on every Push/Pop and dispatches Less/Swap through an interface
+// *event on every Push/Pop and dispatches Less/Swap through an interface
 // table. The inlined heap keeps everything monomorphic — push and pop are
 // straight slice code the compiler can inline into schedule/Step.
 //
 // A 4-ary layout (children of i at 4i+1..4i+4) halves the tree depth of a
 // binary heap: sift-up does half the comparisons, and sift-down's extra
-// per-level comparisons stay inside one cache line of []*Event, which is
+// per-level comparisons stay inside one cache line of []*event, which is
 // the right trade for the deep pending queues the traffic sweeps build.
-// Cancellation stays lazy (Event.canceled, skipped at pop), so the heap
-// never needs arbitrary-index removal and events carry no heap index.
-type eventHeap []*Event
+// Events cannot be canceled, so the heap never needs arbitrary-index
+// removal and events carry no heap index.
+type eventHeap []*event
 
 // eventLess orders by timestamp, then by schedule sequence so same-time
 // events fire FIFO.
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -26,7 +26,7 @@ func eventLess(a, b *Event) bool {
 }
 
 // push inserts e, restoring the heap by sifting up.
-func (h *eventHeap) push(e *Event) {
+func (h *eventHeap) push(e *event) {
 	hh := append(*h, e)
 	i := len(hh) - 1
 	for i > 0 {
@@ -42,7 +42,7 @@ func (h *eventHeap) push(e *Event) {
 
 // pop removes and returns the minimum event. The caller must ensure the
 // heap is non-empty.
-func (h *eventHeap) pop() *Event {
+func (h *eventHeap) pop() *event {
 	hh := *h
 	n := len(hh) - 1
 	min := hh[0]

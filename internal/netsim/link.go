@@ -120,8 +120,8 @@ func (f *linkFrame) Complete() {
 // TxFrames and TxBytes count a frame once it has been delivered (or handed
 // to the portal of a cross-shard link), not at its tx-done instant: on a
 // local link with Prop > 0 they trail the wire by the propagation delay
-// while frames are in flight (and so does Utilization). No model code
-// reads them mid-flight; the saving is one event per frame.
+// while frames are in flight. No model code reads them mid-flight; the
+// saving is one event per frame.
 type LinkStats struct {
 	TxFrames  uint64 // frames fully serialized onto the wire and delivered
 	TxBytes   uint64 // frame bytes (excluding per-frame overhead)
@@ -145,10 +145,6 @@ func NewLink(sim *Simulator, bitsPerSec int64, prop Duration, deliver func(data 
 	}
 }
 
-// SetDeliver replaces the delivery callback (used when wiring topologies
-// after link construction).
-func (l *Link) SetDeliver(deliver func(data []byte)) { l.deliver = deliver }
-
 // SetTelemetry attaches the link's optional instruments: trace hops for
 // sampled frames and a histogram of transmit-queue depth. Either may be
 // nil. Wiring-time only.
@@ -160,22 +156,12 @@ func (l *Link) SetTelemetry(tracer *telemetry.Tracer, depth *telemetry.Histogram
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// SerializationTime returns how long a frame of n bytes occupies the wire,
-// including per-frame overhead, rounded up to whole nanoseconds.
-func (l *Link) SerializationTime(n int) Duration {
-	return Duration(ceilDiv(l.serializationPs(n), 1000))
-}
-
 func (l *Link) serializationPs(n int) int64 {
 	bits := int64(n+l.OverheadBytes) * 8
 	return ceilDiv(bits*1_000_000_000_000, l.BitsPerSec)
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-// Up reports whether the link is carrying traffic (true unless downed by
-// SetUp(false), e.g. during an injected flap).
-func (l *Link) Up() bool { return !l.down }
 
 // SetUp raises or lowers the link. While down, Send drops every frame
 // (counted in DownDrops). Lowering an already-down link is a no-op; each
@@ -186,9 +172,6 @@ func (l *Link) SetUp(up bool) {
 	}
 	l.down = !up
 }
-
-// QueueDepth returns the number of frames waiting behind the transmitter.
-func (l *Link) QueueDepth() int { return l.queued }
 
 // Send enqueues data for transmission. It returns false if the link is
 // down or the transmit queue is full: the frame was not taken and still
@@ -240,54 +223,18 @@ func (l *Link) Send(data []byte) bool {
 	return true
 }
 
-// Utilization returns the fraction of the interval [since, now] during
-// which the transmitter was busy, approximated from bytes carried. base
-// must be the Stats() snapshot taken at time since: only the counter
-// deltas since the snapshot count, so a window that starts mid-run is not
-// charged for traffic carried before it. (The previous signature divided
-// cumulative counters by the window length, overstating utilization for
-// any since > 0.)
-func (l *Link) Utilization(since Time, base LinkStats) float64 {
-	elapsed := l.sim.Now().Sub(since)
-	if elapsed <= 0 {
-		return 0
-	}
-	frames := l.stats.TxFrames - base.TxFrames
-	bytes := l.stats.TxBytes - base.TxBytes
-	bits := float64(bytes+frames*uint64(l.OverheadBytes)) * 8
-	return bits / (float64(l.BitsPerSec) * elapsed.Seconds())
-}
-
-// Pipe is a bidirectional channel built from two independent links with
-// identical rate and propagation delay, named by convention A→B and B→A.
-type Pipe struct {
-	AtoB *Link
-	BtoA *Link
-}
-
-// NewPipe builds a full-duplex pipe. Delivery callbacks are initially nil;
-// wire them with SetDeliver on each direction.
-func NewPipe(sim *Simulator, bitsPerSec int64, prop Duration) *Pipe {
-	return &Pipe{
-		AtoB: NewLink(sim, bitsPerSec, prop, nil),
-		BtoA: NewLink(sim, bitsPerSec, prop, nil),
-	}
-}
-
-// RateMeter accumulates frame/byte counts over simulated time to report
-// average packet and bit rates.
+// RateMeter accumulates frame and byte counts and the frame-size range;
+// the caller divides the counts by its own measurement window.
 type RateMeter struct {
-	sim     *Simulator
-	start   Time
 	Frames  uint64
 	Bytes   uint64
-	MinSize int
+	MinSize int // -1 until the first frame
 	MaxSize int
 }
 
-// NewRateMeter creates a meter that measures from the current sim time.
-func NewRateMeter(sim *Simulator) *RateMeter {
-	return &RateMeter{sim: sim, start: sim.Now(), MinSize: -1}
+// NewRateMeter returns an empty meter.
+func NewRateMeter() *RateMeter {
+	return &RateMeter{MinSize: -1}
 }
 
 // Observe records a frame of n bytes.
@@ -300,33 +247,4 @@ func (m *RateMeter) Observe(n int) {
 	if n > m.MaxSize {
 		m.MaxSize = n
 	}
-}
-
-// Reset restarts the measurement window at the current sim time.
-func (m *RateMeter) Reset() {
-	m.start = m.sim.Now()
-	m.Frames, m.Bytes = 0, 0
-	m.MinSize, m.MaxSize = -1, 0
-}
-
-// Elapsed returns the length of the measurement window.
-func (m *RateMeter) Elapsed() Duration { return m.sim.Now().Sub(m.start) }
-
-// PPS returns the average packet rate over the window.
-func (m *RateMeter) PPS() float64 {
-	sec := m.Elapsed().Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(m.Frames) / sec
-}
-
-// BitsPerSec returns the average payload bit rate over the window
-// (frame bytes only; no per-frame overhead).
-func (m *RateMeter) BitsPerSec() float64 {
-	sec := m.Elapsed().Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(m.Bytes) * 8 / sec
 }

@@ -31,7 +31,7 @@ func TestShardedWaitersPark(t *testing.T) {
 	for busyShard := 0; busyShard < 2; busyShard++ {
 		sh := NewSharded(1, 2)
 		sh.Connect(0, 1, 10, func([]byte) {})
-		sh.Shard(busyShard).ScheduleAtDetached(1, func() {
+		sh.Shard(busyShard).ScheduleAt(1, func() {
 			for start := time.Now(); time.Since(start) < busy; {
 			}
 		})

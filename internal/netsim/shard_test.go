@@ -42,7 +42,7 @@ func ringWorld(seed int64, shards, nodes, hops int) []string {
 	for k := 0; k < 3; k++ {
 		kk := k
 		sim := sh.Shard(sh.ShardFor(kk))
-		sim.ScheduleAtDetached(Time(kk+1), func() {
+		sim.ScheduleAt(Time(kk+1), func() {
 			outs[kk].Send([]byte{byte(kk), 0})
 		})
 	}
@@ -127,7 +127,7 @@ func TestShardedSpillOverflow(t *testing.T) {
 	for i := range bufs {
 		bufs[i] = []byte{byte(i >> 8), byte(i)}
 	}
-	sh.Shard(0).ScheduleAtDetached(1, func() {
+	sh.Shard(0).ScheduleAt(1, func() {
 		for i := 0; i < n; i++ {
 			p.Send(bufs[i])
 		}
@@ -151,8 +151,8 @@ func TestShardedRunUntilAdvancesClocks(t *testing.T) {
 	var fired [4]int
 	for i := 0; i < 4; i++ {
 		i := i
-		sh.Shard(i).ScheduleAtDetached(Time(100+i), func() { fired[i]++ })
-		sh.Shard(i).ScheduleAtDetached(Time(5000), func() { fired[i]++ })
+		sh.Shard(i).ScheduleAt(Time(100+i), func() { fired[i]++ })
+		sh.Shard(i).ScheduleAt(Time(5000), func() { fired[i]++ })
 	}
 	total := func() int { return fired[0] + fired[1] + fired[2] + fired[3] }
 	sh.RunUntil(103)
@@ -179,7 +179,7 @@ func TestShardedRunUntilBoundaryInclusive(t *testing.T) {
 	sh := NewSharded(1, 2)
 	fired := false
 	p := sh.Connect(0, 1, 50, func(data []byte) { fired = true })
-	sh.Shard(0).ScheduleAtDetached(50, func() { p.Send([]byte{1}) })
+	sh.Shard(0).ScheduleAt(50, func() { p.Send([]byte{1}) })
 	sh.RunUntil(100) // arrival lands exactly at 100
 	if !fired {
 		t.Fatal("cross-shard arrival exactly at RunUntil boundary did not fire")
@@ -244,7 +244,7 @@ func TestShardedConnectLink(t *testing.T) {
 	})
 	frame := make([]byte, 1230) // 1250B incl. overhead = 1 µs on the wire
 	frame[0] = 0xAB
-	sh.Shard(0).ScheduleAtDetached(1, func() {
+	sh.Shard(0).ScheduleAt(1, func() {
 		if !l.Send(frame) {
 			t.Error("send refused")
 		}
@@ -337,8 +337,8 @@ func TestShardedWorkersExit(t *testing.T) {
 	sh := NewSharded(1, 4)
 	p := sh.Connect(0, 3, 10, func([]byte) {})
 	for i := 0; i < 4; i++ {
-		sh.Shard(i).ScheduleAtDetached(Time(5+i), func() {})
-		sh.Shard(i).ScheduleAtDetached(1000, func() {})
+		sh.Shard(i).ScheduleAt(Time(5+i), func() {})
+		sh.Shard(i).ScheduleAt(1000, func() {})
 	}
 	p.Send([]byte{1})
 	before := runtime.NumGoroutine()
@@ -370,7 +370,7 @@ func TestShardedStats(t *testing.T) {
 	sh := NewSharded(1, 2)
 	p := sh.Connect(0, 1, 10, func([]byte) {})
 	data := []byte{1}
-	sh.Shard(0).ScheduleAtDetached(1, func() {
+	sh.Shard(0).ScheduleAt(1, func() {
 		for i := 0; i < n; i++ {
 			p.Send(data)
 		}

@@ -11,6 +11,14 @@
 // shard) and advances them together under conservative lookahead
 // synchronization — see shard.go.
 //
+// Scheduling has one shape: ScheduleDetached (relative), ScheduleAt
+// (absolute) and ScheduleCompletionAt (a preallocated Completer instead of
+// a closure) all push an event that nothing outside the kernel can see.
+// There are no handles and no cancellation; every event returns to the
+// simulator's free list once it has fired, so a steady-state schedule
+// allocates nothing. A component that may no longer want a scheduled
+// effect checks its own state when the callback runs.
+//
 // Per-frame event budget: a simulated frame costs one event per generator
 // emit, one per link hop (Link's delivery, or its portal hand-off on a
 // cross-shard link), one per engine verdict and one per portal arrival —
@@ -82,22 +90,15 @@ type Completer interface {
 	Complete()
 }
 
-// Event is a scheduled callback. It can be canceled before it fires.
-type Event struct {
-	at       Time
-	seq      uint64 // tie-breaker: FIFO among same-time events
-	fn       func()
-	comp     Completer // typed fast path; used when fn is nil
-	canceled bool
-	pooled   bool // recycled onto the simulator free-list after firing
+// event is one scheduled callback. Every event is recycled onto the
+// simulator's free list after it fires: no scheduling call returns it, so
+// nothing outside the kernel can hold one.
+type event struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	fn   func()
+	comp Completer // typed fast path; used when fn is nil
 }
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // Simulator owns the simulated clock and the pending-event queue.
 type Simulator struct {
@@ -114,12 +115,10 @@ type Simulator struct {
 	// now, set it to seq, past every event and mark taken so far.
 	cur uint64
 
-	// free recycles fired detached events. Only events scheduled through
-	// the *Detached entry points land here: their callers hold no *Event,
-	// so reusing the object cannot alias a live handle. The simulator is
-	// single-threaded, so a plain slice beats sync.Pool (no per-P
-	// shards, no GC clearing).
-	free []*Event
+	// free recycles fired events. No caller holds an event, so reusing
+	// one cannot alias anything. The simulator is single-threaded, so a
+	// plain slice beats sync.Pool (no per-P shards, no GC clearing).
+	free []*event
 
 	// gapHist, when attached (AttachTelemetry), observes the simulated-time
 	// advance between consecutive fired events.
@@ -147,44 +146,30 @@ func (s *Simulator) Pending() int { return len(s.events) }
 // Fired returns the total number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Schedule runs fn after delay d of simulated time. A negative delay is
-// treated as zero (fires "now", after already-queued same-time events).
-func (s *Simulator) Schedule(d Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.ScheduleAt(s.now.Add(d), fn)
-}
-
-// ScheduleAt runs fn at absolute simulated time t. Times in the past are
-// clamped to the current time.
-func (s *Simulator) ScheduleAt(t Time, fn func()) *Event {
-	return s.schedule(t, fn, false)
-}
-
-// ScheduleDetached runs fn after delay d like Schedule, but returns no
-// handle: the event cannot be canceled, and its Event object is recycled
-// after it fires. This is the allocation-free path every per-frame
-// schedule (engine verdicts, generator emission, link delivery) uses.
+// ScheduleDetached runs fn after delay d of simulated time. A negative
+// delay is treated as zero (fires "now", after already-queued same-time
+// events). Nothing is returned and nothing can cancel the event; the
+// kernel recycles it once it has fired, so scheduling allocates nothing in
+// steady state. It is the kernel's one relative-time entry point.
 func (s *Simulator) ScheduleDetached(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.now.Add(d), fn, true)
+	s.schedule(s.now.Add(d), fn, nil)
 }
 
-// ScheduleAtDetached is ScheduleAt without a handle; see ScheduleDetached.
-func (s *Simulator) ScheduleAtDetached(t Time, fn func()) {
-	s.schedule(t, fn, true)
+// ScheduleAt runs fn at absolute simulated time t, recycling its event
+// like ScheduleDetached. Times in the past are clamped to the current time.
+func (s *Simulator) ScheduleAt(t Time, fn func()) {
+	s.schedule(t, fn, nil)
 }
 
-// ScheduleCompletionAt schedules c.Complete() at absolute time t through
-// the detached free-list, with no closure: the caller keeps ownership of
-// c and may recycle it once Complete has fired. This is the zero-alloc
-// path for per-frame completions (engine verdicts, link deliveries).
+// ScheduleCompletionAt schedules c.Complete() at absolute time t with no
+// closure: the caller keeps ownership of c and may recycle it once
+// Complete has fired. This is the zero-alloc path for per-frame
+// completions (engine verdicts, link deliveries).
 func (s *Simulator) ScheduleCompletionAt(t Time, c Completer) {
-	e := s.schedule(t, nil, true)
-	e.comp = c
+	s.schedule(t, nil, c)
 }
 
 // Mark is a reserved place in the event order: the (time, sequence) an
@@ -216,56 +201,48 @@ func (s *Simulator) Passed(m Mark) bool {
 	return m.at < s.now || (m.at == s.now && m.seq < s.cur)
 }
 
-func (s *Simulator) schedule(t Time, fn func(), pooled bool) *Event {
+func (s *Simulator) schedule(t Time, fn func(), c Completer) {
 	if t < s.now {
 		t = s.now
 	}
-	var e *Event
-	if n := len(s.free); pooled && n > 0 {
+	var e *event
+	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.fn, e.canceled = t, fn, false
+		e.at, e.fn, e.comp = t, fn, c
 	} else {
-		e = &Event{at: t, fn: fn}
+		e = &event{at: t, fn: fn, comp: c}
 	}
 	e.seq = s.seq
-	e.pooled = pooled
 	s.seq++
 	s.events.push(e)
-	return e
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		if e.canceled {
-			continue
-		}
-		if s.gapHist != nil {
-			s.gapHist.Observe(uint64(e.at - s.lastFire))
-			s.lastFire = e.at
-		}
-		s.now, s.cur = e.at, e.seq
-		s.fired++
-		if e.fn != nil {
-			e.fn()
-		} else if e.comp != nil {
-			e.comp.Complete()
-		}
-		if e.pooled {
-			// Recycle only after the callback returns: anything it
-			// scheduled has already taken its own Event, so no live
-			// reference remains.
-			e.fn = nil
-			e.comp = nil
-			s.free = append(s.free, e)
-		}
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := s.events.pop()
+	if s.gapHist != nil {
+		s.gapHist.Observe(uint64(e.at - s.lastFire))
+		s.lastFire = e.at
+	}
+	s.now, s.cur = e.at, e.seq
+	s.fired++
+	if e.fn != nil {
+		e.fn()
+	} else if e.comp != nil {
+		e.comp.Complete()
+	}
+	// Recycle only after the callback returns: anything it scheduled has
+	// already taken its own event, so no live reference remains.
+	e.fn = nil
+	e.comp = nil
+	s.free = append(s.free, e)
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -318,60 +295,9 @@ func (s *Simulator) nextAt() (Time, bool) {
 	return 0, false
 }
 
-func (s *Simulator) peek() *Event {
-	for len(s.events) > 0 {
-		if s.events[0].canceled {
-			s.events.pop()
-			continue
-		}
+func (s *Simulator) peek() *event {
+	if len(s.events) > 0 {
 		return s.events[0]
 	}
 	return nil
-}
-
-// Every schedules fn to run every period, starting one period from now,
-// until the returned Ticker is stopped. If fn returns false the ticker
-// stops itself.
-func (s *Simulator) Every(period Duration, fn func() bool) *Ticker {
-	if period <= 0 {
-		panic("netsim: ticker period must be positive")
-	}
-	t := &Ticker{sim: s, period: period, fn: fn}
-	t.arm()
-	return t
-}
-
-// Ticker is a repeating event created by Simulator.Every.
-type Ticker struct {
-	sim     *Simulator
-	period  Duration
-	fn      func() bool
-	ev      *Event
-	stopped bool
-}
-
-func (t *Ticker) arm() {
-	t.ev = t.sim.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		if !t.fn() {
-			t.stopped = true
-			return
-		}
-		if t.stopped {
-			// fn called Stop on its own ticker and still returned true:
-			// honor the Stop instead of re-arming a dead event.
-			return
-		}
-		t.arm()
-	})
-}
-
-// Stop cancels the ticker. Safe to call multiple times.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
 }

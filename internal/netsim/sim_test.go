@@ -10,9 +10,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	s := New(1)
 	var got []int
-	s.Schedule(30, func() { got = append(got, 3) })
-	s.Schedule(10, func() { got = append(got, 1) })
-	s.Schedule(20, func() { got = append(got, 2) })
+	s.ScheduleDetached(30, func() { got = append(got, 3) })
+	s.ScheduleDetached(10, func() { got = append(got, 1) })
+	s.ScheduleDetached(20, func() { got = append(got, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,7 +30,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(100, func() { got = append(got, i) })
+		s.ScheduleDetached(100, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := range got {
@@ -43,7 +43,7 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestNegativeDelayClamped(t *testing.T) {
 	s := New(1)
 	fired := false
-	s.Schedule(-5, func() { fired = true })
+	s.ScheduleDetached(-5, func() { fired = true })
 	s.Run()
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
@@ -55,7 +55,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 
 func TestScheduleAtPastClamped(t *testing.T) {
 	s := New(1)
-	s.Schedule(50, func() {
+	s.ScheduleDetached(50, func() {
 		s.ScheduleAt(10, func() {}) // in the past: clamp to now=50
 	})
 	s.Run()
@@ -64,37 +64,12 @@ func TestScheduleAtPastClamped(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New(1)
-	fired := false
-	e := s.Schedule(10, func() { fired = true })
-	e.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-}
-
-func TestCancelFromEarlierEvent(t *testing.T) {
-	s := New(1)
-	fired := false
-	e := s.Schedule(20, func() { fired = true })
-	s.Schedule(10, func() { e.Cancel() })
-	s.Run()
-	if fired {
-		t.Fatal("event canceled mid-run still fired")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New(1)
 	var fired []Time
 	for _, d := range []Duration{5, 10, 15, 20} {
 		d := d
-		s.Schedule(d, func() { fired = append(fired, s.Now()) })
+		s.ScheduleDetached(d, func() { fired = append(fired, s.Now()) })
 	}
 	s.RunUntil(12)
 	if len(fired) != 2 {
@@ -115,7 +90,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := New(1)
 	fired := false
-	s.Schedule(10, func() { fired = true })
+	s.ScheduleDetached(10, func() { fired = true })
 	s.RunUntil(10)
 	if !fired {
 		t.Fatal("event exactly at boundary did not fire")
@@ -124,7 +99,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 
 func TestRunFor(t *testing.T) {
 	s := New(1)
-	s.Schedule(100, func() {})
+	s.ScheduleDetached(100, func() {})
 	s.RunFor(40)
 	if s.Now() != 40 {
 		t.Errorf("Now() = %v, want 40", s.Now())
@@ -145,43 +120,16 @@ func TestNestedScheduling(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			s.Schedule(1, recurse)
+			s.ScheduleDetached(1, recurse)
 		}
 	}
-	s.Schedule(0, recurse)
+	s.ScheduleDetached(0, recurse)
 	s.Run()
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
 	}
 	if s.Now() != 99 {
 		t.Errorf("Now() = %v, want 99", s.Now())
-	}
-}
-
-func TestTicker(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.Every(10, func() bool {
-		count++
-		return count < 5
-	})
-	s.Run()
-	if count != 5 {
-		t.Errorf("ticker fired %d times, want 5", count)
-	}
-	if s.Now() != 50 {
-		t.Errorf("Now() = %v, want 50", s.Now())
-	}
-}
-
-func TestTickerStop(t *testing.T) {
-	s := New(1)
-	count := 0
-	tk := s.Every(10, func() bool { count++; return true })
-	s.Schedule(35, func() { tk.Stop() })
-	s.RunUntil(1000)
-	if count != 3 {
-		t.Errorf("ticker fired %d times after Stop at t=35, want 3", count)
 	}
 }
 
@@ -225,7 +173,7 @@ func TestEventOrderProperty(t *testing.T) {
 			if dd > max {
 				max = dd
 			}
-			s.Schedule(dd, func() { fired = append(fired, s.Now()) })
+			s.ScheduleDetached(dd, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run()
 		if len(fired) != len(delays) {
@@ -248,7 +196,7 @@ func TestDetachedSchedulingOrderAndRecycle(t *testing.T) {
 	var order []int
 	sim.ScheduleDetached(30, func() { order = append(order, 3) })
 	sim.ScheduleDetached(10, func() { order = append(order, 1) })
-	sim.Schedule(20, func() { order = append(order, 2) })
+	sim.ScheduleDetached(20, func() { order = append(order, 2) })
 	sim.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -292,66 +240,17 @@ func TestDetachedSameTimeFIFOWithRecycling(t *testing.T) {
 	}
 }
 
-func TestDetachedDoesNotRecycleHandles(t *testing.T) {
-	sim := New(1)
-	// A canceled handle event must stay canceled even if detached events
-	// churn the free list around it.
-	ev := sim.Schedule(50, func() { t.Fatal("canceled event fired") })
-	for i := 0; i < 32; i++ {
-		sim.ScheduleDetached(Duration(i), func() {})
-	}
-	ev.Cancel()
-	sim.Run()
-	if !ev.Canceled() {
-		t.Fatal("handle lost cancellation")
-	}
-}
-
-// TestCancelPooledDetached exercises Event.Cancel on an event scheduled
-// through the pooled detached path. External callers hold no handle for
-// detached events, but the internal schedule(t, fn, true) entry (used by
-// ScheduleCompletionAt and the link/engine fast paths) does return one,
-// and a cancellation there must neither fire the callback nor corrupt the
-// free list for subsequent pooled scheduling.
-func TestCancelPooledDetached(t *testing.T) {
-	s := New(1)
-	fired := false
-	e := s.schedule(10, func() { fired = true }, true)
-	e.Cancel()
-	later := false
-	s.ScheduleDetached(20, func() { later = true })
-	s.Run()
-	if fired {
-		t.Fatal("canceled pooled event fired")
-	}
-	if !later {
-		t.Fatal("pooled scheduling after a canceled pooled event did not fire")
-	}
-	if s.Fired() != 1 {
-		t.Errorf("Fired() = %d, want 1 (cancellation must not count)", s.Fired())
-	}
-	// The pool keeps working: recycled events still fire in order.
-	n := 0
-	for i := 0; i < 4; i++ {
-		s.ScheduleDetached(Duration(i+1), func() { n++ })
-	}
-	s.Run()
-	if n != 4 {
-		t.Errorf("post-cancel pooled events fired %d times, want 4", n)
-	}
-}
-
-// TestRunUntilBoundaryDetached pins RunUntil's inclusive boundary for the
-// pooled detached path and for ties exactly at the limit: all events at
+// TestRunUntilBoundaryDetached pins RunUntil's inclusive boundary for
+// recycled events and for ties exactly at the limit: all events at
 // t == limit fire (in FIFO order), events after it stay pending, and the
 // clock lands exactly on the limit.
 func TestRunUntilBoundaryDetached(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.ScheduleAtDetached(10, func() { order = append(order, 1) })
-	s.ScheduleAtDetached(10, func() { order = append(order, 2) })
-	s.Schedule(10, func() { order = append(order, 3) })
-	s.ScheduleAtDetached(11, func() { order = append(order, 4) })
+	s.ScheduleAt(10, func() { order = append(order, 1) })
+	s.ScheduleAt(10, func() { order = append(order, 2) })
+	s.ScheduleDetached(10, func() { order = append(order, 3) })
+	s.ScheduleAt(11, func() { order = append(order, 4) })
 	s.RunUntil(10)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("boundary events fired as %v, want [1 2 3]", order)
@@ -364,25 +263,37 @@ func TestRunUntilBoundaryDetached(t *testing.T) {
 	}
 }
 
-// TestTickerStopFromOwnCallback covers a ticker stopped from inside its
-// own callback. Returning true after calling Stop must still honor the
-// Stop — the ticker must not re-arm.
-func TestTickerStopFromOwnCallback(t *testing.T) {
+type countCompleter int
+
+func (c *countCompleter) Complete() { *c++ }
+
+// TestScheduleZeroAlloc pins every scheduling entry point at zero
+// allocations once the free list is warm: the kernel recycles each event
+// after it fires, whichever call scheduled it.
+func TestScheduleZeroAlloc(t *testing.T) {
 	s := New(1)
-	count := 0
-	var tk *Ticker
-	tk = s.Every(10, func() bool {
-		count++
-		if count == 2 {
-			tk.Stop()
+	fired := 0
+	fn := func() { fired++ }
+	var c countCompleter
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"ScheduleAt", func() { s.ScheduleAt(s.Now().Add(10), fn) }},
+		{"ScheduleDetached", func() { s.ScheduleDetached(10, fn) }},
+		{"ScheduleCompletionAt", func() { s.ScheduleCompletionAt(s.Now().Add(10), &c) }},
+	} {
+		tc.schedule()
+		s.Run()
+		if n := testing.AllocsPerRun(200, func() {
+			tc.schedule()
+			s.Run()
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per schedule and fire, want 0", tc.name, n)
 		}
-		return true // deliberately "keep going" after Stop
-	})
-	s.RunUntil(1000)
-	if count != 2 {
-		t.Errorf("ticker fired %d times, want 2 (Stop from own callback)", count)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending() = %d, want 0 after self-stop", s.Pending())
+	// Each case fired once to warm up and 201 times under AllocsPerRun.
+	if fired != 2*202 || c != 202 {
+		t.Errorf("fired %d closures and %d completions, want %d and 202", fired, c, 2*202)
 	}
 }

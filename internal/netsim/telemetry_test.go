@@ -68,9 +68,9 @@ func TestSimulatorAttachTelemetry(t *testing.T) {
 	sim := New(1)
 	reg := telemetry.New()
 	sim.AttachTelemetry(reg, "sim")
-	sim.Schedule(10, func() {})
-	sim.Schedule(10, func() {}) // same timestamp: zero gap
-	sim.Schedule(30, func() {})
+	sim.ScheduleDetached(10, func() {})
+	sim.ScheduleDetached(10, func() {}) // same timestamp: zero gap
+	sim.ScheduleDetached(30, func() {})
 	snap := reg.Snapshot()
 	if v, ok := snap.Gauge("sim.pending_events"); !ok || v != 3 {
 		t.Fatalf("pending_events = %v (ok=%v)", v, ok)

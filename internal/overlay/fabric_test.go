@@ -91,8 +91,8 @@ func TestFabricEndToEnd(t *testing.T) {
 	epoch := sh.AlignClocks()
 	f01 := innerFrame(0, 1, "zero-to-one")
 	f12 := innerFrame(1, 2, "one-to-two")
-	f.Cables[0].Sim.ScheduleAtDetached(epoch.Add(netsim.Microsecond), func() { f.Cables[0].Mod.RxEdge(f01) })
-	f.Cables[1].Sim.ScheduleAtDetached(epoch.Add(netsim.Microsecond), func() { f.Cables[1].Mod.RxEdge(f12) })
+	f.Cables[0].Sim.ScheduleAt(epoch.Add(netsim.Microsecond), func() { f.Cables[0].Mod.RxEdge(f01) })
+	f.Cables[1].Sim.ScheduleAt(epoch.Add(netsim.Microsecond), func() { f.Cables[1].Mod.RxEdge(f12) })
 	sh.RunUntil(epoch.Add(200 * netsim.Microsecond))
 
 	if got[1].count != 1 || !bytes.Equal(got[1].last, f01) {
@@ -113,7 +113,7 @@ func TestFabricEndToEnd(t *testing.T) {
 	}
 	f.SetCableLinks(2, false)
 	f23 := innerFrame(1, 2, "failover")
-	f.Cables[1].Sim.ScheduleAtDetached(epoch.Add(300*netsim.Microsecond), func() { f.Cables[1].Mod.RxEdge(f23) })
+	f.Cables[1].Sim.ScheduleAt(epoch.Add(300*netsim.Microsecond), func() { f.Cables[1].Mod.RxEdge(f23) })
 	sh.RunUntil(epoch.Add(500 * netsim.Microsecond))
 
 	if got[0].count != 1 || !bytes.Equal(got[0].last, f23) {
@@ -166,7 +166,7 @@ func TestFabricWithdrawnPeerFailsClosed(t *testing.T) {
 	epoch := sh.AlignClocks()
 	txBefore := c0.Links[1].Stats().TxFrames
 	frame := innerFrame(0, 1, "into-the-void")
-	c0.Sim.ScheduleAtDetached(epoch.Add(netsim.Microsecond), func() { c0.Mod.RxEdge(frame) })
+	c0.Sim.ScheduleAt(epoch.Add(netsim.Microsecond), func() { c0.Mod.RxEdge(frame) })
 	sh.RunUntil(epoch.Add(100 * netsim.Microsecond))
 
 	if delivered[1] != 0 {

@@ -109,12 +109,9 @@ const (
 
 // Decoding errors.
 var (
-	ErrTooShort     = errors.New("packet: data too short for layer")
-	ErrUnsupported  = errors.New("packet: no decoder for layer type")
-	ErrBadHeader    = errors.New("packet: malformed header")
-	ErrTruncated    = errors.New("packet: payload truncated relative to header length")
-	ErrBadChecksum  = errors.New("packet: bad checksum")
-	ErrBufferTooBig = errors.New("packet: serialize buffer limit exceeded")
+	ErrTooShort  = errors.New("packet: data too short for layer")
+	ErrBadHeader = errors.New("packet: malformed header")
+	ErrTruncated = errors.New("packet: payload truncated relative to header length")
 )
 
 // Layer is the common interface of all decoded layers.

@@ -16,11 +16,10 @@ const (
 	// FrameOverheadBytes is the per-frame wire overhead:
 	// 7 preamble + 1 SFD + 12 inter-frame gap.
 	FrameOverheadBytes = 20
-	// MinFrameBytes / MaxFrameBytes bound standard Ethernet frames
-	// (without FCS in this model's accounting — the 64-byte minimum
-	// already includes it on the wire, so sizes here are wire sizes).
+	// MinFrameBytes is the minimum standard Ethernet frame (without FCS
+	// in this model's accounting — the 64-byte minimum already includes
+	// it on the wire, so sizes here are wire sizes).
 	MinFrameBytes = 64
-	MaxFrameBytes = 1518
 )
 
 // DataRateFromBaud returns the usable data rate for a given baud rate

@@ -64,14 +64,14 @@ func (e *refEngine) Submit(data []byte, dir Direction) bool {
 	e.busyPs += servicePs
 	if startPs > nowPs {
 		e.queued++
-		e.sim.ScheduleAtDetached(netsim.Time((e.busyUntilPs+999)/1000), e.release)
+		e.sim.ScheduleAt(netsim.Time((e.busyUntilPs+999)/1000), e.release)
 	}
 	e.stats.In++
 	e.stats.InBytes += uint64(len(data))
 	e.depthHist.Observe(uint64(e.queued))
 	ctx := &Ctx{Data: data, Dir: dir, TimestampNs: uint64(now)}
 	donePs := e.busyUntilPs + int64(e.depth)*e.period
-	e.sim.ScheduleAtDetached(netsim.Time((donePs+999)/1000), func() {
+	e.sim.ScheduleAt(netsim.Time((donePs+999)/1000), func() {
 		v := e.prog.Handler.HandlePacket(ctx)
 		switch v {
 		case VerdictPass:

@@ -191,11 +191,15 @@ func TestEngineSaturationDropsExcess(t *testing.T) {
 	e.QueueLimit = 16
 	// Capacity is 17.36 Mpps; offer ~34.7 Mpps for 1 ms: interval 28.8 ns.
 	n := 0
-	sim.Every(29, func() bool {
+	var offer func()
+	offer = func() {
 		e.Submit(make([]byte, 64), DirEdgeToOptical)
 		n++
-		return n < 34000
-	})
+		if n < 34000 {
+			sim.ScheduleDetached(29, offer)
+		}
+	}
+	sim.ScheduleDetached(29, offer)
 	sim.Run()
 	st := e.Stats()
 	accepted := float64(st.In)
@@ -222,11 +226,15 @@ func TestEngineSustainsLineRateNoDrops(t *testing.T) {
 	}
 	e.QueueLimit = 4
 	n := 0
-	sim.Every(68, func() bool { // 67.2 ns rounded up: slightly under line rate
+	var offer func()
+	offer = func() {
 		e.Submit(make([]byte, 64), DirEdgeToOptical)
 		n++
-		return n < 14880
-	})
+		if n < 14880 {
+			sim.ScheduleDetached(68, offer) // 67.2 ns rounded up: slightly under line rate
+		}
+	}
+	sim.ScheduleDetached(68, offer)
 	sim.Run()
 	if st := e.Stats(); st.QueueDrop != 0 {
 		t.Errorf("dropped %d frames at line rate", st.QueueDrop)
@@ -314,7 +322,7 @@ func TestEngineVerdictConservationProperty(t *testing.T) {
 		n := int(burst)%200 + 1
 		for k := 0; k < n; k++ {
 			size := 64 + sim.Rand().Intn(1400)
-			sim.Schedule(netsim.Duration(sim.Rand().Intn(10000)), func() {
+			sim.ScheduleDetached(netsim.Duration(sim.Rand().Intn(10000)), func() {
 				e.Submit(make([]byte, size), DirEdgeToOptical)
 			})
 		}

@@ -63,7 +63,7 @@ func shardedPipelineTraces(t *testing.T, shards int) (traceA, traceB []string) {
 	}
 	for i := range frames {
 		i := i
-		simA.ScheduleAtDetached(netsim.Time(1+100*i), func() {
+		simA.ScheduleAt(netsim.Time(1+100*i), func() {
 			if !engA.Submit(frames[i], DirEdgeToOptical) {
 				t.Error("engine A refused a frame")
 			}

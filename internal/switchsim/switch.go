@@ -127,7 +127,7 @@ func (sw *Switch) ingress(p int, data []byte) {
 	if !src.IsMulticast() {
 		sw.macTable[src] = p
 	}
-	sw.sim.Schedule(FabricDelay, func() {
+	sw.sim.ScheduleDetached(FabricDelay, func() {
 		if out, ok := sw.macTable[dst]; ok && !dst.IsBroadcast() {
 			if out == p {
 				sw.stats.Dropped++ // hairpin: filtered

@@ -142,7 +142,7 @@ func TestStop(t *testing.T) {
 	sim := netsim.New(1)
 	g := New(sim, Config{PPS: 1e6, SrcMAC: gMacA, DstMAC: gMacB}, func(b []byte) bool { return true })
 	g.Run(0) // unbounded
-	sim.Schedule(50*netsim.Microsecond, func() { g.Stop() })
+	sim.ScheduleDetached(50*netsim.Microsecond, func() { g.Stop() })
 	sim.Run()
 	if g.Sent < 40 || g.Sent > 60 {
 		t.Errorf("sent %d frames before stop, want ≈50", g.Sent)

@@ -123,8 +123,6 @@ var (
 	ErrWriteROReg  = errors.New("xdp: write to read-only register")
 	ErrShiftRange  = errors.New("xdp: shift amount out of range")
 	ErrOutOfBounds = errors.New("xdp: packet access out of bounds")
-	ErrDivByZero   = errors.New("xdp: arithmetic fault")
-	ErrNotVerified = errors.New("xdp: program not verified")
 )
 
 // Verify checks the static properties a hardware offload needs: bounded
