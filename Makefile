@@ -13,17 +13,17 @@ RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/.
 # ledger's job: go run ./benchmark.
 HOT_PKGS = ./internal/ppe ./internal/netsim ./internal/trafficgen ./internal/apps ./internal/packet
 
-.PHONY: all build test race race-all bench bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke fleet-scale opt-smoke catalog-smoke vet fmt check examples reports clean
+.PHONY: all build test race race-all bench smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke fleet-scale opt-smoke catalog-smoke vet fmt check examples reports clean
 
 all: build test
 
 # Everything CI cares about: compile, unit tests, race detector, vet,
-# the experiment-registry smoke check, the hot-path smoke run
+# the hot-path smoke run
 # (alloc-regression tests and a -benchtime=1x pass over every benchmark),
 # the shard-determinism smoke, a short pass over every native fuzz
 # target, and a race-mode run of the default experiment suite with
 # telemetry attached.
-check: build test race vet bench-list smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke opt-smoke catalog-smoke
+check: build test race vet smoke shard-smoke fuzz-smoke telemetry-smoke fleet-smoke opt-smoke catalog-smoke
 
 build:
 	$(GO) build ./...
@@ -127,16 +127,6 @@ catalog-smoke:
 	printf '%s\n' "$$out" | grep -A2 '"name": "fits_all"' | grep -q '"mean": 1' || { echo "catalog-smoke: an app does not fit the MPF200T" >&2; exit 1; }; \
 	printf '%s\n' "$$out" | grep -A2 '"name": "new_apps_line_rate"' | grep -q '"mean": 1' || { echo "catalog-smoke: a new app dropped frames on its matched profile" >&2; exit 1; }; \
 	echo "catalog-smoke: all apps fit, edge-protocol trio holds line rate"
-
-# Registry smoke check: the bench binary must enumerate a non-empty
-# experiment catalog with unique names (a broken registration init or a
-# duplicate ID fails the build before anything tries to -run it).
-bench-list:
-	@out="$$($(GO) run ./cmd/flexsfp-bench -list)"; \
-	test -n "$$out" || { echo "bench-list: registry is empty" >&2; exit 1; }; \
-	dups="$$(printf '%s\n' "$$out" | awk '{print $$1}' | sort | uniq -d)"; \
-	test -z "$$dups" || { echo "bench-list: duplicate experiment names: $$dups" >&2; exit 1; }; \
-	echo "bench-list: $$(printf '%s\n' "$$out" | wc -l) experiments registered"
 
 vet:
 	$(GO) vet ./...

@@ -13,10 +13,16 @@
 //	flexsfp-ctl slots
 //	flexsfp-ctl table-add -table nat -key 0a010001 -value cb007101
 //	flexsfp-ctl table-dump -table nat
+//	flexsfp-ctl ternary-add -table rules -value 0a000000000000000000000000 -mask ff000000000000000000000000 -priority 10 -data 01
+//	flexsfp-ctl ternary-clear -table rules
 //	flexsfp-ctl counter -bank stats -index 0
 //	flexsfp-ctl compile -app acl -config '{"default_deny":true}' -out acl.fsfp -key <fleet-key>
 //	flexsfp-ctl push -file acl.fsfp -slot 2 -reboot
 //	flexsfp-ctl reboot -slot 1
+//	flexsfp-ctl fleet-ping -addrs 10.0.0.1:9461,10.0.0.2:9461
+//
+// Every request carries a fixed deadline, so a module that accepts the
+// connection and never answers fails the command instead of hanging it.
 package main
 
 import (
@@ -26,6 +32,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"time"
 
 	"flag"
 
@@ -43,6 +50,10 @@ func main() {
 		log.Fatal(err)
 	}
 }
+
+// requestTimeout bounds each request's write and response read. A
+// variable only so the silent-module test need not wait it out.
+var requestTimeout = 10 * time.Second
 
 // ctlError is the sentinel check() panics with; run recovers it into a
 // plain error so the command logic can stay linear.
@@ -68,7 +79,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	rest := top.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing subcommand (ping, stats, metrics, trace, ddm, eeprom, slots, table-add, table-del, table-get, table-dump, counter, meter-set, reg-read, reg-write, compile, push, reboot)")
+		return fmt.Errorf("missing subcommand (ping, stats, metrics, trace, ddm, eeprom, slots, table-add, table-del, table-get, table-dump, ternary-add, ternary-clear, counter, meter-set, reg-read, reg-write, compile, push, reboot)")
 	}
 	cmd, rest := rest[0], rest[1:]
 
@@ -88,6 +99,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	defer tr.Close()
 	c := mgmt.NewClient(tr)
+	c.SetRetryPolicy(mgmt.RetryPolicy{RequestTimeout: requestTimeout})
 
 	switch cmd {
 	case "ping":
@@ -177,6 +189,22 @@ func run(args []string, out io.Writer) (err error) {
 			fmt.Fprintf(out, "%x -> %x (hits %d)\n", e.Key, e.Value, e.Hits)
 		}
 		fmt.Fprintf(out, "%d entries\n", len(entries))
+	case "ternary-add":
+		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+		table := fs.String("table", "", "masked table name")
+		value := fs.String("value", "", "hex match value")
+		mask := fs.String("mask", "", "hex match mask")
+		priority := fs.Int("priority", 0, "match priority (higher wins)")
+		data := fs.String("data", "", "hex action data")
+		parse(fs, rest)
+		check(c.TernaryAdd(*table, mustHex(*value), mustHex(*mask), *priority, mustHex(*data)))
+		fmt.Fprintln(out, "ok")
+	case "ternary-clear":
+		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+		table := fs.String("table", "", "masked table name")
+		parse(fs, rest)
+		check(c.TernaryClear(*table))
+		fmt.Fprintln(out, "ok")
 	case "counter":
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		bank := fs.String("bank", "", "counter bank")
@@ -279,6 +307,7 @@ func fleetCmd(cmd string, args []string, out io.Writer) error {
 		defer tr.Close()
 		fleet.Add(addr, tr)
 	}
+	fleet.SetRetryPolicy(mgmt.RetryPolicy{RequestTimeout: requestTimeout})
 	switch cmd {
 	case "fleet-ping":
 		infos, outcomes := fleet.PingAll()

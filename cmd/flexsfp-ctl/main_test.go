@@ -9,9 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"flexsfp/internal/daemon"
 	"flexsfp/internal/telemetry"
@@ -202,6 +204,72 @@ func TestDaemonWorldShardInvariant(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("SimShards=%d: output differs from SimShards=0\n got: %s\nwant: %s", shards, got, want)
+		}
+	}
+}
+
+// TestTernaryRules programs the acl app's masked rules table at runtime:
+// a 13-byte 5-tuple rule denying 10.0.0.0/8 sources, a wrong-width rule
+// the table rejects, and a clear.
+func TestTernaryRules(t *testing.T) {
+	d := startDaemon(t, daemon.Config{App: "acl", ConfigJSON: "{}"})
+	addr := d.Addr()
+	if out := ctl(t, addr, "ternary-add", "-table", "rules",
+		"-value", "0a000000000000000000000000", "-mask", "ff000000000000000000000000",
+		"-priority", "10", "-data", "01"); out != "ok\n" {
+		t.Fatalf("ternary-add output: %q", out)
+	}
+	var buf strings.Builder
+	err := run([]string{"-addr", addr, "ternary-add", "-table", "rules", "-value", "0a", "-mask", "ff"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "key") {
+		t.Fatalf("1-byte rule into a 13-byte table: err=%v", err)
+	}
+	if out := ctl(t, addr, "ternary-clear", "-table", "rules"); out != "ok\n" {
+		t.Fatalf("ternary-clear output: %q", out)
+	}
+}
+
+// TestSilentModuleTimesOut points ctl at a listener that accepts and
+// reads requests but never answers: the single-module and the fleet
+// commands must fail on the request deadline rather than block.
+func TestSilentModuleTimesOut(t *testing.T) {
+	defer func(d time.Duration) { requestTimeout = d }(requestTimeout)
+	requestTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(io.Discard, conn)
+		}
+	}()
+	addr := ln.Addr().String()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-addr", addr, "ping"}, "timeout"},
+		{[]string{"fleet-ping", "-addrs", addr}, "0 ok, 1 failed"},
+	} {
+		done := make(chan string, 1)
+		go func() {
+			var buf strings.Builder
+			err := run(c.args, &buf)
+			done <- fmt.Sprintf("err=%v out=%q", err, buf.String())
+		}()
+		select {
+		case got := <-done:
+			if !strings.Contains(got, c.want) {
+				t.Errorf("%v against a silent module: %s, want %q", c.args, got, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v against a silent module still blocked after 5 s", c.args)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func main() {
 	sim := netsim.New(1)
 
 	// Legacy switch: port 0 = uplink, ports 1-3 = subscribers.
-	sw := switchsim.New(sim, "agg-metro-17", 4)
+	sw := switchsim.New(sim, 4)
 	uplink := switchsim.NewHost("metro-core", packet.MustMAC("02:ff:00:00:00:01"))
 	subs := []*switchsim.Host{
 		switchsim.NewHost("subscriber-a", packet.MustMAC("02:aa:00:00:00:01")),

@@ -1,11 +1,18 @@
 package flexsfp
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,72 +20,52 @@ import (
 
 // exportKeep names exported declarations that stay without a non-test
 // caller, each for a stated reason. A trailing * matches a name prefix.
+// An entry fits one of five categories: protocol constants; methods the
+// standard library calls through an interface; the closed forms the
+// experiments will assert against; the layered decoder, the test oracle
+// packet.View is fuzzed against; and the zero value of an enum.
 var exportKeep = map[string]string{
-	"packet.DHCPOpt*":          "protocol constants: the DHCP option registry, named in full",
-	"packet.DNSType*":          "protocol constants: the DNS record types, named in full",
-	"packet.ICMPv4Type*":       "protocol constants: the ICMPv4 message types, named in full",
-	"packet.IPProtocolICMPv6":  "protocol constant: the IANA protocol number beside its siblings",
-	"mgmt.PushError.Unwrap":    "called by errors.Is/As, never by name",
-	"runner.Source.Int63":      "implements math/rand.Source; rand.Rand calls it",
+	"packet.DHCPOpt*":         "protocol constants: the DHCP option registry, named in full",
+	"packet.DNSType*":         "protocol constants: the DNS record types, named in full",
+	"packet.ICMPv4Type*":      "protocol constants: the ICMPv4 message types, named in full",
+	"packet.IPProtocolICMPv6": "protocol constant: the IANA protocol number beside its siblings",
+
+	"mgmt.PushError.Unwrap":      "called by errors.Is/As, never by name",
+	"runner.Source.Int63":        "implements math/rand.Source; rand.Rand calls it",
+	"runner.Source.Seed":         "implements math/rand.Source; rand.Rand calls it",
+	"fpga.Resources.String":      "fmt.Stringer: SmallestFitting's error formats a Resources with %v",
+	"netsim.ShardedStats.String": "fmt.Stringer: the sharded experiments' progress lines format it with %v",
+	"netsim.Time.String":         "fmt.Stringer: fmt calls it wherever a Time is formatted",
+	"packet.DHCPMsgType.String":  "fmt.Stringer: fmt calls it wherever a DHCP message type is formatted",
+	"packet.LayerType.String":    "fmt.Stringer: fmt calls it wherever a layer type is formatted",
+	"telemetry.Stage.String":     "fmt.Stringer: flexsfp-ctl trace formats each event's stage with %s",
+	"xdp.Op.String":              "fmt.Stringer: fmt calls it wherever an opcode is formatted",
+
+	"phy.GoodputBps":         "closed form the line-rate experiments will assert against",
+	"phy.RequiredClockHz":    "closed form the line-rate experiments will assert against",
+	"ppe.Engine.CapacityPPS": "closed form the engine experiments will assert against",
+	"ppe.Engine.Latency":     "closed form the engine experiments will assert against",
+
 	"packet.NewPacket":         "the layered decoder: the test oracle packet.View is fuzzed against",
 	"packet.Packet.Layers":     "the layered decoder: the test oracle packet.View is fuzzed against",
 	"packet.Packet.ErrorLayer": "the layered decoder: the test oracle packet.View is fuzzed against",
 	"packet.Packet.Layer":      "the layered decoder: the test oracle packet.View is fuzzed against",
-	"phy.GoodputBps":           "closed form the line-rate experiments will assert against",
-	"phy.RequiredClockHz":      "closed form the line-rate experiments will assert against",
-	"fpga.UnitLE":              "iota zero value of LogicUnit: the implicit unit of LE-reported designs",
-}
+	"packet.Packet.Data":       "the layered decoder: the test oracle packet.View is fuzzed against",
 
-// exportPending names exported declarations that only tests use today and
-// that are still to be deleted, moved into a test file or given a
-// production caller. The list only shrinks: the gate fails when an entry
-// gains a caller or disappears, so it must be removed from here then.
-var exportPending = []string{
-	// Whole features only tests run.
-	"switchsim.CrossConnect",
-	"faults.Injector.LoseFrame", "faults.Injector.BitRot",
-	"reliability.ComponentRepairViable", "cost.ProductionCostBand",
-	"mgmt.Client.TernaryAdd", "mgmt.Client.TernaryClear", "mgmt.Fleet.Remove",
-	"daemon.NewSimMember", "daemon.FleetController.ShardMembers",
-	"phy.DDMThresholds.Evaluate", "phy.Diagnose", "phy.DefaultThresholds",
-	"xdp.MovReg", "xdp.LdW", "xdp.StB", "xdp.Return",
-	// Accessors, helpers and constants only tests read.
-	"flexsfp.ActiveCore",
-	"apps.dhcpSnoopApp.Binding", "apps.natApp.AddMapping",
-	"baseline.Path",
-	"core.Module.SetPuntHandler",
-	"exp.Registry.SortedNames",
-	"flash.Device.MaxWear", "flash.Device.SectorWear",
-	"fpga.DeviceByName", "fpga.Resources.MemoryBits", "fpga.Resources.Scale",
-	"opt.ScheduleCycles",
-	"overlay.Controller.Endpoint",
-	"packet.DHCPv4.MsgType", "packet.MustBuildARP",
-	"packet.View.ARPOperation", "packet.View.ARPTargetIP", "packet.View.ARPTargetMAC",
-	"packet.View.DHCPXID", "packet.View.DNSID", "packet.View.DNSQDCount",
-	"phy.DataRateFromBaud", "phy.DefaultSRLink", "phy.FiberLink.Up",
-	"phy.LineRateBaud", "phy.WireEfficiency",
-	"telemetry.Gauge.SetInt", "telemetry.Registry.Gauge", "telemetry.Snapshot.Gauge",
-	"telemetry.Tracer.Cap",
-	"trafficgen.Generator.MeanFrameSize", "trafficgen.NewProfile", "trafficgen.Profiles",
+	"fpga.UnitLE": "iota zero value of LogicUnit: the implicit unit of LE-reported designs",
 }
 
 // TestNoTestOnlyExports fails when an exported top-level name or method
-// declared outside package main has no reference in non-test code other
-// than its own declaration. Top-level names are matched by package;
-// methods by name alone, since the scan does no type checking. cmd/,
-// examples/ and benchmark/ count as callers.
+// declared outside package main has no use in non-test code other than
+// its own declaration. cmd/, examples/ and benchmark/ count as callers.
 func TestNoTestOnlyExports(t *testing.T) {
-	decls, used := scanExports(t)
-	var unused []string
-	for key, name := range decls {
-		if !used[name] {
-			unused = append(unused, key)
-		}
+	unused, err := testOnlyExports(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(unused)
 	matched := map[string]bool{}
 	for _, key := range unused {
-		if entry, ok := exemptBy(key); ok {
+		if entry, ok := keptBy(key); ok {
 			matched[entry] = true
 			continue
 		}
@@ -89,19 +76,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("keep entry %s matches no test-only export: remove it from exportKeep", entry)
 		}
 	}
-	for _, entry := range exportPending {
-		if !matched[entry] {
-			t.Errorf("pending entry %s has a caller or is gone: remove it from exportPending", entry)
-		}
+}
+
+// TestExportGateFixture runs the scan over a module built to trip it: a
+// method only a test calls is reported although a method of the same name
+// on another type has a production caller, and a method reached only
+// through an anonymous interface in a type assertion is not.
+func TestExportGateFixture(t *testing.T) {
+	unused, err := testOnlyExports(filepath.Join("testdata", "exportgate"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a.A.QueueDepth"}; !slices.Equal(unused, want) {
+		t.Errorf("fixture reports %q, want %q", unused, want)
 	}
 }
 
-func exemptBy(key string) (string, bool) {
-	for _, entry := range exportPending {
-		if entry == key {
-			return entry, true
-		}
-	}
+func keptBy(key string) (string, bool) {
 	for entry := range exportKeep {
 		if entry == key || strings.HasSuffix(entry, "*") && strings.HasPrefix(key, strings.TrimSuffix(entry, "*")) {
 			return entry, true
@@ -110,151 +101,186 @@ func exemptBy(key string) (string, bool) {
 	return "", false
 }
 
-// scanExports parses every non-test Go file of the module. It returns the
-// checked declarations, keyed "pkg.Name" or "pkg.Type.Method" and mapped
-// to the name a use must carry ("dir.Name" for a top-level name, ".Name"
-// for a method), and the set of names used outside their declarations.
-func scanExports(t *testing.T) (decls map[string]string, used map[string]bool) {
+// testOnlyExports type-checks the non-test files of the module rooted at
+// root and returns, sorted, the exported declarations outside package
+// main that no non-test file uses outside the declaration itself. Keys
+// read "pkg.Name" or "pkg.Type.Method". A method also counts as used
+// when code calls an interface method it implements, named or anonymous.
+func testOnlyExports(root string) ([]string, error) {
+	mod, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // by module-relative directory
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+	files := map[string][]*ast.File{} // by import path
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+		if d.IsDir() && p != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		files[dir] = append(files[dir], f)
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		ip := path.Join(mod, filepath.ToSlash(rel))
+		files[ip] = append(files[ip], f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	decls, used = map[string]string{}, map[string]bool{}
-	for dir, pfiles := range files {
-		pkg := pfiles[0].Name.Name
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	pkgs := map[string]*types.Package{}
+	std := importer.Default()
+	var check func(ip string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(ip string) (*types.Package, error) {
+		if _, ok := files[ip]; ok {
+			return check(ip)
+		}
+		return std.Import(ip)
+	})}
+	check = func(ip string) (*types.Package, error) {
+		if pkg, ok := pkgs[ip]; ok {
+			return pkg, nil
+		}
+		pkg, err := conf.Check(ip, fset, files[ip], info)
+		pkgs[ip] = pkg
+		return pkg, err
+	}
+	for ip := range files {
+		if _, err := check(ip); err != nil {
+			return nil, err
+		}
+	}
+
+	used := map[types.Object]bool{}
+	ifaces := map[*types.Interface]bool{} // of every interface method called
+	for _, pfiles := range files {
 		for _, f := range pfiles {
-			imports := map[string]string{} // local name → module-relative dir
-			for _, im := range f.Imports {
-				ip := strings.Trim(im.Path.Value, `"`)
-				rel, ok := strings.CutPrefix(ip, "flexsfp/")
-				if ip == "flexsfp" {
-					rel, ok = ".", true
-				}
-				if !ok {
+			for _, decl := range f.Decls {
+				markUses(info, decl, used, ifaces)
+			}
+		}
+	}
+
+	var unused []string
+	report := func(obj types.Object, key string) {
+		if obj.Exported() && !used[obj] {
+			unused = append(unused, key)
+		}
+	}
+	for _, pkg := range pkgs {
+		if pkg.Name() == "main" {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			report(obj, pkg.Name()+"."+name)
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || named.Obj() != obj || types.IsInterface(named) {
+				continue
+			}
+			for m := range named.Methods() {
+				if !used[m] && reachedThroughInterface(named, m.Name(), ifaces) {
 					continue
 				}
-				name := files[rel][0].Name.Name
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = rel
-			}
-			for _, decl := range f.Decls {
-				if pkg != "main" {
-					declare(decls, pkg, dir, decl)
-				}
-				markUses(used, dir, imports, decl)
+				report(m, pkg.Name()+"."+name+"."+m.Name())
 			}
 		}
 	}
-	return decls, used
+	sort.Strings(unused)
+	return unused, nil
 }
 
-func declare(decls map[string]string, pkg, dir string, decl ast.Decl) {
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if !d.Name.IsExported() {
-			return
-		}
-		if d.Recv == nil {
-			decls[pkg+"."+d.Name.Name] = dir + "." + d.Name.Name
-			return
-		}
-		recv := d.Recv.List[0].Type
-		if star, ok := recv.(*ast.StarExpr); ok {
-			recv = star.X
-		}
-		if idx, ok := recv.(*ast.IndexExpr); ok {
-			recv = idx.X
-		}
-		decls[pkg+"."+recv.(*ast.Ident).Name+"."+d.Name.Name] = "." + d.Name.Name
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				if s.Name.IsExported() {
-					decls[pkg+"."+s.Name.Name] = dir + "." + s.Name.Name
-				}
-			case *ast.ValueSpec:
-				for _, n := range s.Names {
-					if n.IsExported() {
-						decls[pkg+"."+n.Name] = dir + "." + n.Name
+// markUses records the objects decl uses. A function's or method's uses of
+// itself (recursion) and of its receiver's type are not uses, nor are a
+// type or value spec's uses of the names it defines. Every interface whose
+// method decl calls is added to ifaces.
+func markUses(info *types.Info, decl ast.Decl, used map[types.Object]bool, ifaces map[*types.Interface]bool) {
+	mark := func(n ast.Node, own ...types.Object) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := info.Uses[id]
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+				if recv := fn.Signature().Recv(); recv != nil {
+					if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+						ifaces[iface] = true
 					}
 				}
 			}
+			if obj != nil && !slices.Contains(own, obj) {
+				used[obj] = true
+			}
+			return true
+		})
+	}
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		mark(d.Type, info.Defs[d.Name])
+		if d.Body != nil {
+			mark(d.Body, info.Defs[d.Name])
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			var own []types.Object
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				own = append(own, info.Defs[s.Name])
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					own = append(own, info.Defs[n])
+				}
+			}
+			mark(spec, own...)
 		}
 	}
 }
 
-// markUses records every name decl uses. A declaration's own name is not
-// a use: its body and its spec are walked, not its name or receiver, and
-// a function's uses of its own name (recursion) are dropped.
-func markUses(used map[string]bool, dir string, imports map[string]string, decl ast.Decl) {
-	own := map[*ast.Ident]bool{}
-	walk := []ast.Node{decl}
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		self := dir + "." + d.Name.Name
-		if d.Recv != nil {
-			self = "." + d.Name.Name
-		}
-		defer func(was bool) { used[self] = was }(used[self])
-		walk = []ast.Node{d.Type}
-		if d.Body != nil {
-			walk = append(walk, d.Body)
-		}
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				own[s.Name] = true
-			case *ast.ValueSpec:
-				for _, n := range s.Names {
-					own[n] = true
-				}
+// reachedThroughInterface reports whether T or *T implements one of
+// ifaces that has a method called name.
+func reachedThroughInterface(named *types.Named, name string, ifaces map[*types.Interface]bool) bool {
+	ptr := types.NewPointer(named)
+	for iface := range ifaces {
+		for m := range iface.Methods() {
+			if m.Name() == name && (types.Implements(named, iface) || types.Implements(ptr, iface)) {
+				return true
 			}
 		}
 	}
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			used["."+n.Sel.Name] = true
-			if x, ok := n.X.(*ast.Ident); ok {
-				if rel, ok := imports[x.Name]; ok {
-					used[rel+"."+n.Sel.Name] = true
-					return false
-				}
-			}
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Ident:
-			if !own[n] {
-				used[dir+"."+n.Name] = true
-			}
-		}
-		return true
-	}
-	for _, n := range walk {
-		ast.Inspect(n, visit)
-	}
+	return false
 }
+
+func modulePath(gomod string) (string, error) {
+	data, err := os.ReadFile(gomod)
+	if err != nil {
+		return "", err
+	}
+	for line := range strings.Lines(string(data)) {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(mod), nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module line", gomod)
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

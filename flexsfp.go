@@ -27,11 +27,11 @@ import (
 	"flexsfp/internal/netsim"
 )
 
-// Re-exported architecture shells (§4.1, Figure 1).
+// Re-exported architecture shells (§4.1, Figure 1) the examples build
+// on; the third, hls.ActiveCore, is chosen through flexsfpd's -shell.
 const (
 	OneWayFilter = hls.OneWayFilter
 	TwoWayCore   = hls.TwoWayCore
-	ActiveCore   = hls.ActiveCore
 )
 
 // Baseline operating point of the prototype (§5.1).

@@ -180,17 +180,9 @@ func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
 	bg2.Run(100)
 	sim.RunFor(5 * netsim.Millisecond)
 
-	mon := mod.App().(interface{ Events() []apps.MonitorEvent })
-	events := mon.Events()
-	var bursts, flaps int
-	for _, e := range events {
-		switch e.Kind {
-		case "microburst":
-			bursts++
-		case "flap":
-			flaps++
-		}
-	}
+	events, _ := mod.App().State().Counters("events")
+	bursts, _ := events.Read(apps.MonMicrobursts)
+	flaps, _ := events.Read(apps.MonFlaps)
 	if bursts == 0 {
 		t.Error("microburst not detected")
 	}
@@ -204,7 +196,7 @@ func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
 // collection — the "centralized orchestration across a fleet" of §4.1.
 func TestRetrofitFleetOnSwitch(t *testing.T) {
 	sim := netsim.New(5)
-	sw := switchsim.New(sim, "fleet-sw", 8)
+	sw := switchsim.New(sim, 8)
 	var mods []*core.Module
 	var hosts []*switchsim.Host
 	for i := 0; i < 8; i++ {
@@ -366,7 +358,7 @@ func TestTelemetryPathOverLinks(t *testing.T) {
 
 // TestVerdictNameStrings pins the public string forms used in reports.
 func TestVerdictNameStrings(t *testing.T) {
-	if OneWayFilter.String() != "one-way-filter" || ActiveCore.String() != "active-core" {
+	if OneWayFilter.String() != "one-way-filter" || hls.ActiveCore.String() != "active-core" {
 		t.Error("shell names changed")
 	}
 }

@@ -83,7 +83,8 @@ func TestNATTranslatesAndFixesChecksums(t *testing.T) {
 
 func TestNATTCPChecksum(t *testing.T) {
 	a := NewNAT()
-	if err := a.AddMapping(ipInt, ipExt); err != nil {
+	i4, o4 := ipInt.As4(), ipExt.As4()
+	if err := a.table.Add(i4[:], o4[:]); err != nil {
 		t.Fatal(err)
 	}
 	frame := packet.MustBuild(packet.Spec{

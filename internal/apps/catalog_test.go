@@ -118,7 +118,7 @@ func TestDHCPSnoopLearnsAndBlocksRogue(t *testing.T) {
 	if v, _ := run(a.prog.Handler, ack, ppe.DirOpticalToEdge); v != ppe.VerdictPass {
 		t.Error("trusted ACK dropped")
 	}
-	mac, ok := a.Binding([]byte{10, 0, 0, 42})
+	mac, ok := a.leases.Lookup([]byte{10, 0, 0, 42})
 	if !ok {
 		t.Fatal("lease not learned from trusted ACK")
 	}

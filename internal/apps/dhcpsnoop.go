@@ -96,11 +96,6 @@ func (a *dhcpSnoopApp) Configure(config []byte) error {
 	return nil
 }
 
-// Binding reports the snooped MAC for a leased IPv4 address (4 bytes).
-func (a *dhcpSnoopApp) Binding(ip []byte) ([]byte, bool) {
-	return a.leases.Lookup(ip)
-}
-
 func (a *dhcpSnoopApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	if !a.v.Parse(ctx.Data) {
 		a.ctr.Inc(DHCPSnoopNonDHCP, len(ctx.Data))

@@ -3,7 +3,6 @@ package apps
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"flexsfp/internal/packet"
 	"flexsfp/internal/ppe"
@@ -17,7 +16,7 @@ type MonitorConfig struct {
 	// BurstFrames within BurstWindowNs constitutes a microburst.
 	BurstFrames   int    `json:"burst_frames,omitempty"`
 	BurstWindowNs uint64 `json:"burst_window_ns,omitempty"`
-	// GapNs of silence followed by traffic is recorded as a link flap.
+	// GapNs of silence followed by traffic counts as a link flap.
 	GapNs uint64 `json:"gap_ns,omitempty"`
 }
 
@@ -28,18 +27,6 @@ const (
 	MonFrames
 	monCounters
 )
-
-// MonitorEvent is one detected anomaly.
-type MonitorEvent struct {
-	Kind string // "microburst" or "flap"
-	AtNs uint64
-	Dir  ppe.Direction
-	// Detail: frames in the burst, or the silence gap in ns.
-	Detail uint64
-}
-
-// monMaxEvents bounds event memory.
-const monMaxEvents = 4096
 
 // monDirState is per-direction detection state.
 type monDirState struct {
@@ -57,9 +44,6 @@ type monitorApp struct {
 	cfg   MonitorConfig
 
 	dirs [2]monDirState
-
-	mu     sync.Mutex
-	events []MonitorEvent
 }
 
 // NewMonitor builds a fault-detection instance.
@@ -116,23 +100,6 @@ func (a *monitorApp) Configure(config []byte) error {
 	return nil
 }
 
-// Events drains recorded anomalies.
-func (a *monitorApp) Events() []MonitorEvent {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := a.events
-	a.events = nil
-	return out
-}
-
-func (a *monitorApp) record(e MonitorEvent) {
-	a.mu.Lock()
-	if len(a.events) < monMaxEvents {
-		a.events = append(a.events, e)
-	}
-	a.mu.Unlock()
-}
-
 func (a *monitorApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	a.ctr.Inc(MonFrames, len(ctx.Data))
 	t := ctx.TimestampNs
@@ -141,7 +108,6 @@ func (a *monitorApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	// Link flap: a long silence followed by traffic resuming.
 	if d.seen && t-d.lastArrival >= a.cfg.GapNs {
 		a.ctr.Inc(MonFlaps, 0)
-		a.record(MonitorEvent{Kind: "flap", AtNs: t, Dir: ctx.Dir, Detail: t - d.lastArrival})
 		// A flap resets burst tracking.
 		d.burstStart, d.burstCount, d.burstFired = t, 0, false
 	}
@@ -154,7 +120,6 @@ func (a *monitorApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 		if d.burstCount >= a.cfg.BurstFrames && !d.burstFired {
 			d.burstFired = true
 			a.ctr.Inc(MonMicrobursts, 0)
-			a.record(MonitorEvent{Kind: "microburst", AtNs: t, Dir: ctx.Dir, Detail: uint64(d.burstCount)})
 		}
 	} else {
 		d.burstStart = t

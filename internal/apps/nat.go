@@ -110,13 +110,6 @@ func (a *natApp) Configure(config []byte) error {
 	return nil
 }
 
-// AddMapping inserts a translation at runtime (the control-plane path
-// uses the table via mgmt; this is the embedding-API convenience).
-func (a *natApp) AddMapping(internal, external netip.Addr) error {
-	i4, o4 := internal.As4(), external.As4()
-	return a.table.Add(i4[:], o4[:])
-}
-
 func (a *natApp) handle(ctx *ppe.Ctx) ppe.Verdict {
 	if !dirEnabled(a.dir, ctx.Dir) {
 		return ppe.VerdictPass

@@ -19,7 +19,7 @@ type XDPConfig struct {
 	Direction string `json:"direction,omitempty"`
 	// Optimize runs the opt pass pipeline over the program at
 	// configuration time: redundancy elimination shrinks the instruction
-	// store, and VLIW packing (opt.ScheduleCycles) replaces the scalar
+	// store, and VLIW packing (opt.OptimizeXDP) replaces the scalar
 	// one-instruction-per-clock service time with the packed schedule
 	// length, raising CapacityPPS for instruction-bound programs.
 	Optimize bool `json:"optimize,omitempty"`

@@ -10,19 +10,6 @@ import (
 	"flexsfp/internal/netsim"
 )
 
-// Path is a packet-processing stage with a completion callback; the
-// FlexSFP engine, the host-CPU model and the SmartNIC model all fit it.
-type Path interface {
-	// Submit offers a frame; false means dropped at the input queue.
-	Submit(data []byte) bool
-	// Name identifies the path in reports.
-	Name() string
-	// PowerW is the steady-state power attributable to the function.
-	PowerW() float64
-	// CostUSD is the per-port hardware cost attributable to the function.
-	CostUSD() float64
-}
-
 // HostCPU models a software path on a shared host core: a serial server
 // whose per-packet service time inflates with background contention and
 // carries heavy-tailed jitter — the "latency, jitter, and resource
@@ -65,23 +52,17 @@ func NewHostCPU(sim *netsim.Simulator, out func([]byte, netsim.Duration)) *HostC
 	}
 }
 
-// Name implements Path.
+// Name identifies the path in reports.
 func (h *HostCPU) Name() string { return "host-cpu" }
 
-// PowerW implements Path: one busy x86 core plus its share of uncore.
+// PowerW is the steady-state power attributable to the function: one busy x86 core plus its share of uncore.
 func (h *HostCPU) PowerW() float64 { return 18.0 }
 
-// CostUSD implements Path: the amortized cost of the core it burns.
+// CostUSD is the per-port hardware cost attributable to the function:
+// the amortized cost of the core it burns.
 func (h *HostCPU) CostUSD() float64 { return 150 }
 
-// CapacityPPS returns the sustainable packet rate under the configured
-// contention.
-func (h *HostCPU) CapacityPPS() float64 {
-	eff := float64(h.PerPacket) / (1 - h.Contention)
-	return float64(netsim.Second) / eff
-}
-
-// Submit implements Path.
+// Submit offers a frame; false means dropped at the input queue.
 func (h *HostCPU) Submit(data []byte) bool {
 	now := h.sim.Now()
 	start := h.busyUntil
@@ -143,16 +124,17 @@ func NewSmartNIC(sim *netsim.Simulator, out func([]byte, netsim.Duration)) *Smar
 	}
 }
 
-// Name implements Path.
+// Name identifies the path in reports.
 func (s *SmartNIC) Name() string { return "smartnic-dpu" }
 
-// PowerW implements Path: the BF-2 card draw the paper cites.
+// PowerW is the function's steady-state power: the BF-2 card draw the
+// paper cites.
 func (s *SmartNIC) PowerW() float64 { return 75.0 }
 
-// CostUSD implements Path.
+// CostUSD is the per-port hardware cost attributable to the function.
 func (s *SmartNIC) CostUSD() float64 { return 1750 }
 
-// Submit implements Path.
+// Submit offers a frame; the DPU never drops at its input.
 func (s *SmartNIC) Submit(data []byte) bool {
 	now := s.sim.Now()
 	nowPs := int64(now) * 1000

@@ -8,15 +8,23 @@ import (
 )
 
 func TestHostCPUCapacity(t *testing.T) {
-	sim := netsim.New(1)
-	h := NewHostCPU(sim, nil)
-	// 550 ns/pkt uncontended ≈ 1.8 Mpps.
-	if pps := h.CapacityPPS(); pps < 1.7e6 || pps > 1.9e6 {
-		t.Errorf("capacity = %.0f pps", pps)
+	// A saturated core drains one millisecond's worth of frames:
+	// 550 ns/pkt uncontended ≈ 1.8 Mpps, and half that at 50% contention.
+	served := func(contention float64) uint64 {
+		sim := netsim.New(1)
+		h := NewHostCPU(sim, nil)
+		h.JitterFrac, h.QueueLimit, h.Contention = 0, 0, contention
+		for i := 0; i < 4000; i++ {
+			h.Submit(make([]byte, 64))
+		}
+		sim.RunFor(netsim.Millisecond)
+		return h.OutFrames
 	}
-	h.Contention = 0.5
-	if pps := h.CapacityPPS(); pps > 1.0e6 {
-		t.Errorf("contended capacity = %.0f pps, want halved", pps)
+	if n := served(0); n < 1700 || n > 1900 {
+		t.Errorf("capacity = %d frames/ms", n)
+	}
+	if n := served(0.5); n < 850 || n > 950 {
+		t.Errorf("contended capacity = %d frames/ms, want halved", n)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file models the paper's §6 open question — "Scalability: can this
 // approach be extended to higher-speed and higher-density form factors
@@ -162,13 +159,4 @@ func lanesFor(targetGbps float64) int {
 	default:
 		return int(math.Ceil(targetGbps / 50))
 	}
-}
-
-func (p FormFactorPlan) String() string {
-	if !p.Feasible {
-		return fmt.Sprintf("%.0fG @ %s: infeasible", p.TargetGbps, p.Node.Name)
-	}
-	return fmt.Sprintf("%.0fG @ %s: %db × %d engines @ %.2f MHz = %.1fG capacity, %.2f W → %s",
-		p.TargetGbps, p.Node.Name, p.DatapathBits, p.Engines,
-		float64(p.ClockHz)/1e6, p.CapacityGbps, p.PeakW, p.Module.Name)
 }

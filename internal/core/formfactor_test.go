@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -98,17 +97,6 @@ func TestPlannerPrefersLowestPower(t *testing.T) {
 	bigger := ScaledPeakPowerW(p.ClockHz, p.DatapathBits*2, p.Engines, 1, Node28)
 	if bigger < p.PeakW {
 		t.Errorf("planner missed a cheaper config: %.2f vs %.2f", bigger, p.PeakW)
-	}
-}
-
-func TestPlanString(t *testing.T) {
-	p := PlanFormFactor(10, Node28)
-	if !strings.Contains(p.String(), "SFP+") {
-		t.Errorf("String = %q", p.String())
-	}
-	inf := FormFactorPlan{TargetGbps: 9999, Node: Node28}
-	if !strings.Contains(inf.String(), "infeasible") {
-		t.Errorf("String = %q", inf.String())
 	}
 }
 

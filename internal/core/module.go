@@ -116,8 +116,6 @@ type Module struct {
 	// controlHandler receives in-band control payloads; each returned
 	// slice is sent back as a control frame to the originating port.
 	controlHandler func(payload []byte, from PortID) [][]byte
-	// puntHandler receives frames the PPE verdicts to the CPU.
-	puntHandler func(data []byte, dir ppe.Direction)
 	// healthProbe, when installed, is consulted by the watchdog after a
 	// reconfigure; returning false marks the new design wedged.
 	healthProbe func(slot int) bool
@@ -164,9 +162,6 @@ func (m *Module) DeviceID() uint32 { return m.cfg.DeviceID }
 // MAC returns the module's management MAC address.
 func (m *Module) MAC() packet.MAC { return m.mac }
 
-// Shell returns the architecture shell.
-func (m *Module) Shell() hls.Shell { return m.cfg.Shell }
-
 // Stats returns a snapshot of module counters.
 func (m *Module) Stats() Stats { return m.stats }
 
@@ -192,12 +187,6 @@ func (m *Module) SetTx(p PortID, tx func([]byte)) { m.tx[p] = tx }
 // is released when the handler returns.
 func (m *Module) SetControlHandler(h func(payload []byte, from PortID) [][]byte) {
 	m.controlHandler = h
-}
-
-// SetPuntHandler installs the receiver for VerdictToCPU frames. The
-// frame is released when the handler returns; copy what must outlive it.
-func (m *Module) SetPuntHandler(h func(data []byte, dir ppe.Direction)) {
-	m.puntHandler = h
 }
 
 // SetHealthProbe installs a post-reconfigure health check. After every
@@ -462,9 +451,6 @@ func (m *Module) verdict(v ppe.Verdict, ctx *ppe.Ctx) {
 		}
 	case ppe.VerdictToCPU:
 		m.stats.PuntToCPU++
-		if m.puntHandler != nil {
-			m.puntHandler(ctx.Data, ctx.Dir)
-		}
 		packet.PutBuffer(ctx.Data)
 	default:
 		// VerdictDrop: the engine already counted it.

@@ -178,10 +178,8 @@ func TestVerdictRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var edge, optical int
-	var punted int
 	m.SetTx(PortEdge, func(d []byte) { edge++ })
 	m.SetTx(PortOptical, func(d []byte) { optical++ })
-	m.SetPuntHandler(func(d []byte, dir ppe.Direction) { punted++ })
 
 	mode = ppe.VerdictTx
 	m.RxEdge(dataFrame(t))
@@ -200,8 +198,8 @@ func TestVerdictRouting(t *testing.T) {
 	mode = ppe.VerdictToCPU
 	m.RxEdge(dataFrame(t))
 	sim.Run()
-	if punted != 1 || m.Stats().PuntToCPU != 1 {
-		t.Errorf("ToCPU verdict: punted=%d", punted)
+	if n := m.Stats().PuntToCPU; n != 1 {
+		t.Errorf("ToCPU verdict: punted=%d", n)
 	}
 
 	mode = ppe.VerdictDrop
@@ -510,7 +508,6 @@ func TestModuleReleasesOnEveryExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetControlHandler(func([]byte, PortID) [][]byte { return nil })
-	m.SetPuntHandler(func([]byte, ppe.Direction) {})
 	m.SetTx(PortEdge, packet.PutBuffer)
 	m.SetTx(PortControl, packet.PutBuffer) // a port TwoWayCore lacks
 

@@ -32,11 +32,6 @@ func BOMTotal(bom []BOMItem) (low, high float64) {
 	return low, high
 }
 
-// ProductionCostBand returns the paper's volume estimate: "a direct
-// production cost around $300 per unit, with potential reductions toward
-// $250 as volume increases".
-func ProductionCostBand() (low, high float64) { return 250, 300 }
-
 // Solution is one row of Table 3.
 type Solution struct {
 	Name string

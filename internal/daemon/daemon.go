@@ -227,10 +227,6 @@ func (d *Daemon) MetricsAddr() string {
 	return d.httpLn.Addr().String()
 }
 
-// Registry exposes the telemetry registry (nil when telemetry is off).
-// Callers must not mutate module state through it; reads are safe.
-func (d *Daemon) Registry() *telemetry.Registry { return d.reg }
-
 // Close stops both listeners. The metrics server is shut down
 // gracefully — in-flight snapshot requests get up to closeGrace to
 // finish, then the server is torn down hard — and Close returns only

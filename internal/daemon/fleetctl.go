@@ -57,9 +57,6 @@ func NewClientMember(name string, c *mgmt.Client) *ClientMember {
 // Name implements FleetMember.
 func (m *ClientMember) Name() string { return m.name }
 
-// Client exposes the underlying management client.
-func (m *ClientMember) Client() *mgmt.Client { return m.c }
-
 // Push implements FleetMember via the resumable chunked OTA path.
 func (m *ClientMember) Push(signed []byte, slot int, rebootAfter bool) error {
 	return m.c.PushBitstream(signed, slot, rebootAfter)
@@ -314,15 +311,6 @@ func NewFleetController(cfg FleetConfig, members []FleetMember) *FleetController
 		}
 	}
 	return c
-}
-
-// Shards returns the effective worker shard count.
-func (c *FleetController) Shards() int { return c.cfg.Shards }
-
-// ShardMembers returns shard i's members in wave order (for tests and
-// blast-radius accounting).
-func (c *FleetController) ShardMembers(i int) []FleetMember {
-	return append([]FleetMember(nil), c.shards[i].members...)
 }
 
 // parallelShards runs fn once per shard, concurrently. Each fn call owns

@@ -476,8 +476,8 @@ func TestSimPushBackoffDeterministic(t *testing.T) {
 		t.Fatalf("retry schedule diverged: %d/%d attempts vs %d/%d",
 			a.retries, a.pushes, b.retries, b.pushes)
 	}
-	if a.CostNs() != b.CostNs() {
-		t.Fatalf("backoff cost diverged: %d vs %d", a.CostNs(), b.CostNs())
+	if a.costNs != b.costNs {
+		t.Fatalf("backoff cost diverged: %d vs %d", a.costNs, b.costNs)
 	}
 	if a.retries == 0 {
 		t.Fatal("test exercised no retries — raise the fault rates")
@@ -569,7 +569,7 @@ func TestClientMemberRolloutAllHealthy(t *testing.T) {
 	if rep.Waves != 3 {
 		t.Errorf("waves = %d, want 3 (2 canaries, then waves of 2)", rep.Waves)
 	}
-	if ms := c.ShardMembers(0); ms[0].Name() != "a-port" || ms[1].Name() != "b-port" {
+	if ms := c.shards[0].members; ms[0].Name() != "a-port" || ms[1].Name() != "b-port" {
 		t.Errorf("canaries = %s, %s; want the first two names", ms[0].Name(), ms[1].Name())
 	}
 	for _, m := range mods {

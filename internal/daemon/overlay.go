@@ -260,10 +260,6 @@ func (d *Daemon) OverlaySync() (mgmt.OverlayTable, error) {
 // or "" when this daemon does not host one.
 func (d *Daemon) RendezvousAddr() string { return d.rdvAddr }
 
-// Overlay exposes the mesh controller (nil when the daemon is not an
-// overlay endpoint).
-func (d *Daemon) Overlay() *overlay.Controller { return d.ovl }
-
 // closeOverlay stops the sync loop and tears down the overlay
 // transports.
 func (d *Daemon) closeOverlay() {

@@ -111,7 +111,7 @@ func TestDaemonOverlayThreeCables(t *testing.T) {
 	}
 
 	// The host's telemetry mirrors the fabric state.
-	snap := host.Registry().Snapshot()
+	snap := host.reg.Snapshot()
 	gauges := map[string]float64{}
 	for _, g := range snap.Gauges {
 		gauges[g.Name] = g.Value

@@ -89,16 +89,6 @@ type SimMemberConfig struct {
 	LateWedgeProb float64
 }
 
-// NewSimMember builds a member with goodImage installed and running in
-// slot startSlot. inj must be the member's private injector (typically
-// parent.Derive(lane)).
-func NewSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) *SimMember {
-	version, _ := imageVersion(goodImage, cfg.Key)
-	m := new(SimMember)
-	m.init(name, inj, cfg, make([]simSlot, max(slots, 2)), startSlot, goodImage, version)
-	return m
-}
-
 // init sets up a zero member over the caller's slot array. It takes
 // goodImage's already-verified version, so a fleet that shares one image
 // verifies it once, not once per member.
@@ -129,9 +119,6 @@ func imageVersion(signed, key []byte) (version uint32, ok bool) {
 
 // Name implements FleetMember.
 func (m *SimMember) Name() string { return m.name }
-
-// CostNs returns the member's total simulated operation time.
-func (m *SimMember) CostNs() uint64 { return m.costNs }
 
 // LastOpCostNs returns the simulated cost of the most recent Push or
 // Reboot — the per-wave latency contribution WaveCost hooks want.
@@ -315,10 +302,6 @@ func (m *SimMember) Wedged() bool {
 
 // ActiveSlot returns the member's active slot (for tests/invariants).
 func (m *SimMember) ActiveSlot() int { return m.activeSlot }
-
-// Running reports app liveness ignoring read-count effects: false for
-// wedged and late-wedged members alike.
-func (m *SimMember) Running() bool { return m.running && !m.wedged && !m.lateWedged }
 
 // ActiveVersion re-verifies the active slot and returns the AppVersion of
 // the image in it — ground truth read from the slot's bytes, not the

@@ -13,6 +13,16 @@ import (
 	"flexsfp/internal/telemetry"
 )
 
+// NewSimMember builds a member with goodImage installed and running in
+// slot startSlot. inj must be the member's private injector (typically
+// parent.Derive(lane)).
+func NewSimMember(name string, inj *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) *SimMember {
+	version, _ := imageVersion(goodImage, cfg.Key)
+	m := new(SimMember)
+	m.init(name, inj, cfg, make([]simSlot, max(slots, 2)), startSlot, goodImage, version)
+	return m
+}
+
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool
 

@@ -20,17 +20,14 @@ func testDef(name string, hidden bool) Def {
 func TestRegistryOrderAndLookup(t *testing.T) {
 	r := NewRegistry()
 	r.Register(testDef("b", false), testDef("a", false), testDef("c", true))
-	if got := r.Names(); !reflect.DeepEqual(got, []string{"b", "a", "c"}) {
-		t.Fatalf("Names() = %v, want registration order", got)
+	if got := r.order; !reflect.DeepEqual(got, []string{"b", "a", "c"}) {
+		t.Fatalf("order = %v, want registration order", got)
 	}
-	if _, ok := r.Lookup("a"); !ok {
-		t.Fatal("Lookup(a) missed")
+	if sel, err := r.Select("a", false); err != nil || len(sel) != 1 || sel[0].Name() != "a" {
+		t.Fatalf("Select(a) = %v, %v", sel, err)
 	}
-	if _, ok := r.Lookup("nope"); ok {
-		t.Fatal("Lookup(nope) hit")
-	}
-	if got := r.SortedNames(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("SortedNames() = %v", got)
+	if _, err := r.Select("nope", false); err == nil {
+		t.Fatal("Select(nope) hit")
 	}
 }
 

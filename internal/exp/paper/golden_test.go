@@ -104,11 +104,11 @@ func replayGolden(t *testing.T, file string, ctx exp.RunContext) {
 		ge := ge
 		t.Run(ge.Name, func(t *testing.T) {
 			t.Parallel()
-			e, ok := exp.Default.Lookup(ge.Name)
-			if !ok {
-				t.Fatalf("experiment %q from golden capture is not registered", ge.Name)
+			sel, err := exp.Default.Select(ge.Name, true)
+			if err != nil {
+				t.Fatalf("experiment %q from golden capture: %v", ge.Name, err)
 			}
-			res, err := e.Run(ctx)
+			res, err := sel[0].Run(ctx)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

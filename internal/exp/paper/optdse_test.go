@@ -10,11 +10,11 @@ import (
 
 func runRegistered(t *testing.T, name string, ctx exp.RunContext) exp.Envelope {
 	t.Helper()
-	e, ok := exp.Default.Lookup(name)
-	if !ok {
-		t.Fatalf("experiment %q not registered", name)
+	sel, err := exp.Default.Select(name, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := e.Run(ctx)
+	res, err := sel[0].Run(ctx)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

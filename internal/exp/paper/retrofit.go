@@ -85,7 +85,7 @@ func retrofitSingle(ctx exp.RunContext) (RetrofitResult, error) {
 	// Functional spot check on a smaller fully-populated switch.
 	sim := netsim.New(ctx.Seed)
 	const checkPorts = 8
-	sw := switchsim.New(sim, "retrofit-check", checkPorts)
+	sw := switchsim.New(sim, checkPorts)
 	hosts := make([]*switchsim.Host, checkPorts)
 	for i := 0; i < checkPorts; i++ {
 		mod, _, err := build.Module(sim, build.ModuleSpec{

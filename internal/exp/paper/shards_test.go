@@ -15,11 +15,11 @@ import (
 // envelopeJSON runs a registered experiment and marshals its envelope.
 func envelopeJSON(t *testing.T, name string, ctx exp.RunContext) []byte {
 	t.Helper()
-	e, ok := exp.Default.Lookup(name)
-	if !ok {
-		t.Fatalf("experiment %q not registered", name)
+	sel, err := exp.Default.Select(name, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := e.Run(ctx)
+	res, err := sel[0].Run(ctx)
 	if err != nil {
 		t.Fatalf("run %s: %v", name, err)
 	}

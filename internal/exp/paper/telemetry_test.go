@@ -18,11 +18,11 @@ import (
 // flexsfp-bench would.
 func runLinerateByName(t *testing.T, ctx exp.RunContext) (exp.Result, error) {
 	t.Helper()
-	e, ok := exp.Default.Lookup("linerate")
-	if !ok {
-		t.Fatal("linerate not registered")
+	sel, err := exp.Default.Select("linerate", false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return e.Run(ctx)
+	return sel[0].Run(ctx)
 }
 
 func TestLineRateTelemetryOff(t *testing.T) {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -47,32 +46,6 @@ func (r *Registry) Register(exps ...Experiment) {
 		r.byName[name] = e
 		r.order = append(r.order, name)
 	}
-}
-
-// Lookup returns the experiment registered under name.
-func (r *Registry) Lookup(name string) (Experiment, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.byName[name]
-	return e, ok
-}
-
-// Names returns all registered names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
-// Experiments returns all registered experiments in registration order.
-func (r *Registry) Experiments() []Experiment {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Experiment, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.byName[name])
-	}
-	return out
 }
 
 // isHidden reports whether e opted out of wildcard selection.
@@ -155,12 +128,4 @@ func (r *Registry) List() string {
 		fmt.Fprintf(&sb, "%-*s  %s%s\n", width, name, e.Describe(), tag)
 	}
 	return sb.String()
-}
-
-// SortedNames returns registered names in lexical order (for stable
-// diagnostics independent of registration order).
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

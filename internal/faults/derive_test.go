@@ -63,7 +63,7 @@ func TestDeriveDoesNotAdvanceSeededParent(t *testing.T) {
 // fleet workers deriving and using per-lane injectors from one parent at
 // once, which the embedded *rand.Rand alone would never allow.
 func TestDeriveConcurrent(t *testing.T) {
-	parent := New(77, Rates{ConnDrop: 0.2, FrameLoss: 0.3})
+	parent := New(77, Rates{ConnDrop: 0.2})
 	const workers = 16
 	streams := make([][]bool, workers)
 	var wg sync.WaitGroup
@@ -74,7 +74,7 @@ func TestDeriveConcurrent(t *testing.T) {
 			in := parent.Derive(uint64(w))
 			out := make([]bool, 200)
 			for i := range out {
-				out[i] = in.LoseFrame()
+				out[i] = in.Roll(0.3)
 			}
 			streams[w] = out
 		}(w)
@@ -84,7 +84,7 @@ func TestDeriveConcurrent(t *testing.T) {
 		want := make([]bool, 200)
 		in := parent.Derive(uint64(w))
 		for i := range want {
-			want[i] = in.LoseFrame()
+			want[i] = in.Roll(0.3)
 		}
 		for i := range want {
 			if streams[w][i] != want[i] {

@@ -1,9 +1,8 @@
 // Package faults is the deterministic fault-injection subsystem: a seeded
 // Injector that perturbs the layers the paper's §4.2/§5.3 robustness
 // claims depend on — the mgmt transport (connection drops, stalls, byte
-// corruption), in-band control frames (loss), netsim links (flaps), the
-// SPI flash (power-cut corruption mid-program, retention bit-rot), and
-// signed bitstreams (CRC/HMAC/freshness tampering).
+// corruption), netsim links (flaps), the SPI flash (power-cut corruption
+// mid-program), and signed bitstreams (CRC/HMAC/freshness tampering).
 //
 // All randomness comes from one rand.Rand owned by the Injector, seeded
 // explicitly (typically with runner.TrialSeed derivatives), so any fault
@@ -34,10 +33,9 @@ var (
 
 // Rates are per-event fault probabilities in [0, 1].
 type Rates struct {
-	ConnDrop  float64 // mgmt request: connection drops (request may or may not have landed)
-	Stall     float64 // mgmt request: peer stalls past the deadline
-	Corrupt   float64 // mgmt response: one byte flipped in flight
-	FrameLoss float64 // in-band control frame silently lost
+	ConnDrop float64 // mgmt request: connection drops (request may or may not have landed)
+	Stall    float64 // mgmt request: peer stalls past the deadline
+	Corrupt  float64 // mgmt response: one byte flipped in flight
 }
 
 // Scaled returns the rates multiplied by f (clamped to [0, 1]).
@@ -53,10 +51,9 @@ func (r Rates) Scaled(f float64) Rates {
 		return p
 	}
 	return Rates{
-		ConnDrop:  s(r.ConnDrop),
-		Stall:     s(r.Stall),
-		Corrupt:   s(r.Corrupt),
-		FrameLoss: s(r.FrameLoss),
+		ConnDrop: s(r.ConnDrop),
+		Stall:    s(r.Stall),
+		Corrupt:  s(r.Corrupt),
 	}
 }
 
@@ -65,17 +62,14 @@ type Stats struct {
 	ConnDrops   uint64
 	Stalls      uint64
 	Corruptions uint64
-	FrameLosses uint64
 	PowerCuts   uint64
-	BitRots     uint64
 	LinkFlaps   uint64
 	Tampers     uint64
 }
 
 // Total sums all injected faults.
 func (s Stats) Total() uint64 {
-	return s.ConnDrops + s.Stalls + s.Corruptions + s.FrameLosses +
-		s.PowerCuts + s.BitRots + s.LinkFlaps + s.Tampers
+	return s.ConnDrops + s.Stalls + s.Corruptions + s.PowerCuts + s.LinkFlaps + s.Tampers
 }
 
 // Injector draws fault decisions from a private seeded RNG.
@@ -123,18 +117,6 @@ func (in *Injector) Roll(p float64) bool {
 	return in.rng.Float64() < p
 }
 
-// LoseFrame decides whether to drop one in-band control frame, counting
-// it when lost. Wire it into a frame-delivery path:
-//
-//	if inj.LoseFrame() { return } // frame vanishes
-func (in *Injector) LoseFrame() bool {
-	if in.Roll(in.rates.FrameLoss) {
-		in.stats.FrameLosses++
-		return true
-	}
-	return false
-}
-
 // PowerCut simulates power loss mid-program: the first frac of the slot's
 // bytes are left partially programmed (random bits cleared, as on real
 // NOR). The slot will fail validation at the next boot.
@@ -151,20 +133,6 @@ func (in *Injector) PowerCut(dev *flash.Device, slot int, frac float64) error {
 		return err
 	}
 	in.stats.PowerCuts++
-	return nil
-}
-
-// BitRot flips bits random bits across a slot, modeling charge loss in a
-// worn part (§5.3). Unlike PowerCut it can set bits as well as clear them.
-func (in *Injector) BitRot(dev *flash.Device, slot, bits int) error {
-	addr, err := flash.SlotAddr(slot)
-	if err != nil {
-		return err
-	}
-	if err := dev.FlipBits(addr, flash.SlotSize, bits, in.rng.Intn); err != nil {
-		return err
-	}
-	in.stats.BitRots++
 	return nil
 }
 

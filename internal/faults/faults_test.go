@@ -12,7 +12,7 @@ import (
 )
 
 func TestInjectorDeterminism(t *testing.T) {
-	rates := Rates{ConnDrop: 0.3, Stall: 0.2, Corrupt: 0.1, FrameLoss: 0.4}
+	rates := Rates{ConnDrop: 0.3, Stall: 0.2, Corrupt: 0.1}
 	a := New(42, rates)
 	b := New(42, rates)
 	for i := 0; i < 1000; i++ {
@@ -33,9 +33,9 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 func TestScaledClamps(t *testing.T) {
-	r := Rates{ConnDrop: 0.4, Stall: 0.6, Corrupt: 1.0, FrameLoss: 0}
+	r := Rates{ConnDrop: 0.4, Stall: 0.6, Corrupt: 1.0}
 	s := r.Scaled(3)
-	if s.ConnDrop != 1 || s.Stall != 1 || s.Corrupt != 1 || s.FrameLoss != 0 {
+	if s.ConnDrop != 1 || s.Stall != 1 || s.Corrupt != 1 {
 		t.Errorf("Scaled(3) = %+v", s)
 	}
 	z := r.Scaled(0)
@@ -126,20 +126,6 @@ func TestTransportStallAndCorrupt(t *testing.T) {
 	}
 }
 
-func TestLoseFrame(t *testing.T) {
-	in := New(5, Rates{FrameLoss: 1})
-	if !in.LoseFrame() {
-		t.Error("FrameLoss=1 kept the frame")
-	}
-	in2 := New(5, Rates{})
-	if in2.LoseFrame() {
-		t.Error("FrameLoss=0 dropped a frame")
-	}
-	if in.Stats().FrameLosses != 1 || in2.Stats().FrameLosses != 0 {
-		t.Errorf("losses = %d / %d", in.Stats().FrameLosses, in2.Stats().FrameLosses)
-	}
-}
-
 func TestPowerCutCorruptsSlot(t *testing.T) {
 	dev := flash.New()
 	addr, err := flash.SlotAddr(2)
@@ -172,38 +158,6 @@ func TestPowerCutCorruptsSlot(t *testing.T) {
 	}
 	if err := in.PowerCut(dev, 99, 0.5); err == nil {
 		t.Error("power cut on a bogus slot succeeded")
-	}
-}
-
-func TestBitRotFlipsBits(t *testing.T) {
-	dev := flash.New()
-	addr, _ := flash.SlotAddr(1)
-	before, _, err := dev.Read(addr, flash.SlotSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = append([]byte(nil), before...)
-	in := New(13, Rates{})
-	if err := in.BitRot(dev, 1, 16); err != nil {
-		t.Fatal(err)
-	}
-	after, _, err := dev.Read(addr, flash.SlotSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rot is confined to the slot and flips at most the requested number
-	// of bits (collisions can cancel, but something must change).
-	flipped := 0
-	for i := range after {
-		for b := after[i] ^ before[i]; b != 0; b &= b - 1 {
-			flipped++
-		}
-	}
-	if flipped == 0 || flipped > 16 {
-		t.Errorf("bit-rot flipped %d bits, want 1..16", flipped)
-	}
-	if in.Stats().BitRots != 1 {
-		t.Errorf("BitRots = %d", in.Stats().BitRots)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package flash models the FlexSFP's 128 Mb SPI NOR flash (§4.3): sector
-// erase / page program / random read with datasheet-class timings, per-
-// sector wear counters, a slotted layout for holding multiple design
+// erase / page program / random read with datasheet-class timings,
+// operation counters, a slotted layout for holding multiple design
 // bitstreams ("the flash memory is such that multiple designs could be
 // stored"), and power-cut corruption injection for recovery testing.
 //
@@ -38,14 +38,13 @@ var (
 	ErrBadAlignment = errors.New("flash: misaligned operation")
 )
 
-// Device is the flash array plus wear accounting. The 16 MiB cell array
+// Device is the flash array plus operation counters. The 16 MiB cell array
 // is backed lazily, one sector at a time: a nil sector is in the erased
 // state (all 0xFF) and costs nothing, so a factory-fresh device — of
 // which fleet simulations construct thousands — is a few slice headers
 // instead of a 16 MiB allocation.
 type Device struct {
-	sectors   [][]byte // per-sector cells; nil = erased (all 0xFF)
-	eraseWear []uint32 // per-sector erase count
+	sectors [][]byte // per-sector cells; nil = erased (all 0xFF)
 
 	// Stats.
 	Erases   uint64
@@ -56,8 +55,7 @@ type Device struct {
 // New returns a factory-fresh (all 0xFF) device.
 func New() *Device {
 	return &Device{
-		sectors:   make([][]byte, NumSectors),
-		eraseWear: make([]uint32, NumSectors),
+		sectors: make([][]byte, NumSectors),
 	}
 }
 
@@ -121,7 +119,6 @@ func (d *Device) EraseSector(addr int) (netsim.Duration, error) {
 		return 0, fmt.Errorf("%w: erase at %d", ErrBadAlignment, addr)
 	}
 	d.sectors[addr/SectorSize] = nil // back to the erased state
-	d.eraseWear[addr/SectorSize]++
 	d.Erases++
 	return SectorEraseTime, nil
 }
@@ -159,22 +156,6 @@ func (d *Device) cellAt(addr int) *byte {
 	return &d.sector(addr)[addr%SectorSize]
 }
 
-// SectorWear returns the erase count of the sector containing addr.
-func (d *Device) SectorWear(addr int) uint32 {
-	return d.eraseWear[addr/SectorSize]
-}
-
-// MaxWear returns the highest per-sector erase count.
-func (d *Device) MaxWear() uint32 {
-	var m uint32
-	for _, w := range d.eraseWear {
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}
-
 // CorruptRange simulates a power cut mid-program: each byte in [addr,
 // addr+n) is partially programmed (random bits cleared) using rnd.
 func (d *Device) CorruptRange(addr, n int, rnd func() byte) error {
@@ -183,22 +164,6 @@ func (d *Device) CorruptRange(addr, n int, rnd func() byte) error {
 	}
 	for i := addr; i < addr+n; i++ {
 		*d.cellAt(i) &= rnd()
-	}
-	return nil
-}
-
-// FlipBits simulates retention bit-rot: flips bits bits chosen by rng
-// (uniformly over [addr, addr+n)), regardless of NOR program semantics —
-// real charge loss can move cells in either direction.
-func (d *Device) FlipBits(addr, n, bits int, rng func(int) int) error {
-	if addr < 0 || n < 0 || addr+n > SizeBytes {
-		return fmt.Errorf("%w: fliprange [%d,%d)", ErrOutOfRange, addr, addr+n)
-	}
-	if n == 0 {
-		return nil
-	}
-	for i := 0; i < bits; i++ {
-		*d.cellAt(addr + rng(n)) ^= 1 << uint(rng(8))
 	}
 	return nil
 }

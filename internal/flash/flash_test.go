@@ -97,24 +97,6 @@ func TestOutOfRange(t *testing.T) {
 	}
 }
 
-func TestWearTracking(t *testing.T) {
-	d := New()
-	for i := 0; i < 5; i++ {
-		if _, err := d.EraseSector(SectorSize * 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w := d.SectorWear(SectorSize * 2); w != 5 {
-		t.Errorf("wear = %d, want 5", w)
-	}
-	if w := d.SectorWear(0); w != 0 {
-		t.Errorf("untouched sector wear = %d", w)
-	}
-	if d.MaxWear() != 5 {
-		t.Errorf("MaxWear = %d", d.MaxWear())
-	}
-}
-
 func TestWriteBlobTiming(t *testing.T) {
 	d := New()
 	data := bytes.Repeat([]byte{0x5a}, SectorSize+100) // 2 sectors, 17 pages

@@ -59,16 +59,6 @@ func Catalog() []Device {
 	return []Device{MPF100T, MPF200T, MPF300T, MPF500T}
 }
 
-// DeviceByName looks a device up in the catalog.
-func DeviceByName(name string) (Device, error) {
-	for _, d := range Catalog() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return Device{}, fmt.Errorf("fpga: unknown device %q", name)
-}
-
 // Utilization returns per-class utilization of r on the device.
 func (d Device) Utilization(r Resources) Utilization {
 	return Utilization{

@@ -15,16 +15,6 @@ func TestResourcesAddScale(t *testing.T) {
 	if got != want {
 		t.Errorf("Add = %v, want %v", got, want)
 	}
-	if a.Scale(3) != (Resources{LUT4: 3, FF: 6, USRAM: 9, LSRAM: 12, Math: 15}) {
-		t.Errorf("Scale = %v", a.Scale(3))
-	}
-}
-
-func TestMemoryBits(t *testing.T) {
-	r := Resources{USRAM: 2, LSRAM: 1}
-	if got := r.MemoryBits(); got != 2*768+20480 {
-		t.Errorf("MemoryBits = %d", got)
-	}
 }
 
 func TestBlockSizing(t *testing.T) {
@@ -54,16 +44,6 @@ func TestMPF200TMatchesPaperAvailRow(t *testing.T) {
 	}
 	if MPF200T.ProcessNm != 28 {
 		t.Errorf("ProcessNm = %d, want 28 (mature node per §5.3)", MPF200T.ProcessNm)
-	}
-}
-
-func TestDeviceByName(t *testing.T) {
-	d, err := DeviceByName("MPF200T")
-	if err != nil || d.Name != "MPF200T" {
-		t.Errorf("DeviceByName = %v, %v", d, err)
-	}
-	if _, err := DeviceByName("XC7K325T"); err == nil {
-		t.Error("unknown device accepted")
 	}
 }
 

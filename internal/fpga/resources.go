@@ -41,26 +41,10 @@ func (r Resources) Add(s Resources) Resources {
 	}
 }
 
-// Scale returns the vector multiplied by n (n copies of a component).
-func (r Resources) Scale(n int) Resources {
-	return Resources{
-		LUT4:  r.LUT4 * n,
-		FF:    r.FF * n,
-		USRAM: r.USRAM * n,
-		LSRAM: r.LSRAM * n,
-		Math:  r.Math * n,
-	}
-}
-
 // FitsIn reports whether every component of r is within s.
 func (r Resources) FitsIn(s Resources) bool {
 	return r.LUT4 <= s.LUT4 && r.FF <= s.FF &&
 		r.USRAM <= s.USRAM && r.LSRAM <= s.LSRAM && r.Math <= s.Math
-}
-
-// MemoryBits returns the total on-chip memory the vector occupies, in bits.
-func (r Resources) MemoryBits() int {
-	return r.USRAM*USRAMBits + r.LSRAM*LSRAMBits
 }
 
 func (r Resources) String() string {

@@ -28,13 +28,6 @@ func (f *Fleet) Add(name string, t Transport) {
 	f.members[name] = NewClient(t)
 }
 
-// Remove drops a member.
-func (f *Fleet) Remove(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.members, name)
-}
-
 // Names returns the member names, sorted.
 func (f *Fleet) Names() []string {
 	f.mu.Lock()
@@ -45,14 +38,6 @@ func (f *Fleet) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Client returns a member's client.
-func (f *Fleet) Client(name string) (*Client, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.members[name]
-	return c, ok
 }
 
 // SetRetryPolicy installs the same retry/deadline policy on every current

@@ -138,25 +138,13 @@ func TestFleetPartialFailure(t *testing.T) {
 	}
 }
 
-func TestFleetRemove(t *testing.T) {
-	fleet, _, _, _ := buildFleet(t, 2)
-	fleet.Remove("a-port")
-	if _, ok := fleet.Client("a-port"); ok {
-		t.Error("removed member still present")
-	}
-	infos, _ := fleet.PingAll()
-	if len(infos) != 1 {
-		t.Errorf("infos = %d", len(infos))
-	}
-}
-
 func TestFleetOverTCP(t *testing.T) {
 	// Same sweep, but through real TCP listeners.
 	fleetDirect, _, _, _ := buildFleet(t, 3)
 	fleet := NewFleet()
 	var servers []*Server
 	for _, name := range fleetDirect.Names() {
-		c, _ := fleetDirect.Client(name)
+		c := fleetDirect.members[name]
 		// Re-serve each member's transport over TCP.
 		srv := NewServer(func(req []byte) []byte {
 			resp, err := c.t.Do(req)

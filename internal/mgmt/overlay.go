@@ -1,7 +1,5 @@
 package mgmt
 
-import "fmt"
-
 // Overlay rendezvous wire types. The rendezvous point (internal/overlay)
 // speaks the same TLV envelope as the cable agents, so the PR 2 client —
 // retries, deadlines, jittered backoff — is reused unchanged for the
@@ -14,10 +12,6 @@ type OverlayPrefix struct {
 	IP       [4]byte
 	Len      uint8
 	Priority uint8
-}
-
-func (p OverlayPrefix) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d", p.IP[0], p.IP[1], p.IP[2], p.IP[3], p.Len)
 }
 
 // OverlayEndpoint is a cable's registration: its underlay tunnel

@@ -110,15 +110,6 @@ func (s *Sharded) Stream(partition int) *rand.Rand {
 	return runner.TrialRand(s.seed^streamSalt, partition)
 }
 
-// Pending returns the total number of events waiting across all shards.
-func (s *Sharded) Pending() int {
-	n := 0
-	for _, sim := range s.shards {
-		n += sim.Pending()
-	}
-	return n
-}
-
 // Fired returns the total number of events executed across all shards.
 func (s *Sharded) Fired() uint64 {
 	var n uint64
@@ -582,13 +573,6 @@ type Portal struct {
 
 	_ [cacheLine]byte
 }
-
-// Latency returns the portal's fixed crossing latency (its lookahead
-// contribution).
-func (p *Portal) Latency() Duration { return p.latency }
-
-// Sent returns how many messages have entered the portal.
-func (p *Portal) Sent() uint64 { return p.sent }
 
 // Send queues data for delivery on the destination shard at the source
 // shard's current time plus the portal latency. It must be called from

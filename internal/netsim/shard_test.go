@@ -136,8 +136,8 @@ func TestShardedSpillOverflow(t *testing.T) {
 	if next != n {
 		t.Fatalf("delivered %d messages, want %d", next, n)
 	}
-	if p.Sent() != n {
-		t.Fatalf("Sent() = %d, want %d", p.Sent(), n)
+	if p.sent != n {
+		t.Fatalf("sent = %d, want %d", p.sent, n)
 	}
 }
 

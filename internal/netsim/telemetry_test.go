@@ -71,19 +71,25 @@ func TestSimulatorAttachTelemetry(t *testing.T) {
 	sim.ScheduleDetached(10, func() {})
 	sim.ScheduleDetached(10, func() {}) // same timestamp: zero gap
 	sim.ScheduleDetached(30, func() {})
-	snap := reg.Snapshot()
-	if v, ok := snap.Gauge("sim.pending_events"); !ok || v != 3 {
+	gauges := func() map[string]float64 {
+		m := map[string]float64{}
+		for _, g := range reg.Snapshot().Gauges {
+			m[g.Name] = g.Value
+		}
+		return m
+	}
+	if v, ok := gauges()["sim.pending_events"]; !ok || v != 3 {
 		t.Fatalf("pending_events = %v (ok=%v)", v, ok)
 	}
 	sim.Run()
-	snap = reg.Snapshot()
-	if v, _ := snap.Gauge("sim.fired_events"); v != 3 {
+	g := gauges()
+	if v := g["sim.fired_events"]; v != 3 {
 		t.Fatalf("fired_events = %v", v)
 	}
-	if v, _ := snap.Gauge("sim.now_ns"); v != 30 {
+	if v := g["sim.now_ns"]; v != 30 {
 		t.Fatalf("now_ns = %v", v)
 	}
-	gap, ok := snap.Histogram("sim.event_gap_ns")
+	gap, ok := reg.Snapshot().Histogram("sim.event_gap_ns")
 	if !ok || gap.Count != 3 {
 		t.Fatalf("event_gap_ns = %+v (ok=%v)", gap, ok)
 	}

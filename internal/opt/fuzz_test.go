@@ -61,8 +61,8 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 			xdp.MovImm(0, xdp.ActPass), xdp.Exit(),
 		}},
 		{Name: "mut", Insns: []xdp.Insn{
-			xdp.MovImm(1, 0), xdp.StB(1, 0, 0x55), xdp.LdB(2, 1, 0),
-			xdp.MovReg(0, 2), xdp.Exit(),
+			xdp.MovImm(1, 0), {Op: xdp.OpStB, Dst: 1, Imm: 0x55, UseImm: true}, xdp.LdB(2, 1, 0),
+			{Op: xdp.OpMov, Dst: 0, Src: 2}, xdp.Exit(),
 		}},
 	}
 	for _, p := range seeds {

@@ -15,7 +15,7 @@
 //   - instruction passes over xdp.Program (OptimizeXDP): unreachable-code
 //     elimination, redundant load folding, dead register-write
 //     elimination, and jump threading, plus hXDP-style VLIW packing
-//     (ScheduleCycles) that fills each stage's issue slots and shrinks
+//     (scheduleCycles) that fills each stage's issue slots and shrinks
 //     the soft core's per-packet occupancy (ppe.Program.ProgCycles),
 //     raising CapacityPPS for instruction-bound programs.
 //

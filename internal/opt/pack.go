@@ -2,7 +2,7 @@ package opt
 
 import "flexsfp/internal/xdp"
 
-// ScheduleCycles packs the program onto an hXDP-style VLIW soft core
+// scheduleCycles packs a program's instructions onto an hXDP-style VLIW soft core
 // with `width` parallel issue lanes and returns the schedule length in
 // cycles — the per-packet occupancy a sequential core needs for the
 // program, and therefore the value the optimizer writes into
@@ -27,10 +27,6 @@ import "flexsfp/internal/xdp"
 //
 // WAR is allowed (reads happen first), and a jump or exit seals its
 // bundle — the core resolves control at the cycle edge.
-func ScheduleCycles(p *xdp.Program, width int) int {
-	return scheduleCycles(p.Insns, width)
-}
-
 func scheduleCycles(insns []xdp.Insn, width int) int {
 	if width < 1 {
 		width = 1

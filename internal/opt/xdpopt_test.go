@@ -83,8 +83,8 @@ func TestDupLoadKeptWhenPacketStored(t *testing.T) {
 	p := &xdp.Program{Name: "store-barrier", Insns: []xdp.Insn{
 		xdp.MovImm(1, 0),
 		xdp.LdB(2, 1, 0),
-		xdp.StB(1, 0, 0xFF), // mutates the byte the next load reads
-		xdp.LdB(3, 1, 0),    // NOT a duplicate: must reload 0xFF
+		{Op: xdp.OpStB, Dst: 1, Imm: 0xFF, UseImm: true}, // mutates the byte the next load reads
+		xdp.LdB(3, 1, 0), // NOT a duplicate: must reload 0xFF
 		xdp.MovImm(0, 0),
 		xdp.Insn{Op: xdp.OpAdd, Dst: 0, Src: 3},
 		xdp.Exit(),
@@ -101,7 +101,7 @@ func TestDeadLoadKeptForAbortSemantics(t *testing.T) {
 	// short frames — deleting it would turn aborts into passes.
 	p := &xdp.Program{Name: "dead-load", Insns: []xdp.Insn{
 		xdp.MovImm(1, 0),
-		xdp.LdW(2, 1, 60), // r2 unread; aborts frames shorter than 64
+		{Op: xdp.OpLdW, Dst: 2, Src: 1, Off: 60}, // r2 unread; aborts frames shorter than 64
 		xdp.MovImm(0, xdp.ActPass),
 		xdp.Exit(),
 	}}
@@ -167,7 +167,7 @@ func TestThreadJumpChains(t *testing.T) {
 func TestSelfCopyEliminated(t *testing.T) {
 	p := &xdp.Program{Name: "self-copy", Insns: []xdp.Insn{
 		xdp.MovImm(0, xdp.ActPass),
-		xdp.MovReg(3, 3), // no-op
+		{Op: xdp.OpMov, Dst: 3, Src: 3}, // no-op
 		xdp.Exit(),
 	}}
 	q, rep := mustOpt(t, p)
@@ -215,10 +215,10 @@ func TestScheduleCyclesIndependentPacks(t *testing.T) {
 		xdp.MovImm(0, xdp.ActPass),
 		xdp.Exit(),
 	}}
-	if got := ScheduleCycles(p, 4); got != 2 {
+	if got := scheduleCycles(p.Insns, 4); got != 2 {
 		t.Fatalf("width-4 schedule = %d cycles, want 2", got)
 	}
-	if got := ScheduleCycles(p, 1); got != 5 {
+	if got := scheduleCycles(p.Insns, 1); got != 5 {
 		t.Fatalf("width-1 schedule = %d cycles, want 5 (scalar)", got)
 	}
 }
@@ -232,7 +232,7 @@ func TestScheduleCyclesRAWSerializes(t *testing.T) {
 	}}
 	// Each add reads the r0 the previous cycle wrote, and exit reads the
 	// final r0 — four serial cycles even with four lanes.
-	if got := ScheduleCycles(p, 4); got != 4 {
+	if got := scheduleCycles(p.Insns, 4); got != 4 {
 		t.Fatalf("dependent chain schedule = %d cycles, want 4", got)
 	}
 }
@@ -241,11 +241,11 @@ func TestScheduleCyclesMemOrdering(t *testing.T) {
 	p := &xdp.Program{Name: "mem", Insns: []xdp.Insn{
 		xdp.MovImm(1, 0),
 		xdp.LdB(2, 1, 0), // RAW on r1: second cycle
-		xdp.StB(1, 0, 7), // store after load: third cycle
+		{Op: xdp.OpStB, Dst: 1, Imm: 7, UseImm: true}, // store after load: third cycle
 		xdp.LdB(3, 1, 0), // load after store: fourth cycle (exit shares it)
 		xdp.Exit(),
 	}}
-	if got := ScheduleCycles(p, 4); got != 4 {
+	if got := scheduleCycles(p.Insns, 4); got != 4 {
 		t.Fatalf("mem schedule = %d cycles, want 4", got)
 	}
 }

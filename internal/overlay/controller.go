@@ -19,7 +19,6 @@ type Controller struct {
 	self  mgmt.OverlayEndpoint
 	rdv   *mgmt.Client
 	cable *mgmt.Client
-	gen   uint64
 }
 
 // NewController binds an endpoint description to its rendezvous and
@@ -27,12 +26,6 @@ type Controller struct {
 func NewController(self mgmt.OverlayEndpoint, rdv, cable *mgmt.Client) *Controller {
 	return &Controller{self: self, rdv: rdv, cable: cable}
 }
-
-// Endpoint returns the endpoint this controller registers.
-func (c *Controller) Endpoint() mgmt.OverlayEndpoint { return c.self }
-
-// Generation returns the table generation of the last successful Sync.
-func (c *Controller) Generation() uint64 { return c.gen }
 
 // Register announces the endpoint at the rendezvous.
 func (c *Controller) Register() (uint64, error) {
@@ -120,7 +113,6 @@ func (c *Controller) Sync() (mgmt.OverlayTable, error) {
 		}
 	}
 
-	c.gen = t.Generation
 	return t, nil
 }
 

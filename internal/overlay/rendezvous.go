@@ -89,13 +89,6 @@ func (r *Rendezvous) Withdraw(name string) (uint64, bool) {
 	return r.gen, true
 }
 
-// Generation returns the current table generation.
-func (r *Rendezvous) Generation() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
-}
-
 // Table computes the current mesh table. Peers are sorted by name and
 // routes by prefix, and ownership ties break on (priority, name), so the
 // result is a pure function of the registered set — every cable that

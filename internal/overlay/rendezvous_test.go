@@ -260,11 +260,11 @@ func TestRendezvousPeerIDsExhausted(t *testing.T) {
 			t.Fatalf("name %d of %d refused: %v", i+1, ids, err)
 		}
 	}
-	gen := r.Generation()
+	gen := r.gen
 	if _, err := r.Register(mgmt.OverlayEndpoint{Name: "one-too-many"}); err == nil {
 		t.Fatal("65 537th distinct name was handed an ID")
 	}
-	if r.Generation() != gen {
+	if r.gen != gen {
 		t.Error("refused registration bumped the generation")
 	}
 	if _, err := r.Register(mgmt.OverlayEndpoint{Name: "n0"}); err != nil {

@@ -209,15 +209,6 @@ func BuildARP(s ARPSpec) ([]byte, error) {
 	return out, nil
 }
 
-// MustBuildARP is BuildARP that panics on error; for tests.
-func MustBuildARP(s ARPSpec) []byte {
-	b, err := BuildARP(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Marshal renders the DHCP message standalone (UDP payload bytes), for
 // feeding through Build as the payload of a port-67/68 frame.
 func (d *DHCPv4) Marshal() ([]byte, error) {

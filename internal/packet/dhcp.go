@@ -155,24 +155,6 @@ func (d *DHCPv4) NextLayerType() LayerType { return LayerTypePayload }
 // LayerPayload implements Layer.
 func (d *DHCPv4) LayerPayload() []byte { return d.payload }
 
-// Option returns the first option with the given code.
-func (d *DHCPv4) Option(code uint8) ([]byte, bool) {
-	for _, o := range d.Options {
-		if o.Code == code {
-			return o.Data, true
-		}
-	}
-	return nil, false
-}
-
-// MsgType returns the option-53 message type, if present.
-func (d *DHCPv4) MsgType() (DHCPMsgType, bool) {
-	if data, ok := d.Option(DHCPOptMsgType); ok && len(data) == 1 {
-		return DHCPMsgType(data[0]), true
-	}
-	return 0, false
-}
-
 // SerializeTo implements SerializableLayer.
 func (d *DHCPv4) SerializeTo(b *SerializeBuffer, _ SerializeOptions) error {
 	optLen := 1 // End

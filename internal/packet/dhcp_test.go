@@ -81,3 +81,21 @@ func TestDHCPv4OptionReuse(t *testing.T) {
 		t.Fatalf("options slice not reused: cap %d→%d len %d", first, cap(d.Options), len(d.Options))
 	}
 }
+
+// MsgType returns the option-53 message type, if present.
+func (d *DHCPv4) MsgType() (DHCPMsgType, bool) {
+	if data, ok := d.Option(DHCPOptMsgType); ok && len(data) == 1 {
+		return DHCPMsgType(data[0]), true
+	}
+	return 0, false
+}
+
+// Option returns the first option with the given code.
+func (d *DHCPv4) Option(code uint8) ([]byte, bool) {
+	for _, o := range d.Options {
+		if o.Code == code {
+			return o.Data, true
+		}
+	}
+	return nil, false
+}

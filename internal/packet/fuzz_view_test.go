@@ -286,3 +286,6 @@ func intSeedFrame(hops int) []byte {
 	}
 	return append(f, inner[14:]...)
 }
+
+// HeaderLength returns the header length in bytes including options.
+func (ip *IPv4) HeaderLength() int { return 20 + len(ip.Options) }

@@ -94,9 +94,6 @@ func (p IPProtocol) layerType() LayerType {
 // LayerPayload implements Layer.
 func (ip *IPv4) LayerPayload() []byte { return ip.payload }
 
-// HeaderLength returns the header length in bytes including options.
-func (ip *IPv4) HeaderLength() int { return 20 + len(ip.Options) }
-
 // VerifyChecksum recomputes the header checksum over hdr (the full IPv4
 // header bytes) and reports whether it is consistent.
 func VerifyIPv4Checksum(hdr []byte) bool {

@@ -90,9 +90,6 @@ func (t *TCP) NextLayerType() LayerType { return LayerTypePayload }
 // LayerPayload implements Layer.
 func (t *TCP) LayerPayload() []byte { return t.payload }
 
-// HeaderLength returns the TCP header length in bytes.
-func (t *TCP) HeaderLength() int { return 20 + len(t.Options) }
-
 // SetNetworkLayerForChecksum supplies the IP addresses used for the
 // pseudo-header when serializing with ComputeChecksums.
 func (t *TCP) SetNetworkLayerForChecksum(src, dst netip.Addr) error {

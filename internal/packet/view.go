@@ -202,22 +202,11 @@ func (v *View) IPv4HeaderLen() int { return int(v.Data[v.L3Off]&0x0f) * 4 }
 
 // ARP field accessors, valid only when IsARP.
 
-// ARPOperation returns the ARP opcode (ARPRequest / ARPReply).
-func (v *View) ARPOperation() uint16 {
-	return binary.BigEndian.Uint16(v.Data[v.L3Off+6 : v.L3Off+8])
-}
-
 // ARPSenderMAC returns the 6-byte sender hardware address.
 func (v *View) ARPSenderMAC() []byte { return v.Data[v.L3Off+8 : v.L3Off+14] }
 
 // ARPSenderIP returns the 4-byte sender protocol address.
 func (v *View) ARPSenderIP() []byte { return v.Data[v.L3Off+14 : v.L3Off+18] }
-
-// ARPTargetMAC returns the 6-byte target hardware address.
-func (v *View) ARPTargetMAC() []byte { return v.Data[v.L3Off+18 : v.L3Off+24] }
-
-// ARPTargetIP returns the 4-byte target protocol address.
-func (v *View) ARPTargetIP() []byte { return v.Data[v.L3Off+24 : v.L3Off+28] }
 
 // Incremental checksum update per RFC 1624: HC' = ~(~HC + ~m + m').
 
@@ -329,14 +318,8 @@ func (v *View) DNSPayload() ([]byte, bool) {
 	return v.Data[v.L7Off:], true
 }
 
-// DNSID returns the DNS transaction ID (valid when DNSPayload ok).
-func (v *View) DNSID() uint16 { return binary.BigEndian.Uint16(v.Data[v.L7Off:]) }
-
 // DNSIsResponse reports the QR bit (valid when DNSPayload ok).
 func (v *View) DNSIsResponse() bool { return v.Data[v.L7Off+2]&0x80 != 0 }
-
-// DNSQDCount returns the question count (valid when DNSPayload ok).
-func (v *View) DNSQDCount() uint16 { return binary.BigEndian.Uint16(v.Data[v.L7Off+4:]) }
 
 // DNSQName appends the first question's name, lowercased and
 // dot-separated, to buf and returns the extended slice. It reads labels
@@ -396,9 +379,6 @@ func (v *View) DHCPPayload() ([]byte, bool) {
 // DHCPOp returns the BOOTP op (1 request, 2 reply); valid when
 // DHCPPayload ok.
 func (v *View) DHCPOp() uint8 { return v.Data[v.L7Off] }
-
-// DHCPXID returns the transaction ID; valid when DHCPPayload ok.
-func (v *View) DHCPXID() uint32 { return binary.BigEndian.Uint32(v.Data[v.L7Off+4:]) }
 
 // DHCPClientMAC returns the 6-byte chaddr; valid when DHCPPayload ok.
 func (v *View) DHCPClientMAC() []byte { return v.Data[v.L7Off+28 : v.L7Off+34] }

@@ -404,3 +404,35 @@ func TestViewQNameZeroAlloc(t *testing.T) {
 		t.Fatalf("DNSQName allocates: %.1f allocs/op", allocs)
 	}
 }
+
+// MustBuildARP is BuildARP that panics on error; for tests.
+func MustBuildARP(s ARPSpec) []byte {
+	b, err := BuildARP(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// View field accessors only the tests read: the datapath apps use the
+// sender side of ARP and the DNS/DHCP fields they match on.
+
+// ARPOperation returns the ARP opcode (ARPRequest / ARPReply).
+func (v *View) ARPOperation() uint16 {
+	return binary.BigEndian.Uint16(v.Data[v.L3Off+6 : v.L3Off+8])
+}
+
+// ARPTargetMAC returns the 6-byte target hardware address.
+func (v *View) ARPTargetMAC() []byte { return v.Data[v.L3Off+18 : v.L3Off+24] }
+
+// ARPTargetIP returns the 4-byte target protocol address.
+func (v *View) ARPTargetIP() []byte { return v.Data[v.L3Off+24 : v.L3Off+28] }
+
+// DNSID returns the DNS transaction ID (valid when DNSPayload ok).
+func (v *View) DNSID() uint16 { return binary.BigEndian.Uint16(v.Data[v.L7Off:]) }
+
+// DNSQDCount returns the question count (valid when DNSPayload ok).
+func (v *View) DNSQDCount() uint16 { return binary.BigEndian.Uint16(v.Data[v.L7Off+4:]) }
+
+// DHCPXID returns the transaction ID; valid when DHCPPayload ok.
+func (v *View) DHCPXID() uint32 { return binary.BigEndian.Uint32(v.Data[v.L7Off+4:]) }

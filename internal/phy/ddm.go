@@ -2,135 +2,11 @@ package phy
 
 // DDM is an SFF-8472-style digital diagnostics snapshot: the five
 // monitored quantities every SFP exposes, which the FlexSFP's control
-// plane reads to distinguish laser degradation from driver malfunction
-// (§5.3 "Failure Recovery").
+// plane serves over the DDM RPC (§5.3 "Failure Recovery").
 type DDM struct {
 	TemperatureC float64
 	VccVolts     float64
 	TxBiasMA     float64
 	TxPowerDBm   float64
 	RxPowerDBm   float64
-}
-
-// DDMThresholds holds alarm (hard fault) and warning (degrading) bounds.
-type DDMThresholds struct {
-	TempAlarmHighC     float64
-	TempWarnHighC      float64
-	VccAlarmLowV       float64
-	TxBiasAlarmHighMA  float64
-	TxBiasWarnHighMA   float64
-	TxPowerAlarmLowDBm float64
-	TxPowerWarnLowDBm  float64
-	RxPowerAlarmLowDBm float64
-}
-
-// DefaultThresholds returns values typical of a 10GBASE-SR module.
-func DefaultThresholds() DDMThresholds {
-	return DDMThresholds{
-		TempAlarmHighC:     78,
-		TempWarnHighC:      70,
-		VccAlarmLowV:       3.0,
-		TxBiasAlarmHighMA:  13,
-		TxBiasWarnHighMA:   10,
-		TxPowerAlarmLowDBm: -7.0,
-		TxPowerWarnLowDBm:  -5.0,
-		RxPowerAlarmLowDBm: -13.0,
-	}
-}
-
-// Alarm flags.
-type DDMFlags uint16
-
-// Flag bits.
-const (
-	FlagTempAlarm DDMFlags = 1 << iota
-	FlagTempWarn
-	FlagVccAlarm
-	FlagTxBiasAlarm
-	FlagTxBiasWarn
-	FlagTxPowerAlarm
-	FlagTxPowerWarn
-	FlagRxPowerAlarm
-)
-
-// Evaluate compares a snapshot against thresholds.
-func (t DDMThresholds) Evaluate(d DDM) DDMFlags {
-	var f DDMFlags
-	if d.TemperatureC >= t.TempAlarmHighC {
-		f |= FlagTempAlarm
-	} else if d.TemperatureC >= t.TempWarnHighC {
-		f |= FlagTempWarn
-	}
-	if d.VccVolts <= t.VccAlarmLowV {
-		f |= FlagVccAlarm
-	}
-	if d.TxBiasMA >= t.TxBiasAlarmHighMA {
-		f |= FlagTxBiasAlarm
-	} else if d.TxBiasMA >= t.TxBiasWarnHighMA {
-		f |= FlagTxBiasWarn
-	}
-	if d.TxPowerDBm <= t.TxPowerAlarmLowDBm {
-		f |= FlagTxPowerAlarm
-	} else if d.TxPowerDBm <= t.TxPowerWarnLowDBm {
-		f |= FlagTxPowerWarn
-	}
-	if d.RxPowerDBm <= t.RxPowerAlarmLowDBm {
-		f |= FlagRxPowerAlarm
-	}
-	return f
-}
-
-// Fault is a diagnosis derived from DDM readings.
-type Fault int
-
-// Diagnoses the FlexSFP control plane can distinguish (§5.3: "the
-// internal visibility … can expose … distinguishing between laser
-// degradation and driver circuit malfunction").
-const (
-	FaultNone Fault = iota
-	// FaultLaserDegrading: output power falling while the APC loop pushes
-	// bias up — the lognormal wear-out signature; schedule replacement.
-	FaultLaserDegrading
-	// FaultLaserDead: no output power at nominal-or-higher bias.
-	FaultLaserDead
-	// FaultDriver: no/low bias current at all — the driver circuit, not
-	// the VCSEL, has failed.
-	FaultDriver
-	// FaultRemoteOrFiber: local TX healthy but no RX power — the far end
-	// or the fiber plant.
-	FaultRemoteOrFiber
-)
-
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "healthy"
-	case FaultLaserDegrading:
-		return "laser-degrading"
-	case FaultLaserDead:
-		return "laser-dead"
-	case FaultDriver:
-		return "driver-fault"
-	case FaultRemoteOrFiber:
-		return "remote-or-fiber"
-	default:
-		return "unknown"
-	}
-}
-
-// Diagnose classifies a DDM snapshot. nominalBiasMA is the healthy drive
-// current.
-func Diagnose(d DDM, t DDMThresholds, nominalBiasMA float64) Fault {
-	switch {
-	case d.TxBiasMA < 0.5: // essentially no drive current
-		return FaultDriver
-	case d.TxPowerDBm <= t.TxPowerAlarmLowDBm && d.TxBiasMA >= nominalBiasMA:
-		return FaultLaserDead
-	case d.TxPowerDBm <= t.TxPowerWarnLowDBm || d.TxBiasMA >= t.TxBiasWarnHighMA:
-		return FaultLaserDegrading
-	case d.RxPowerDBm <= t.RxPowerAlarmLowDBm:
-		return FaultRemoteOrFiber
-	default:
-		return FaultNone
-	}
 }

@@ -1,18 +1,18 @@
 // Package phy models transceiver physics: 10GBASE-R line coding and
 // framing arithmetic (the identities behind every line-rate claim in the
-// paper), the optical power budget of the fiber link, and SFF-8472-style
-// digital diagnostics (DDM) — the interface through which a FlexSFP can
-// expose "wire-level" fault visibility (§3, §5.3).
+// paper), the VCSEL's output power as it degrades, the SFP's EEPROM
+// identity page, and the SFF-8472-style digital diagnostics (DDM)
+// snapshot — the interface through which a FlexSFP exposes "wire-level"
+// visibility (§3, §5.3).
 package phy
 
 // 10GBASE-R constants.
 const (
 	// LineRateBaud is the serial signalling rate: 10.3125 GBd.
 	LineRateBaud = 10_312_500_000
-	// Coding64b66bEfficiency is the 64b/66b line-code efficiency.
-	Coding64b66bEfficiency = 64.0 / 66.0
-	// DataRateBps is the post-decode data rate: exactly 10 Gb/s.
-	DataRateBps = 10_000_000_000
+	// DataRateBps is the post-decode data rate: 64b/66b coding over
+	// LineRateBaud leaves exactly 10 Gb/s.
+	DataRateBps = LineRateBaud * 64 / 66
 	// FrameOverheadBytes is the per-frame wire overhead:
 	// 7 preamble + 1 SFD + 12 inter-frame gap.
 	FrameOverheadBytes = 20
@@ -21,13 +21,6 @@ const (
 	// it on the wire, so sizes here are wire sizes).
 	MinFrameBytes = 64
 )
-
-// DataRateFromBaud returns the usable data rate for a given baud rate
-// under 64b/66b coding. For the standard 10.3125 GBd it returns exactly
-// 10 Gb/s.
-func DataRateFromBaud(baud float64) float64 {
-	return baud * Coding64b66bEfficiency
-}
 
 // LineRatePPS returns the maximum packet rate at dataRateBps for frames
 // of frameBytes (wire size incl. FCS, excl. preamble/IFG). For 64-byte
@@ -41,12 +34,6 @@ func LineRatePPS(dataRateBps int64, frameBytes int) float64 {
 // of frameBytes (i.e. excluding preamble/IFG overhead).
 func GoodputBps(dataRateBps int64, frameBytes int) float64 {
 	return LineRatePPS(dataRateBps, frameBytes) * float64(frameBytes) * 8
-}
-
-// WireEfficiency returns the fraction of the data rate carrying frame
-// bytes for a given frame size.
-func WireEfficiency(frameBytes int) float64 {
-	return float64(frameBytes) / float64(frameBytes+FrameOverheadBytes)
 }
 
 // RequiredClockHz returns the minimum PPE clock that sustains line rate

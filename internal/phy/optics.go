@@ -51,35 +51,3 @@ func mwToDbm(mw float64) float64 {
 	}
 	return 10 * math.Log10(mw)
 }
-
-// FiberLink is the optical power budget of a fiber span.
-type FiberLink struct {
-	LengthKm           float64
-	AttenuationDBPerKm float64 // ~3.0 for OM3 multimode at 850 nm
-	ConnectorLossDB    float64 // total connector/splice loss
-	RxSensitivityDBm   float64 // receiver sensitivity (-11.1 for 10GBASE-SR)
-}
-
-// DefaultSRLink returns a typical short-reach data-center span.
-func DefaultSRLink(lengthKm float64) FiberLink {
-	return FiberLink{
-		LengthKm:           lengthKm,
-		AttenuationDBPerKm: 3.0,
-		ConnectorLossDB:    1.0,
-		RxSensitivityDBm:   -11.1,
-	}
-}
-
-// RxPowerDBm returns the power arriving at the far receiver for a given
-// launch power.
-func (f FiberLink) RxPowerDBm(txPowerDBm float64) float64 {
-	return txPowerDBm - f.LengthKm*f.AttenuationDBPerKm - f.ConnectorLossDB
-}
-
-// MarginDB returns the link margin: received power above sensitivity.
-func (f FiberLink) MarginDB(txPowerDBm float64) float64 {
-	return f.RxPowerDBm(txPowerDBm) - f.RxSensitivityDBm
-}
-
-// Up reports whether the link closes (positive margin).
-func (f FiberLink) Up(txPowerDBm float64) bool { return f.MarginDB(txPowerDBm) > 0 }

@@ -67,13 +67,6 @@ const (
 	DirOpticalToEdge
 )
 
-func (d Direction) String() string {
-	if d == DirEdgeToOptical {
-		return "edge->optical"
-	}
-	return "optical->edge"
-}
-
 // Reverse returns the opposite direction.
 func (d Direction) Reverse() Direction { return 1 - d }
 

@@ -31,12 +31,9 @@ func NewCounterBank(name string, n int) *CounterBank {
 	return &CounterBank{name: name, ctrs: make([]bankCounter, n)}
 }
 
-// Len returns the number of counters.
-func (c *CounterBank) Len() int { return len(c.ctrs) }
-
 // lock claims the counter's write section (seq becomes odd). The CAS
-// arbitrates between the datapath and management-plane writers (Reset);
-// with a single writer it succeeds on the first try.
+// arbitrates between concurrent writers; with a single writer it
+// succeeds on the first try.
 func (ctr *bankCounter) lock() {
 	for {
 		s := ctr.seq.Load()
@@ -82,18 +79,6 @@ func (c *CounterBank) Read(i int) (uint64, uint64) {
 	}
 }
 
-// Reset zeroes counter i.
-func (c *CounterBank) Reset(i int) {
-	if i < 0 || i >= len(c.ctrs) {
-		return
-	}
-	ctr := &c.ctrs[i]
-	ctr.lock()
-	ctr.packets.Store(0)
-	ctr.bytes.Store(0)
-	ctr.unlock()
-}
-
 // Register is a single stateful scratch register.
 type Register struct {
 	name string
@@ -133,9 +118,6 @@ type meterState struct {
 func NewMeterBank(name string, n int) *MeterBank {
 	return &MeterBank{name: name, m: make([]meterState, n)}
 }
-
-// Len returns the number of meters.
-func (b *MeterBank) Len() int { return len(b.m) }
 
 // Configure sets meter i to rateBps with a burst of burstBits, starting
 // with a full bucket.

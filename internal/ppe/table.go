@@ -178,8 +178,6 @@ func (t *Table) hashKey(key []byte) uint64 {
 }
 
 // KeyBytes returns the exact key length in bytes.
-func (t *Table) KeyBytes() int { return t.keyLen }
-
 func (t *Table) checkSizes(key, value []byte) error {
 	if len(key) != t.keyLen {
 		return fmt.Errorf("%w: got %d bytes, want %d", ErrKeySize, len(key), t.keyLen)
@@ -433,32 +431,27 @@ type TernaryEntry struct {
 	Mask     []byte
 	Priority int
 	Data     []byte // action data
-	Hits     uint64
 }
 
-// ternaryEntry is the internal immutable form; only the hit counter
-// mutates after insertion, and it is atomic so concurrent readers under
-// RLock never write shared plain state.
+// ternaryEntry is the internal immutable form: nothing mutates it after
+// insertion, so concurrent readers under RLock share it freely.
 type ternaryEntry struct {
 	value    []byte
 	mask     []byte
 	priority int
 	data     []byte
-	hits     atomic.Uint64
 }
 
 // TernaryTable is a priority-ordered masked table (register-based TCAM).
-// Lookups take only the read lock — entries are immutable and hit
-// counters atomic — so concurrent fleet-sim shards never serialize on
-// ACL matches; Add/Clear take the write lock.
+// Lookups take only the read lock — entries are immutable — so
+// concurrent fleet-sim shards never serialize on ACL matches; Add/Clear
+// take the write lock.
 type TernaryTable struct {
 	Spec TableSpec
 
 	mu      sync.RWMutex
 	entries []*ternaryEntry
 	gen     uint64
-	lookups atomic.Uint64
-	misses  atomic.Uint64
 }
 
 // NewTernaryTable builds an empty ternary table.
@@ -507,18 +500,15 @@ func (t *TernaryTable) Clear() {
 
 // Lookup returns the action data of the highest-priority matching entry.
 func (t *TernaryTable) Lookup(key []byte) ([]byte, bool) {
-	t.lookups.Add(1)
 	t.mu.RLock()
 	for _, e := range t.entries {
 		if maskedEqual(key, e.value, e.mask) {
-			e.hits.Add(1)
 			data := e.data
 			t.mu.RUnlock()
 			return data, true
 		}
 	}
 	t.mu.RUnlock()
-	t.misses.Add(1)
 	return nil, false
 }
 
@@ -532,33 +522,4 @@ func maskedEqual(key, value, mask []byte) bool {
 		}
 	}
 	return true
-}
-
-// Len returns the entry count.
-func (t *TernaryTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}
-
-// Stats returns lookup/miss totals.
-func (t *TernaryTable) Stats() (lookups, misses uint64) {
-	return t.lookups.Load(), t.misses.Load()
-}
-
-// Snapshot returns a copy of the entries in match order.
-func (t *TernaryTable) Snapshot() []TernaryEntry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]TernaryEntry, len(t.entries))
-	for i, e := range t.entries {
-		out[i] = TernaryEntry{
-			Value:    append([]byte(nil), e.value...),
-			Mask:     append([]byte(nil), e.mask...),
-			Priority: e.priority,
-			Data:     append([]byte(nil), e.data...),
-			Hits:     e.hits.Load(),
-		}
-	}
-	return out
 }

@@ -298,11 +298,10 @@ func TestTableConcurrentReadersAndWriter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTernaryConcurrentLookups races RLock readers against a writer; the
-// atomic lookup/miss counters must keep the totals exact. The writer
-// rebuilds the table with Clear then Add (there is no per-entry delete),
-// so a reader may legitimately miss in between: misses are counted, not
-// failed.
+// TestTernaryConcurrentLookups races RLock readers against a writer. The
+// writer rebuilds the table with Clear then Add (there is no per-entry
+// delete), so a reader may legitimately miss in between; a hit must
+// always return the matching entry's action data, never a torn one.
 func TestTernaryConcurrentLookups(t *testing.T) {
 	tt := NewTernaryTable(TableSpec{Name: "acl", Kind: TableTernary, KeyBits: 8, Size: 16})
 	if err := tt.Add(TernaryEntry{Value: []byte{0x10}, Mask: []byte{0xf0}, Priority: 1, Data: []byte{1}}); err != nil {
@@ -310,16 +309,16 @@ func TestTernaryConcurrentLookups(t *testing.T) {
 	}
 	const perReader = 5000
 	var (
-		wg     sync.WaitGroup
-		missed atomic.Uint64
+		wg  sync.WaitGroup
+		bad atomic.Uint64
 	)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
-				if _, ok := tt.Lookup([]byte{0x15}); !ok {
-					missed.Add(1)
+				if data, ok := tt.Lookup([]byte{0x15}); ok && !bytes.Equal(data, []byte{1}) {
+					bad.Add(1)
 				}
 			}
 		}()
@@ -334,12 +333,8 @@ func TestTernaryConcurrentLookups(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	lookups, misses := tt.Stats()
-	if lookups != 4*perReader {
-		t.Fatalf("lookups = %d, want %d", lookups, 4*perReader)
-	}
-	if misses > lookups || misses != missed.Load() {
-		t.Fatalf("misses = %d, readers saw %d, of %d lookups", misses, missed.Load(), lookups)
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d hits returned the wrong action data", n)
 	}
 	// The writer's last act was to re-add the entry.
 	if _, ok := tt.Lookup([]byte{0x15}); !ok {

@@ -47,6 +47,3 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 // SetTelemetry attaches (or detaches, with nil) the engine's instruments.
 // Wiring-time only; the datapath reads the pointer unsynchronized.
 func (e *Engine) SetTelemetry(t *Telemetry) { e.tel = t }
-
-// Telemetry returns the attached instruments (nil if none).
-func (e *Engine) Telemetry() *Telemetry { return e.tel }

@@ -253,11 +253,3 @@ func RunFleetTrials(rootSeed int64, trials int, m VCSELModel, cfg FleetConfig, p
 	rep.LaserRepairSavingFrac = runner.Collect(reports, func(r FleetReport) float64 { return r.LaserRepairSavingFrac })
 	return rep
 }
-
-// ComponentRepairViable captures the §5.3 argument: component-level
-// replacement makes sense when the repair part + labor costs materially
-// less than the module; for a $10 SFP it never does, for a $275 FlexSFP
-// it does.
-func ComponentRepairViable(moduleUSD, partUSD, laborUSD float64) bool {
-	return partUSD+laborUSD < 0.5*moduleUSD
-}

@@ -122,11 +122,13 @@ func TestReplacementEconomics(t *testing.T) {
 
 func TestComponentRepairViability(t *testing.T) {
 	cfg := DefaultFleet()
-	// §5.3: viable for the FlexSFP, not for a $10 SFP.
-	if !ComponentRepairViable(cfg.FlexSFPUnitUSD, cfg.LaserSubassemblyUSD, cfg.RepairLaborUSD) {
+	// §5.3: component-level replacement makes sense when part + labor
+	// cost materially less (under half) than the module — true for the
+	// FlexSFP, never for a $10 SFP.
+	if cfg.LaserSubassemblyUSD+cfg.RepairLaborUSD >= 0.5*cfg.FlexSFPUnitUSD {
 		t.Error("laser repair should be viable for FlexSFP")
 	}
-	if ComponentRepairViable(cfg.StandardSFPUnitUSD, 8, cfg.RepairLaborUSD) {
+	if 8+cfg.RepairLaborUSD < 0.5*cfg.StandardSFPUnitUSD {
 		t.Error("laser repair should not be viable for a $10 SFP")
 	}
 }

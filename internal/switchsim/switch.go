@@ -7,8 +7,6 @@
 package switchsim
 
 import (
-	"fmt"
-
 	"flexsfp/internal/core"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
@@ -30,7 +28,6 @@ const FabricDelay = 800 * netsim.Nanosecond
 // Switch is the legacy L2 aggregation switch.
 type Switch struct {
 	sim   *netsim.Simulator
-	name  string
 	cages []*Cage
 
 	macTable map[packet.MAC]int
@@ -55,10 +52,9 @@ type Cage struct {
 }
 
 // New builds a switch with n empty cages.
-func New(sim *netsim.Simulator, name string, n int) *Switch {
+func New(sim *netsim.Simulator, n int) *Switch {
 	sw := &Switch{
 		sim:      sim,
-		name:     name,
 		macTable: make(map[packet.MAC]int),
 	}
 	for i := 0; i < n; i++ {
@@ -66,9 +62,6 @@ func New(sim *netsim.Simulator, name string, n int) *Switch {
 	}
 	return sw
 }
-
-// Name returns the switch name.
-func (sw *Switch) Name() string { return sw.name }
 
 // Ports returns the cage count.
 func (sw *Switch) Ports() int { return len(sw.cages) }
@@ -186,15 +179,6 @@ func Fiber(sim *netsim.Simulator, c *Cage, h *Host, bitsPerSec int64, prop netsi
 	h.SetTx(func(data []byte) bool { return up.Send(data) })
 }
 
-// CrossConnect joins two cages (e.g. an uplink between two switches)
-// over a duplex fiber.
-func CrossConnect(sim *netsim.Simulator, a, b *Cage, bitsPerSec int64, prop netsim.Duration) {
-	ab := netsim.NewLink(sim, bitsPerSec, prop, b.DeliverFromFiber)
-	ba := netsim.NewLink(sim, bitsPerSec, prop, a.DeliverFromFiber)
-	a.SetFiberTx(func(data []byte) { ab.Send(data) })
-	b.SetFiberTx(func(data []byte) { ba.Send(data) })
-}
-
 // Host is a simple attached endpoint (subscriber CPE or an upstream
 // router) with a receive hook.
 type Host struct {
@@ -236,9 +220,4 @@ func (h *Host) Deliver(data []byte) {
 		h.OnFrame(data)
 	}
 	packet.PutBuffer(data)
-}
-
-// String implements fmt.Stringer.
-func (h *Host) String() string {
-	return fmt.Sprintf("host %s (%s)", h.Name, h.MAC)
 }

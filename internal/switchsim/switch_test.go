@@ -26,7 +26,7 @@ var (
 // buildAccess wires a 3-port switch with standard SFPs and three hosts.
 func buildAccess(t *testing.T, sim *netsim.Simulator) (*Switch, []*Host) {
 	t.Helper()
-	sw := New(sim, "agg-1", 3)
+	sw := New(sim, 3)
 	hosts := []*Host{
 		NewHost("h1", macH1), NewHost("h2", macH2), NewHost("h3", macH3),
 	}
@@ -204,30 +204,9 @@ func TestTransceiverPowerSum(t *testing.T) {
 	}
 }
 
-func TestCrossConnect(t *testing.T) {
-	sim := netsim.New(1)
-	swA := New(sim, "a", 2)
-	swB := New(sim, "b", 2)
-	hA := NewHost("ha", macH1)
-	hB := NewHost("hb", macH2)
-	swA.Cage(0).Insert(core.NewStandardSFP(sim))
-	swA.Cage(1).Insert(core.NewStandardSFP(sim))
-	swB.Cage(0).Insert(core.NewStandardSFP(sim))
-	swB.Cage(1).Insert(core.NewStandardSFP(sim))
-	Fiber(sim, swA.Cage(0), hA, tenGig, 100)
-	Fiber(sim, swB.Cage(0), hB, tenGig, 100)
-	CrossConnect(sim, swA.Cage(1), swB.Cage(1), tenGig, 1000)
-
-	hA.Send(frame(t, macH1, macH2))
-	sim.Run()
-	if hB.RxFrames != 1 {
-		t.Errorf("cross-switch delivery failed: hB rx = %d", hB.RxFrames)
-	}
-}
-
 func TestEmptyCageDrops(t *testing.T) {
 	sim := netsim.New(1)
-	sw := New(sim, "s", 2)
+	sw := New(sim, 2)
 	sw.Cage(0).Insert(core.NewStandardSFP(sim))
 	h := NewHost("h", macH1)
 	Fiber(sim, sw.Cage(0), h, tenGig, 100)
@@ -244,7 +223,7 @@ func TestEmptyCageDrops(t *testing.T) {
 // slice, cage 2 would see cage 1's rewrite, miss, and pass 100.64.0.1.
 func TestFloodGivesEachPortItsOwnFrame(t *testing.T) {
 	sim := netsim.New(1)
-	sw := New(sim, "agg-1", 3)
+	sw := New(sim, 3)
 	hosts := []*Host{NewHost("h1", macH1), NewHost("h2", macH2), NewHost("h3", macH3)}
 	sw.Cage(0).Insert(core.NewStandardSFP(sim))
 	for i, ext := range []string{"100.64.0.1", "100.64.0.2"} {

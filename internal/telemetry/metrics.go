@@ -2,12 +2,13 @@
 // "Active Core" vision: the module is not just a datapath but a network
 // element that originates its own measurements. It provides the three
 // metric primitives every layer of the model records into — sharded
-// atomic counters, fixed-bucket histograms, and gauges — plus a sampled
+// atomic counters, fixed-bucket histograms, and gauges read at snapshot
+// time (GaugeFunc) — plus a sampled
 // packet-trace ring (trace.go) and a named registry with deterministic
 // snapshots (registry.go).
 //
-// The record path is the contract: Counter.Add, Histogram.Observe,
-// Gauge.Set and Tracer.Hop allocate nothing, take no locks, and are safe
+// The record path is the contract: Counter.Add, Histogram.Observe and
+// Tracer.Hop allocate nothing, take no locks, and are safe
 // from any goroutine. Registration and snapshotting are the slow path
 // (mutex-guarded, allocating); they happen on the management plane, never
 // per frame. This mirrors the hardware split the paper draws between the
@@ -15,7 +16,6 @@
 package telemetry
 
 import (
-	"math"
 	"sync/atomic"
 	"unsafe"
 )
@@ -44,9 +44,6 @@ type Counter struct {
 	shards [shardCount]counterShard
 }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
-
 // shardIndex derives a stripe index from the address of a stack variable:
 // goroutines own distinct stacks, so concurrent recorders spread across
 // stripes while a single recorder stays on one (and on the sim thread —
@@ -66,7 +63,7 @@ func (c *Counter) Add(n uint64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current total. Concurrent Adds may or may not be
-// included; the value is monotonic across calls in the absence of Reset.
+// included; the value is monotonic across calls.
 func (c *Counter) Value() uint64 {
 	var sum uint64
 	for i := range c.shards {
@@ -74,34 +71,6 @@ func (c *Counter) Value() uint64 {
 	}
 	return sum
 }
-
-// Reset zeroes the counter (management plane only; racing Adds may land
-// on either side of the reset).
-func (c *Counter) Reset() {
-	for i := range c.shards {
-		c.shards[i].v.Store(0)
-	}
-}
-
-// Gauge is a last-value-wins instantaneous metric (queue depth, table
-// occupancy). Stored as a float64 bit pattern so one metric type covers
-// both integral and fractional readings.
-type Gauge struct {
-	name string
-	v    atomic.Uint64
-}
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores the gauge value. Zero allocations, no locks.
-func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// SetInt stores an integral gauge value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// Value returns the last stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
 // maxHistBuckets bounds a histogram's bucket count; the record path does
 // a linear scan, so bucket layouts stay small and cache-resident like the
@@ -143,9 +112,6 @@ func newHistogram(name string, bounds []uint64) *Histogram {
 	h.min.Store(^uint64(0))
 	return h
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one sample. Zero allocations, no locks. The total count
 // is not tracked separately — it is the sum of the bucket counters, paid

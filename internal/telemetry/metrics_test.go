@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -18,10 +19,6 @@ func TestCounterBasics(t *testing.T) {
 	c.Add(41)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
-	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("after reset = %d", got)
 	}
 }
 
@@ -45,16 +42,19 @@ func TestCounterConcurrentSum(t *testing.T) {
 	}
 }
 
+// TestGauge pins the one gauge path: GaugeFunc reads the live value at
+// each snapshot, so a gauge never holds a stale copy of the state it
+// exposes.
 func TestGauge(t *testing.T) {
 	r := New()
-	g := r.Gauge("depth")
-	g.Set(3.5)
-	if g.Value() != 3.5 {
-		t.Fatalf("gauge = %v", g.Value())
+	depth := 3.5
+	r.GaugeFunc("depth", func() float64 { return depth })
+	if g := r.Snapshot().Gauges; len(g) != 1 || g[0].Value != 3.5 {
+		t.Fatalf("gauges = %+v", g)
 	}
-	g.SetInt(-7)
-	if g.Value() != -7 {
-		t.Fatalf("gauge = %v", g.Value())
+	depth = -7
+	if g := r.Snapshot().Gauges; g[0].Value != -7 {
+		t.Fatalf("gauge = %v after the state changed", g[0].Value)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestGaugeFuncAndSnapshotOrdering(t *testing.T) {
 	r := New()
 	r.Counter("zz")
 	r.Counter("aa").Add(5)
-	r.Gauge("g2").Set(2)
+	r.GaugeFunc("g2", func() float64 { return 2 })
 	r.GaugeFunc("g1", func() float64 { return 1 })
 	snap := r.Snapshot()
 	if snap.Counters[0].Name != "aa" || snap.Counters[1].Name != "zz" {
@@ -136,8 +136,8 @@ func TestGaugeFuncAndSnapshotOrdering(t *testing.T) {
 	if v, ok := snap.Counter("aa"); !ok || v != 5 {
 		t.Fatalf("Counter(aa) = %d,%v", v, ok)
 	}
-	if v, ok := snap.Gauge("g1"); !ok || v != 1 {
-		t.Fatalf("Gauge(g1) = %v,%v", v, ok)
+	if v := snap.Gauges[0].Value; v != 1 {
+		t.Fatalf("g1 = %v", v)
 	}
 	if _, ok := snap.Counter("missing"); ok {
 		t.Fatal("missing counter found")
@@ -158,7 +158,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate name did not panic")
 		}
 	}()
-	r.Gauge("dup")
+	r.GaugeFunc("dup", func() float64 { return 0 })
 }
 
 // TestConcurrentRecordAndSnapshot is the race-detector regression for the
@@ -167,7 +167,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	r := New()
 	c := r.Counter("c")
-	g := r.Gauge("g")
+	var gv atomic.Int64
+	r.GaugeFunc("g", func() float64 { return float64(gv.Load()) })
 	h := r.Histogram("h", ExpBuckets(10, 4, 8))
 	r.GaugeFunc("f", func() float64 { return math.Pi })
 	var wg sync.WaitGroup
@@ -177,7 +178,7 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
 				c.Add(1)
-				g.SetInt(int64(i))
+				gv.Store(int64(i))
 				h.Observe(uint64(i * w))
 			}
 		}(w)

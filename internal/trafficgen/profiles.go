@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 
-	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 )
 
@@ -29,11 +28,6 @@ const (
 	// TCP elephants carrying most bytes over many 64-byte TCP mice.
 	ProfileElephantMice Profile = "elephant-mice"
 )
-
-// Profiles lists every defined profile in sweep order.
-func Profiles() []Profile {
-	return []Profile{ProfileARPStorm, ProfileDHCPChurn, ProfileDNSEdge, ProfileElephantMice}
-}
 
 // profile construction constants: template sets are a pure function of
 // (profile, hosts) so generated traffic is deterministic by build order.
@@ -255,16 +249,4 @@ func elephantMiceTemplates(hosts int) ([]WeightedFrame, error) {
 		out = append(out, WeightedFrame{Frame: f, Weight: 1})
 	}
 	return out, nil
-}
-
-// NewProfile builds a generator emitting the named profile's blend. The
-// Templates field of cfg is filled in; Sizes/Flows/ZipfS are ignored in
-// template mode.
-func NewProfile(sim *netsim.Simulator, p Profile, hosts int, cfg Config, sink func([]byte) bool) (*Generator, error) {
-	tmpl, err := ProfileTemplates(p, hosts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Templates = tmpl
-	return New(sim, cfg, sink), nil
 }

@@ -8,6 +8,20 @@ import (
 	"flexsfp/internal/packet"
 )
 
+// profiles lists every defined profile in sweep order.
+var profiles = []Profile{ProfileARPStorm, ProfileDHCPChurn, ProfileDNSEdge, ProfileElephantMice}
+
+// newProfile builds a generator emitting p's blend over the default hosts.
+func newProfile(t *testing.T, sim *netsim.Simulator, p Profile, cfg Config, sink func([]byte) bool) *Generator {
+	t.Helper()
+	tmpl, err := ProfileTemplates(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Templates = tmpl
+	return New(sim, cfg, sink)
+}
+
 // collectProfile runs a profile generator for n frames on a fresh
 // simulator and returns copies of the emitted frames in order.
 func collectProfile(t *testing.T, p Profile, seed int64, shards, partition int, n uint64) [][]byte {
@@ -15,7 +29,7 @@ func collectProfile(t *testing.T, p Profile, seed int64, shards, partition int, 
 	sh := netsim.NewSharded(seed, shards)
 	sim := sh.Shard(sh.ShardFor(partition))
 	var out [][]byte
-	g, err := NewProfile(sim, p, 0, Config{
+	g := newProfile(t, sim, p, Config{
 		PPS:  1e6,
 		Rand: sh.Stream(partition),
 	}, func(b []byte) bool {
@@ -23,9 +37,6 @@ func collectProfile(t *testing.T, p Profile, seed int64, shards, partition int, 
 		packet.PutBuffer(b)
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	g.Run(n)
 	sh.Run()
 	return out
@@ -34,7 +45,7 @@ func collectProfile(t *testing.T, p Profile, seed int64, shards, partition int, 
 // Same seed and profile must give a byte-identical frame sequence — the
 // reproducibility contract every experiment leans on.
 func TestProfileDeterminism(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		a := collectProfile(t, p, 42, 1, 0, 500)
 		b := collectProfile(t, p, 42, 1, 0, 500)
 		if len(a) != len(b) {
@@ -52,7 +63,7 @@ func TestProfileDeterminism(t *testing.T) {
 // bytes no matter how many shards host the topology (placement
 // invariance; the -shards knob cannot change results).
 func TestProfileShardPlacementInvariance(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		one := collectProfile(t, p, 7, 1, 3, 300)
 		four := collectProfile(t, p, 7, 4, 3, 300)
 		if len(one) != len(four) {
@@ -76,7 +87,7 @@ func TestProfileFramesParse(t *testing.T) {
 		ProfileElephantMice: {"tcp"},
 	}
 	var v packet.View
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		tmpl, err := ProfileTemplates(p, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +125,7 @@ func TestProfileFramesParse(t *testing.T) {
 
 // ProfileTemplates is a pure function of (profile, hosts).
 func TestProfileTemplatesDeterministic(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		a, err := ProfileTemplates(p, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -137,12 +148,9 @@ func TestProfileTemplatesDeterministic(t *testing.T) {
 // The emission hot path — template pick, pooled buffer, copy, recycle —
 // must not allocate, for any profile.
 func TestProfileEmissionZeroAlloc(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range profiles {
 		sim := netsim.New(1)
-		g, err := NewProfile(sim, p, 0, Config{PPS: 1e6}, func(b []byte) bool { return true })
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := newProfile(t, sim, p, Config{PPS: 1e6}, func(b []byte) bool { return true })
 		allocs := testing.AllocsPerRun(500, func() {
 			frame := g.pickFrame()
 			buf := packet.GetBuffer(len(frame))

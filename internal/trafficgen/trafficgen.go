@@ -1,8 +1,9 @@
 // Package trafficgen generates deterministic synthetic workloads for the
 // experiments: fixed-size streams at a target rate, the canonical IMIX
 // blend, Zipf-distributed flow populations, and the per-subscriber access
-// traffic (DNS + HTTPS + UDP) of the §2.1 telecom scenario. It stands in
-// for the paper's line-rate traffic testers.
+// traffic (DNS + HTTPS + UDP) of the §2.1 telecom scenario, and the
+// mixed-protocol profiles ProfileTemplates builds as weighted frame
+// templates. It stands in for the paper's line-rate traffic testers.
 package trafficgen
 
 import (
@@ -61,7 +62,7 @@ type Config struct {
 	// Templates, when set, bypasses the synthetic flow/size machinery:
 	// emission draws from these pre-built frames by weight. This is how
 	// the protocol-diverse profiles (ARP storms, DHCP churn, DNS-heavy
-	// edge, elephant/mice) feed the generator — see NewProfile.
+	// edge, elephant/mice) feed the generator — see ProfileTemplates.
 	Templates []WeightedFrame
 }
 
@@ -255,22 +256,3 @@ func (g *Generator) SetTracer(tr *telemetry.Tracer) { g.tracer = tr }
 
 // Stop halts emission after the current event.
 func (g *Generator) Stop() { g.stopped = true }
-
-// MeanFrameSize returns the weighted mean of the size mix (or of the
-// template set in template mode).
-func (g *Generator) MeanFrameSize() float64 {
-	if len(g.cfg.Templates) > 0 {
-		total, weight := 0, 0
-		for _, wf := range g.cfg.Templates {
-			total += len(wf.Frame) * wf.Weight
-			weight += wf.Weight
-		}
-		return float64(total) / float64(weight)
-	}
-	total, weight := 0, 0
-	for _, e := range g.cfg.Sizes {
-		total += e.Size * e.Weight
-		weight += e.Weight
-	}
-	return float64(total) / float64(weight)
-}

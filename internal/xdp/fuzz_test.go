@@ -67,7 +67,7 @@ func seedPrograms() []*Program {
 			MovImm(0, ActPass), Exit(), MovImm(0, ActDrop), Exit(),
 		}},
 		{Name: "store", Insns: []Insn{
-			MovImm(1, 0), StB(1, 0, 0xAA), LdB(2, 1, 0),
+			MovImm(1, 0), {Op: OpStB, Dst: 1, Imm: 0xAA, UseImm: true}, LdB(2, 1, 0),
 			MovImm(0, ActTx), Exit(),
 		}},
 		{Name: "fall-off", Insns: []Insn{MovImm(0, 0)}},

@@ -121,22 +121,11 @@ func EstimateResources(p *Program) fpga.Resources {
 // MovImm sets dst = imm.
 func MovImm(dst Reg, imm int64) Insn { return Insn{Op: OpMov, Dst: dst, Imm: imm, UseImm: true} }
 
-// MovReg sets dst = src.
-func MovReg(dst, src Reg) Insn { return Insn{Op: OpMov, Dst: dst, Src: src} }
-
 // LdH loads a big-endian u16 from pkt[src+off] into dst.
 func LdH(dst, src Reg, off int16) Insn { return Insn{Op: OpLdH, Dst: dst, Src: src, Off: off} }
 
 // LdB loads a u8 from pkt[src+off] into dst.
 func LdB(dst, src Reg, off int16) Insn { return Insn{Op: OpLdB, Dst: dst, Src: src, Off: off} }
-
-// LdW loads a big-endian u32 from pkt[src+off] into dst.
-func LdW(dst, src Reg, off int16) Insn { return Insn{Op: OpLdW, Dst: dst, Src: src, Off: off} }
-
-// StB stores the low byte of imm to pkt[dst+off].
-func StB(dst Reg, off int16, imm int64) Insn {
-	return Insn{Op: OpStB, Dst: dst, Off: off, Imm: imm, UseImm: true}
-}
 
 // JEqImm jumps forward by off when dst == imm.
 func JEqImm(dst Reg, imm int64, off int16) Insn {
@@ -150,8 +139,3 @@ func JNeImm(dst Reg, imm int64, off int16) Insn {
 
 // Exit returns r0.
 func Exit() Insn { return Insn{Op: OpExit} }
-
-// Return emits mov r0, action; exit.
-func Return(action int64) []Insn {
-	return []Insn{MovImm(0, action), Exit()}
-}

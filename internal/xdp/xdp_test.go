@@ -113,7 +113,7 @@ func TestVerifierRejections(t *testing.T) {
 	}{
 		{"empty", Program{}, ErrEmpty},
 		{"too-long", Program{Insns: make([]Insn, MaxInsns+1)}, ErrTooLong},
-		{"bad-reg", Program{Insns: []Insn{MovReg(12, 0), Exit()}}, ErrBadReg},
+		{"bad-reg", Program{Insns: []Insn{{Op: OpMov, Dst: 12}, Exit()}}, ErrBadReg},
 		{"bad-op", Program{Insns: []Insn{{Op: opMax}, Exit()}}, ErrBadOp},
 		{"back-jump", Program{Insns: []Insn{
 			MovImm(0, 2), {Op: OpJmp, Off: -1}, Exit()}}, ErrBackJump},
@@ -135,7 +135,7 @@ func TestVerifierRejections(t *testing.T) {
 
 func TestBoundsCheckedAccess(t *testing.T) {
 	p := &Program{Name: "oob", Insns: []Insn{
-		LdW(1, 0, 1000), // way past a 64B frame
+		{Op: OpLdW, Dst: 1, Src: 0, Off: 1000}, // way past a 64B frame
 		MovImm(0, ActPass),
 		Exit(),
 	}}
@@ -161,7 +161,7 @@ func TestBoundsCheckedAccess(t *testing.T) {
 	}
 	// Addresses whose end wraps past the int64 maximum: the check must not
 	// overflow into an in-bounds verdict and index the packet.
-	for _, in := range []Insn{LdH(2, 1, 0), LdW(2, 1, -1), {Op: OpStW, Dst: 1, Imm: 7, UseImm: true}} {
+	for _, in := range []Insn{LdH(2, 1, 0), {Op: OpLdW, Dst: 2, Src: 1, Off: -1}, {Op: OpStW, Dst: 1, Imm: 7, UseImm: true}} {
 		wrap := &Program{Name: "wrap", Insns: []Insn{MovImm(1, math.MaxInt64), in, MovImm(0, ActPass), Exit()}}
 		if err := wrap.Verify(); err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestBoundsCheckedAccess(t *testing.T) {
 
 func TestFrameLenRegister(t *testing.T) {
 	p := &Program{Name: "len", Insns: []Insn{
-		MovReg(0, RegFrameLen),
+		{Op: OpMov, Dst: 0, Src: RegFrameLen},
 		Exit(),
 	}}
 	if err := p.Verify(); err != nil {
@@ -266,7 +266,7 @@ func TestOffloadRejectsUnverifiable(t *testing.T) {
 
 func TestActionMapping(t *testing.T) {
 	mk := func(action int64) *ppe.Program {
-		prog, err := Offload(&Program{Name: "act", Insns: Return(action)})
+		prog, err := Offload(&Program{Name: "act", Insns: []Insn{MovImm(0, action), Exit()}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ package flexsfp
 // snapshot must agree with the traffic actually carried.
 
 import (
+	"slices"
 	"testing"
 
 	"flexsfp/internal/apps"
@@ -60,8 +61,8 @@ func TestTracedPathThroughStack(t *testing.T) {
 	if v, _ := snap.Counter("ppe.verdict.pass"); v != frames {
 		t.Fatalf("ppe.verdict.pass = %d", v)
 	}
-	if v, _ := snap.Gauge("module.tx.optical"); v != frames {
-		t.Fatalf("module.tx.optical = %v", v)
+	if i := slices.IndexFunc(snap.Gauges, func(g telemetry.GaugeSnap) bool { return g.Name == "module.tx.optical" }); i < 0 || snap.Gauges[i].Value != frames {
+		t.Fatalf("module.tx.optical = %+v", snap.Gauges)
 	}
 	if snap.TraceSeen != frames || snap.TraceSampled != frames/2 {
 		t.Fatalf("trace seen/sampled = %d/%d", snap.TraceSeen, snap.TraceSampled)
