@@ -1,13 +1,18 @@
 package mgmt
 
 // Native fuzz harnesses for the protocol surface: the frame decoder must
-// never panic on hostile bytes and must round-trip what it accepts, and
-// the agent must answer any byte string with a well-formed response.
+// never panic on hostile bytes and must round-trip what it accepts, the
+// TCP framing must survive any split of any stream, and the agent must
+// answer any byte string with a well-formed response.
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"flexsfp/internal/core"
 	"flexsfp/internal/hls"
@@ -133,6 +138,91 @@ func FuzzAgentHandle(f *testing.F) {
 		if msg.Type == MsgError {
 			if _, _, err := ParseError(msg.Body); err != nil {
 				t.Fatalf("agent produced malformed error body: %v", err)
+			}
+		}
+	})
+}
+
+// frameSplits hand a stream to readFrame in differently cut reads.
+var frameSplits = map[string]func(io.Reader) io.Reader{
+	"whole": func(r io.Reader) io.Reader { return r },
+	"half":  iotest.HalfReader,
+	"byte":  iotest.OneByteReader,
+}
+
+// cutReader returns at most cuts[i]+1 bytes from its i-th Read, cycling
+// through cuts: reads split at fuzzer-chosen points.
+type cutReader struct {
+	r    io.Reader
+	cuts []byte
+	i    int
+}
+
+func (c *cutReader) Read(p []byte) (int, error) {
+	if len(c.cuts) > 0 {
+		p = p[:min(len(p), int(c.cuts[c.i%len(c.cuts)])+1)]
+		c.i++
+	}
+	return c.r.Read(p)
+}
+
+// FuzzReadFrame: readFrame, fed any byte stream cut into reads at any
+// points, never panics and never returns a frame over maxFrame; and a
+// stream of frames written by writeFrame reads back frame for frame.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c'}, []byte{1, 0, 5})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0}, []byte{})
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame), []byte{2})
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, []byte{0, 0})
+	for _, m := range seedMessages() {
+		f.Add(m, []byte{byte(len(m) / 2), 3})
+	}
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		splits := map[string]func(io.Reader) io.Reader{
+			"cut": func(r io.Reader) io.Reader { return &cutReader{r: r, cuts: cuts} },
+		}
+		for name, split := range frameSplits {
+			splits[name] = split
+		}
+		for name, split := range splits {
+			r := bufio.NewReader(split(bytes.NewReader(stream)))
+			for {
+				fr, err := readFrame(r)
+				if err != nil {
+					break
+				}
+				if len(fr) > maxFrame {
+					t.Fatalf("%s: frame of %d bytes over the limit", name, len(fr))
+				}
+			}
+		}
+
+		// The stream cut into messages at the lengths in cuts, framed
+		// back to back, must read back in order and then hit EOF.
+		var msgs [][]byte
+		rest := stream
+		for _, c := range cuts {
+			k := min(int(c), len(rest))
+			msgs, rest = append(msgs, rest[:k]), rest[k:]
+		}
+		msgs = append(msgs, rest)
+		var wire bytes.Buffer
+		w := bufio.NewWriter(&wire)
+		for _, m := range msgs {
+			if err := writeFrame(w, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, split := range splits {
+			r := bufio.NewReader(split(bytes.NewReader(wire.Bytes())))
+			for i, m := range msgs {
+				got, err := readFrame(r)
+				if err != nil || !bytes.Equal(got, m) {
+					t.Fatalf("%s: frame %d = %x, %v; want %x", name, i, got, err, m)
+				}
+			}
+			if _, err := readFrame(r); err != io.EOF {
+				t.Fatalf("%s: after the last frame: %v, want EOF", name, err)
 			}
 		}
 	})

@@ -1,44 +1,66 @@
 package mgmt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
 
 // The out-of-band transport frames protocol messages over a TCP stream
-// with a 4-byte big-endian length prefix.
+// with a 4-byte big-endian length prefix. Each end reads and writes a
+// connection through one bufio.Reader and one bufio.Writer, so a frame
+// costs one write each way (header and message flushed together) while
+// the bytes on the wire are the same as two separate writes.
 
 const maxFrame = MaxBody + 64
 
-func writeFrame(w io.Writer, msg []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
-	return err
+// frameStep bounds how far readFrame allocates ahead of the body bytes
+// that have arrived: a header alone pins at most frameStep, and the body
+// buffer at most doubles as the rest comes in.
+const frameStep = 64 << 10
+
+// writeFrame puts the length prefix and msg into w and flushes them as
+// one write (a msg larger than w's buffer goes straight through after
+// the first buffer-full). The prefix is appended in w's own buffer, so
+// framing allocates nothing; a failed Write stays in w for Flush to
+// return.
+func writeFrame(w *bufio.Writer, msg []byte) error {
+	w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(msg))))
+	w.Write(msg)
+	return w.Flush()
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame returns the next frame's message. The prefix is peeked in
+// r's buffer, so only the message is allocated.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	r.Discard(4) // cannot fail: the 4 bytes are buffered
 	if n > maxFrame {
 		return nil, fmt.Errorf("mgmt: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	size := int(n)
+	buf := make([]byte, min(size, frameStep))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == size {
+			return buf, nil
+		}
+		off = len(buf)
+		next := min(size, 2*off)
+		buf = slices.Grow(buf, next-off)[:next]
 	}
-	return buf, nil
 }
 
 // Server serves an agent's Handle function over TCP (the out-of-band
@@ -112,11 +134,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
 	for {
 		if s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
-		req, err := readFrame(conn)
+		req, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -124,7 +147,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(w, resp); err != nil {
 			return
 		}
 	}
@@ -154,6 +177,8 @@ func (s *Server) Close() error {
 type TCPTransport struct {
 	mu      sync.Mutex
 	conn    net.Conn
+	r       *bufio.Reader // conn's reader and writer, fresh per dial
+	w       *bufio.Writer
 	addr    string
 	timeout time.Duration
 	closed  bool
@@ -165,7 +190,16 @@ func Dial(addr string) (*TCPTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TCPTransport{conn: conn, addr: addr}, nil
+	t := &TCPTransport{addr: addr}
+	t.attachLocked(conn)
+	return t, nil
+}
+
+// attachLocked makes conn the transport's connection, with a new reader
+// and writer: nothing buffered for an earlier connection can leak into
+// its frames.
+func (t *TCPTransport) attachLocked(conn net.Conn) {
+	t.conn, t.r, t.w = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
 }
 
 // SetTimeout installs a per-request deadline covering the write and the
@@ -174,6 +208,10 @@ func (t *TCPTransport) SetTimeout(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.timeout = d
+	if d <= 0 && t.conn != nil {
+		// Do sets no deadline without a timeout, so clear the last one.
+		t.conn.SetDeadline(time.Time{})
+	}
 }
 
 // Do implements Transport.
@@ -188,16 +226,16 @@ func (t *TCPTransport) Do(req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.conn = conn
+		t.attachLocked(conn)
 	}
 	if t.timeout > 0 {
 		t.conn.SetDeadline(time.Now().Add(t.timeout))
 	}
-	if err := writeFrame(t.conn, req); err != nil {
+	if err := writeFrame(t.w, req); err != nil {
 		t.dropConnLocked()
 		return nil, err
 	}
-	resp, err := readFrame(t.conn)
+	resp, err := readFrame(t.r)
 	if err != nil {
 		t.dropConnLocked()
 		return nil, err
@@ -208,7 +246,7 @@ func (t *TCPTransport) Do(req []byte) ([]byte, error) {
 func (t *TCPTransport) dropConnLocked() {
 	if t.conn != nil {
 		t.conn.Close()
-		t.conn = nil
+		t.conn, t.r, t.w = nil, nil, nil
 	}
 }
 
@@ -221,6 +259,6 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	err := t.conn.Close()
-	t.conn = nil
+	t.conn, t.r, t.w = nil, nil, nil
 	return err
 }

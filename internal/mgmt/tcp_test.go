@@ -1,8 +1,12 @@
 package mgmt
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,5 +158,198 @@ func TestTransportClosedDoesNotRedial(t *testing.T) {
 	tr.Close()
 	if _, err := tr.Do([]byte{1}); err == nil {
 		t.Error("Do succeeded on a closed transport")
+	}
+}
+
+// countingConn records every Write on a connection and the bytes it
+// carried.
+type countingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes int
+	sent   []byte
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	c.sent = append(c.sent, p...)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *countingConn) counts() (int, []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes, append([]byte(nil), c.sent...)
+}
+
+// TestPingIsOneWriteEachWay pins the framing cost: a Ping is exactly one
+// Write from the client and one from the server, and the client's bytes
+// are the big-endian length followed by the encoded message.
+func TestPingIsOneWriteEachWay(t *testing.T) {
+	_, a, _ := newAgentModule(t)
+	srvEnd, cliEnd := net.Pipe()
+	srvConn := &countingConn{Conn: srvEnd}
+	cliConn := &countingConn{Conn: cliEnd}
+	srv := NewServer(a.Handle)
+	srv.conns[srvConn] = struct{}{}
+	done := make(chan struct{})
+	go func() {
+		srv.serveConn(srvConn)
+		close(done)
+	}()
+	tr := &TCPTransport{}
+	tr.attachLocked(cliConn)
+	if _, err := NewClient(tr).Ping(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	<-done
+
+	cliWrites, sent := cliConn.counts()
+	srvWrites, _ := srvConn.counts()
+	if cliWrites != 1 || srvWrites != 1 {
+		t.Errorf("writes per Ping: client %d, server %d; want 1 and 1", cliWrites, srvWrites)
+	}
+	msg := Message{Type: MsgPing, ReqID: 1}.Encode()
+	want := binary.BigEndian.AppendUint32(nil, uint32(len(msg)))
+	want = append(want, msg...)
+	if !bytes.Equal(sent, want) {
+		t.Errorf("client bytes = %x, want %x", sent, want)
+	}
+}
+
+// TestReadFrameHeaderOnlyAllocatesLittle: a header claiming the largest
+// frame, with no body behind it, must not make readFrame allocate the
+// claimed size up front.
+func TestReadFrameHeaderOnlyAllocatesLittle(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, maxFrame)
+	least := ^uint64(0)
+	for range 5 { // the smallest reading screens out other goroutines
+		r := bufio.NewReader(bytes.NewReader(hdr))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readFrame(r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("header-only frame read without error")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 128<<10 {
+		t.Errorf("header-only frame allocated %d B, want < 128 KiB", least)
+	}
+}
+
+// TestReadFrameGrowsAcrossSteps: bodies around and past frameStep come
+// back intact however the stream is split into reads.
+func TestReadFrameGrowsAcrossSteps(t *testing.T) {
+	for _, size := range []int{0, 1, frameStep - 1, frameStep, frameStep + 1, 3*frameStep + 7, maxFrame} {
+		msg := make([]byte, size)
+		for i := range msg {
+			msg[i] = byte(i * 7)
+		}
+		var stream bytes.Buffer
+		w := bufio.NewWriter(&stream)
+		if err := writeFrame(w, msg); err != nil {
+			t.Fatal(err)
+		}
+		for name, split := range frameSplits {
+			got, err := readFrame(bufio.NewReader(split(bytes.NewReader(stream.Bytes()))))
+			if err != nil || !bytes.Equal(got, msg) {
+				t.Errorf("%s, %d B: got %d B, err %v", name, size, len(got), err)
+			}
+		}
+	}
+}
+
+// TestTransportSetTimeoutZeroClearsDeadline: SetTimeout(0) takes the
+// deadline an earlier timeout left on the connection off it.
+func TestTransportSetTimeoutZeroClearsDeadline(t *testing.T) {
+	_, a, _ := newAgentModule(t)
+	srv := NewServer(a.Handle)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr)
+	tr.SetTimeout(50 * time.Millisecond)
+	if _, err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	tr.SetTimeout(0)
+	time.Sleep(100 * time.Millisecond)
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("ping after SetTimeout(0): %v", err)
+	}
+}
+
+// TestTransportRedialDropsStaleBytes: a server that sends half a
+// response and stalls makes the request time out; the redialed
+// connection's reply is read from a clean reader, not spliced onto the
+// old connection's leftover bytes.
+func TestTransportRedialDropsStaleBytes(t *testing.T) {
+	_, a, _ := newAgentModule(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stall := make(chan struct{})
+	defer close(stall)
+	srv := NewServer(a.Handle)
+	defer srv.Close()
+	go func() {
+		// First connection: read the request, answer with the length
+		// and half the body of a frame, then go silent.
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req, err := readFrame(bufio.NewReader(conn))
+		if err != nil {
+			return
+		}
+		resp := a.Handle(req)
+		half := binary.BigEndian.AppendUint32(nil, uint32(len(resp)))
+		conn.Write(append(half, resp[:len(resp)/2]...))
+
+		// Second connection: served normally.
+		next, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		srv.mu.Lock()
+		srv.conns[next] = struct{}{}
+		srv.mu.Unlock()
+		go srv.serveConn(next)
+		<-stall
+	}()
+
+	tr, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := NewClient(tr)
+	tr.SetTimeout(100 * time.Millisecond)
+	if _, err := c.Ping(); err == nil {
+		t.Fatal("half a response did not time out")
+	}
+	tr.SetTimeout(5 * time.Second)
+	info, err := c.Ping()
+	if err != nil {
+		t.Fatalf("ping after redial: %v", err)
+	}
+	if info.Name != "sfp-7" {
+		t.Errorf("info = %+v", info)
 	}
 }
