@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzEngineVsRef' -fuzztime 10s ./internal/ppe > /dev/null
 	$(GO) test -fuzz 'FuzzCheckVsDecode' -fuzztime 10s ./internal/bitstream > /dev/null
 	$(GO) test -fuzz 'FuzzVerifyVsHMAC' -fuzztime 10s ./internal/bitstream > /dev/null
+	$(GO) test -fuzz 'FuzzShardedVsRef' -fuzztime 10s ./internal/netsim > /dev/null
 
 # Race-mode run of the default experiment suite with instrumentation
 # attached: the parallel trial runner records into shared registries, so

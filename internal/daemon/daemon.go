@@ -155,6 +155,7 @@ func Start(cfg Config) (*Daemon, error) {
 		d.reg.SetTracer(tracer)
 		mod.AttachTelemetry(d.reg)
 		sim.AttachTelemetry(d.reg, "sim")
+		world.AttachTelemetry(d.reg, "pdes")
 		agent.SetTelemetry(d.reg)
 	}
 

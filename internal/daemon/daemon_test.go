@@ -1,11 +1,14 @@
 package daemon
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"runtime"
 	"testing"
 	"time"
+
+	"flexsfp/internal/telemetry"
 )
 
 func startTestDaemon(t *testing.T) *Daemon {
@@ -72,5 +75,37 @@ func TestCloseWithoutMetrics(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestMetricsReportWindowLoop: a daemon whose world runs on two shards
+// exports the window loop's counters as pdes.* gauges, and the traffic
+// pre-run shows up in them.
+func TestMetricsReportWindowLoop(t *testing.T) {
+	d, err := Start(Config{
+		Listen: "127.0.0.1:0", Name: "pdes-test", App: "acl", Shell: "two-way-core",
+		Telemetry: true, MetricsAddr: "127.0.0.1:0",
+		TrafficPPS: 1000, SimShards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	resp, err := http.Get("http://" + d.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap telemetry.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	gauges := map[string]float64{}
+	for _, g := range snap.Gauges {
+		gauges[g.Name] = g.Value
+	}
+	if gauges["pdes.windows"] <= 0 || gauges["pdes.portal_msgs"] <= 0 {
+		t.Fatalf("pdes.windows = %v, pdes.portal_msgs = %v: the window loop's gauges are missing or idle",
+			gauges["pdes.windows"], gauges["pdes.portal_msgs"])
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -20,10 +21,13 @@ import (
 // and the minimum latency L over all channels is the global lookahead. If
 // the earliest pending event anywhere sits at time T, every shard may
 // safely execute the window [T, T+L) in parallel — a message sent inside
-// the window cannot arrive before T+L. At the window barrier, queued
-// cross-shard messages are merged into the destination heaps and the next
-// window starts. A topology with no cross-shard channels (disconnected
-// partitions) has infinite lookahead: one window runs everything.
+// the window cannot arrive before T+L. The barrier is symmetric: each
+// shard publishes one line (its earliest pending time and the events it
+// fired), reads everyone else's, computes the same T, and merges its own
+// inbound cross-shard messages into its own heap before it runs the next
+// window. No shard coordinates the others. A topology with no
+// cross-shard channels (disconnected partitions) has infinite lookahead:
+// one window runs everything.
 //
 // Determinism is by construction, at any shard count including one:
 //
@@ -42,17 +46,30 @@ import (
 //
 // Under these rules the same seed produces byte-identical experiment
 // output for shards ∈ {1, 2, 4, 8, ...}, which the golden-trace tests
-// pin.
+// and TestShardedVsRef (random worlds against a serial reference) pin.
 type Sharded struct {
 	seed      int64
 	shards    []*Simulator
 	portals   []*Portal
 	inbound   [][]*Portal // per destination shard, in portal-id order
+	outbound  [][]*Portal // per source shard
 	lookahead Duration    // min portal latency; 0 until a portal exists
 
-	// Window-loop counters: written by the coordinator at barriers only.
-	stats   ShardedStats
-	firedAt []uint64 // per shard, Simulator.fired at the last barrier
+	// The barrier, built once so that a Run allocates nothing but its
+	// worker goroutines: one published line per shard, and the count of
+	// workers that have finished the current Run.
+	lines  []shardLine
+	exited struct {
+		_ [cacheLine]byte
+		n atomic.Uint64
+		_ [cacheLine]byte
+	}
+
+	// batch counts the barriers of every Run so far: each closes one batch
+	// of every portal, and its parity selects the published values and the
+	// spill slice that batch uses. It persists across Runs because messages
+	// sent between Runs belong to the next Run's first batch.
+	batch uint64
 }
 
 // maxTime is the effectively-unbounded window limit used when no portal
@@ -72,10 +89,14 @@ func NewSharded(seed int64, n int) *Sharded {
 		n = 1
 	}
 	s := &Sharded{
-		seed:    seed,
-		shards:  make([]*Simulator, n),
-		inbound: make([][]*Portal, n),
-		firedAt: make([]uint64, n),
+		seed:     seed,
+		shards:   make([]*Simulator, n),
+		inbound:  make([][]*Portal, n),
+		outbound: make([][]*Portal, n),
+		lines:    make([]shardLine, n),
+	}
+	for i := range s.lines {
+		s.lines[i].wake = make(chan struct{}, 1)
 	}
 	// Shards are written on every event by different cores; allocated one
 	// by one they would sit back to back and share cache lines.
@@ -171,6 +192,7 @@ func (s *Sharded) Connect(src, dst int, latency Duration, deliver func([]byte)) 
 	}
 	s.portals = append(s.portals, p)
 	s.inbound[dst] = append(s.inbound[dst], p)
+	s.outbound[src] = append(s.outbound[src], p)
 	if s.lookahead == 0 || latency < s.lookahead {
 		s.lookahead = latency
 	}
@@ -199,18 +221,23 @@ func (s *Sharded) RunUntil(t Time) { s.run(t, true) }
 // RunFor executes events for a span d beyond the current frontier (Now).
 func (s *Sharded) RunFor(d Duration) { s.RunUntil(s.Now().Add(d)) }
 
-// run is the conservative window loop. Each round: find the earliest
-// pending event time T anywhere, grant every shard the window [T, end)
-// where end = T + lookahead (unbounded when no portals exist), execute
-// the windows in parallel, then merge queued cross-shard messages at the
-// barrier. Progress is guaranteed because the event at T always fires.
+// run is the conservative window loop, run symmetrically by every shard:
+// shard 0 on the caller's goroutine, shards 1..n-1 on worker goroutines
+// that live for this call. Each round is one barrier and one window. At
+// the barrier a shard closes the batch every outbound portal has queued
+// since the last one, publishes its line — the earliest of its heap top
+// and those batches' first messages, and the events it fired — and waits
+// until every shard has published. Every shard then reads the same lines,
+// so all compute the same T and end = T + lookahead (unbounded when no
+// portals exist, clamped by RunUntil); each merges the batches its inbound
+// portals closed into its own heap and runs its window. Progress is
+// guaranteed because the event at T always fires. The barrier that ends
+// the run merges too, so heaps between runs hold every message sent.
 //
-// The coordinator executes shard 0's window itself; shards 1..n-1 each
-// have a worker goroutine that lives for this call. Hand-off both ways is
-// a gate (see gate): a window costs a few cache-line transfers, not
-// scheduler round trips, and the gates' atomics give the happens-before
-// edges that make barrier-phase access to shard heaps and portal free
-// lists safe.
+// A barrier costs each shard one line write and one read of every other
+// line, not scheduler round trips; the lines' atomics give the
+// happens-before edges that make a consumer's read of a closed batch and
+// its writes to its own heap and arrival free lists safe.
 func (s *Sharded) run(limit Time, bounded bool) {
 	n := len(s.shards)
 	if n == 1 && len(s.portals) == 0 {
@@ -225,177 +252,214 @@ func (s *Sharded) run(limit Time, bounded bool) {
 		return
 	}
 
-	for i, sim := range s.shards {
-		s.firedAt[i] = sim.fired // events fired outside run are not window work
-	}
-
 	// Spinning only pays when every shard can hold a core for the whole
 	// window; oversubscribed, a spinner would burn the time slice the shard
-	// it waits for needs, so waiters park at once.
+	// it waits for needs, so waiters go straight to yielding.
 	spin := spinBudget
 	if n > runtime.GOMAXPROCS(0) {
 		spin = 0
 	}
+	s.exited.n.Store(0)
+	for i := 1; i < n; i++ {
+		go s.shardLoop(i, limit, bounded, spin)
+	}
+	batch := s.shardLoop(0, limit, bounded, spin)
+	if n > 1 {
+		want := uint64(n - 1)
+		s.lines[0].await(spin, func() bool { return s.exited.n.Load() == want })
+	}
+	s.batch = batch
+}
+
+// shardLoop is shard i's side of run. It returns the batch count at its
+// exit, the same on every shard.
+func (s *Sharded) shardLoop(i int, limit Time, bounded bool, spin int) uint64 {
 	var (
-		workers = make([]windowWorker, n-1)
-		done    = &struct { // counts finished worker windows, all workers
-			_ [cacheLine]byte
-			gate
-			_ [cacheLine]byte
-		}{gate: newGate()}
-		granted uint64 // windows handed to each worker so far
+		sim   = s.shards[i]
+		me    = &s.lines[i]
+		out   = s.outbound[i]
+		b     = s.batch
+		first = true
 	)
-	for i := range workers {
-		w := &workers[i]
-		w.sim, w.start, w.done = s.shards[i+1], newGate(), &done.gate
-		go w.loop(spin)
-	}
-	// grant hands every worker one window (or, with stop set, its exit)
-	// and returns once all of them have finished it.
-	grant := func(end Time, stop bool) {
-		granted++
-		for i := range workers {
-			workers[i].end, workers[i].stop = end, stop
-			workers[i].start.advance()
+	me.mark = sim.fired // events fired outside run are not window work
+	for {
+		par := b & 1
+		next := never
+		if e := sim.peek(); e != nil {
+			next = e.at
 		}
-		if !stop {
-			s.shards[0].runBefore(end)
-		}
-		s.stats.countWait(done.await(granted*uint64(len(workers)), spin))
-	}
-	defer func() {
-		if len(workers) > 0 {
-			grant(0, true)
-			for i := range workers {
-				s.stats.SpinWaits += workers[i].waits.SpinWaits
-				s.stats.ParkWaits += workers[i].waits.ParkWaits
+		for _, p := range out {
+			if at, ok := p.close(par); ok && at < next {
+				next = at
 			}
 		}
-	}()
+		pub := &me.pub
+		pub.next[par], pub.fired[par], me.mark = next, sim.fired-me.mark, sim.fired
+		pub.seq.Store(b + 1)
+		if len(s.lines) > 1 {
+			s.wakeOthers(i)
+			me.stats.count(me.await(spin, func() bool { return s.published(b + 1) }))
+		}
 
-	for {
-		// Drain first: messages queued at wiring time (or by the previous
-		// window) become heap events before the global minimum is taken,
-		// so they both count toward T and fire inside this run.
-		s.drain()
-		T, ok := s.nextEventAt()
-		if !ok || (bounded && T > limit) {
+		T := never
+		for j := range s.lines {
+			T = min(T, s.lines[j].pub.next[par])
+		}
+		if i == 0 && !first {
+			s.countWindow(par)
+		}
+		first = false
+		s.drainInbound(i, par)
+		b++
+		if T == never || (bounded && T > limit) {
 			break
 		}
 		end := maxTime
-		if len(s.portals) > 0 {
+		if s.lookahead > 0 {
 			end = T.Add(s.lookahead)
 		}
 		if bounded && end > limit+1 {
 			end = limit + 1 // RunUntil is inclusive: fire events at == limit
 		}
-		if len(workers) > 0 {
-			grant(end, false)
-		} else {
-			s.shards[0].runBefore(end)
-		}
-		s.countWindow()
+		sim.runBefore(end)
 	}
-	for _, sim := range s.shards {
-		if bounded && sim.now > limit {
-			continue // a shard already past limit keeps its own frontier
-		}
+	if !bounded || sim.now <= limit { // a shard already past limit keeps its own frontier
 		if bounded {
 			sim.now = limit
 		}
 		sim.cur = sim.seq // every event at or before now has fired
 	}
+	if i > 0 {
+		s.exited.n.Add(1)
+		s.lines[0].wakeIfParked()
+	}
+	return b
 }
 
-// windowWorker is one non-coordinator shard's side of the window loop.
-type windowWorker struct {
+// never is the published next-event time of a shard with nothing pending.
+const never = Time(math.MaxInt64)
+
+// shardLine is one shard's slot in the barrier, three cache lines:
+//
+//   - pub, what the shard publishes at each barrier and every other shard
+//     reads. The values are double-buffered by barrier parity, because a
+//     shard may already be publishing the next barrier's values while a
+//     slower reader is still reading this one's (it cannot get two
+//     barriers ahead: the next barrier waits for that reader);
+//   - parked and wake, read by every shard that publishes but written
+//     only when the owner parks, so that read stays in the reader's cache;
+//   - the owner's own counters.
+type shardLine struct {
 	_ [cacheLine]byte
 
-	// One line the coordinator writes and the worker reads, once per
-	// window: end and stop are set before start is advanced and read after
-	// start lets the worker through.
-	start gate
-	end   Time
-	stop  bool
-	sim   *Simulator
-	done  *gate // shared: advanced by every worker once per window
+	pub struct {
+		seq   atomic.Uint64 // barriers published, all Runs
+		next  [2]Time       // by parity: earliest pending time, or never
+		fired [2]uint64     // by parity: events fired in the window just ended
+	}
 
 	_ [cacheLine]byte
 
-	// How the worker's waits on start resolved: its own line to write,
-	// read by the coordinator once the worker has stopped.
-	waits ShardedStats
+	// parked is set by the owner before it blocks on wake; a publisher
+	// that wins the CompareAndSwap back sends the one token.
+	parked atomic.Bool
+	wake   chan struct{}
+
+	_ [cacheLine]byte
+
+	mark  uint64       // Simulator.fired at the last barrier
+	stats ShardedStats // this shard's waits; on shard 0, the window counters too
+
+	_ [cacheLine]byte
 }
 
-func (w *windowWorker) loop(spin int) {
-	for window := uint64(1); ; window++ {
-		w.waits.countWait(w.start.await(window, spin))
-		if w.stop {
-			w.done.advance()
-			return
+// published reports whether every shard has published at least target
+// barriers.
+func (s *Sharded) published(target uint64) bool {
+	for j := range s.lines {
+		if s.lines[j].pub.seq.Load() < target {
+			return false
 		}
-		w.sim.runBefore(w.end)
-		w.done.advance() // the coordinator may rewrite end and stop from here on
+	}
+	return true
+}
+
+// wakeOthers releases every other shard that parked waiting for a line.
+func (s *Sharded) wakeOthers(i int) {
+	for j := range s.lines {
+		if j != i {
+			s.lines[j].wakeIfParked()
+		}
 	}
 }
 
-// spinBudget is how many times a waiter re-reads its gate, one cpuPause
-// (≈25 ns) apart, before it parks: ≈50 µs. The windows this exists for are
-// the overlay fabric's (500 ns lookahead, ≈12 events ≈ 3 µs of work per
-// shard, up to all ≈24 on one of them), and parking across cores is the
-// expensive outcome — on the 2-core reference host a budget of 256 made
-// the overlay benchmark 2.3× slower than 1024–4096, which measured alike
-// — so the budget sits a decade above the typical window. It still bounds
-// a waiter's waste to tens of microseconds when the other side runs one
-// long window (no-portal worlds) or has lost its core.
+func (l *shardLine) wakeIfParked() {
+	if l.parked.Load() && l.parked.CompareAndSwap(true, false) {
+		l.wake <- struct{}{}
+	}
+}
+
+// spinBudget is how many times a waiter re-reads the lines, one cpuPause
+// (≈25 ns) apart, before it starts yielding: ≈50 µs. The windows this
+// exists for are the overlay fabric's (500 ns lookahead, ≈15 events of
+// work per barrier), where the other shard publishes within a few
+// microseconds and a cross-core park is the expensive outcome; on the
+// 2-core reference host a budget of 256 made the overlay benchmark 2.3×
+// slower. A larger budget is not better either: with two sharded worlds
+// sharing two cores (flexsfp-bench -shards 2 runs its experiments
+// concurrently), a spinner holds a P the shard it waits for needs, and
+// 1<<15 took overlay_linerate from 113–133 to 325–847 ms of wall.
 const spinBudget = 1 << 11
+
+// yieldBudget is how many times a waiter that has spent its spin budget
+// hands its P to another goroutine (runtime.Gosched) before it parks. A
+// yield costs a fraction of a microsecond when nothing else is runnable,
+// far less than a park and wake-up, and when something is — the shard it
+// waits for, or another world's — it is the one that runs.
+const yieldBudget = 1 << 6
 
 // cacheLine is the padding unit that keeps words written by different
 // goroutines during a window on different cache lines.
 const cacheLine = 64
 
-// gate is a monotonic counter one goroutine waits on: await returns once
-// the count has reached a target, advance adds one. A waiter re-reads the
-// count up to a spin budget and then parks on a channel; advance pays for
-// a wake-up only when the waiter has actually parked. Exactly one
-// goroutine may await a gate; any number may advance it. A gate is one
-// cache line's worth of hot state: whoever embeds it pads around it.
-type gate struct {
-	count  atomic.Uint64
-	parked atomic.Bool
-	wake   chan struct{} // one token per parked→awake transition won by advance
-}
+// Ways a barrier wait resolved, in the order a waiter tries them.
+const (
+	waitSpin = iota
+	waitYield
+	waitPark
+)
 
-func newGate() gate { return gate{wake: make(chan struct{}, 1)} }
-
-func (g *gate) advance() {
-	g.count.Add(1)
-	if g.parked.Load() && g.parked.CompareAndSwap(true, false) {
-		g.wake <- struct{}{}
-	}
-}
-
-// await returns once count ≥ target, reporting whether it had to park.
-func (g *gate) await(target uint64, spin int) (parked bool) {
+// await returns once ready holds: it re-reads ready up to spin times,
+// then yields up to yieldBudget times, then parks on the line's wake
+// channel until a publisher finds it parked. It reports which phase the
+// wait resolved in. Only the line's owner awaits on it.
+func (l *shardLine) await(spin int, ready func() bool) int {
 	for i := 0; ; i++ {
-		if g.count.Load() >= target {
-			return false
+		if ready() {
+			return waitSpin
 		}
 		if i >= spin {
 			break
 		}
 		cpuPause()
 	}
-	for g.count.Load() < target {
-		// Announce the park, then look again: advance either sees parked
-		// and sends a token, or its Add is visible to this re-check.
-		g.parked.Store(true)
-		if g.count.Load() >= target && g.parked.CompareAndSwap(true, false) {
+	for i := 0; i < yieldBudget; i++ {
+		runtime.Gosched()
+		if ready() {
+			return waitYield
+		}
+	}
+	for !ready() {
+		// Announce the park, then look again: a publisher either sees
+		// parked and sends a token, or its store is visible to this
+		// re-check.
+		l.parked.Store(true)
+		if ready() && l.parked.CompareAndSwap(true, false) {
 			break
 		}
-		<-g.wake
+		<-l.wake
 	}
-	return true
+	return waitPark
 }
 
 // ShardedStats are the window loop's own counters, for explaining what a
@@ -408,8 +472,9 @@ type ShardedStats struct {
 	Windows        uint64 // windows executed
 	Events         uint64 // events fired inside windows, all shards
 	EventsMaxShard uint64 // the busiest shard's events in each window, summed
-	SpinWaits      uint64 // barrier waits that found their gate open while spinning
-	ParkWaits      uint64 // barrier waits that gave up spinning and parked
+	SpinWaits      uint64 // barrier waits that ended while spinning
+	YieldWaits     uint64 // barrier waits that ended while yielding the P
+	ParkWaits      uint64 // barrier waits that parked
 	PortalMsgs     uint64 // messages that entered any portal
 	PortalSpills   uint64 // of those, how many overflowed a ring into its spill slice
 }
@@ -429,22 +494,34 @@ func (st ShardedStats) String() string {
 	if st.Windows > 0 {
 		perWindow = float64(st.Events) / float64(st.Windows)
 	}
-	return fmt.Sprintf("windows=%d events/window=%.1f imbalance=%.2f waits spin=%d park=%d portal msgs=%d spills=%d",
-		st.Windows, perWindow, st.Imbalance(), st.SpinWaits, st.ParkWaits, st.PortalMsgs, st.PortalSpills)
+	return fmt.Sprintf("windows=%d events/window=%.1f imbalance=%.2f waits spin=%d yield=%d park=%d portal msgs=%d spills=%d",
+		st.Windows, perWindow, st.Imbalance(), st.SpinWaits, st.YieldWaits, st.ParkWaits, st.PortalMsgs, st.PortalSpills)
 }
 
-func (st *ShardedStats) countWait(parked bool) {
-	if parked {
-		st.ParkWaits++
-	} else {
+func (st *ShardedStats) count(wait int) {
+	switch wait {
+	case waitSpin:
 		st.SpinWaits++
+	case waitYield:
+		st.YieldWaits++
+	default:
+		st.ParkWaits++
 	}
 }
 
 // Stats returns the window-loop counters accumulated over every Run
 // variant so far. Call it between runs, not from inside an event.
 func (s *Sharded) Stats() ShardedStats {
-	st := s.stats
+	var st ShardedStats
+	for i := range s.lines {
+		l := &s.lines[i].stats
+		st.Windows += l.Windows
+		st.Events += l.Events
+		st.EventsMaxShard += l.EventsMaxShard
+		st.SpinWaits += l.SpinWaits
+		st.YieldWaits += l.YieldWaits
+		st.ParkWaits += l.ParkWaits
+	}
 	for _, p := range s.portals {
 		st.PortalMsgs += p.sent
 		st.PortalSpills += p.spilled
@@ -452,70 +529,54 @@ func (s *Sharded) Stats() ShardedStats {
 	return st
 }
 
-// countWindow folds the window that just ended into the counters.
-func (s *Sharded) countWindow() {
+// countWindow folds the window that ended at the barrier of parity par
+// into shard 0's counters, from the fired counts every shard published
+// there. Shard 0 only.
+func (s *Sharded) countWindow(par uint64) {
 	var sum, max uint64
-	for i, sim := range s.shards {
-		d := sim.fired - s.firedAt[i]
-		s.firedAt[i] = sim.fired
+	for j := range s.lines {
+		d := s.lines[j].pub.fired[par]
 		sum += d
 		if d > max {
 			max = d
 		}
 	}
-	s.stats.Windows++
-	s.stats.Events += sum
-	s.stats.EventsMaxShard += max
+	st := &s.lines[0].stats
+	st.Windows++
+	st.Events += sum
+	st.EventsMaxShard += max
 }
 
-// nextEventAt returns the earliest pending event time across all shards.
-func (s *Sharded) nextEventAt() (Time, bool) {
-	var (
-		min Time
-		ok  bool
-	)
-	for _, sim := range s.shards {
-		if t, has := sim.nextAt(); has && (!ok || t < min) {
-			min, ok = t, true
-		}
-	}
-	return min, ok
-}
-
-// drain runs at each window barrier on the coordinator: it moves every
-// queued cross-shard message into its destination heap, merging each
-// shard's inbound portals in (arrival time, portal id) order so the
-// sequence numbers arrivals receive — and therefore same-time ordering —
-// are a deterministic function of the topology, not of shard placement.
-func (s *Sharded) drain() {
-	for d := range s.inbound {
-		in := s.inbound[d]
-		if len(in) == 0 {
-			continue
-		}
-		for {
-			var (
-				best    *Portal
-				bestMsg portalMsg
-			)
-			// Strict < keeps the lowest-id portal on arrival-time ties
-			// (inbound is in ascending portal-id order).
-			for _, p := range in {
-				if msg, ok := p.peekMsg(); ok && (best == nil || msg.at < bestMsg.at) {
-					best, bestMsg = p, msg
-				}
+// drainInbound runs on shard d at each barrier: it moves the batch of
+// parity par that each of d's inbound portals closed there into d's heap,
+// merged in (arrival time, portal id) order, so the sequence numbers
+// arrivals receive — and therefore same-time ordering — are a
+// deterministic function of the topology, not of shard placement.
+func (s *Sharded) drainInbound(d int, par uint64) {
+	in := s.inbound[d]
+	for {
+		var (
+			best    *Portal
+			bestMsg portalMsg
+		)
+		// Strict < keeps the lowest-id portal on arrival-time ties
+		// (inbound is in ascending portal-id order).
+		for _, p := range in {
+			if msg, ok := p.peek(par); ok && (best == nil || msg.at < bestMsg.at) {
+				best, bestMsg = p, msg
 			}
-			if best == nil {
-				break
-			}
-			best.popMsg()
-			best.scheduleArrival(bestMsg)
 		}
+		if best == nil {
+			return
+		}
+		best.pop(par)
+		best.scheduleArrival(bestMsg)
 	}
 }
 
-// portalRingSize is the SPSC ring capacity (messages per window per
-// portal) before the producer spills to its overflow slice. Must be a
+// portalRingSize is the SPSC ring capacity before the producer spills to
+// its overflow slice. The ring holds at most two batches, the one its
+// consumer is draining and the one its producer is filling. Must be a
 // power of two.
 const portalRingSize = 1024
 
@@ -526,10 +587,14 @@ type portalMsg struct {
 }
 
 // Portal is a unidirectional cross-shard channel with fixed latency. The
-// source shard produces into a lock-free SPSC ring during window
-// execution; the coordinator consumes at the window barrier and schedules
-// arrival events on the destination shard. Steady-state Send and delivery
-// are allocation-free: ring slots are values and arrival records recycle
+// source shard produces into a lock-free SPSC ring during its window; at
+// each barrier it closes the batch it has queued, and the destination
+// shard drains exactly that batch into its own heap as arrival events
+// before its next window, while the source may already be filling the
+// next batch. A batch that overflows the ring goes on into a spill slice,
+// double-buffered by batch parity so that the batch being drained and the
+// one being filled never share one. Steady-state Send and delivery are
+// allocation-free: ring slots are values and arrival records recycle
 // through a per-portal free list, so the pooled fast paths inside each
 // shard (link frames, engine completions) stay intact across the shard
 // boundary.
@@ -544,32 +609,40 @@ type Portal struct {
 	deliver func([]byte)
 	ring    []portalMsg
 
-	// The mutable fields are grouped by the goroutine that writes them
-	// while a window runs, one cache line per group, so the two shards of
-	// a cross-shard link and the coordinator never write the same line.
+	// The mutable fields are grouped by who writes them and when, one
+	// cache line per group, so the two shards of a cross-shard link never
+	// write the same line and an idle portal costs its consumer no miss.
 	_ [cacheLine]byte
 
-	// Source worker, inside a window. tail publishes ring slots (SPSC:
-	// head ≤ tail always, both only grow); spill absorbs windows that
-	// queue more than the ring holds, appended only by the producer and
-	// read only at the barrier.
-	tail  atomic.Uint64
-	spill []portalMsg
-	sent  uint64
-
-	_ [cacheLine]byte
-
-	// Destination worker, inside a window: free recycles arrival records,
-	// pushed by arrival.Complete and popped by scheduleArrival at the
-	// barrier; the phases never overlap.
-	free *arrival
+	// Source shard only. tail is the next ring slot to fill (SPSC: head ≤
+	// tail always, both only grow); headSeen is the last head read, so a
+	// Send reads the consumer's line only when the ring looks full; fill
+	// is the open batch's parity, and spilling says it has overflowed.
+	tail     uint64
+	headSeen uint64
+	fill     uint64
+	spilling bool
+	sent     uint64
 
 	_ [cacheLine]byte
 
-	// Coordinator, at the barrier.
+	// Written by the source shard when a batch closes (and when it
+	// spills), read by the destination shard at the next barrier: by batch
+	// parity, tail at the close, and the spill slice that absorbed the
+	// batch's overflow — and, once it overflowed, the rest of the batch,
+	// so the batch stays FIFO.
+	closed [2]uint64
+	spill  [2][]portalMsg
+
+	_ [cacheLine]byte
+
+	// Destination shard, at the barrier: head consumes ring slots,
+	// spillPos the closed batch's spill slice; free recycles arrival
+	// records, pushed by arrival.Complete and popped by scheduleArrival.
 	head     atomic.Uint64
 	spillPos int
 	spilled  uint64 // messages consumed from spill
+	free     *arrival
 
 	_ [cacheLine]byte
 }
@@ -580,41 +653,66 @@ type Portal struct {
 // slice is retained until the deliver callback runs.
 func (p *Portal) Send(data []byte) {
 	m := portalMsg{at: p.srcSim.now.Add(p.latency), data: data}
-	t := p.tail.Load()
-	if t-p.head.Load() < uint64(len(p.ring)) {
-		p.ring[t&uint64(len(p.ring)-1)] = m
-		p.tail.Store(t + 1)
-	} else {
-		p.spill = append(p.spill, m)
-	}
 	p.sent++
+	if !p.spilling {
+		size := uint64(len(p.ring))
+		if p.tail-p.headSeen >= size {
+			p.headSeen = p.head.Load()
+		}
+		if p.tail-p.headSeen < size {
+			p.ring[p.tail&(size-1)] = m
+			p.tail++
+			return
+		}
+		p.spilling = true
+	}
+	p.spill[p.fill] = append(p.spill[p.fill], m)
 }
 
-// peekMsg returns the oldest queued message without consuming it.
-// Coordinator-only, at a barrier. Ring entries always precede spill
-// entries: the producer only spills while the ring is full.
-func (p *Portal) peekMsg() (portalMsg, bool) {
-	if h := p.head.Load(); h != p.tail.Load() {
+// close ends the open batch, whose parity is par, at a barrier and
+// reports the arrival time of its first message — its earliest, since one
+// portal's arrivals never decrease. Source-shard only.
+func (p *Portal) close(par uint64) (Time, bool) {
+	from, to := p.closed[par^1], p.tail
+	if p.closed[par] != to { // an idle portal leaves the consumer's copy valid
+		p.closed[par] = to
+	}
+	p.fill, p.spilling = par^1, false
+	if from != to {
+		return p.ring[from&uint64(len(p.ring)-1)].at, true
+	}
+	if spill := p.spill[par]; len(spill) > 0 {
+		return spill[0].at, true
+	}
+	return 0, false
+}
+
+// peek returns the closed batch's oldest unconsumed message.
+// Destination-shard only, at a barrier. The batch's ring entries precede
+// its spill entries.
+func (p *Portal) peek(par uint64) (portalMsg, bool) {
+	if h := p.head.Load(); h != p.closed[par] {
 		return p.ring[h&uint64(len(p.ring)-1)], true
 	}
-	if p.spillPos < len(p.spill) {
-		return p.spill[p.spillPos], true
+	if spill := p.spill[par]; p.spillPos < len(spill) {
+		return spill[p.spillPos], true
 	}
 	return portalMsg{}, false
 }
 
-// popMsg consumes the message peekMsg returned. Coordinator-only.
-func (p *Portal) popMsg() {
-	if h := p.head.Load(); h != p.tail.Load() {
+// pop consumes the message peek returned. Destination-shard only.
+func (p *Portal) pop(par uint64) {
+	if h := p.head.Load(); h != p.closed[par] {
 		p.ring[h&uint64(len(p.ring)-1)] = portalMsg{}
 		p.head.Store(h + 1)
 		return
 	}
-	p.spill[p.spillPos] = portalMsg{}
+	spill := p.spill[par]
+	spill[p.spillPos] = portalMsg{}
 	p.spillPos++
 	p.spilled++
-	if p.spillPos == len(p.spill) {
-		p.spill, p.spillPos = p.spill[:0], 0
+	if p.spillPos == len(spill) {
+		p.spill[par], p.spillPos = spill[:0], 0
 	}
 }
 

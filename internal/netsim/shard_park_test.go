@@ -19,10 +19,10 @@ func cpuTime(t *testing.T) time.Duration {
 }
 
 // TestShardedWaitersPark: while one shard spends 50 ms inside a single
-// event, whoever waits for it — the worker for the coordinator's shard 0,
-// the coordinator for a worker's shard 1 — must give up spinning and
-// park. A waiter that spins for the whole window doubles the process's
-// CPU time; parked, CPU stays near wall.
+// event, the shard waiting for it at the barrier — a worker for shard 0,
+// the caller's goroutine for shard 1 — must give up spinning and yielding
+// and park. A waiter that spins for the whole window doubles the
+// process's CPU time; parked, CPU stays near wall.
 func TestShardedWaitersPark(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("with one P every waiter parks at once; nothing to tell apart")

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 )
 
 // The differential wall for the parallel core: random multi-partition
@@ -459,7 +460,17 @@ func checkShardedVsRef(t *testing.T, seed int64) {
 	w := genVsWorld(seed)
 	want := runRef(w)
 	for _, n := range []int{1, 2, 4, 8} {
-		got := runSharded(w, n)
+		// Shards that disagree on a window wait for each other forever:
+		// report that as a failure rather than hang the package.
+		done := make(chan [][]vsLog, 1)
+		go func() { done <- runSharded(w, n) }()
+		var got [][]vsLog
+		select {
+		case got = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("seed %d, %d partitions, %d portals, shards=%d, GOMAXPROCS=%d: the run did not finish (barrier deadlock)",
+				seed, w.parts, len(w.portals), n, runtime.GOMAXPROCS(0))
+		}
 		for p := range want {
 			if !reflect.DeepEqual(got[p], want[p]) {
 				t.Fatalf("seed %d, %d partitions, %d portals, shards=%d, GOMAXPROCS=%d: partition %d %s",

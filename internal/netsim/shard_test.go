@@ -283,9 +283,10 @@ func TestShardedStreamPlacementInvariant(t *testing.T) {
 
 // TestShardedRunZeroAlloc pins the steady-state sharded hot path: once
 // pools and rings are warm, circulating a token across shards allocates
-// only the small per-Run constant (worker goroutines and channels), not
-// per-event or per-message garbage. 10k hops with a budget of 64 allocs
-// bounds the per-event cost at well under 0.01 allocs.
+// nothing per event or per message, and the barrier allocates nothing per
+// Run — its lines, wake channels and exit join are built by NewSharded.
+// What a Run does allocate is its workers: one goroutine start per shard
+// beyond the first.
 func TestShardedRunZeroAlloc(t *testing.T) {
 	sh := NewSharded(1, 2)
 	var fwd, bwd *Portal
@@ -304,11 +305,12 @@ func TestShardedRunZeroAlloc(t *testing.T) {
 		}
 	})
 	token := []byte{1}
+	perRunAllocs := float64(sh.Shards() - 1)
 	if n := testing.AllocsPerRun(3, func() {
 		fwd.Send(token)
 		sh.Run()
-	}); n > 64 {
-		t.Fatalf("sharded run allocates %v per %d-hop run, want ≤ 64", n, perRun)
+	}); n > perRunAllocs {
+		t.Fatalf("sharded run allocates %v per %d-hop run, want ≤ %v", n, perRun, perRunAllocs)
 	}
 }
 
@@ -351,7 +353,7 @@ func TestShardedWorkersExit(t *testing.T) {
 		{"nothing pending", sh.Run},
 	} {
 		c.run()
-		// A worker's last act is to release the coordinator, so it can
+		// A worker's last act is to release shard 0's join, so it can
 		// still be a few instructions from exiting when run returns.
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -386,8 +388,9 @@ func TestShardedStats(t *testing.T) {
 	if st.PortalMsgs != n || st.PortalSpills != 500 {
 		t.Errorf("portal msgs=%d spills=%d, want %d, 500", st.PortalMsgs, st.PortalSpills, n)
 	}
-	// Coordinator and worker each wait once per window and once to stop.
-	if got, want := st.SpinWaits+st.ParkWaits, 2*(st.Windows+1); got != want {
+	// Each shard waits once at every barrier: one before each window and
+	// the one that ends the run.
+	if got, want := st.SpinWaits+st.YieldWaits+st.ParkWaits, 2*(st.Windows+1); got != want {
 		t.Errorf("barrier waits = %d, want %d", got, want)
 	}
 	if s := st.String(); s == "" {

@@ -285,16 +285,6 @@ func (s *Simulator) runBefore(limit Time) {
 	}
 }
 
-// nextAt reports the timestamp of the earliest pending event, if any. The
-// sharded coordinator uses it between windows to compute the global
-// lower-bound time.
-func (s *Simulator) nextAt() (Time, bool) {
-	if e := s.peek(); e != nil {
-		return e.at, true
-	}
-	return 0, false
-}
-
 func (s *Simulator) peek() *event {
 	if len(s.events) > 0 {
 		return s.events[0]

@@ -126,3 +126,41 @@ func TestLinkSendTelemetryZeroAlloc(t *testing.T) {
 		t.Fatalf("instrumented Link.Send allocates %v per run, want 0", n)
 	}
 }
+
+// TestShardedTelemetry: the window-loop gauges read what Stats reports.
+func TestShardedTelemetry(t *testing.T) {
+	const n = portalRingSize + 10
+	sh := NewSharded(1, 2)
+	reg := telemetry.New()
+	sh.AttachTelemetry(reg, "pdes")
+	p := sh.Connect(0, 1, 10, func([]byte) {})
+	data := []byte{1}
+	sh.Shard(0).ScheduleAt(1, func() {
+		for i := 0; i < n; i++ {
+			p.Send(data)
+		}
+	})
+	sh.Run()
+	st := sh.Stats()
+	got := map[string]float64{}
+	for _, g := range reg.Snapshot().Gauges {
+		got[g.Name] = g.Value
+	}
+	for name, want := range map[string]float64{
+		"pdes.windows":       float64(st.Windows),
+		"pdes.events":        float64(st.Events),
+		"pdes.imbalance":     st.Imbalance(),
+		"pdes.spin_waits":    float64(st.SpinWaits),
+		"pdes.yield_waits":   float64(st.YieldWaits),
+		"pdes.park_waits":    float64(st.ParkWaits),
+		"pdes.portal_msgs":   n,
+		"pdes.portal_spills": 10,
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("%s = %v (registered %v), want %v", name, v, ok, want)
+		}
+	}
+	if got["pdes.windows"] != 2 {
+		t.Errorf("pdes.windows = %v, want 2", got["pdes.windows"])
+	}
+}
