@@ -85,14 +85,14 @@ type FleetOTAResult struct {
 
 	// BadEnd is the invariant counter summed over every trial and sweep
 	// point: members left on an unverifiable image or wedged on the
-	// target. Bounded blast radius means this is 0 (asserted by the
-	// fleet-smoke CI target; no omitempty so the zero is visible).
+	// target. Bounded blast radius means this is 0 (fleetSweep fails the
+	// run otherwise; no omitempty so the zero is visible).
 	BadEnd int `json:"modules_bad_end"`
 
 	// StaleEnd is its freshness counterpart, summed the same way: members
 	// running from the target slot — what the controller counts updated —
 	// whose image is not the pushed version (a re-signed downgrade that
-	// booted). Also 0, also asserted by fleet-smoke.
+	// booted). Also 0, also enforced by fleetSweep.
 	StaleEnd int `json:"modules_stale_version"`
 
 	// MemberSnaps/ShardFolds echo the telemetry-aggregation shape at the
@@ -111,8 +111,8 @@ type fleetPoint struct {
 	blast, remediated, rolledBack float64
 	tripped, aborts, bakeFails    float64
 	retries, injected             float64
-	badEnd, staleEnd              float64
 	memberSnaps, shardFolds       float64
+	badEnd, staleEnd              int
 }
 
 // fleetImages are the signed old/new images shared by every member
@@ -198,7 +198,7 @@ func fleetOTATrial(img *fleetImages, trialSeed int64, rateIdx int, rate float64,
 		p.aborts = 1
 	}
 	p.bakeFails = float64(rep.BakeFailures)
-	p.badEnd = float64(rep.BadEnd)
+	p.badEnd = rep.BadEnd
 	p.memberSnaps = float64(foldStats.MemberSnaps)
 	p.shardFolds = float64(foldStats.ShardFolds)
 	for _, cs := range snap.Counters {
@@ -210,7 +210,7 @@ func fleetOTATrial(img *fleetImages, trialSeed int64, rateIdx int, rate float64,
 	// image that fails verification, and nobody is left wedged on the
 	// target — and whoever runs from the target slot runs the version that
 	// was pushed. Counted here from the slots' bytes (not just trusted
-	// from the report) so the smoke gate sees ground truth.
+	// from the report) so fleetSweep's check sees ground truth.
 	for _, m := range members {
 		sm := m.(*daemon.SimMember)
 		version, ok := sm.ActiveVersion()
@@ -276,18 +276,39 @@ func fleetSweep(ctx exp.RunContext) (FleetOTAResult, error) {
 			Retries:        tr.Metric(func(r []fleetPoint) float64 { return r[ri].retries }),
 			InjectedFaults: tr.Metric(func(r []fleetPoint) float64 { return r[ri].injected }),
 		})
-		badEnd := tr.Metric(func(r []fleetPoint) float64 { return r[ri].badEnd })
-		res.BadEnd += int(badEnd.Mean * float64(badEnd.N))
-		staleEnd := tr.Metric(func(r []fleetPoint) float64 { return r[ri].staleEnd })
-		res.StaleEnd += int(staleEnd.Mean * float64(staleEnd.N))
 	}
+	res.BadEnd, res.StaleEnd = fleetEndCounts(tr)
 	if last := tr.Metric(func(r []fleetPoint) float64 { return r[len(fleetRateFracs)-1].memberSnaps }); last.N > 0 {
 		res.MemberSnaps = int(last.Mean)
 	}
 	if last := tr.Metric(func(r []fleetPoint) float64 { return r[len(fleetRateFracs)-1].shardFolds }); last.N > 0 {
 		res.ShardFolds = int(last.Mean)
 	}
-	return res, nil
+	return res, res.check()
+}
+
+// fleetEndCounts sums the invariant counters over every trial and sweep
+// point, exactly: a mean times a count would round 1/49×49 down to 0.
+func fleetEndCounts(tr exp.Trials[[]fleetPoint]) (badEnd, staleEnd int) {
+	for _, pts := range tr.Results {
+		for _, p := range pts {
+			badEnd += p.badEnd
+			staleEnd += p.staleEnd
+		}
+	}
+	return badEnd, staleEnd
+}
+
+// check holds the rollout invariants that every fault rate, fleet size
+// and seed must meet.
+func (r FleetOTAResult) check() error {
+	if r.BadEnd != 0 {
+		return fmt.Errorf("invariant violated: modules_bad_end = %d, want 0", r.BadEnd)
+	}
+	if r.StaleEnd != 0 {
+		return fmt.Errorf("invariant violated: modules_stale_version = %d, want 0", r.StaleEnd)
+	}
+	return nil
 }
 
 // Render formats the fleet-scale chaos sweep.

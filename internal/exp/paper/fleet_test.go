@@ -32,8 +32,9 @@ func fleetEnvelopeJSON(t *testing.T, ctx exp.RunContext) []byte {
 
 // TestFleetOTAInvariants drives the sharded controller through the chaos
 // sweep and checks the headline robustness claims: every module is
-// attempted, none ends on a bad image, and telemetry aggregates through
-// exactly fleet-size member snapshots and shard-count folds.
+// attempted, telemetry aggregates through exactly fleet-size member
+// snapshots and shard-count folds, and chaos slows the rollout. That
+// none ends on a bad or stale image is fleetSweep's own check.
 func TestFleetOTAInvariants(t *testing.T) {
 	ctx := fleetTestCtx()
 	r, err := fleetSweep(ctx)
@@ -42,12 +43,6 @@ func TestFleetOTAInvariants(t *testing.T) {
 	}
 	if r.Modules != 1500 || r.Shards != 8 {
 		t.Fatalf("modules=%d shards=%d", r.Modules, r.Shards)
-	}
-	if r.BadEnd != 0 {
-		t.Fatalf("modules_bad_end = %d, want 0", r.BadEnd)
-	}
-	if r.StaleEnd != 0 {
-		t.Fatalf("modules_stale_version = %d, want 0", r.StaleEnd)
 	}
 	if r.MemberSnaps != r.Modules {
 		t.Errorf("shard layer folded %d member snaps, want %d", r.MemberSnaps, r.Modules)
@@ -70,6 +65,21 @@ func TestFleetOTAInvariants(t *testing.T) {
 	if max.RolloutMs.Mean <= zero.RolloutMs.Mean {
 		t.Errorf("rollout under chaos (%v ms) not slower than fault-free (%v ms)",
 			max.RolloutMs.Mean, zero.RolloutMs.Mean)
+	}
+}
+
+// TestFleetEndCountsExact reduces 49 trials that hold one bad module and
+// one stale one between them. Each sum must read 1, where a mean times a
+// count reads 1/49×49 = 0.9999999999999999 and truncates to 0.
+func TestFleetEndCountsExact(t *testing.T) {
+	var tr exp.Trials[[]fleetPoint]
+	for i := 0; i < 49; i++ {
+		tr.Results = append(tr.Results, make([]fleetPoint, len(fleetRateFracs)))
+	}
+	tr.Results[17][2].badEnd = 1
+	tr.Results[30][1].staleEnd = 1
+	if bad, stale := fleetEndCounts(tr); bad != 1 || stale != 1 {
+		t.Fatalf("fleetEndCounts = (%d, %d), want (1, 1)", bad, stale)
 	}
 }
 

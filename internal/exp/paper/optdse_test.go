@@ -44,11 +44,11 @@ func TestDSEEnvelopeParallelInvariant(t *testing.T) {
 	}
 }
 
-// TestPipelineOptAcceptance pins this PR's acceptance criteria as a
-// regression test: the optimizer must reduce pipeline depth for at
-// least three catalog apps, never increase it, keep every verdict
-// identical, and measurably raise the program-bound XDP module's
-// delivered rate at 64B line rate.
+// TestPipelineOptAcceptance pins the optimizer's acceptance criteria as
+// a regression test: it must reduce pipeline depth for at least three
+// catalog apps and measurably raise the program-bound XDP module's
+// delivered rate at 64B line rate. That it never increases a depth and
+// keeps every verdict identical is pipelineOptSingle's own check.
 func TestPipelineOptAcceptance(t *testing.T) {
 	env := runRegistered(t, "pipeline_opt", exp.RunContext{Seed: 1})
 	metric := func(name string) float64 {
@@ -63,12 +63,6 @@ func TestPipelineOptAcceptance(t *testing.T) {
 	}
 	if n := metric("apps_depth_reduced"); n < 3 {
 		t.Errorf("depth reduced for %v apps, want >= 3", n)
-	}
-	if n := metric("depth_regressions"); n != 0 {
-		t.Errorf("%v depth regressions, want 0", n)
-	}
-	if n := metric("verdict_mismatches"); n != 0 {
-		t.Errorf("%v verdict mismatches, want 0", n)
 	}
 	off, on := metric("xdp_delivered_off"), metric("xdp_delivered_on")
 	if on <= off {

@@ -69,7 +69,7 @@ type PipelineOptResult struct {
 	XDP      XDPOptSummary  `json:"xdp"`
 	LineRate LineRateDelta  `json:"line_rate"`
 
-	// Headline rollups (the opt-smoke gate greps these via the metrics).
+	// Headline rollups; pipelineOptSingle fails the run on a regression.
 	AppsDepthReduced int `json:"apps_depth_reduced"`
 	DepthRegressions int `json:"depth_regressions"`
 }
@@ -107,7 +107,28 @@ func pipelineOptSingle(ctx exp.RunContext) (PipelineOptResult, error) {
 		return PipelineOptResult{}, err
 	}
 	res.LineRate = lr
-	return res, nil
+	return res, res.check()
+}
+
+// verdictMismatches sums the per-app equivalence failures.
+func (r PipelineOptResult) verdictMismatches() int {
+	n := 0
+	for _, a := range r.Apps {
+		n += a.VerdictMismatches
+	}
+	return n
+}
+
+// check holds the optimizer's guarantees at every operating point:
+// no app's pipeline gets deeper, and no verdict changes.
+func (r PipelineOptResult) check() error {
+	if r.DepthRegressions != 0 {
+		return fmt.Errorf("invariant violated: depth_regressions = %d, want 0", r.DepthRegressions)
+	}
+	if n := r.verdictMismatches(); n != 0 {
+		return fmt.Errorf("invariant violated: verdict_mismatches = %d, want 0", n)
+	}
+	return nil
 }
 
 // evalAppOpt compiles one app plain and optimized, compares structure,
@@ -271,16 +292,12 @@ func runPipelineOpt(ctx exp.RunContext) (exp.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mismatches := 0
-	for _, a := range r.Apps {
-		mismatches += a.VerdictMismatches
-	}
 	env.Detail = r
 	env.Metrics = []exp.Metric{
 		exp.Scalar("apps_total", "", float64(len(r.Apps))),
 		exp.Scalar("apps_depth_reduced", "", float64(r.AppsDepthReduced)),
 		exp.Scalar("depth_regressions", "", float64(r.DepthRegressions)),
-		exp.Scalar("verdict_mismatches", "", float64(mismatches)),
+		exp.Scalar("verdict_mismatches", "", float64(r.verdictMismatches())),
 		exp.Scalar("xdp_delivered_off", "Mpps", r.LineRate.DeliveredOffMpps),
 		exp.Scalar("xdp_delivered_on", "Mpps", r.LineRate.DeliveredOnMpps),
 		exp.Scalar("xdp_linerate_gain", "%", r.LineRate.GainPct),

@@ -528,7 +528,18 @@ func overlayFailover(ctx exp.RunContext) (OverlayFailoverResult, error) {
 			res.QueueDrops += st.Drops
 		}
 	}
-	return res, nil
+	return res, res.check()
+}
+
+// check holds the failover guarantees at every seed and shard count.
+func (r OverlayFailoverResult) check() error {
+	if r.FramesToWithdrawnPost != 0 {
+		return fmt.Errorf("invariant violated: frames_to_withdrawn_post = %d, want 0", r.FramesToWithdrawnPost)
+	}
+	if r.RecoveredFlows != len(r.Flows) {
+		return fmt.Errorf("invariant violated: recovered_flows = %d, want all %d affected flows", r.RecoveredFlows, len(r.Flows))
+	}
+	return nil
 }
 
 // Render formats the failover run.

@@ -44,22 +44,16 @@ func TestOverlayGoldenEnvelopes(t *testing.T) {
 	}
 }
 
-// TestOverlayFailoverInvariants holds the chaos invariants across seeds,
-// not just the golden one: no frame delivered to the withdrawn peer
-// after convergence, every affected flow re-converged, and the
-// unaffected flows kept delivering through the flaps.
+// TestOverlayFailoverInvariants runs the chaos scenario across seeds, not
+// just the golden one. overlayFailover itself rejects a frame delivered
+// to the withdrawn peer after convergence or an affected flow that never
+// re-converged; this test adds that the unaffected flows kept delivering
+// through the flaps.
 func TestOverlayFailoverInvariants(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		r, err := overlayFailover(exp.RunContext{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if r.FramesToWithdrawnPost != 0 {
-			t.Errorf("seed %d: %d frames delivered to the withdrawn peer post-convergence",
-				seed, r.FramesToWithdrawnPost)
-		}
-		if r.RecoveredFraction != 1 || r.RecoveredFlows != len(r.Flows) {
-			t.Errorf("seed %d: recovered %d/%d affected flows", seed, r.RecoveredFlows, len(r.Flows))
 		}
 		if r.SurvivingFlowsDelivered != r.SurvivingFlowsTotal {
 			t.Errorf("seed %d: only %d/%d surviving flows delivered",

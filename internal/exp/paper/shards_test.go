@@ -7,6 +7,7 @@ package paper
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"flexsfp/internal/exp"
@@ -31,9 +32,20 @@ func envelopeJSON(t *testing.T, name string, ctx exp.RunContext) []byte {
 }
 
 // TestShardsByteIdenticalJSON is the acceptance pin: for every sharded
-// netsim experiment, shards ∈ {1, 2, 4, 8} produce byte-identical JSON.
+// netsim experiment, shards ∈ {1, 2, 4, 8} produce byte-identical JSON,
+// and so do 4 shards on one P, where every barrier wait parks.
 func TestShardsByteIdenticalJSON(t *testing.T) {
-	for _, name := range []string{"linerate", "overlay_linerate", "overlay_failover"} {
+	names := []string{"linerate", "overlay_linerate", "overlay_failover"}
+	// GOMAXPROCS is process-wide, so the one-P pass runs and restores it
+	// before the parallel subtests start.
+	oneP := make(map[string][]byte)
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for _, name := range names {
+			oneP[name] = envelopeJSON(t, name, exp.RunContext{Seed: 42, Shards: 4})
+		}
+	}()
+	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -44,6 +56,10 @@ func TestShardsByteIdenticalJSON(t *testing.T) {
 					t.Fatalf("%s: shards=%d JSON differs from shards=1\nshards=1: %s\nshards=%d: %s",
 						name, shards, ref, shards, got)
 				}
+			}
+			if got := oneP[name]; string(got) != string(ref) {
+				t.Fatalf("%s: shards=4 at GOMAXPROCS=1 JSON differs from shards=1\nshards=1: %s\none P:    %s",
+					name, ref, got)
 			}
 			// A different seed must change the output (the pin is not
 			// comparing constants).
