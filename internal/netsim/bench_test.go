@@ -25,6 +25,37 @@ func BenchmarkScheduleFire(b *testing.B) {
 	sim.Run()
 }
 
+// queueTicker is BenchmarkQueueFire's entry: each firing pushes the next.
+type queueTicker struct {
+	slot Slot
+	q    *Queue
+	n, N int
+}
+
+func (t *queueTicker) Complete() {
+	t.n++
+	if t.n < t.N {
+		t.q.Push(t.q.sim.Now().Add(10), &t.slot, t)
+	}
+}
+
+// BenchmarkQueueFire is BenchmarkScheduleFire through a Queue: one entry
+// in flight at a time, so every push finds the queue empty (a link or an
+// engine below saturation), beside two far-future events, the depth of a
+// nat_64b cable's heap.
+func BenchmarkQueueFire(b *testing.B) {
+	sim := New(1)
+	t := &queueTicker{q: NewQueue(sim), N: b.N}
+	sim.ScheduleAt(1<<60, func() {})
+	sim.ScheduleAt(1<<60, func() {})
+	b.ReportAllocs()
+	t.q.Push(10, &t.slot, t)
+	b.ResetTimer()
+	for t.n < b.N {
+		sim.Step()
+	}
+}
+
 // BenchmarkScheduleBurst measures heap behavior with a deep pending queue:
 // 1024 events scheduled at once, then drained.
 func BenchmarkScheduleBurst(b *testing.B) {

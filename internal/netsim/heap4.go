@@ -40,16 +40,23 @@ func (h *eventHeap) push(e *event) {
 	*h = hh
 }
 
-// pop removes and returns the minimum event. The caller must ensure the
-// heap is non-empty.
-func (h *eventHeap) pop() *event {
+// dropTop removes the minimum event, which the caller has read at h[0],
+// by moving the last leaf into the root; the caller must then restore the
+// heap with fixTop. The heap must be non-empty. (Split from fixTop so it
+// inlines and a pop costs one call.)
+func (h *eventHeap) dropTop() {
 	hh := *h
 	n := len(hh) - 1
-	min := hh[0]
 	hh[0] = hh[n]
 	hh[n] = nil // release the reference for GC
-	hh = hh[:n]
-	*h = hh
+	*h = hh[:n]
+}
+
+// fixTop restores the heap after the root's key has grown in place (a
+// Queue's event taking its next entry's place, or dropTop's moved leaf):
+// one sift-down, where a pop and a push would take two.
+func (hh eventHeap) fixTop() {
+	n := len(hh)
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -73,5 +80,4 @@ func (h *eventHeap) pop() *event {
 		hh[i], hh[m] = hh[m], hh[i]
 		i = m
 	}
-	return min
 }

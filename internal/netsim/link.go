@@ -37,7 +37,19 @@ type Link struct {
 	// back-to-back minimum frames at 10 Gb/s (67.2 ns each) accumulate
 	// without rounding drift; delivery events round up to whole ns.
 	busyUntilPs int64
-	queued      int
+
+	// waits holds one mark per frame waiting for the transmitter: the
+	// tx-done of the frame ahead of it, ordered by that frame's reserved
+	// delivery (last, the latest accepted frame's). A frame stops counting
+	// as queued when the frame ahead finishes serializing, not when that
+	// frame is delivered a propagation delay later; only Send reads the
+	// depth, so this costs no event.
+	waits MarkFIFO
+	last  Mark
+
+	// deliveries holds the frames in flight, in tx-done order: one heap
+	// entry however many there are.
+	deliveries *Queue
 
 	// free recycles in-flight frame records (see linkFrame). The link is
 	// single-threaded inside its simulator, so an intrusive list suffices.
@@ -58,14 +70,14 @@ type Link struct {
 	stats LinkStats
 }
 
-// linkFrame is the pooled record of one in-flight frame. It backs the
-// frame's one scheduled completion through the simulator's typed-event
-// fast path, so Send allocates nothing in steady state. The completion
-// fires at delivery (tx-done + propagation), or at tx-done on a
-// cross-shard link. Tx-done itself costs no event: nothing reads the
-// counters or the trace hop in between, so Complete records both,
-// stamping the hop with txDone.
+// linkFrame is the pooled record of one in-flight frame, the entry of
+// its one completion in the link's delivery queue, so Send allocates
+// nothing in steady state. The completion fires at delivery (tx-done +
+// propagation), or at tx-done on a cross-shard link. Tx-done itself costs
+// no event: nothing reads the counters or the trace hop in between, so
+// Complete records both, stamping the hop with txDone.
 type linkFrame struct {
+	slot    Slot
 	l       *Link
 	data    []byte
 	traceID uint64 // packet-trace identity captured at Send (0 = untraced)
@@ -73,8 +85,8 @@ type linkFrame struct {
 	next    *linkFrame
 }
 
-// Complete implements netsim.Completer: the frame has left the
-// transmitter and reached the far end (or the portal).
+// Complete implements Completer: the frame has left the transmitter and
+// reached the far end (or the portal).
 func (f *linkFrame) Complete() {
 	l := f.l
 	data := f.data
@@ -83,9 +95,6 @@ func (f *linkFrame) Complete() {
 	l.stats.TxBytes += uint64(len(data))
 	if l.tracer != nil {
 		l.tracer.Hop(id, telemetry.StageLinkTx, uint64(f.txDone), len(data), 0)
-	}
-	if l.queued > 0 {
-		l.queued--
 	}
 	f.data = nil
 	f.traceID = 0
@@ -142,6 +151,7 @@ func NewLink(sim *Simulator, bitsPerSec int64, prop Duration, deliver func(data 
 		Prop:          prop,
 		OverheadBytes: 20,
 		deliver:       deliver,
+		deliveries:    NewQueue(sim),
 	}
 }
 
@@ -187,14 +197,16 @@ func (l *Link) Send(data []byte) bool {
 	if startPs < nowPs {
 		startPs = nowPs
 	}
-	if l.QueueLimit > 0 && startPs > nowPs && l.queued >= l.QueueLimit {
+	queued := l.waits.Pending(l.sim)
+	if l.QueueLimit > 0 && startPs > nowPs && queued >= l.QueueLimit {
 		l.stats.Drops++
 		return false
 	}
 	txDonePs := startPs + l.serializationPs(len(data))
 	l.busyUntilPs = txDonePs
 	if startPs > nowPs {
-		l.queued++
+		l.waits.Push(l.last)
+		queued++
 	}
 	txDone := Time(ceilDiv(txDonePs, 1000))
 	f := l.free
@@ -210,7 +222,7 @@ func (l *Link) Send(data []byte) bool {
 		f.traceID = l.tracer.Current()
 	}
 	if l.depthHist != nil {
-		l.depthHist.Observe(uint64(l.queued))
+		l.depthHist.Observe(uint64(queued))
 	}
 	at := txDone.Add(l.Prop)
 	if l.remote != nil {
@@ -219,7 +231,8 @@ func (l *Link) Send(data []byte) bool {
 		// (Portal latency == Prop).
 		at = txDone
 	}
-	l.sim.ScheduleCompletionAt(at, f)
+	l.deliveries.Push(at, &f.slot, f)
+	l.last = Mark{at: txDone, seq: f.slot.seq}
 	return true
 }
 

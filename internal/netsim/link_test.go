@@ -77,27 +77,113 @@ func TestLinkBackToBackSerialization(t *testing.T) {
 	}
 }
 
+// TestLinkQueueLimitDrops pins the transmit queue's admission: a frame
+// counts as queued from Send until the frame ahead of it has finished
+// serializing, not until that frame is delivered a propagation delay
+// later, so after the transmitter has drained a burst the queue is empty
+// again although the burst is still on the wire.
 func TestLinkQueueLimitDrops(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		prop      Duration
+		limit     int
+		size      int
+		burst     int // frames sent at t=0
+		later     int // frames sent at 1 µs
+		wantSent  int
+		wantDrops uint64
+	}{
+		// One in flight + two queued = 3 accepted.
+		{"prop0", 0, 2, 1500, 10, 0, 3, 7},
+		// One in flight + four queued; by 1 µs the transmitter has been
+		// idle since 336 ns, so the three later frames all go through.
+		{"prop5us", 5 * Microsecond, 4, 64, 8, 3, 8, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			delivered := 0
+			l := NewLink(s, tenGig, tc.prop, func(data []byte) { delivered++ })
+			l.QueueLimit = tc.limit
+			sent := 0
+			send := func(n int) {
+				for i := 0; i < n; i++ {
+					if l.Send(make([]byte, tc.size)) {
+						sent++
+					}
+				}
+			}
+			send(tc.burst)
+			s.RunUntil(Time(Microsecond))
+			send(tc.later)
+			s.Run()
+			if sent != tc.wantSent {
+				t.Errorf("accepted %d frames, want %d", sent, tc.wantSent)
+			}
+			if delivered != tc.wantSent {
+				t.Errorf("delivered %d frames, want %d", delivered, tc.wantSent)
+			}
+			if got := l.Stats().Drops; got != tc.wantDrops {
+				t.Errorf("drops = %d, want %d", got, tc.wantDrops)
+			}
+		})
+	}
+}
+
+// TestLinkPendingCountsInFlight pins Pending's meaning for a link's
+// frames: every frame in flight is an event waiting to fire, however the
+// kernel holds them.
+func TestLinkPendingCountsInFlight(t *testing.T) {
+	const n = 100
 	s := New(1)
 	delivered := 0
-	l := NewLink(s, tenGig, 0, func(data []byte) { delivered++ })
-	l.QueueLimit = 2
-	sent := 0
-	for i := 0; i < 10; i++ {
-		if l.Send(make([]byte, 1500)) {
-			sent++
-		}
+	l := NewLink(s, tenGig, 5*Microsecond, func([]byte) { delivered++ })
+	for i := 0; i < n; i++ {
+		l.Send(make([]byte, 64))
+	}
+	if got := s.Pending(); got != n {
+		t.Errorf("Pending() = %d with %d frames in flight, want %d", got, n, n)
+	}
+	s.RunUntil(Time(5 * Microsecond).Add(68 * 10))
+	if got := s.Pending(); got != n-delivered || delivered == 0 || delivered == n {
+		t.Errorf("Pending() = %d after %d of %d deliveries, want %d", got, delivered, n, n-delivered)
 	}
 	s.Run()
-	// One in flight + two queued = 3 accepted.
-	if sent != 3 {
-		t.Errorf("accepted %d frames, want 3", sent)
+	if got := s.Pending(); got != 0 {
+		t.Errorf("Pending() = %d after Run, want 0", got)
 	}
-	if delivered != 3 {
-		t.Errorf("delivered %d frames, want 3", delivered)
+}
+
+// TestQueuesHoldOneHeapEntry pins the point of Queue: 1 000 frames in
+// flight on one link, and a 1 000-message portal batch on its far shard,
+// each hold one event-heap entry while Pending still counts them all.
+func TestQueuesHoldOneHeapEntry(t *testing.T) {
+	const n = 1000
+	s := New(1)
+	l := NewLink(s, tenGig, 5*Microsecond, func([]byte) {})
+	for i := 0; i < n; i++ {
+		l.Send(make([]byte, 64))
 	}
-	if l.Stats().Drops != 7 {
-		t.Errorf("drops = %d, want 7", l.Stats().Drops)
+	if len(s.events) != 1 || s.Pending() != n {
+		t.Errorf("link: %d heap entries and %d pending for %d frames in flight, want 1 and %d", len(s.events), s.Pending(), n, n)
+	}
+	s.Run()
+
+	sh := NewSharded(1, 2)
+	dst := sh.Shard(1)
+	arrived := 0
+	heap, pending := 0, 0
+	p := sh.Connect(0, 1, 500, func([]byte) {
+		if arrived == 0 {
+			heap, pending = len(dst.events), dst.Pending()
+		}
+		arrived++
+	})
+	for i := 0; i < n; i++ {
+		p.Send(nil)
+	}
+	sh.Run()
+	if arrived != n || heap != 1 || pending != n-1 {
+		t.Errorf("portal: at the first of %d arrivals, %d heap entries and %d pending, want 1 and %d (%d arrived)", n, heap, pending, n-1, arrived)
 	}
 }
 

@@ -181,14 +181,15 @@ func (s *Sharded) Connect(src, dst int, latency Duration, deliver func([]byte)) 
 		panic(fmt.Sprintf("netsim: portal %d→%d outside shard range [0,%d)", src, dst, len(s.shards)))
 	}
 	p := &Portal{
-		id:      len(s.portals),
-		src:     src,
-		dst:     dst,
-		latency: latency,
-		srcSim:  s.shards[src],
-		dstSim:  s.shards[dst],
-		deliver: deliver,
-		ring:    make([]portalMsg, portalRingSize),
+		id:       len(s.portals),
+		src:      src,
+		dst:      dst,
+		latency:  latency,
+		srcSim:   s.shards[src],
+		dstSim:   s.shards[dst],
+		deliver:  deliver,
+		ring:     make([]portalMsg, portalRingSize),
+		arrivals: NewQueue(s.shards[dst]),
 	}
 	s.portals = append(s.portals, p)
 	s.inbound[dst] = append(s.inbound[dst], p)
@@ -589,8 +590,8 @@ type portalMsg struct {
 // Portal is a unidirectional cross-shard channel with fixed latency. The
 // source shard produces into a lock-free SPSC ring during its window; at
 // each barrier it closes the batch it has queued, and the destination
-// shard drains exactly that batch into its own heap as arrival events
-// before its next window, while the source may already be filling the
+// shard drains exactly that batch into the portal's arrival queue before
+// its next window, while the source may already be filling the
 // next batch. A batch that overflows the ring goes on into a spill slice,
 // double-buffered by batch parity so that the batch being drained and the
 // one being filled never share one. Steady-state Send and delivery are
@@ -637,11 +638,13 @@ type Portal struct {
 	_ [cacheLine]byte
 
 	// Destination shard, at the barrier: head consumes ring slots,
-	// spillPos the closed batch's spill slice; free recycles arrival
-	// records, pushed by arrival.Complete and popped by scheduleArrival.
+	// spillPos the closed batch's spill slice; arrivals holds the drained
+	// messages until they fire, and free recycles their records, pushed
+	// by arrival.Complete and popped by scheduleArrival.
 	head     atomic.Uint64
 	spillPos int
 	spilled  uint64 // messages consumed from spill
+	arrivals *Queue
 	free     *arrival
 
 	_ [cacheLine]byte
@@ -716,9 +719,10 @@ func (p *Portal) pop(par uint64) {
 	}
 }
 
-// scheduleArrival schedules the message's delivery on the destination
-// shard through a pooled arrival record (no closure, no allocation in
-// steady state).
+// scheduleArrival queues the message's delivery on the destination shard
+// through a pooled arrival record (no closure, no allocation in steady
+// state). One portal's arrivals never decrease, so they wait in the
+// portal's own queue: a drained batch holds one heap entry.
 func (p *Portal) scheduleArrival(m portalMsg) {
 	a := p.free
 	if a != nil {
@@ -728,13 +732,13 @@ func (p *Portal) scheduleArrival(m portalMsg) {
 		a = &arrival{p: p}
 	}
 	a.data = m.data
-	p.dstSim.ScheduleCompletionAt(m.at, a)
+	p.arrivals.Push(m.at, &a.slot, a)
 }
 
-// arrival is the pooled destination-side record of one queued message; it
-// implements Completer so delivery rides the simulator's typed-event fast
-// path.
+// arrival is the pooled destination-side record of one queued message,
+// the entry of its delivery in the portal's arrival queue.
 type arrival struct {
+	slot Slot
 	p    *Portal
 	data []byte
 	next *arrival

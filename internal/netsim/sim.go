@@ -11,9 +11,9 @@
 // shard) and advances them together under conservative lookahead
 // synchronization — see shard.go.
 //
-// Scheduling has one shape: ScheduleDetached (relative), ScheduleAt
-// (absolute) and ScheduleCompletionAt (a preallocated Completer instead of
-// a closure) all push an event that nothing outside the kernel can see.
+// Scheduling has one shape: ScheduleDetached (relative) and ScheduleAt
+// (absolute) push an event that nothing outside the kernel can see, and a
+// Queue holds one owner's pending entries whose times never decrease.
 // There are no handles and no cancellation; every event returns to the
 // simulator's free list once it has fired, so a steady-state schedule
 // allocates nothing. A component that may no longer want a scheduled
@@ -22,11 +22,17 @@
 // Per-frame event budget: a simulated frame costs one event per generator
 // emit, one per link hop (Link's delivery, or its portal hand-off on a
 // cross-shard link), one per engine verdict and one per portal arrival —
-// nothing else. An owner with a deferred effect that only it observes (an
-// engine's queue slot freeing when a frame's input occupancy ends) takes a
-// Mark instead of an event: MarkAt reserves the instant and the order an
-// event would have had, and the owner asks Passed when it next looks,
-// without a heap push or pop.
+// nothing else. The last three are FIFO by construction, so each owner
+// keeps them in a Queue: an entry takes its sequence number at Push, but
+// only the queue's head sits in the event heap, and the next entry joins
+// the heap with its reserved place when the head fires. The heap then
+// holds one entry per busy owner, not one per frame in flight, while
+// every event fires exactly where a plain event would have. An owner
+// with a deferred effect that only it observes (an engine's queue slot
+// freeing when a frame's input occupancy ends) takes a Mark instead of
+// an event: MarkAt reserves the instant and the order an event would
+// have had, and the owner asks Passed when it next looks, without a heap
+// push or pop.
 package netsim
 
 import (
@@ -81,23 +87,15 @@ func (d Duration) String() string {
 	}
 }
 
-// Completer is a preallocated completion target for the typed-event fast
-// path: ScheduleCompletionAt fires Complete() on the value directly, so a
-// hot path that owns a reusable completion struct (an engine's pooled
-// frame context, a link's in-flight frame record) schedules work with no
-// closure allocation at all.
-type Completer interface {
-	Complete()
-}
-
-// event is one scheduled callback. Every event is recycled onto the
-// simulator's free list after it fires: no scheduling call returns it, so
-// nothing outside the kernel can hold one.
+// event is one heap entry. A scheduled callback's event is recycled onto
+// the simulator's free list after it fires: no scheduling call returns
+// it, so nothing outside the kernel can hold one. A Queue's event is its
+// own, standing for the queue's head while the queue is non-empty.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among same-time events
-	fn   func()
-	comp Completer // typed fast path; used when fn is nil
+	at  Time
+	seq uint64 // tie-breaker: FIFO among same-time events
+	fn  func()
+	q   *Queue // set on a Queue's own event; fn is nil then
 }
 
 // Simulator owns the simulated clock and the pending-event queue.
@@ -107,6 +105,10 @@ type Simulator struct {
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
+
+	// behind counts the Queue entries waiting behind their queue's head:
+	// pending events that are not in the heap.
+	behind int
 
 	// cur is the firing frontier at now, read by Passed: every event before
 	// now has fired, and so has every event at now whose seq is below cur.
@@ -140,8 +142,9 @@ func (s *Simulator) Now() Time { return s.now }
 // must come from here so runs are reproducible.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Pending returns the number of events waiting to fire.
-func (s *Simulator) Pending() int { return len(s.events) }
+// Pending returns the number of events waiting to fire, counting every
+// Queue entry, not only the queue heads in the heap.
+func (s *Simulator) Pending() int { return len(s.events) + s.behind }
 
 // Fired returns the total number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
@@ -155,21 +158,13 @@ func (s *Simulator) ScheduleDetached(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.schedule(s.now.Add(d), fn, nil)
+	s.schedule(s.now.Add(d), fn)
 }
 
 // ScheduleAt runs fn at absolute simulated time t, recycling its event
 // like ScheduleDetached. Times in the past are clamped to the current time.
 func (s *Simulator) ScheduleAt(t Time, fn func()) {
-	s.schedule(t, fn, nil)
-}
-
-// ScheduleCompletionAt schedules c.Complete() at absolute time t with no
-// closure: the caller keeps ownership of c and may recycle it once
-// Complete has fired. This is the zero-alloc path for per-frame
-// completions (engine verdicts, link deliveries).
-func (s *Simulator) ScheduleCompletionAt(t Time, c Completer) {
-	s.schedule(t, nil, c)
+	s.schedule(t, fn)
 }
 
 // Mark is a reserved place in the event order: the (time, sequence) an
@@ -201,7 +196,42 @@ func (s *Simulator) Passed(m Mark) bool {
 	return m.at < s.now || (m.at == s.now && m.seq < s.cur)
 }
 
-func (s *Simulator) schedule(t Time, fn func(), c Completer) {
+// MarkFIFO holds an owner's marks whose places never decrease: one per
+// deferred effect that only the owner observes, such as a queued frame's
+// slot freeing (a link's transmit queue, an engine's input queue). The
+// owner asks Pending when it next looks, which costs no event.
+type MarkFIFO struct {
+	marks []Mark // live marks are marks[head:]
+	head  int
+}
+
+// Push appends m, which must not precede the last mark pushed. Once the
+// slice has grown to twice the deepest backlog it has held, Push stops
+// allocating: a full slice slides its live marks to the front when at
+// least half of it has passed, and grows otherwise.
+func (f *MarkFIFO) Push(m Mark) {
+	if len(f.marks) == cap(f.marks) && f.head > 0 && f.head >= len(f.marks)/2 {
+		n := copy(f.marks, f.marks[f.head:])
+		f.marks, f.head = f.marks[:n], 0
+	}
+	f.marks = append(f.marks, m)
+}
+
+// Pending drops the marks sim has passed and returns how many remain.
+func (f *MarkFIFO) Pending(sim *Simulator) int {
+	if f.head == len(f.marks) {
+		return 0
+	}
+	for f.head < len(f.marks) && sim.Passed(f.marks[f.head]) {
+		f.head++
+	}
+	if f.head == len(f.marks) {
+		f.marks, f.head = f.marks[:0], 0
+	}
+	return len(f.marks) - f.head
+}
+
+func (s *Simulator) schedule(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
@@ -210,9 +240,9 @@ func (s *Simulator) schedule(t Time, fn func(), c Completer) {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.fn, e.comp = t, fn, c
+		e.at, e.fn = t, fn
 	} else {
-		e = &event{at: t, fn: fn, comp: c}
+		e = &event{at: t, fn: fn}
 	}
 	e.seq = s.seq
 	s.seq++
@@ -225,22 +255,35 @@ func (s *Simulator) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := s.events.pop()
+	e := s.events[0]
 	if s.gapHist != nil {
 		s.gapHist.Observe(uint64(e.at - s.lastFire))
 		s.lastFire = e.at
 	}
 	s.now, s.cur = e.at, e.seq
 	s.fired++
-	if e.fn != nil {
-		e.fn()
-	} else if e.comp != nil {
-		e.comp.Complete()
+	if q := e.q; q != nil {
+		// The queue's next entry takes the head's heap entry before the
+		// head's callback runs, which may push onto this queue.
+		sl := q.head
+		if next := sl.next; next != nil {
+			q.head, sl.next = next, nil
+			e.at, e.seq = next.at, next.seq
+			s.behind--
+		} else {
+			q.head = nil
+			s.events.dropTop()
+		}
+		s.events.fixTop()
+		sl.c.Complete()
+		return true
 	}
+	s.events.dropTop()
+	s.events.fixTop()
+	e.fn()
 	// Recycle only after the callback returns: anything it scheduled has
 	// already taken its own event, so no live reference remains.
 	e.fn = nil
-	e.comp = nil
 	s.free = append(s.free, e)
 	return true
 }

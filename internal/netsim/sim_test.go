@@ -263,25 +263,30 @@ func TestRunUntilBoundaryDetached(t *testing.T) {
 	}
 }
 
-type countCompleter int
+type countCompleter struct {
+	slot Slot
+	n    int
+}
 
-func (c *countCompleter) Complete() { *c++ }
+func (c *countCompleter) Complete() { c.n++ }
 
 // TestScheduleZeroAlloc pins every scheduling entry point at zero
 // allocations once the free list is warm: the kernel recycles each event
-// after it fires, whichever call scheduled it.
+// after it fires, whichever call scheduled it, and a Queue entry lives in
+// its owner's record.
 func TestScheduleZeroAlloc(t *testing.T) {
 	s := New(1)
 	fired := 0
 	fn := func() { fired++ }
 	var c countCompleter
+	q := NewQueue(s)
 	for _, tc := range []struct {
 		name     string
 		schedule func()
 	}{
 		{"ScheduleAt", func() { s.ScheduleAt(s.Now().Add(10), fn) }},
 		{"ScheduleDetached", func() { s.ScheduleDetached(10, fn) }},
-		{"ScheduleCompletionAt", func() { s.ScheduleCompletionAt(s.Now().Add(10), &c) }},
+		{"Queue.Push", func() { q.Push(s.Now().Add(10), &c.slot, &c) }},
 	} {
 		tc.schedule()
 		s.Run()
@@ -293,7 +298,7 @@ func TestScheduleZeroAlloc(t *testing.T) {
 		}
 	}
 	// Each case fired once to warm up and 201 times under AllocsPerRun.
-	if fired != 2*202 || c != 202 {
-		t.Errorf("fired %d closures and %d completions, want %d and 202", fired, c, 2*202)
+	if fired != 2*202 || c.n != 202 {
+		t.Errorf("fired %d closures and %d completions, want %d and 202", fired, c.n, 2*202)
 	}
 }

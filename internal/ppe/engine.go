@@ -37,13 +37,18 @@ type Engine struct {
 	// at the instant its occupancy ends and its queue slot frees (FIFO:
 	// occupancy ends never decrease). A slot's release changes nothing but
 	// the queue depth, which only Submit reads, so it costs no event: Submit
-	// drops the marks that have passed, and the rest is the depth. Live
-	// marks are marks[head:]; the slice compacts when it fills.
-	marks []netsim.Mark
-	head  int
+	// drops the marks that have passed, and the rest is the depth.
+	marks netsim.MarkFIFO
+
+	// verdicts holds the frames in the pipeline, in verdict order: a
+	// frame's verdict time is its occupancy end plus the pipeline depth,
+	// and neither decreases (SetProgram refuses a shallower pipeline
+	// while frames are in flight). However deep the input queue, one
+	// heap entry.
+	verdicts *netsim.Queue
 
 	// freeComp recycles per-frame completion records (the pooled Ctx and
-	// its scheduled verdict). Intrusive list: the engine runs on the sim
+	// its queued verdict). Intrusive list: the engine runs on the sim
 	// thread, so no locking.
 	freeComp *completion
 
@@ -54,12 +59,13 @@ type Engine struct {
 	stats EngineStats
 }
 
-// completion is the preallocated per-frame record scheduled through the
-// simulator's typed-event fast path: it embeds the pooled Ctx and runs
-// the verdict when the frame's pipeline traversal completes. The record
-// returns to the engine's free list after the verdict callback, so the
-// Ctx must not be retained past that callback.
+// completion is the preallocated per-frame record, the entry of the
+// frame's verdict in the engine's verdict queue: it embeds the pooled Ctx
+// and runs the verdict when the frame's pipeline traversal completes. The
+// record returns to the engine's free list after the verdict callback, so
+// the Ctx must not be retained past that callback.
 type completion struct {
+	slot netsim.Slot
 	e    *Engine
 	ctx  Ctx
 	next *completion
@@ -127,10 +133,13 @@ func NewEngine(sim *netsim.Simulator, clockHz int64, datapathBits int, out func(
 		datapathBits: datapathBits,
 		out:          out,
 		period:       (1_000_000_000_000 + clockHz - 1) / clockHz,
+		verdicts:     netsim.NewQueue(sim),
 	}
 }
 
-// SetProgram loads (or replaces, on reconfiguration) the program.
+// SetProgram loads (or replaces, on reconfiguration) the program. A
+// replacement with a shallower pipeline is refused while frames are in
+// flight: their verdicts would overtake the ones ahead of them.
 func (e *Engine) SetProgram(p *Program) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -138,8 +147,12 @@ func (e *Engine) SetProgram(p *Program) error {
 	if p.Handler == nil {
 		return fmt.Errorf("ppe: program %q has no handler", p.Name)
 	}
+	depth := p.PipelineDepth(e.datapathBits)
+	if depth < e.depth && e.busyUntilPs+int64(e.depth)*e.period > int64(e.sim.Now())*1000 {
+		return fmt.Errorf("ppe: program %q shortens the pipeline under frames in flight", p.Name)
+	}
 	e.prog = p
-	e.depth = p.PipelineDepth(e.datapathBits)
+	e.depth = depth
 	e.progCycles = int64(p.ProgCycles)
 	return nil
 }
@@ -209,8 +222,9 @@ func (e *Engine) Utilization() float64 {
 // is pooled and must not be retained past that callback.
 //
 // Submission is allocation-free in steady state: occupancy accounting,
-// queue admission, and scheduling of the frame's pooled completion — the
-// frame's one event.
+// queue admission, and a push of the frame's pooled completion onto the
+// engine's verdict queue — the frame's one event, which waits behind the
+// verdicts ahead of it and holds a heap entry only once they have fired.
 func (e *Engine) Submit(data []byte, dir Direction) bool {
 	if e.prog == nil {
 		panic("ppe: Submit before SetProgram")
@@ -221,10 +235,7 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 	if startPs < nowPs {
 		startPs = nowPs
 	}
-	for e.head < len(e.marks) && e.sim.Passed(e.marks[e.head]) {
-		e.head++
-	}
-	queued := len(e.marks) - e.head
+	queued := e.marks.Pending(e.sim)
 	if e.QueueLimit > 0 && startPs > nowPs && queued >= e.QueueLimit {
 		e.stats.QueueDrop++
 		if e.tel != nil {
@@ -240,7 +251,7 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 		// ends; its queue slot frees then, not at verdict time. Counting
 		// the extra pipeline-depth cycles would overstate queue depth and
 		// queue-drop bursty arrivals that the real input buffer absorbs.
-		e.pushMark(e.sim.MarkAt(netsim.Time((e.busyUntilPs + 999) / 1000)))
+		e.marks.Push(e.sim.MarkAt(netsim.Time((e.busyUntilPs + 999) / 1000)))
 		queued++
 	}
 	e.stats.In++
@@ -265,17 +276,6 @@ func (e *Engine) Submit(data []byte, dir Direction) bool {
 		}
 	}
 	donePs := e.busyUntilPs + int64(e.depth)*e.period
-	e.sim.ScheduleCompletionAt(netsim.Time((donePs+999)/1000), c)
+	e.verdicts.Push(netsim.Time((donePs+999)/1000), &c.slot, c)
 	return true
-}
-
-// pushMark appends a waiting frame's slot-release mark, first sliding the
-// live marks to the front when the slice is full, so the FIFO stops
-// allocating once it has grown to the deepest queue it has held.
-func (e *Engine) pushMark(m netsim.Mark) {
-	if len(e.marks) == cap(e.marks) && e.head > 0 {
-		n := copy(e.marks, e.marks[e.head:])
-		e.marks, e.head = e.marks[:n], 0
-	}
-	e.marks = append(e.marks, m)
 }

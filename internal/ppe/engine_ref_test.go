@@ -289,8 +289,10 @@ func checkEngineCase(t *testing.T, c engineCase) {
 // decision, every verdict time, every queue depth observed, the stats and
 // the final utilization. Queue depth hinges on the exact place of each
 // slot release among same-nanosecond arrivals, so a drain that ignores
-// sequence numbers, or a MarkAt that leaves its number to the verdict
-// scheduled after it, makes this test fail. (A Passed that admits the
+// sequence numbers, a MarkAt that leaves its number to the verdict pushed
+// onto the engine's queue after it, or a queued verdict that takes a
+// fresh number when it reaches the event heap, makes this test fail. (A
+// Passed that admits the
 // frontier's own sequence number cannot show here — an engine mark is
 // always followed by its verdict's number, so no mark ever equals the
 // frontier — and netsim's TestMarkMatchesEvent catches it instead.)

@@ -404,3 +404,36 @@ func TestEngineQueueStillDropsWhenFull(t *testing.T) {
 	}
 	sim.Run()
 }
+
+// TestSetProgramRefusesShallowerUnderLoad pins the verdict queue's
+// precondition at the API: a replacement program with a shallower
+// pipeline would let later verdicts overtake the frames in flight, so it
+// is refused until they have drained, and accepted after.
+func TestSetProgramRefusesShallowerUnderLoad(t *testing.T) {
+	sim := netsim.New(1)
+	var order []byte
+	e := NewEngine(sim, clock156, 64, func(v Verdict, ctx *Ctx) { order = append(order, ctx.Data[0]) })
+	deep := passProgram()
+	deep.Stages = 8
+	if err := e.SetProgram(deep); err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(0); i < 3; i++ {
+		e.Submit([]byte{i, 0, 0, 0}, DirEdgeToOptical)
+	}
+	if err := e.SetProgram(passProgram()); err == nil {
+		t.Fatal("shallower program accepted with frames in flight")
+	}
+	if err := e.SetProgram(deep); err != nil {
+		t.Fatalf("same-depth program refused: %v", err)
+	}
+	sim.Run()
+	if err := e.SetProgram(passProgram()); err != nil {
+		t.Fatalf("shallower program refused on an idle engine: %v", err)
+	}
+	e.Submit([]byte{3, 0, 0, 0}, DirEdgeToOptical)
+	sim.Run()
+	if string(order) != "\x00\x01\x02\x03" {
+		t.Errorf("verdicts in order %v, want 0 1 2 3", order)
+	}
+}
