@@ -52,3 +52,19 @@ func BenchmarkGenerateIMIX(b *testing.B) {
 		b.Fatal("no frames")
 	}
 }
+
+// BenchmarkNewFlows measures building a 16 384-flow Zipf population with
+// the 7:4:1 size mix, the generator of the NAT churn workload: 49 152
+// frames, written from three templates.
+func BenchmarkNewFlows(b *testing.B) {
+	sim := netsim.New(1)
+	cfg := Config{
+		PPS: 10e6, Sizes: SimpleIMIX(), Flows: 16384, ZipfS: 1.1,
+		SrcMAC: gMacA, DstMAC: gMacB,
+	}
+	sink := func([]byte) bool { return true }
+	b.ReportAllocs()
+	for b.Loop() {
+		New(sim, cfg, sink)
+	}
+}

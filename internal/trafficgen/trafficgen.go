@@ -7,6 +7,7 @@
 package trafficgen
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 
@@ -36,8 +37,8 @@ type Config struct {
 	PPS float64
 	// Sizes is the frame-size mix; a single entry gives fixed size.
 	Sizes []IMIXEntry
-	// Flows is the number of distinct 5-tuples; source ports (and low
-	// source-IP bits) vary per flow.
+	// Flows is the number of distinct 5-tuples, at most MaxFlows; source
+	// ports (and the low 16 bits of an IPv4 source address) vary per flow.
 	Flows int
 	// ZipfS skews flow popularity (0 = uniform; 1.2 = heavy head).
 	ZipfS float64
@@ -72,6 +73,10 @@ type WeightedFrame struct {
 	Weight int
 }
 
+// MaxFlows bounds Config.Flows: a flow is told apart by its 16-bit source
+// port, so a larger population would repeat frames.
+const MaxFlows = 1 << 16
+
 // Generator emits frames into a sink on a simulated schedule.
 type Generator struct {
 	sim  *netsim.Simulator
@@ -79,8 +84,13 @@ type Generator struct {
 	rng  *rand.Rand
 	sink func([]byte) bool
 
-	frames    [][]byte // pre-built, one per (flow, size) combination
-	sizeEdges []int    // cumulative weights
+	// frames holds the pre-built frames. In synthetic mode flow f's frame
+	// of size class s is frames[f*len(cfg.Sizes)+s]; a size class's frames
+	// share one backing array, each on a 64-byte boundary. In template
+	// mode they are the configured templates.
+	frames    [][]byte
+	mean      float64 // mean inter-arrival time in ns, 1e9/PPS
+	sizeEdges []int   // cumulative weights
 	sizeTotal int
 	tmplEdges []int // cumulative template weights (template mode)
 	tmplTotal int
@@ -96,13 +106,24 @@ type Generator struct {
 	stopped bool
 }
 
-// New builds a generator. Every frame is a fresh packet.GetBuffer copy of
-// its template, handed to sink: a sink that returns true owns the frame
-// from then on (see packet.PutBuffer); one that returns false refused it
-// and must not keep it, and the generator releases it.
+// New builds a generator. It panics when PPS is not positive or Flows
+// exceeds MaxFlows.
+//
+// In synthetic mode New pre-builds every (flow, size) frame. Each emitted
+// frame is byte-identical to packet.Build of that flow's spec (flowSpec),
+// but New calls packet.Build once per size class only, for flow 0, and
+// writes the other flows' frames from that template (flowTemplate).
+//
+// Every frame is a fresh packet.GetBuffer copy of its template, handed to
+// sink: a sink that returns true owns the frame from then on (see
+// packet.PutBuffer); one that returns false refused it and must not keep
+// it, and the generator releases it.
 func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 	if cfg.PPS <= 0 {
 		panic("trafficgen: PPS must be positive")
+	}
+	if cfg.Flows > MaxFlows {
+		panic("trafficgen: Flows must be at most MaxFlows (65536), one per 16-bit source port")
 	}
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = []IMIXEntry{{Size: 64, Weight: 1}}
@@ -122,7 +143,7 @@ func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 	if cfg.DstPort == 0 {
 		cfg.DstPort = 80
 	}
-	g := &Generator{sim: sim, cfg: cfg, sink: sink}
+	g := &Generator{sim: sim, cfg: cfg, sink: sink, mean: float64(netsim.Second) / cfg.PPS}
 	g.rng = cfg.Rand
 	if g.rng == nil {
 		g.rng = sim.Rand()
@@ -152,26 +173,130 @@ func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 // prebuild materializes one frame per flow and size class; emission then
 // just picks a template (allocation-free hot path).
 func (g *Generator) prebuild() {
-	src4 := g.cfg.SrcIP
-	for f := 0; f < g.cfg.Flows; f++ {
-		srcIP := src4
-		if src4.Is4() {
-			b := src4.As4()
-			b[2] ^= byte(f >> 8)
-			b[3] ^= byte(f)
-			srcIP = netip.AddrFrom4(b)
-		}
-		for _, e := range g.cfg.Sizes {
-			frame := packet.MustBuild(packet.Spec{
-				SrcMAC: g.cfg.SrcMAC, DstMAC: g.cfg.DstMAC,
-				SrcIP: srcIP, DstIP: g.cfg.DstIP,
-				Proto:   g.cfg.Proto,
-				SrcPort: uint16(1024 + f), DstPort: g.cfg.DstPort,
-				PadTo: e.Size,
-			})
-			g.frames = append(g.frames, frame)
+	nSizes := len(g.cfg.Sizes)
+	g.frames = make([][]byte, g.cfg.Flows*nSizes)
+	for s, e := range g.cfg.Sizes {
+		t := newFlowTemplate(&g.cfg, e.Size)
+		n := len(t.frame)
+		stride := (n + 63) &^ 63
+		backing := make([]byte, g.cfg.Flows*stride)
+		for f := 0; f < g.cfg.Flows; f++ {
+			frame := backing[f*stride : f*stride+n : f*stride+n]
+			t.write(frame, f)
+			g.frames[f*nSizes+s] = frame
 		}
 	}
+}
+
+// flowSpec describes flow f's frame of the given size: the configured
+// headers, with f folded into the low 16 bits of an IPv4 source address and
+// into the source port (the echo ID for ICMPv4).
+func flowSpec(cfg *Config, f, size int) packet.Spec {
+	src := cfg.SrcIP
+	if src.Is4() {
+		b := src.As4()
+		b[2] ^= byte(f >> 8)
+		b[3] ^= byte(f)
+		src = netip.AddrFrom4(b)
+	}
+	return packet.Spec{
+		SrcMAC: cfg.SrcMAC, DstMAC: cfg.DstMAC,
+		SrcIP: src, DstIP: cfg.DstIP,
+		Proto:   cfg.Proto,
+		SrcPort: uint16(1024 + f), DstPort: cfg.DstPort,
+		PadTo: size,
+	}
+}
+
+// flowTemplate is one size class's frame for flow 0, with the offsets of
+// the fields that differ between flows and the ones' complement sums of
+// the rest of each checksummed span, so write can produce any flow's frame
+// without packet.Build.
+type flowTemplate struct {
+	frame []byte
+	v4    bool // the source address varies (IPv4) and has a header checksum
+	udp   bool // a computed checksum of 0 is sent as 0xFFFF (RFC 768)
+	// addrInL4 is set when the L4 checksum covers the pseudo header (UDP,
+	// TCP), so the address change enters it too; ICMPv4's does not.
+	addrInL4 bool
+	// Offsets of the source address's bytes 2..3, the IPv4 header
+	// checksum, the source port (or echo ID) and the L4 checksum.
+	addr, ipCsum, port, l4Csum int
+	addr0                      uint16 // flow 0's source-address bytes 2..3
+	ipSum, l4Sum               uint32 // sums with the per-flow fields zeroed
+}
+
+func newFlowTemplate(cfg *Config, size int) flowTemplate {
+	const eth = 14
+	frame := packet.MustBuild(flowSpec(cfg, 0, size))
+	t := flowTemplate{
+		frame:    frame,
+		v4:       cfg.SrcIP.Is4(),
+		udp:      cfg.Proto == packet.IPProtocolUDP,
+		addrInL4: cfg.Proto != packet.IPProtocolICMPv4,
+	}
+	l4, src, dst := eth+40, eth+8, eth+24
+	if t.v4 {
+		l4, src, dst = eth+20, eth+12, eth+16
+		t.addr, t.ipCsum = src+2, eth+10
+		t.addr0 = binary.BigEndian.Uint16(frame[t.addr:])
+	}
+	t.port, t.l4Csum = l4, l4+6 // UDP
+	switch cfg.Proto {
+	case packet.IPProtocolTCP:
+		t.l4Csum = l4 + 16
+	case packet.IPProtocolICMPv4:
+		t.port, t.l4Csum = l4+4, l4+2
+	}
+
+	// packet.Checksum is the complement of the folded ones' complement
+	// sum; complemented back, it is a partial sum more words can join.
+	zeroed := append([]byte(nil), frame...)
+	for _, off := range []int{t.port, t.l4Csum} {
+		zeroed[off], zeroed[off+1] = 0, 0
+	}
+	if t.v4 {
+		for _, off := range []int{t.addr, t.ipCsum} {
+			zeroed[off], zeroed[off+1] = 0, 0
+		}
+		t.ipSum = uint32(^packet.Checksum(zeroed[eth:l4]))
+	}
+	if t.addrInL4 {
+		t.l4Sum = uint32(^packet.TransportChecksum(zeroed[l4:], zeroed[src:dst], zeroed[dst:l4], cfg.Proto))
+	} else {
+		t.l4Sum = uint32(^packet.Checksum(zeroed[l4:]))
+	}
+	return t
+}
+
+// write fills dst, len(t.frame) bytes, with flow f's frame.
+func (t *flowTemplate) write(dst []byte, f int) {
+	copy(dst, t.frame)
+	port := uint16(1024 + f)
+	binary.BigEndian.PutUint16(dst[t.port:], port)
+	l4 := t.l4Sum + uint32(port)
+	if t.v4 {
+		addr := t.addr0 ^ uint16(f)
+		binary.BigEndian.PutUint16(dst[t.addr:], addr)
+		binary.BigEndian.PutUint16(dst[t.ipCsum:], finishSum(t.ipSum+uint32(addr)))
+		if t.addrInL4 {
+			l4 += uint32(addr)
+		}
+	}
+	c := finishSum(l4)
+	if c == 0 && t.udp {
+		c = 0xffff
+	}
+	binary.BigEndian.PutUint16(dst[t.l4Csum:], c)
+}
+
+// finishSum folds a nonzero ones' complement sum to 16 bits and
+// complements it: the Internet checksum (RFC 1071) of the summed words.
+func finishSum(sum uint32) uint16 {
+	for sum > 0xffff {
+		sum = sum>>16 + sum&0xffff
+	}
+	return ^uint16(sum)
 }
 
 func (g *Generator) pickFrame() []byte {
@@ -206,7 +331,7 @@ func (g *Generator) pickFrame() []byte {
 
 // gap returns the next inter-arrival time.
 func (g *Generator) gap() netsim.Duration {
-	mean := float64(netsim.Second) / g.cfg.PPS
+	mean := g.mean
 	if g.cfg.Jitter > 0 {
 		mean = mean*(1-g.cfg.Jitter) + g.rng.ExpFloat64()*mean*g.cfg.Jitter
 	}
