@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzShardedVsRef' -fuzztime 10s ./internal/netsim > /dev/null
 	$(GO) test -fuzz 'FuzzQueueVsEvents' -fuzztime 10s ./internal/netsim > /dev/null
 	$(GO) test -fuzz 'FuzzFlowFramesVsBuild' -fuzztime 10s ./internal/trafficgen > /dev/null
+	$(GO) test -fuzz 'FuzzProgramPageVsRef' -fuzztime 10s ./internal/flash > /dev/null
 
 # fleet_ota at the paper's upper deployment scale, one million simulated
 # cables (≈7 s and 1.2 GB on the 2-vCPU reference host, so not in

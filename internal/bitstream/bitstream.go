@@ -42,7 +42,10 @@ const (
 	macSize    = sha256.Size
 	maxNameLen = 32
 	maxDevLen  = 16
-	maxPayload = 8 << 20 // fits any slot
+	// maxPayload bounds what Decode accepts. A flash slot (4 MiB) is the
+	// tighter limit on the store path; this one only keeps a corrupt
+	// length field from asking a reader for an absurd size.
+	maxPayload = 8 << 20
 	minEncoded = headerSize + crcSize
 )
 
@@ -117,6 +120,20 @@ func (b *Bitstream) Encode() ([]byte, error) {
 // HeaderSize is the length of the fixed encoded header.
 const HeaderSize = headerSize
 
+// MACSize is the length of the HMAC-SHA256 tag Sign appends.
+const MACSize = macSize
+
+// HeaderFlags returns the flag bits of an encoded header prefix without
+// validating anything else, or 0 when the prefix is shorter than a header.
+// Decode reports the same bits as Flags, so a header without FlagGolden
+// can never decode to a golden image.
+func HeaderFlags(header []byte) uint16 {
+	if len(header) < headerSize {
+		return 0
+	}
+	return binary.BigEndian.Uint16(header[6:8])
+}
+
 // EncodedLen inspects an encoded header prefix and returns the total
 // encoded length (header + payload + CRC trailer). ok is false when the
 // prefix cannot be a valid header (too short, bad magic or version, or an
@@ -169,7 +186,10 @@ func Check(encoded []byte) (appVersion uint32, err error) {
 	return binary.BigEndian.Uint32(encoded[40:44]), nil
 }
 
-// Decode parses and integrity-checks an encoded bitstream.
+// Decode parses and integrity-checks an encoded bitstream. The returned
+// Payload aliases data (a sub-slice capped at its own length, so appending
+// to it cannot reach the CRC trailer): a caller that changes data
+// afterwards, or changes Payload, must copy first.
 func Decode(data []byte) (*Bitstream, error) {
 	version, err := Check(data)
 	if err != nil {
@@ -183,7 +203,7 @@ func Decode(data []byte) (*Bitstream, error) {
 		Device:       cString(data[44:60]),
 		ClockKHz:     binary.BigEndian.Uint32(data[60:64]),
 		DatapathBits: binary.BigEndian.Uint16(data[64:66]),
-		Payload:      append([]byte(nil), data[headerSize:headerSize+plen]...),
+		Payload:      data[headerSize : headerSize+plen : headerSize+plen],
 	}
 	return b, nil
 }

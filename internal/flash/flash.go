@@ -9,6 +9,7 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -52,6 +53,14 @@ type Device struct {
 	Reads    uint64
 }
 
+// erased is one sector in the erased state, the source every fill copies.
+var erased = func() (s [SectorSize]byte) {
+	for i := range s {
+		s[i] = 0xff
+	}
+	return s
+}()
+
 // New returns a factory-fresh (all 0xFF) device.
 func New() *Device {
 	return &Device{
@@ -66,9 +75,7 @@ func (d *Device) sector(addr int) []byte {
 	s := d.sectors[i]
 	if s == nil {
 		s = make([]byte, SectorSize)
-		for j := range s {
-			s[j] = 0xff
-		}
+		copy(s, erased[:])
 		d.sectors[i] = s
 	}
 	return s
@@ -85,12 +92,9 @@ func (d *Device) readInto(out []byte, addr, n int) {
 			run = n
 		}
 		if s == nil {
-			for i := 0; i < run; i++ {
-				out[i] = 0xff
-			}
-		} else {
-			copy(out[:run], s[off:off+run])
+			s = erased[:]
 		}
+		copy(out[:run], s[off:off+run])
 		out = out[run:]
 		addr += run
 		n -= run
@@ -110,7 +114,9 @@ func (d *Device) Read(addr, n int) ([]byte, netsim.Duration, error) {
 }
 
 // EraseSector erases the sector containing addr (addr must be sector-
-// aligned) and returns the erase time.
+// aligned) and returns the erase time. A materialized sector is refilled
+// in place, since a store programs it again right after; a nil one stays
+// nil.
 func (d *Device) EraseSector(addr int) (netsim.Duration, error) {
 	if addr < 0 || addr >= SizeBytes {
 		return 0, fmt.Errorf("%w: erase at %d", ErrOutOfRange, addr)
@@ -118,7 +124,9 @@ func (d *Device) EraseSector(addr int) (netsim.Duration, error) {
 	if addr%SectorSize != 0 {
 		return 0, fmt.Errorf("%w: erase at %d", ErrBadAlignment, addr)
 	}
-	d.sectors[addr/SectorSize] = nil // back to the erased state
+	if s := d.sectors[addr/SectorSize]; s != nil {
+		copy(s, erased[:])
+	}
 	d.Erases++
 	return SectorEraseTime, nil
 }
@@ -137,18 +145,58 @@ func (d *Device) ProgramPage(addr int, data []byte) (netsim.Duration, error) {
 		return 0, fmt.Errorf("%w: program crosses page boundary at %d (+%d)", ErrBadAlignment, addr, len(data))
 	}
 	// A page never crosses a sector (SectorSize is a multiple of PageSize).
-	cells := d.sector(addr)
 	off := addr % SectorSize
-	for i, b := range data {
-		if cells[off+i]&b != b {
-			return 0, fmt.Errorf("%w: at %d", ErrNotErased, addr+i)
-		}
+	cells := d.sector(addr)[off : off+len(data)]
+	if i := firstNotErased(cells, data); i >= 0 {
+		return 0, fmt.Errorf("%w: at %d", ErrNotErased, addr+i)
 	}
-	for i, b := range data {
-		cells[off+i] &= b
+	// The whole page passed the check before any cell changes, so a page
+	// that fails it writes nothing.
+	i := 0
+	for ; len(data)-i >= 32; i += 32 {
+		c, b := cells[i:i+32], data[i:i+32]
+		and64(c[0:8], b[0:8])
+		and64(c[8:16], b[8:16])
+		and64(c[16:24], b[16:24])
+		and64(c[24:32], b[24:32])
+	}
+	for ; i < len(data); i++ {
+		cells[i] &= data[i]
 	}
 	d.Programs++
 	return PageProgramTime, nil
+}
+
+// firstNotErased returns the index of the first byte of data that would
+// program a 0 bit of cells (as long as data) back to 1, or -1 when every
+// byte can be programmed. It checks 32 bytes at a time as four words and
+// looks at single bytes only inside a block that fails, or in the tail.
+func firstNotErased(cells, data []byte) int {
+	i := 0
+	for ; len(data)-i >= 32; i += 32 {
+		c, b := cells[i:i+32], data[i:i+32]
+		if raised(c[0:8], b[0:8])|raised(c[8:16], b[8:16])|raised(c[16:24], b[16:24])|raised(c[24:32], b[24:32]) != 0 {
+			break
+		}
+	}
+	for ; i < len(data); i++ {
+		if cells[i]&data[i] != data[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// raised returns the bits programming the word d over the word c would
+// take from 0 back to 1.
+func raised(c, d []byte) uint64 {
+	w := binary.LittleEndian.Uint64(d)
+	return binary.LittleEndian.Uint64(c)&w ^ w
+}
+
+// and64 programs the word d into the word c.
+func and64(c, d []byte) {
+	binary.LittleEndian.PutUint64(c, binary.LittleEndian.Uint64(c)&binary.LittleEndian.Uint64(d))
 }
 
 // cellAt returns a pointer to the cell at addr, materializing its sector.

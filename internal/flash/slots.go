@@ -43,10 +43,24 @@ func (d *Device) StoreBitstream(i int, encoded []byte) (netsim.Duration, error) 
 	if len(encoded) > SlotSize {
 		return 0, fmt.Errorf("%w: %d > %d", ErrSlotTooSmall, len(encoded), SlotSize)
 	}
-	if cur, _, lerr := d.LoadBitstream(i); lerr == nil && cur.Golden() {
+	if d.goldenLocked(i, addr) {
 		return 0, fmt.Errorf("%w: slot %d", ErrGoldenLocked, i)
 	}
 	return d.WriteBlob(addr, encoded)
+}
+
+// goldenLocked reports whether slot i (at addr) holds a valid golden
+// image. Decode takes Flags from the header bytes, so a header without
+// FlagGolden settles it without reading or checking the image; only a
+// golden header pays for the full LoadBitstream.
+func (d *Device) goldenLocked(i, addr int) bool {
+	var hdr [bitstream.HeaderSize]byte
+	d.readInto(hdr[:], addr, len(hdr))
+	if bitstream.HeaderFlags(hdr[:])&bitstream.FlagGolden == 0 {
+		return false
+	}
+	cur, _, err := d.LoadBitstream(i)
+	return err == nil && cur.Golden()
 }
 
 // LoadBitstream reads and validates the bitstream in slot i, returning it

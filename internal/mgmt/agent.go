@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 
+	"flexsfp/internal/bitstream"
 	"flexsfp/internal/core"
+	"flexsfp/internal/flash"
 	"flexsfp/internal/ppe"
 	"flexsfp/internal/telemetry"
 )
@@ -24,7 +26,16 @@ type Agent struct {
 
 	mu   sync.Mutex
 	xfer *transfer
+	// spare is the buffer of the last committed transfer, handed to the
+	// next xfer-begin that fits in it: a re-push of a same-size image
+	// then allocates nothing. Commit returns it only after the module is
+	// done with the image.
+	spare []byte
 }
+
+// maxTransfer is the largest push that can ever commit: a full slot plus
+// the HMAC tag the module strips before storing.
+const maxTransfer = flash.SlotSize + bitstream.MACSize
 
 type transfer struct {
 	slot        int
@@ -426,12 +437,20 @@ func (a *Agent) xferBegin(body []byte) Message {
 	slot := int(r.u8())
 	reboot := r.u8() == 1
 	total := int(r.u32())
-	if r.err != nil || total <= 0 || total > 8<<20 {
+	if r.err != nil || total <= 0 || total > maxTransfer || slot >= flash.NumSlots {
 		return errMsg(CodeBadBody, "xfer-begin")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.xfer = &transfer{slot: slot, rebootAfter: reboot, buf: make([]byte, total)}
+	// A reused buffer still holds the old image, which is harmless:
+	// commit needs acked == total, and acked only advances over bytes a
+	// chunk of this transfer wrote.
+	buf := a.spare
+	a.spare = nil
+	if cap(buf) < total {
+		buf = make([]byte, total)
+	}
+	a.xfer = &transfer{slot: slot, rebootAfter: reboot, buf: buf[:total]}
 	return ok(nil)
 }
 
@@ -485,6 +504,7 @@ func (a *Agent) xferCommit() Message {
 	if x == nil {
 		return errMsg(CodeBadState, "no transfer in progress")
 	}
+	defer a.keepSpare(x.buf)
 	if x.acked < len(x.buf) {
 		return errMsg(CodeBadState,
 			fmt.Sprintf("transfer incomplete: %d of %d bytes", x.acked, len(x.buf)))
@@ -500,6 +520,14 @@ func (a *Agent) xferCommit() Message {
 	var w bodyWriter
 	w.u8(uint8(x.slot))
 	return ok(w.b)
+}
+
+// keepSpare makes buf, a transfer buffer nothing references any more, the
+// one the next xfer-begin reuses.
+func (a *Agent) keepSpare(buf []byte) {
+	a.mu.Lock()
+	a.spare = buf
+	a.mu.Unlock()
 }
 
 func (a *Agent) reboot(body []byte) Message {

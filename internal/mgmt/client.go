@@ -403,6 +403,10 @@ func (c *Client) Slots() ([]string, error) {
 // XferChunkSize is the OTA transfer chunk size.
 const XferChunkSize = 32 * 1024
 
+// xferChunkBody is the largest XferChunk body: the u32 offset, then the
+// data as a u16-length-prefixed byte string.
+const xferChunkBody = 4 + 2 + XferChunkSize
+
 // maxPushResumes bounds how many times one push re-syncs with the agent's
 // transfer FSM before giving up.
 const maxPushResumes = 8
@@ -448,12 +452,15 @@ func (c *Client) PushBitstream(signed []byte, slot int, rebootAfter bool) error 
 		return &PushError{Slot: slot, Stage: "begin", Err: err}
 	}
 	resumes := 0
+	// One chunk body buffer serves the whole push: do copies the body
+	// into the request message before sending it.
+	cw := bodyWriter{b: make([]byte, 0, xferChunkBody)}
 	for off := 0; off < len(signed); {
 		end := off + XferChunkSize
 		if end > len(signed) {
 			end = len(signed)
 		}
-		var cw bodyWriter
+		cw.b = cw.b[:0]
 		cw.u32(uint32(off))
 		cw.bytes(signed[off:end])
 		if _, err := c.do(MsgXferChunk, cw.b); err != nil {

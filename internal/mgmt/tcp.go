@@ -26,10 +26,10 @@ const maxFrame = MaxBody + 64
 const frameStep = 64 << 10
 
 // writeFrame puts the length prefix and msg into w and flushes them as
-// one write (a msg larger than w's buffer goes straight through after
-// the first buffer-full). The prefix is appended in w's own buffer, so
-// framing allocates nothing; a failed Write stays in w for Flush to
-// return.
+// one write when both fit in w's buffer; a larger msg goes straight
+// through after the first buffer-full, a second write. The prefix is
+// appended in w's own buffer, so framing allocates nothing; a failed
+// Write stays in w for Flush to return.
 func writeFrame(w *bufio.Writer, msg []byte) error {
 	w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(msg))))
 	w.Write(msg)
@@ -195,11 +195,17 @@ func Dial(addr string) (*TCPTransport, error) {
 	return t, nil
 }
 
+// clientWriteSize sizes a TCPTransport's write buffer to hold a whole
+// XferChunk frame, so an OTA chunk leaves in one write like every smaller
+// request (bufio flushes a buffered prefix separately from a body too
+// large to join it).
+const clientWriteSize = 4 + headerSize + xferChunkBody
+
 // attachLocked makes conn the transport's connection, with a new reader
 // and writer: nothing buffered for an earlier connection can leak into
 // its frames.
 func (t *TCPTransport) attachLocked(conn net.Conn) {
-	t.conn, t.r, t.w = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
+	t.conn, t.r, t.w = conn, bufio.NewReader(conn), bufio.NewWriterSize(conn, clientWriteSize)
 }
 
 // SetTimeout installs a per-request deadline covering the write and the

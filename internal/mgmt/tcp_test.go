@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -184,10 +185,11 @@ func (c *countingConn) counts() (int, []byte) {
 	return c.writes, append([]byte(nil), c.sent...)
 }
 
-// TestPingIsOneWriteEachWay pins the framing cost: a Ping is exactly one
-// Write from the client and one from the server, and the client's bytes
-// are the big-endian length followed by the encoded message.
-func TestPingIsOneWriteEachWay(t *testing.T) {
+// countWrites serves an agent over one end of a pipe, runs call with a
+// client on the other, and returns how many Writes each end made and the
+// bytes the client sent.
+func countWrites(t *testing.T, call func(*Client)) (cliWrites, srvWrites int, sent []byte) {
+	t.Helper()
 	_, a, _ := newAgentModule(t)
 	srvEnd, cliEnd := net.Pipe()
 	srvConn := &countingConn{Conn: srvEnd}
@@ -201,22 +203,54 @@ func TestPingIsOneWriteEachWay(t *testing.T) {
 	}()
 	tr := &TCPTransport{}
 	tr.attachLocked(cliConn)
-	if _, err := NewClient(tr).Ping(); err != nil {
-		t.Fatal(err)
-	}
+	call(NewClient(tr))
 	tr.Close()
 	<-done
+	cliWrites, sent = cliConn.counts()
+	srvWrites, _ = srvConn.counts()
+	return cliWrites, srvWrites, sent
+}
 
-	cliWrites, sent := cliConn.counts()
-	srvWrites, _ := srvConn.counts()
+// framed is msg as it goes on the wire: its big-endian length, then msg.
+func framed(msg []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(msg))), msg...)
+}
+
+// TestPingIsOneWriteEachWay pins the framing cost: a Ping is exactly one
+// Write from the client and one from the server, and the client's bytes
+// are the big-endian length followed by the encoded message.
+func TestPingIsOneWriteEachWay(t *testing.T) {
+	cliWrites, srvWrites, sent := countWrites(t, func(c *Client) {
+		if _, err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if cliWrites != 1 || srvWrites != 1 {
 		t.Errorf("writes per Ping: client %d, server %d; want 1 and 1", cliWrites, srvWrites)
 	}
-	msg := Message{Type: MsgPing, ReqID: 1}.Encode()
-	want := binary.BigEndian.AppendUint32(nil, uint32(len(msg)))
-	want = append(want, msg...)
-	if !bytes.Equal(sent, want) {
+	if want := framed(Message{Type: MsgPing, ReqID: 1}.Encode()); !bytes.Equal(sent, want) {
 		t.Errorf("client bytes = %x, want %x", sent, want)
+	}
+}
+
+// TestXferChunkIsOneWrite: a full-size OTA chunk leaves the client in
+// one Write too, with the same bytes as any other frame.
+func TestXferChunkIsOneWrite(t *testing.T) {
+	var body bodyWriter
+	body.u32(0)
+	body.bytes(bytes.Repeat([]byte{0xa5}, XferChunkSize))
+	cliWrites, _, sent := countWrites(t, func(c *Client) {
+		// No transfer was begun, so the agent refuses the chunk.
+		var re *RemoteError
+		if _, err := c.do(MsgXferChunk, body.b); !errors.As(err, &re) || re.Code != CodeBadState {
+			t.Errorf("chunk without begin: %v", err)
+		}
+	})
+	if cliWrites != 1 {
+		t.Errorf("writes per XferChunk: client %d, want 1", cliWrites)
+	}
+	if want := framed(Message{Type: MsgXferChunk, ReqID: 1, Body: body.b}.Encode()); !bytes.Equal(sent, want) {
+		t.Errorf("client sent %d B, want the %d B frame", len(sent), len(want))
 	}
 }
 

@@ -12,7 +12,7 @@ type Spec struct {
 	SrcMAC, DstMAC MAC
 	VLANs          []uint16 // outer to inner; >1 entry produces QinQ
 	SrcIP, DstIP   netip.Addr
-	Proto          IPProtocol // TCP, UDP or ICMPv4; default UDP
+	Proto          IPProtocol // TCP, UDP or ICMPv4 (IPv4 only); default UDP
 	SrcPort        uint16
 	DstPort        uint16
 	TTL            uint8 // default 64
@@ -87,6 +87,11 @@ func Build(s Spec) ([]byte, error) {
 		}
 		layers = append(layers, t)
 	case IPProtocolICMPv4:
+		if !src.Is4() {
+			// IPv6 carries ICMPv6 (next header 58, with a pseudo-header
+			// checksum), which the builder does not produce.
+			return nil, fmt.Errorf("%w: ICMPv4 over IPv6", ErrBadHeader)
+		}
 		*ipProtoSlot = IPProtocolICMPv4
 		layers = append(layers, &ICMPv4{Type: ICMPv4TypeEchoRequest, ID: s.SrcPort, Seq: s.DstPort})
 	default:

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,15 @@ func TestBuilderICMP(t *testing.T) {
 	}
 	if ic.(*ICMPv4).ID != 3 || ic.(*ICMPv4).Seq != 4 {
 		t.Errorf("icmp = %+v", ic)
+	}
+}
+
+// TestBuilderRejectsICMPv4OverIPv6: an IPv6 frame carrying ICMPv4 (next
+// header 1, no pseudo-header checksum) is one no stack accepts.
+func TestBuilderRejectsICMPv4OverIPv6(t *testing.T) {
+	_, err := Build(Spec{SrcMAC: macA, DstMAC: macB, SrcIP: ip61, DstIP: ip62, Proto: IPProtocolICMPv4})
+	if !errors.Is(err, ErrBadHeader) {
+		t.Errorf("ICMPv4 over IPv6: err = %v, want ErrBadHeader", err)
 	}
 }
 

@@ -55,11 +55,35 @@ func checkFramesMatchBuild(t *testing.T, cfg Config, stride int) {
 	}
 }
 
+// icmpOverIPv6 reports whether cfg asks for ICMPv4 inside IPv6, a frame
+// packet.Build rejects, so no generator can be built for it.
+func icmpOverIPv6(cfg *Config) bool {
+	return cfg.Proto == packet.IPProtocolICMPv4 && cfg.SrcIP.Is6()
+}
+
+// checkRejected checks that packet.Build refuses every size class of
+// cfg's last flow and that New panics rather than build the population.
+func checkRejected(t *testing.T, cfg Config) {
+	t.Helper()
+	for _, e := range cfg.Sizes {
+		if _, err := packet.Build(flowSpec(&cfg, cfg.Flows-1, e.Size)); err == nil {
+			t.Fatalf("size %d: packet.Build accepted ICMPv4 over IPv6", e.Size)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New built a generator for ICMPv4 over IPv6")
+		}
+	}()
+	flowFrames(cfg)
+}
+
 // TestFlowFramesMatchBuild is the differential wall for the template
 // path: every frame New writes equals what packet.Build makes of the same
 // flow, across both address families, every protocol the generator
 // builds, population sizes up to MaxFlows, and sizes from below the
-// header length to a full-size frame.
+// header length to a full-size frame. ICMPv4 over IPv6 is checked to be
+// refused instead.
 func TestFlowFramesMatchBuild(t *testing.T) {
 	// 20 is below every header length: the frame is headers only.
 	sizes := []IMIXEntry{{20, 1}, {64, 1}, {594, 1}, {1518, 1}}
@@ -76,6 +100,10 @@ func TestFlowFramesMatchBuild(t *testing.T) {
 				cfg := Config{Sizes: sizes, Flows: flows, SrcIP: fam.src, DstIP: fam.dst, DstPort: 443, Proto: proto}
 				t.Run(fmt.Sprintf("%s/%v/%d", fam.name, proto, flows), func(t *testing.T) {
 					t.Parallel()
+					if icmpOverIPv6(&cfg) {
+						checkRejected(t, cfg)
+						return
+					}
 					checkFramesMatchBuild(t, cfg, stride)
 				})
 			}
@@ -188,6 +216,12 @@ func FuzzFlowFramesVsBuild(f *testing.F) {
 			DstPort: dport, Proto: protos[int(proto)%len(protos)],
 		}
 		n := int(size) % 2048
+		if icmpOverIPv6(&cfg) {
+			if _, err := packet.Build(flowSpec(&cfg, int(flow), n)); err == nil {
+				t.Fatalf("packet.Build accepted ICMPv4 over IPv6: %+v", cfg)
+			}
+			return
+		}
 		tmpl := newFlowTemplate(&cfg, n)
 		got := make([]byte, len(tmpl.frame))
 		tmpl.write(got, int(flow))
