@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzShardedVsRef' -fuzztime 10s ./internal/netsim > /dev/null
 	$(GO) test -fuzz 'FuzzQueueVsEvents' -fuzztime 10s ./internal/netsim > /dev/null
 	$(GO) test -fuzz 'FuzzFlowFramesVsBuild' -fuzztime 10s ./internal/trafficgen > /dev/null
+	$(GO) test -fuzz 'FuzzZipfVsStdlib' -fuzztime 10s ./internal/trafficgen > /dev/null
 	$(GO) test -fuzz 'FuzzProgramPageVsRef' -fuzztime 10s ./internal/flash > /dev/null
 
 # fleet_ota at the paper's upper deployment scale, one million simulated

@@ -7,7 +7,7 @@ import (
 
 // Checksum implements the Internet checksum (RFC 1071) over data.
 func Checksum(data []byte) uint16 {
-	return finishChecksum(sumBytes(0, data))
+	return FinishChecksum(sumBytes(0, data))
 }
 
 // sumBytes adds data's big-endian 16-bit words (an odd last byte padded
@@ -15,7 +15,7 @@ func Checksum(data []byte) uint16 {
 // congruent to the word-by-word sum, not equal to it: 2^16 ≡ 1 in ones'
 // complement arithmetic, so a big-endian 64-bit word stands for the sum of
 // its four 16-bit words, and eight bytes go in per add with the carry
-// wrapped around. finishChecksum of either is the same 16 bits.
+// wrapped around. FinishChecksum of either is the same 16 bits.
 func sumBytes(sum uint32, data []byte) uint32 {
 	var acc, carry uint64
 	for len(data) >= 32 {
@@ -50,7 +50,10 @@ func sumBytes(sum uint32, data []byte) uint32 {
 	return sum + uint32(acc)
 }
 
-func finishChecksum(sum uint32) uint16 {
+// FinishChecksum folds a partial ones' complement sum to 16 bits and
+// complements it: the Internet checksum (RFC 1071) of the summed words.
+// It is the package's one fold; every checksum here ends in it.
+func FinishChecksum(sum uint32) uint16 {
 	for sum > 0xffff {
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
@@ -73,5 +76,5 @@ func pseudoHeaderSum(srcIP, dstIP []byte, proto IPProtocol, length int) uint32 {
 func TransportChecksum(segment, srcIP, dstIP []byte, proto IPProtocol) uint16 {
 	sum := pseudoHeaderSum(srcIP, dstIP, proto, len(segment))
 	sum = sumBytes(sum, segment)
-	return finishChecksum(sum)
+	return FinishChecksum(sum)
 }

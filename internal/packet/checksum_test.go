@@ -88,11 +88,11 @@ func sumBytesRef(sum uint32, data []byte) uint32 {
 }
 
 // checkSumBytes compares sumBytes with the oracle where callers can see a
-// difference: after finishChecksum, from any starting partial sum.
+// difference: after FinishChecksum, from any starting partial sum.
 func checkSumBytes(t *testing.T, start uint32, data []byte) {
 	t.Helper()
 	start &= 0xfffff // a pseudo-header sum: a handful of 16-bit words
-	if got, want := finishChecksum(sumBytes(start, data)), finishChecksum(sumBytesRef(start, data)); got != want {
+	if got, want := FinishChecksum(sumBytes(start, data)), FinishChecksum(sumBytesRef(start, data)); got != want {
 		t.Fatalf("len %d start %#x: checksum %#04x, oracle %#04x", len(data), start, got, want)
 	}
 }
@@ -128,7 +128,7 @@ func FuzzSumBytes(f *testing.F) {
 		}
 		checkSumBytes(t, start, data[off:])
 		src, dst := []byte{10, 0, 0, 1}, []byte{10, 0, 0, 2}
-		want := finishChecksum(sumBytesRef(pseudoHeaderSum(src, dst, IPProtocolUDP, len(data)), data))
+		want := FinishChecksum(sumBytesRef(pseudoHeaderSum(src, dst, IPProtocolUDP, len(data)), data))
 		if got := TransportChecksum(data, src, dst, IPProtocolUDP); got != want {
 			t.Fatalf("TransportChecksum %#04x, oracle %#04x", got, want)
 		}
@@ -145,3 +145,19 @@ func BenchmarkChecksum1500(b *testing.B) {
 }
 
 var sinkSum uint16
+
+// TestFinishChecksumFoldsTwice: a sum of three 16-bit words can reach
+// 0x2FFFD, and some totals (0x1FFFF) need a second fold.
+func TestFinishChecksumFoldsTwice(t *testing.T) {
+	for _, words := range [][3]uint16{{0xffff, 0xffff, 1}, {0xffff, 0xffff, 0xffff}, {0x8000, 0x8000, 0}, {1, 0, 0}} {
+		var b [6]byte
+		var sum uint32
+		for i, w := range words {
+			binary.BigEndian.PutUint16(b[2*i:], w)
+			sum += uint32(w)
+		}
+		if got, want := FinishChecksum(sum), Checksum(b[:]); got != want {
+			t.Errorf("FinishChecksum(%#x) = %#04x, Checksum = %#04x", sum, got, want)
+		}
+	}
+}

@@ -219,11 +219,7 @@ func CsumUpdate16(data []byte, at int, old16, new16 uint16) {
 	if stored == 0 {
 		return
 	}
-	sum := uint32(^stored) + uint32(^old16) + uint32(new16)
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	binary.BigEndian.PutUint16(data[at:], ^uint16(sum))
+	binary.BigEndian.PutUint16(data[at:], FinishChecksum(uint32(^stored)+uint32(^old16)+uint32(new16)))
 }
 
 // CsumUpdate32 folds a 4-byte field replacement into a checksum.

@@ -53,9 +53,32 @@ func BenchmarkGenerateIMIX(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateChurn measures emission for the NAT churn workload's
+// population: 16 384 Zipf(1.1) flows with the 7:4:1 size mix, so every
+// frame takes a Zipf draw, a size draw and a head-plus-tail copy.
+func BenchmarkGenerateChurn(b *testing.B) {
+	sim := netsim.New(1)
+	var got uint64
+	g := New(sim, Config{
+		PPS: 10e6, Sizes: SimpleIMIX(), Flows: 16384, ZipfS: 1.1,
+		SrcMAC: gMacA, DstMAC: gMacB,
+	}, func(buf []byte) bool {
+		got += uint64(len(buf))
+		packet.PutBuffer(buf)
+		return true
+	})
+	b.ReportAllocs()
+	g.Run(uint64(b.N))
+	b.ResetTimer()
+	sim.Run()
+	if got == 0 {
+		b.Fatal("no frames")
+	}
+}
+
 // BenchmarkNewFlows measures building a 16 384-flow Zipf population with
 // the 7:4:1 size mix, the generator of the NAT churn workload: 49 152
-// frames, written from three templates.
+// heads, written from three templates.
 func BenchmarkNewFlows(b *testing.B) {
 	sim := netsim.New(1)
 	cfg := Config{

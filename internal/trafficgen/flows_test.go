@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
@@ -22,37 +21,74 @@ var (
 	gDst6 = netip.MustParseAddr("2001:db8::2:0:1")
 )
 
-// flowFrames builds a generator for cfg and returns its frame table.
-func flowFrames(cfg Config) [][]byte {
+// sourceFunc is a rand.Source that calls itself for every value.
+type sourceFunc func() int64
+
+func (f sourceFunc) Int63() int64 { return f() }
+func (sourceFunc) Seed(int64)     {}
+
+// emitEach runs cfg's generator for n frames and hands each emitted frame
+// to check. The generator's draws are scripted so that frame i is flow
+// and size class pick(i); cfg must draw flows uniformly, without jitter,
+// and give every size class weight 1.
+func emitEach(t *testing.T, cfg Config, n int, pick func(i int) (flow, size int), check func(flow, size int, frame []byte)) {
+	t.Helper()
+	var (
+		i     int
+		draws []int64
+	)
 	cfg.PPS = 1e6
-	return New(netsim.New(1), cfg, func([]byte) bool { return true }).frames
+	// For m < 2^31, rand.Intn(m) returns Int63()>>32 itself when it is
+	// below m.
+	cfg.Rand = rand.New(sourceFunc(func() int64 {
+		if len(draws) == 0 {
+			f, s := pick(i)
+			if cfg.Flows > 1 {
+				draws = append(draws, int64(f)<<32)
+			}
+			if len(cfg.Sizes) > 1 {
+				draws = append(draws, int64(s)<<32)
+			}
+		}
+		v := draws[0]
+		draws = draws[1:]
+		return v
+	}))
+	sim := netsim.New(1)
+	g := New(sim, cfg, func(frame []byte) bool {
+		f, s := pick(i)
+		i++
+		check(f, s, frame)
+		packet.PutBuffer(frame)
+		return true
+	})
+	g.Run(uint64(n))
+	sim.Run()
+	if i != n {
+		t.Fatalf("%d frames emitted, want %d", i, n)
+	}
 }
 
-// checkFramesMatchBuild compares every (flow, size) frame of cfg's
-// generator with packet.MustBuild of that flow's spec, and checks that
-// every frame starts on a 64-byte boundary. Only every stride-th flow (and
-// the last) is compared.
+// checkFramesMatchBuild compares every (flow, size) frame cfg's generator
+// emits with packet.MustBuild of that flow's spec. Only every stride-th
+// flow (and the last) is emitted.
 func checkFramesMatchBuild(t *testing.T, cfg Config, stride int) {
 	t.Helper()
 	cfg.SrcMAC, cfg.DstMAC = gMacA, gMacB
-	frames := flowFrames(cfg)
-	if len(frames) != cfg.Flows*len(cfg.Sizes) {
-		t.Fatalf("%d frames, want %d", len(frames), cfg.Flows*len(cfg.Sizes))
+	var flows []int
+	for f := 0; f < cfg.Flows; f += stride {
+		flows = append(flows, f)
 	}
-	for f := 0; f < cfg.Flows; f++ {
-		if f%stride != 0 && f != cfg.Flows-1 {
-			continue
-		}
-		for s, e := range cfg.Sizes {
-			got := frames[f*len(cfg.Sizes)+s]
-			if want := packet.MustBuild(flowSpec(&cfg, f, e.Size)); !bytes.Equal(got, want) {
-				t.Fatalf("flow %d size %d:\n got %x\nwant %x", f, e.Size, got, want)
-			}
-			if addr := uintptr(unsafe.Pointer(unsafe.SliceData(got))); addr%64 != 0 {
-				t.Fatalf("flow %d size %d: frame at %#x, not on a 64-byte boundary", f, e.Size, addr)
-			}
-		}
+	if flows[len(flows)-1] != cfg.Flows-1 {
+		flows = append(flows, cfg.Flows-1)
 	}
+	nSizes := len(cfg.Sizes)
+	pick := func(i int) (int, int) { return flows[i/nSizes], i % nSizes }
+	emitEach(t, cfg, len(flows)*nSizes, pick, func(f, s int, got []byte) {
+		if want := packet.MustBuild(flowSpec(&cfg, f, cfg.Sizes[s].Size)); !bytes.Equal(got, want) {
+			t.Fatalf("flow %d size %d:\n got %x\nwant %x", f, cfg.Sizes[s].Size, got, want)
+		}
+	})
 }
 
 // icmpOverIPv6 reports whether cfg asks for ICMPv4 inside IPv6, a frame
@@ -75,15 +111,17 @@ func checkRejected(t *testing.T, cfg Config) {
 			t.Error("New built a generator for ICMPv4 over IPv6")
 		}
 	}()
-	flowFrames(cfg)
+	cfg.PPS = 1e6
+	New(netsim.New(1), cfg, func([]byte) bool { return true })
 }
 
 // TestFlowFramesMatchBuild is the differential wall for the template
-// path: every frame New writes equals what packet.Build makes of the same
-// flow, across both address families, every protocol the generator
-// builds, population sizes up to MaxFlows, and sizes from below the
-// header length to a full-size frame. ICMPv4 over IPv6 is checked to be
-// refused instead.
+// path: every frame the generator emits, a flow's head and its size
+// class's tail, equals what packet.Build makes of the same flow, across
+// both address families, every protocol the generator builds, population
+// sizes up to MaxFlows, and sizes from below the header length to a
+// full-size frame. IPv6 × TCP puts its L4 checksum past byte 64. ICMPv4
+// over IPv6 is checked to be refused instead.
 func TestFlowFramesMatchBuild(t *testing.T) {
 	// 20 is below every header length: the frame is headers only.
 	sizes := []IMIXEntry{{20, 1}, {64, 1}, {594, 1}, {1518, 1}}
@@ -128,28 +166,13 @@ func TestFlowFramesMatchBuild(t *testing.T) {
 	})
 }
 
-// TestFinishSumMatchesChecksum: write adds up to three 16-bit partial
-// sums, and some totals (0x1FFFF) need a second fold.
-func TestFinishSumMatchesChecksum(t *testing.T) {
-	for _, words := range [][3]uint16{{0xffff, 0xffff, 1}, {0xffff, 0xffff, 0xffff}, {0x8000, 0x8000, 0}, {1, 0, 0}} {
-		var b [6]byte
-		var sum uint32
-		for i, w := range words {
-			binary.BigEndian.PutUint16(b[2*i:], w)
-			sum += uint32(w)
-		}
-		if got, want := finishSum(sum), packet.Checksum(b[:]); got != want {
-			t.Errorf("finishSum(%#x) = %#04x, packet.Checksum = %#04x", sum, got, want)
-		}
-	}
-}
-
 // TestFlowsAtMaxAreDistinct: every flow of a full population has its own
 // (source address, source port) pair, and one flow more panics.
 func TestFlowsAtMaxAreDistinct(t *testing.T) {
 	seen := make(map[[6]byte]bool, MaxFlows)
 	var v packet.View
-	for _, frame := range flowFrames(Config{Flows: MaxFlows}) {
+	pick := func(i int) (int, int) { return i, 0 }
+	emitEach(t, Config{Flows: MaxFlows}, MaxFlows, pick, func(_, _ int, frame []byte) {
 		if !v.Parse(frame) {
 			t.Fatal("generator frame does not parse")
 		}
@@ -157,7 +180,7 @@ func TestFlowsAtMaxAreDistinct(t *testing.T) {
 		copy(key[:4], frame[v.L3Off+12:v.L3Off+16])
 		binary.BigEndian.PutUint16(key[4:], v.SrcPort)
 		seen[key] = true
-	}
+	})
 	if len(seen) != MaxFlows {
 		t.Errorf("%d distinct (source address, source port) pairs, want %d", len(seen), MaxFlows)
 	}
@@ -167,13 +190,13 @@ func TestFlowsAtMaxAreDistinct(t *testing.T) {
 			t.Error("New accepted Flows = MaxFlows+1")
 		}
 	}()
-	flowFrames(Config{Flows: MaxFlows + 1})
+	New(netsim.New(1), Config{PPS: 1e6, Flows: MaxFlows + 1}, func([]byte) bool { return true })
 }
 
 // TestNewAllocsIndependentOfFlows pins the template path's allocation
 // count: building a flow population costs the same number of objects at
-// any size, one backing array per size class. The collector is off while
-// it counts: a cycle that starts during New allocates objects of its own.
+// any size, one head array per size class. The collector is off while it
+// counts: a cycle that starts during New allocates objects of its own.
 func TestNewAllocsIndependentOfFlows(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(flows int) float64 {
@@ -189,8 +212,26 @@ func TestNewAllocsIndependentOfFlows(t *testing.T) {
 	}
 }
 
-// FuzzFlowFramesVsBuild checks one flow's frame written from its size
-// class's template against packet.Build of that flow's spec.
+// TestNewPopulationUnder4MiB pins the population's memory: the NAT churn
+// workload's generator, 16 384 Zipf flows with the 7:4:1 size mix, keeps
+// one 64-byte head per flow and size class, 3 MiB, where full frames
+// would take 36 MiB. No other test in the package runs alongside, so
+// the process-wide byte count is New's own.
+func TestNewPopulationUnder4MiB(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sim := netsim.New(1)
+	cfg := Config{PPS: 1e6, Sizes: SimpleIMIX(), Flows: 16384, ZipfS: 1.1, SrcMAC: gMacA, DstMAC: gMacB, Rand: rand.New(rand.NewSource(1))}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	New(sim, cfg, func([]byte) bool { return true })
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Errorf("New allocates %d bytes for 16384 flows × 3 size classes, want under 4 MiB", got)
+	}
+}
+
+// FuzzFlowFramesVsBuild checks the frame the generator emits for one flow
+// against packet.Build of that flow's spec.
 func FuzzFlowFramesVsBuild(f *testing.F) {
 	// Flow 7 of this configuration has a UDP checksum that computes to 0
 	// (see TestFlowFramesMatchBuild).
@@ -215,6 +256,9 @@ func FuzzFlowFramesVsBuild(f *testing.F) {
 			SrcIP: addr(srcHi, srcLo), DstIP: addr(dstHi, dstLo),
 			DstPort: dport, Proto: protos[int(proto)%len(protos)],
 		}
+		if cfg.DstPort == 0 {
+			cfg.DstPort = 80 // what New makes of 0
+		}
 		n := int(size) % 2048
 		if icmpOverIPv6(&cfg) {
 			if _, err := packet.Build(flowSpec(&cfg, int(flow), n)); err == nil {
@@ -222,9 +266,10 @@ func FuzzFlowFramesVsBuild(f *testing.F) {
 			}
 			return
 		}
-		tmpl := newFlowTemplate(&cfg, n)
-		got := make([]byte, len(tmpl.frame))
-		tmpl.write(got, int(flow))
+		cfg.Sizes, cfg.Flows = []IMIXEntry{{n, 1}}, int(flow)+1
+		var got []byte
+		pick := func(int) (int, int) { return int(flow), 0 }
+		emitEach(t, cfg, 1, pick, func(_, _ int, frame []byte) { got = append(got, frame...) })
 		if want := packet.MustBuild(flowSpec(&cfg, int(flow), n)); !bytes.Equal(got, want) {
 			t.Fatalf("flow %d of %+v:\n got %x\nwant %x", flow, cfg, got, want)
 		}

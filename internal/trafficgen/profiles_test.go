@@ -152,10 +152,7 @@ func TestProfileEmissionZeroAlloc(t *testing.T) {
 		sim := netsim.New(1)
 		g := newProfile(t, sim, p, Config{PPS: 1e6}, func(b []byte) bool { return true })
 		allocs := testing.AllocsPerRun(500, func() {
-			frame := g.pickFrame()
-			buf := packet.GetBuffer(len(frame))
-			copy(buf, frame)
-			packet.PutBuffer(buf)
+			packet.PutBuffer(g.nextFrame())
 		})
 		if allocs != 0 {
 			t.Errorf("%s: emission path allocates %.1f/op", p, allocs)

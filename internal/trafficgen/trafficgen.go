@@ -8,6 +8,7 @@ package trafficgen
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"net/netip"
 
@@ -40,7 +41,10 @@ type Config struct {
 	// Flows is the number of distinct 5-tuples, at most MaxFlows; source
 	// ports (and the low 16 bits of an IPv4 source address) vary per flow.
 	Flows int
-	// ZipfS skews flow popularity (0 = uniform; 1.2 = heavy head).
+	// ZipfS skews flow popularity (0 = uniform; 1.2 = heavy head): flow k
+	// is drawn with probability proportional to (1+k)^-(1+ZipfS). It must
+	// be finite; a value at or below 0, or one so small that 1+ZipfS == 1,
+	// draws flows uniformly.
 	ZipfS float64
 	// Jitter adds exponential inter-arrival noise with the given
 	// fraction of the mean gap (0 = strictly paced).
@@ -84,17 +88,15 @@ type Generator struct {
 	rng  *rand.Rand
 	sink func([]byte) bool
 
-	// frames holds the pre-built frames. In synthetic mode flow f's frame
-	// of size class s is frames[f*len(cfg.Sizes)+s]; a size class's frames
-	// share one backing array, each on a 64-byte boundary. In template
-	// mode they are the configured templates.
-	frames    [][]byte
+	// classes holds the pre-built frames: one per size class in synthetic
+	// mode, one per configured template in template mode.
+	classes   []frameClass
 	mean      float64 // mean inter-arrival time in ns, 1e9/PPS
 	sizeEdges []int   // cumulative weights
 	sizeTotal int
 	tmplEdges []int // cumulative template weights (template mode)
 	tmplTotal int
-	zipf      *rand.Zipf
+	zipf      *zipf
 
 	Sent    uint64
 	Refused uint64 // sink returned false (downstream drop; the frame was released)
@@ -106,21 +108,36 @@ type Generator struct {
 	stopped bool
 }
 
-// New builds a generator. It panics when PPS is not positive or Flows
-// exceeds MaxFlows.
+// frameClass holds the frames of one size class, or one template. Flow
+// f's frame is frame with its first headLen bytes replaced by the flow's
+// head, heads[f*headLen:(f+1)*headLen]. Every field that tells two flows
+// apart lies in the head, so the rest of frame is every flow's tail. A
+// template has one flow, whose head is the whole frame.
+type frameClass struct {
+	frame   []byte
+	heads   []byte
+	headLen int
+}
+
+// New builds a generator. It panics when PPS is not positive and finite,
+// ZipfS is not finite, or Flows exceeds MaxFlows.
 //
-// In synthetic mode New pre-builds every (flow, size) frame. Each emitted
-// frame is byte-identical to packet.Build of that flow's spec (flowSpec),
-// but New calls packet.Build once per size class only, for flow 0, and
-// writes the other flows' frames from that template (flowTemplate).
+// In synthetic mode New pre-builds every (flow, size) frame's head. Each
+// emitted frame is byte-identical to packet.Build of that flow's spec
+// (flowSpec), but New calls packet.Build once per size class only, for
+// flow 0, and writes the other flows' heads from that template
+// (flowTemplate).
 //
 // Every frame is a fresh packet.GetBuffer copy of its template, handed to
 // sink: a sink that returns true owns the frame from then on (see
 // packet.PutBuffer); one that returns false refused it and must not keep
 // it, and the generator releases it.
 func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
-	if cfg.PPS <= 0 {
-		panic("trafficgen: PPS must be positive")
+	if !(cfg.PPS > 0) || math.IsInf(cfg.PPS, 1) {
+		panic("trafficgen: PPS must be positive and finite")
+	}
+	if math.IsNaN(cfg.ZipfS) || math.IsInf(cfg.ZipfS, 0) {
+		panic("trafficgen: ZipfS must be finite")
 	}
 	if cfg.Flows > MaxFlows {
 		panic("trafficgen: Flows must be at most MaxFlows (65536), one per 16-bit source port")
@@ -153,7 +170,7 @@ func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 			if wf.Weight <= 0 || len(wf.Frame) == 0 {
 				panic("trafficgen: template frames need content and positive weight")
 			}
-			g.frames = append(g.frames, wf.Frame)
+			g.classes = append(g.classes, frameClass{frame: wf.Frame, heads: wf.Frame, headLen: len(wf.Frame)})
 			g.tmplTotal += wf.Weight
 			g.tmplEdges = append(g.tmplEdges, g.tmplTotal)
 		}
@@ -164,27 +181,25 @@ func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 		g.sizeEdges = append(g.sizeEdges, g.sizeTotal)
 	}
 	if cfg.ZipfS > 0 && cfg.Flows > 1 {
-		g.zipf = rand.NewZipf(g.rng, cfg.ZipfS+1, 1, uint64(cfg.Flows-1))
+		g.zipf = newZipf(g.rng, cfg.ZipfS+1, 1, uint64(cfg.Flows-1))
 	}
 	g.prebuild()
 	return g
 }
 
-// prebuild materializes one frame per flow and size class; emission then
-// just picks a template (allocation-free hot path).
+// prebuild writes every flow's head for each size class, in one backing
+// array per class; emission then copies a head and the class's tail
+// (allocation-free hot path).
 func (g *Generator) prebuild() {
-	nSizes := len(g.cfg.Sizes)
-	g.frames = make([][]byte, g.cfg.Flows*nSizes)
+	g.classes = make([]frameClass, len(g.cfg.Sizes))
 	for s, e := range g.cfg.Sizes {
 		t := newFlowTemplate(&g.cfg, e.Size)
-		n := len(t.frame)
-		stride := (n + 63) &^ 63
-		backing := make([]byte, g.cfg.Flows*stride)
+		n := t.headLen
+		heads := make([]byte, g.cfg.Flows*n)
 		for f := 0; f < g.cfg.Flows; f++ {
-			frame := backing[f*stride : f*stride+n : f*stride+n]
-			t.write(frame, f)
-			g.frames[f*nSizes+s] = frame
+			t.write(heads[f*n:(f+1)*n], f)
 		}
+		g.classes[s] = frameClass{frame: t.frame, heads: heads, headLen: n}
 	}
 }
 
@@ -210,12 +225,15 @@ func flowSpec(cfg *Config, f, size int) packet.Spec {
 
 // flowTemplate is one size class's frame for flow 0, with the offsets of
 // the fields that differ between flows and the ones' complement sums of
-// the rest of each checksummed span, so write can produce any flow's frame
+// the rest of each checksummed span, so write can produce any flow's head
 // without packet.Build.
 type flowTemplate struct {
 	frame []byte
-	v4    bool // the source address varies (IPv4) and has a header checksum
-	udp   bool // a computed checksum of 0 is sent as 0xFFFF (RFC 768)
+	// headLen is the length of a flow's head: the frame up to its last
+	// per-flow field, rounded up to 64 bytes and capped at the frame.
+	headLen int
+	v4      bool // the source address varies (IPv4) and has a header checksum
+	udp     bool // a computed checksum of 0 is sent as 0xFFFF (RFC 768)
 	// addrInL4 is set when the L4 checksum covers the pseudo header (UDP,
 	// TCP), so the address change enters it too; ICMPv4's does not.
 	addrInL4 bool
@@ -248,6 +266,8 @@ func newFlowTemplate(cfg *Config, size int) flowTemplate {
 	case packet.IPProtocolICMPv4:
 		t.port, t.l4Csum = l4+4, l4+2
 	}
+	last := max(t.addr, t.ipCsum, t.port, t.l4Csum) + 2
+	t.headLen = min(len(frame), (last+63)&^63)
 
 	// packet.Checksum is the complement of the folded ones' complement
 	// sum; complemented back, it is a partial sum more words can join.
@@ -269,7 +289,8 @@ func newFlowTemplate(cfg *Config, size int) flowTemplate {
 	return t
 }
 
-// write fills dst, len(t.frame) bytes, with flow f's frame.
+// write fills dst, at least t.headLen and at most len(t.frame) bytes,
+// with the start of flow f's frame.
 func (t *flowTemplate) write(dst []byte, f int) {
 	copy(dst, t.frame)
 	port := uint16(1024 + f)
@@ -278,55 +299,55 @@ func (t *flowTemplate) write(dst []byte, f int) {
 	if t.v4 {
 		addr := t.addr0 ^ uint16(f)
 		binary.BigEndian.PutUint16(dst[t.addr:], addr)
-		binary.BigEndian.PutUint16(dst[t.ipCsum:], finishSum(t.ipSum+uint32(addr)))
+		binary.BigEndian.PutUint16(dst[t.ipCsum:], packet.FinishChecksum(t.ipSum+uint32(addr)))
 		if t.addrInL4 {
 			l4 += uint32(addr)
 		}
 	}
-	c := finishSum(l4)
+	c := packet.FinishChecksum(l4)
 	if c == 0 && t.udp {
 		c = 0xffff
 	}
 	binary.BigEndian.PutUint16(dst[t.l4Csum:], c)
 }
 
-// finishSum folds a nonzero ones' complement sum to 16 bits and
-// complements it: the Internet checksum (RFC 1071) of the summed words.
-func finishSum(sum uint32) uint16 {
-	for sum > 0xffff {
-		sum = sum>>16 + sum&0xffff
+// nextFrame draws the next frame and returns it in a fresh pool buffer.
+func (g *Generator) nextFrame() []byte {
+	var c *frameClass
+	flow := 0
+	if g.tmplTotal > 0 {
+		c = &g.classes[pickEdge(g.tmplEdges, g.rng.Intn(g.tmplTotal))]
+	} else {
+		if g.cfg.Flows > 1 {
+			if g.zipf != nil {
+				flow = int(g.zipf.Uint64())
+			} else {
+				flow = g.rng.Intn(g.cfg.Flows)
+			}
+		}
+		size := 0
+		if len(g.classes) > 1 {
+			size = pickEdge(g.sizeEdges, g.rng.Intn(g.sizeTotal))
+		}
+		c = &g.classes[size]
 	}
-	return ^uint16(sum)
+	head := c.heads[flow*c.headLen:][:c.headLen]
+	buf := packet.GetBuffer(len(c.frame))
+	copy(buf, head)
+	if n := len(head); n < len(buf) {
+		copy(buf[n:], c.frame[n:])
+	}
+	return buf
 }
 
-func (g *Generator) pickFrame() []byte {
-	if g.tmplTotal > 0 {
-		w := g.rng.Intn(g.tmplTotal)
-		for i, edge := range g.tmplEdges {
-			if w < edge {
-				return g.frames[i]
-			}
+// pickEdge returns the index of the first cumulative weight above w.
+func pickEdge(edges []int, w int) int {
+	for i, edge := range edges {
+		if w < edge {
+			return i
 		}
 	}
-	flow := 0
-	if g.cfg.Flows > 1 {
-		if g.zipf != nil {
-			flow = int(g.zipf.Uint64())
-		} else {
-			flow = g.rng.Intn(g.cfg.Flows)
-		}
-	}
-	size := 0
-	if len(g.cfg.Sizes) > 1 {
-		w := g.rng.Intn(g.sizeTotal)
-		for i, edge := range g.sizeEdges {
-			if w < edge {
-				size = i
-				break
-			}
-		}
-	}
-	return g.frames[flow*len(g.cfg.Sizes)+size]
+	return 0
 }
 
 // gap returns the next inter-arrival time.
@@ -349,9 +370,7 @@ func (g *Generator) Run(count uint64) {
 		if g.stopped || (count > 0 && g.Sent >= count) {
 			return
 		}
-		frame := g.pickFrame()
-		buf := packet.GetBuffer(len(frame))
-		copy(buf, frame)
+		buf := g.nextFrame()
 		if tr := g.tracer; tr != nil {
 			id, _ := tr.Sample()
 			if id != 0 {

@@ -2,6 +2,7 @@ package trafficgen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"flexsfp/internal/netsim"
@@ -173,4 +174,49 @@ func TestGeneratorCopiesFrames(t *testing.T) {
 	})
 	g.Run(10)
 	sim.Run()
+}
+
+// TestNewRejectsNonFiniteRates: a non-finite PPS would pace one frame per
+// simulated ns, and ZipfS = +Inf sends rand.Zipf's rejection loop round
+// forever on the first draw, so New refuses both, like a PPS of 0.
+func TestNewRejectsNonFiniteRates(t *testing.T) {
+	for _, cfg := range []Config{
+		{PPS: math.NaN()},
+		{PPS: math.Inf(1)},
+		{PPS: 1e6, Flows: 64, ZipfS: math.Inf(1)},
+		{PPS: 1e6, Flows: 64, ZipfS: math.Inf(-1)},
+		{PPS: 1e6, Flows: 64, ZipfS: math.NaN()},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted PPS %v, ZipfS %v", cfg.PPS, cfg.ZipfS)
+				}
+			}()
+			New(netsim.New(1), cfg, func([]byte) bool { return true })
+		}()
+	}
+}
+
+// TestTinyZipfSIsUniform: a ZipfS so small that 1+ZipfS == 1 draws flows
+// as ZipfS = 0 does, from the same stream.
+func TestTinyZipfSIsUniform(t *testing.T) {
+	ports := func(zipfS float64) []uint16 {
+		var out []uint16
+		var v packet.View
+		g := New(netsim.New(3), Config{PPS: 1e6, Flows: 64, ZipfS: zipfS}, func(b []byte) bool {
+			if !v.Parse(b) {
+				t.Fatal("generator frame does not parse")
+			}
+			out = append(out, v.SrcPort)
+			packet.PutBuffer(b)
+			return true
+		})
+		g.Run(200)
+		g.sim.Run()
+		return out
+	}
+	if tiny, zero := ports(1e-17), ports(0); !slices.Equal(tiny, zero) {
+		t.Errorf("ZipfS 1e-17 draws %v, ZipfS 0 draws %v", tiny[:8], zero[:8])
+	}
 }
