@@ -31,7 +31,6 @@ var exportKeep = map[string]string{
 	"packet.IPProtocolICMPv6": "protocol constant: the IANA protocol number beside its siblings",
 
 	"mgmt.PushError.Unwrap":      "called by errors.Is/As, never by name",
-	"runner.Source.Int63":        "implements math/rand.Source; rand.Rand calls it",
 	"runner.Source.Seed":         "implements math/rand.Source; rand.Rand calls it",
 	"fpga.Resources.String":      "fmt.Stringer: SmallestFitting's error formats a Resources with %v",
 	"netsim.ShardedStats.String": "fmt.Stringer: the sharded experiments' progress lines format it with %v",

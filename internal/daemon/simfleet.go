@@ -16,11 +16,13 @@ import (
 // SimMember is a lightweight in-memory FleetMember for fleet-scale
 // simulation: no TCP, no flash device, no netsim event loop — just the
 // A/B slot state machine, signature verification, and a per-member fault
-// injector driving the chaos a real OTA wave would see. A member costs
-// ≈570 B to build (measured: the struct with its config, four slots, the
-// name, the injector and its 8-byte lane stream; the images are shared), so
-// 100k of them are ≈57 MB and 1M ≈570 MB, which is what lets the fleet_ota
-// experiment exercise the controller at the paper's deployment scale.
+// injector driving the chaos a real OTA wave would see. A member is one
+// flat value: the injector (with its 8-byte lane stream) is embedded, and
+// the config and images are shared by the fleet. It costs ≈390 B to build
+// (measured: the struct, four slots and the name) and no allocation of
+// its own, so 100k of them are ≈39 MB and 1M ≈390 MB, which is what lets
+// the fleet_ota experiment exercise the controller at the paper's
+// deployment scale.
 //
 // A SimMember is driven by exactly one shard worker at a time (the
 // FleetMember contract), so it carries no locks; its randomness comes
@@ -28,8 +30,8 @@ import (
 // pure function of the root seed.
 type SimMember struct {
 	name string
-	inj  *faults.Injector
-	cfg  SimMemberConfig
+	inj  faults.Injector
+	cfg  *SimMemberConfig // shared by the fleet; never written
 
 	// slots[i] holds slot i's signed image; a power-cut slot keeps its
 	// bytes but is marked unbootable.
@@ -89,10 +91,10 @@ type SimMemberConfig struct {
 	LateWedgeProb float64
 }
 
-// init sets up a zero member over the caller's slot array. It takes
-// goodImage's already-verified version, so a fleet that shares one image
-// verifies it once, not once per member.
-func (m *SimMember) init(name string, inj *faults.Injector, cfg SimMemberConfig, slots []simSlot, startSlot int, goodImage []byte, version uint32) {
+// init sets up a zero member over the caller's slot array and config. It
+// takes goodImage's already-verified version, so a fleet that shares one
+// image verifies it once, not once per member.
+func (m *SimMember) init(name string, inj faults.Injector, cfg *SimMemberConfig, slots []simSlot, startSlot int, goodImage []byte, version uint32) {
 	*m = SimMember{
 		name:       name,
 		inj:        inj,
@@ -125,7 +127,7 @@ func (m *SimMember) Name() string { return m.name }
 func (m *SimMember) LastOpCostNs() uint64 { return m.lastOpCost }
 
 // Injector exposes the member's fault injector (for chaos accounting).
-func (m *SimMember) Injector() *faults.Injector { return m.inj }
+func (m *SimMember) Injector() *faults.Injector { return &m.inj }
 
 // Simulated operation costs, in netsim time.
 const (
@@ -368,8 +370,8 @@ func (m *SimMember) Telemetry(dst *telemetry.Snapshot) error {
 // running in startSlot, each with its own injector derived from parent
 // (lane = member index). Deterministic for a fixed parent seed. The
 // members, their slots and their names are each carved from one array,
-// so what a member allocates on its own is its injector and that
-// injector's rand.Rand.
+// every member embeds its injector and points at one copy of cfg, so the
+// build allocates nothing per member.
 func BuildSimFleet(n int, parent *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) []FleetMember {
 	version, _ := imageVersion(goodImage, cfg.Key)
 	slots = max(slots, 2)
@@ -384,7 +386,7 @@ func BuildSimFleet(n int, parent *faults.Injector, cfg SimMemberConfig, slots, s
 		// each name is a substring of one backing array.
 		off := names.Len()
 		names.Write(appendSimName(name[:0], i))
-		sims[i].init(names.String()[off:], parent.Derive(uint64(i)), cfg,
+		sims[i].init(names.String()[off:], parent.Derive(uint64(i)), &cfg,
 			slotArr[i*slots:(i+1)*slots:(i+1)*slots], startSlot, goodImage, version)
 		ms[i] = &sims[i]
 	}

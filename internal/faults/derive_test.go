@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// rolls replays n Roll decisions at a fixed probability.
-func rolls(in *Injector, n int) []bool {
+// rolls replays n Roll decisions at a fixed probability on a copy of in.
+func rolls(in Injector, n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = in.Roll(0.5)
@@ -51,7 +51,7 @@ func TestDeriveDoesNotAdvanceSeededParent(t *testing.T) {
 	a, b := New(9, Rates{}), New(9, Rates{})
 	a.Derive(1)
 	a.Derive(2)
-	ra, rb := rolls(a, 50), rolls(b, 50)
+	ra, rb := rolls(*a, 50), rolls(*b, 50)
 	for i := range ra {
 		if ra[i] != rb[i] {
 			t.Fatalf("Derive perturbed the parent's own stream at draw %d", i)
@@ -61,7 +61,7 @@ func TestDeriveDoesNotAdvanceSeededParent(t *testing.T) {
 
 // TestDeriveConcurrent is the race-detector test for the satellite: many
 // fleet workers deriving and using per-lane injectors from one parent at
-// once, which the embedded *rand.Rand alone would never allow.
+// once, which one shared injector would never allow.
 func TestDeriveConcurrent(t *testing.T) {
 	parent := New(77, Rates{ConnDrop: 0.2})
 	const workers = 16

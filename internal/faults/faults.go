@@ -4,20 +4,22 @@
 // corruption), netsim links (flaps), the SPI flash (power-cut corruption
 // mid-program), and signed bitstreams (CRC/HMAC/freshness tampering).
 //
-// All randomness comes from one rand.Rand owned by the Injector, seeded
-// explicitly (typically with runner.TrialSeed derivatives), so any fault
-// schedule is reproducible bit-for-bit. An Injector is not safe for
+// All randomness comes from one runner.Source embedded in the Injector,
+// seeded explicitly (typically with runner.TrialSeed derivatives), so any
+// fault schedule is reproducible bit-for-bit. An Injector is not safe for
 // concurrent use: give each module/simulator its own.
 //
-// That rand.Rand draws from a runner.Source embedded in the Injector, the
-// repo's one generator: 8 bytes seeded by assignment, so a fleet can
-// Derive one lane per member (a handful of draws each) for the cost of
-// one Injector and one rand.Rand.
+// runner.Source is the repo's one generator: 8 bytes seeded by
+// assignment. The Injector draws from it through float64 and intn, which
+// return what rand.Rand's Float64 and Intn would over the same source,
+// draw for draw, without a rand.Rand in between. So an Injector is one
+// flat value, and a fleet can Derive one lane per member (a handful of
+// draws each) into the member itself, allocating nothing.
 package faults
 
 import (
 	"errors"
-	"math/rand"
+	"math"
 
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/flash"
@@ -72,34 +74,66 @@ func (s Stats) Total() uint64 {
 	return s.ConnDrops + s.Stalls + s.Corruptions + s.PowerCuts + s.LinkFlaps + s.Tampers
 }
 
-// Injector draws fault decisions from a private seeded RNG.
+// Injector draws fault decisions from a private seeded stream.
 type Injector struct {
-	rng   *rand.Rand
 	rates Rates
 	stats Stats
 
 	// seed is the root the injector was built from; Derive mixes lanes
-	// from it, never from src, so deriving leaves rng's stream alone.
+	// from it, never from src, so deriving leaves src's stream alone.
 	seed int64
-	src  runner.Source // backs rng
+	src  runner.Source
 }
 
-// New builds an injector whose RNG is runner.NewRand(seed)'s stream.
+// New builds an injector whose draws are runner.NewRand(seed)'s stream.
 func New(seed int64, rates Rates) *Injector {
-	in := &Injector{rates: rates, seed: seed, src: runner.Source(seed)}
-	in.rng = rand.New(&in.src)
-	return in
+	return &Injector{rates: rates, seed: seed, src: runner.Source(seed)}
 }
 
-// Derive returns an independent injector for one worker lane:
-// New(runner.TrialSeed(seed, lane), rates). This is how concurrent fleet
-// workers get goroutine-safe fault streams: the parent's embedded
-// *rand.Rand is NOT safe for concurrent use, but Derive is a pure
-// function of (seed, lane) — callable from any number of goroutines at
-// once — and two Derives of the same lane replay the same fault schedule.
-func (in *Injector) Derive(lane uint64) *Injector {
-	return New(runner.TrialSeed(in.seed, int(lane)), in.rates)
+// Derive returns an independent injector for one worker lane, by value:
+// *New(runner.TrialSeed(seed, lane), rates). This is how concurrent fleet
+// workers get goroutine-safe fault streams: the parent is NOT safe for
+// concurrent use, but Derive is a pure function of (seed, lane) —
+// callable from any number of goroutines at once — and two Derives of the
+// same lane replay the same fault schedule. The value is meant to be
+// embedded where it is used, as daemon.SimMember does.
+func (in *Injector) Derive(lane uint64) Injector {
+	s := runner.TrialSeed(in.seed, int(lane))
+	return Injector{rates: in.rates, seed: s, src: runner.Source(s)}
 }
+
+// float64 is rand.New(&in.src).Float64(), draw for draw: a value in
+// [0, 1) from one Int63, resampled in the rare case it rounds up to 1.
+func (in *Injector) float64() float64 {
+	for {
+		if f := float64(in.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// intn is rand.New(&in.src).Intn(n), draw for draw, for 0 < n < 1<<31
+// (every caller draws a bit, a byte or a mgmt frame offset): Int31n's
+// mask of one draw when n is a power of two, else its rejection of draws
+// above the largest multiple of n.
+func (in *Injector) intn(n int) int {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("faults: intn argument out of range")
+	}
+	n32 := int32(n)
+	if n32&(n32-1) == 0 {
+		return int(in.int31() & (n32 - 1))
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
+	v := in.int31()
+	for v > limit {
+		v = in.int31()
+	}
+	return int(v % n32)
+}
+
+// int31 is rand.Rand.Int31: the top 31 bits of one Int63.
+func (in *Injector) int31() int32 { return int32(in.src.Int63() >> 32) }
 
 // Rates returns the configured probabilities.
 func (in *Injector) Rates() Rates { return in.rates }
@@ -114,7 +148,7 @@ func (in *Injector) Roll(p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	return in.rng.Float64() < p
+	return in.float64() < p
 }
 
 // PowerCut simulates power loss mid-program: the first frac of the slot's
@@ -129,7 +163,7 @@ func (in *Injector) PowerCut(dev *flash.Device, slot int, frac float64) error {
 		frac = 1
 	}
 	n := int(float64(flash.SlotSize) * frac)
-	if err := dev.CorruptRange(addr, n, func() byte { return byte(in.rng.Intn(256)) }); err != nil {
+	if err := dev.CorruptRange(addr, n, func() byte { return byte(in.intn(256)) }); err != nil {
 		return err
 	}
 	in.stats.PowerCuts++
@@ -178,7 +212,7 @@ func (in *Injector) TamperSigned(signed, key []byte, mode TamperMode) []byte {
 		bad := append([]byte(nil), body...)
 		// Flip a bit in the last payload byte: header fields stay sane,
 		// so decoding reaches (and fails) the CRC check.
-		bad[len(bad)-bitstream.CRCSize-1] ^= 1 << uint(in.rng.Intn(8))
+		bad[len(bad)-bitstream.CRCSize-1] ^= 1 << uint(in.intn(8))
 		return bitstream.Sign(bad, key)
 	case TamperTruncate:
 		n := len(signed) / 2

@@ -16,7 +16,7 @@ func TestDeriveIsNewOfTrialSeed(t *testing.T) {
 		for _, lane := range []uint64{0, 1, 7, 99_999} {
 			a, b := parent.Derive(lane), New(runner.TrialSeed(seed, int(lane)), Rates{})
 			for i := 0; i < 64; i++ {
-				if x, y := a.rng.Float64(), b.rng.Float64(); x != y {
+				if x, y := a.float64(), b.float64(); x != y {
 					t.Fatalf("seed %d lane %d draw %d: Derive rolled %v, New(TrialSeed) %v", seed, lane, i, x, y)
 				}
 			}
@@ -27,9 +27,11 @@ func TestDeriveIsNewOfTrialSeed(t *testing.T) {
 // TestDeriveOfDerive: a lane is itself a seeded parent, so its own lanes
 // are pure and replayable too.
 func TestDeriveOfDerive(t *testing.T) {
-	a := rolls(New(3, Rates{}).Derive(4).Derive(5), 50)
-	b := rolls(New(3, Rates{}).Derive(4).Derive(5), 50)
-	c := rolls(New(3, Rates{}).Derive(4).Derive(6), 50)
+	lane := func(outer, inner uint64) Injector {
+		l := New(3, Rates{}).Derive(outer)
+		return l.Derive(inner)
+	}
+	a, b, c := rolls(lane(4, 5), 50), rolls(lane(4, 5), 50), rolls(lane(4, 6), 50)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

@@ -26,7 +26,7 @@ func (t *Transport) Do(req []byte) ([]byte, error) {
 		in.stats.ConnDrops++
 		// Half the time the request landed and only the response was
 		// lost — the ambiguous failure a robust client must tolerate.
-		if in.rng.Float64() < 0.5 {
+		if in.float64() < 0.5 {
 			t.inner.Do(req)
 		}
 		return nil, ErrConnDropped
@@ -42,7 +42,7 @@ func (t *Transport) Do(req []byte) ([]byte, error) {
 	if len(resp) > 0 && in.Roll(in.rates.Corrupt) {
 		in.stats.Corruptions++
 		resp = append([]byte(nil), resp...)
-		resp[in.rng.Intn(len(resp))] ^= 1 << uint(in.rng.Intn(8))
+		resp[in.intn(len(resp))] ^= 1 << uint(in.intn(8))
 	}
 	return resp, nil
 }

@@ -120,7 +120,8 @@ type frameClass struct {
 }
 
 // New builds a generator. It panics when PPS is not positive and finite,
-// ZipfS is not finite, or Flows exceeds MaxFlows.
+// ZipfS is not finite, Flows exceeds MaxFlows, or a Sizes or Templates
+// weight is not positive.
 //
 // In synthetic mode New pre-builds every (flow, size) frame's head. Each
 // emitted frame is byte-identical to packet.Build of that flow's spec
@@ -177,6 +178,9 @@ func New(sim *netsim.Simulator, cfg Config, sink func([]byte) bool) *Generator {
 		return g
 	}
 	for _, e := range cfg.Sizes {
+		if e.Weight <= 0 {
+			panic("trafficgen: size classes need positive weight")
+		}
 		g.sizeTotal += e.Weight
 		g.sizeEdges = append(g.sizeEdges, g.sizeTotal)
 	}

@@ -3,6 +3,7 @@ package trafficgen
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"flexsfp/internal/netsim"
@@ -194,6 +195,27 @@ func TestNewRejectsNonFiniteRates(t *testing.T) {
 				}
 			}()
 			New(netsim.New(1), cfg, func([]byte) bool { return true })
+		}()
+	}
+}
+
+// TestNewRejectsNonPositiveSizeWeights: a zero total weight made the first
+// emission panic inside a simulator event with rand's "invalid argument to
+// Intn", and a negative weight broke the size edges without a word, so New
+// refuses both with its own message, as it does for template weights.
+func TestNewRejectsNonPositiveSizeWeights(t *testing.T) {
+	for _, sizes := range [][]IMIXEntry{
+		{{64, 0}, {128, 0}},
+		{{64, 1}, {128, 0}},
+		{{64, 2}, {128, -1}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "trafficgen: ") {
+					t.Errorf("Sizes %v: New panicked with %q, want a trafficgen message", sizes, msg)
+				}
+			}()
+			New(netsim.New(1), Config{PPS: 1e6, Sizes: sizes}, func([]byte) bool { return true })
 		}()
 	}
 }
