@@ -3,25 +3,26 @@ GO ?= go
 # Packages with real concurrency (fleet fan-out, TCP serving, parallel
 # trial runner, the registry-driven experiment harness, fault-injected
 # transports, the lock-free datapath tables, the telemetry record paths,
-# the HMAC state bitstream.Verify shares across shard workers):
+# the HMAC state bitstream.Verify shares across shard workers, the ctl
+# fleet commands' TCP fan-out over live daemons):
 # the race pass focuses here so `make check` stays fast; `make race-all`
 # still sweeps everything.
-RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/... ./internal/faults ./internal/ppe ./internal/reliability ./internal/telemetry ./internal/daemon ./internal/opt/... ./internal/xdp ./internal/trafficgen ./internal/packet ./internal/apps ./internal/overlay ./internal/bitstream
+RACE_PKGS = ./internal/mgmt ./internal/netsim ./internal/runner ./internal/exp/... ./internal/faults ./internal/ppe ./internal/reliability ./internal/telemetry ./internal/daemon ./internal/opt/... ./internal/xdp ./internal/trafficgen ./internal/packet ./internal/apps ./internal/overlay ./internal/bitstream ./cmd/flexsfp-ctl
 
 # Packages holding the per-frame hot paths and their microbenchmarks;
 # the smoke run covers exactly these. End-to-end performance is the
 # ledger's job: go run ./benchmark.
 HOT_PKGS = ./internal/ppe ./internal/netsim ./internal/trafficgen ./internal/apps ./internal/packet
 
-.PHONY: all build test race race-all bench smoke fuzz-smoke fleet-scale vet fmt check examples reports clean
+.PHONY: all build test race race-all bench smoke fuzz-smoke fleet-scale vet fmt check reports clean
 
 all: build test
 
 # Everything CI cares about: compile, unit tests (which include the
-# zero-alloc regression tests and the experiments' invariants: each
-# experiment returns an error when one is violated), race detector, vet,
-# a -benchtime=1x pass over every hot-path benchmark, and a short pass
-# over every native fuzz target.
+# zero-alloc regression tests, the experiments' invariants and the
+# examples' claims: each returns an error when one is violated), race
+# detector, vet, a -benchtime=1x pass over every hot-path benchmark, and
+# a short pass over every native fuzz target.
 check: build test race vet smoke fuzz-smoke
 
 build:
@@ -84,15 +85,6 @@ vet:
 
 fmt:
 	gofmt -l -w .
-
-# Run every example scenario once.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/legacy-retrofit
-	$(GO) run ./examples/telemetry
-	$(GO) run ./examples/loadbalancer
-	$(GO) run ./examples/ota-update
-	$(GO) run ./examples/xdp-offload
 
 # Regenerate docs/RESULTS.txt, the default paper-vs-model report
 # (cmd/flexsfp-bench's TestResultsDocIsCurrent fails when it is stale).

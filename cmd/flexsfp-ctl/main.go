@@ -21,6 +21,9 @@
 //	flexsfp-ctl reboot -slot 1
 //	flexsfp-ctl fleet-ping -addrs 10.0.0.1:9461,10.0.0.2:9461
 //
+// A fleet-* command prints a line per module and a summary, and exits
+// non-zero when any module failed.
+//
 // Every request carries a fixed deadline, so a module that accepts the
 // connection and never answers fails the command instead of hanging it.
 package main
@@ -36,9 +39,9 @@ import (
 
 	"flag"
 
-	"flexsfp"
 	"flexsfp/internal/apps"
 	"flexsfp/internal/bitstream"
+	"flexsfp/internal/build"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/mgmt"
 )
@@ -264,9 +267,9 @@ func compileCmd(args []string, out io.Writer) {
 	app := fs.String("app", "", "application name")
 	config := fs.String("config", "", "application config JSON")
 	outFile := fs.String("out", "app.fsfp", "output file")
-	key := fs.String("key", string(flexsfp.DefaultAuthKey), "fleet HMAC key")
-	clock := fs.Int64("clock-hz", flexsfp.BaseClockHz, "PPE clock")
-	width := fs.Int("width", flexsfp.BaseDatapathBits, "datapath bits")
+	key := fs.String("key", string(build.DefaultAuthKey), "fleet HMAC key")
+	clock := fs.Int64("clock-hz", build.BaseClockHz, "PPE clock")
+	width := fs.Int("width", build.BaseDatapathBits, "datapath bits")
 	golden := fs.Bool("golden", false, "mark as golden image")
 	parse(fs, args)
 
@@ -288,7 +291,7 @@ func compileCmd(args []string, out io.Writer) {
 }
 
 // fleetCmd fans an operation out over a comma-separated address list
-// (§4.1 fleet orchestration).
+// (§4.1 fleet orchestration). It returns an error when any module failed.
 func fleetCmd(cmd string, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addrs := fs.String("addrs", "", "comma-separated module management addresses")
@@ -308,35 +311,39 @@ func fleetCmd(cmd string, args []string, out io.Writer) error {
 		fleet.Add(addr, tr)
 	}
 	fleet.SetRetryPolicy(mgmt.RetryPolicy{RequestTimeout: requestTimeout})
+	var outcomes []mgmt.Outcome
 	switch cmd {
 	case "fleet-ping":
-		infos, outcomes := fleet.PingAll()
+		var infos map[string]mgmt.Info
+		infos, outcomes = fleet.PingAll()
 		for _, name := range fleet.Names() {
 			if info, ok := infos[name]; ok {
 				fmt.Fprintf(out, "%s: module %q device=%d app=%s running=%v\n",
 					name, info.Name, info.DeviceID, info.AppName, info.Running)
 			}
 		}
-		fmt.Fprintln(out, mgmt.Summary(outcomes))
 	case "fleet-stats":
-		stats, outcomes := fleet.StatsAll()
+		var stats map[string]mgmt.Stats
+		stats, outcomes = fleet.StatsAll()
 		for _, name := range fleet.Names() {
 			if s, ok := stats[name]; ok {
 				fmt.Fprintf(out, "%s: app=%s in=%d pass=%d drop=%d qdrop=%d\n",
 					name, s.AppName, s.Engine.In, s.Engine.Pass, s.Engine.Drop, s.Engine.QueueDrop)
 			}
 		}
-		fmt.Fprintln(out, mgmt.Summary(outcomes))
 	case "fleet-push":
 		blob, err := os.ReadFile(*file)
 		check(err)
-		outcomes := fleet.PushAll(blob, *slot, *reboot)
+		outcomes = fleet.PushAll(blob, *slot, *reboot)
 		for _, o := range mgmt.Failures(outcomes) {
 			fmt.Fprintf(out, "%s: FAILED: %v\n", o.Name, o.Err)
 		}
-		fmt.Fprintln(out, mgmt.Summary(outcomes))
 	default:
 		return fmt.Errorf("unknown fleet subcommand %q (fleet-ping, fleet-stats, fleet-push)", cmd)
+	}
+	fmt.Fprintln(out, mgmt.Summary(outcomes))
+	if fails := mgmt.Failures(outcomes); len(fails) > 0 {
+		return fmt.Errorf("%s: %d of %d modules failed", cmd, len(fails), len(outcomes))
 	}
 	return nil
 }

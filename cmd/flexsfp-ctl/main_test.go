@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -226,6 +227,38 @@ func TestTernaryRules(t *testing.T) {
 	}
 	if out := ctl(t, addr, "ternary-clear", "-table", "rules"); out != "ok\n" {
 		t.Fatalf("ternary-clear output: %q", out)
+	}
+}
+
+// TestFleetCommandsFailOnAnyMember drives the fleet commands against two
+// daemons: a push both modules reject fails the command and leaves both on
+// their old app, and a good rollout moves both to the new one.
+func TestFleetCommandsFailOnAnyMember(t *testing.T) {
+	addrs := startDaemon(t, daemon.Config{Name: "fleet-a"}).Addr() + "," +
+		startDaemon(t, daemon.Config{Name: "fleet-b"}).Addr()
+	dir := t.TempDir()
+	bad, good := filepath.Join(dir, "bad.fsfp"), filepath.Join(dir, "good.fsfp")
+	ctl(t, "", "compile", "-app", "acl", "-config", "{}", "-key", "wrong-key", "-out", bad)
+	ctl(t, "", "compile", "-app", "acl", "-config", "{}", "-out", good)
+
+	var buf strings.Builder
+	err := run([]string{"fleet-push", "-addrs", addrs, "-file", bad, "-reboot"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "2 of 2 modules failed") {
+		t.Fatalf("wrong-key fleet-push: err=%v out=%q", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "0 ok, 2 failed of 2 modules") {
+		t.Errorf("wrong-key fleet-push printed no summary: %q", buf.String())
+	}
+	if out := ctl(t, "", "fleet-ping", "-addrs", addrs); strings.Count(out, "app=nat") != 2 {
+		t.Fatalf("after a rejected push: %q, want both modules still on nat", out)
+	}
+
+	ctl(t, "", "fleet-push", "-addrs", addrs, "-file", good, "-reboot")
+	if out := ctl(t, "", "fleet-ping", "-addrs", addrs); strings.Count(out, "app=acl") != 2 {
+		t.Fatalf("after a good rollout: %q, want both modules on acl", out)
+	}
+	if out := ctl(t, "", "fleet-stats", "-addrs", addrs); !strings.Contains(out, "2 ok, 0 failed of 2 modules") {
+		t.Fatalf("fleet-stats: %q", out)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 	"syscall"
 	"time"
 
-	"flexsfp"
+	"flexsfp/internal/build"
 	"flexsfp/internal/daemon"
 )
 
@@ -38,7 +38,7 @@ func main() {
 		appName     = flag.String("app", "nat", "application to boot")
 		shellName   = flag.String("shell", "two-way-core", "architecture shell (one-way-filter, two-way-core, active-core)")
 		configJSON  = flag.String("config", "", "application config JSON (inline)")
-		authKey     = flag.String("key", string(flexsfp.DefaultAuthKey), "fleet HMAC key for OTA pushes")
+		authKey     = flag.String("key", string(build.DefaultAuthKey), "fleet HMAC key for OTA pushes")
 		trafficPPS  = flag.Float64("traffic-pps", 0, "self-generated traffic rate (0 = none)")
 		seed        = flag.Int64("seed", 1, "simulation seed")
 		tel         = flag.Bool("telemetry", true, "enable metric registry and packet tracing")

@@ -9,18 +9,25 @@
 // control EtherType, commits, and watches the module reboot from NAT
 // into the firewall — while an unauthenticated push is rejected.
 //
+// The run fails, naming the claim, if the wrong key is accepted or the
+// module does not end on the new firewall with its old image kept.
+//
 //	go run ./examples/ota-update
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/netip"
+	"os"
+	"slices"
 
-	"flexsfp"
 	"flexsfp/internal/apps"
 	"flexsfp/internal/bitstream"
+	"flexsfp/internal/build"
 	"flexsfp/internal/core"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/mgmt"
@@ -34,19 +41,28 @@ var (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("ota-update: ")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run reprograms a live module in-band and returns an error naming the
+// first claim the run broke.
+func run(w io.Writer) error {
 	sim := netsim.New(1)
 
 	// A module in the field, currently running NAT.
-	mod, _, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{
+	mod, _, err := build.Module(sim, build.ModuleSpec{
 		Name: "field-sfp-204", DeviceID: 204,
-		Shell: flexsfp.TwoWayCore, App: "nat", AuthKey: fleetKey,
+		Shell: hls.TwoWayCore, App: "nat", AuthKey: fleetKey,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("building the field module: %w", err)
 	}
 	mod.SetTx(core.PortOptical, packet.PutBuffer)
-	agent := mgmt.NewAgent(mod)
-	_ = agent // installed as the module's in-band control handler
+	mgmt.NewAgent(mod) // installs itself as the module's in-band control handler
 
 	// The management station reaches the module in-band: control frames
 	// ride the same wire as data (demuxed by the arbiter ahead of the
@@ -56,86 +72,93 @@ func main() {
 
 	info, err := client.Ping()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("before: module %q running %q (slot %d)\n", info.Name, info.AppName, 1)
+	fmt.Fprintf(w, "before: module %q running %q (slot %d)\n", info.Name, info.AppName, 1)
 
 	// Compile + sign the new application at the station.
-	acl, err := hls.Compile(apps.NewACL().Program(), hls.Options{
-		ClockHz: flexsfp.BaseClockHz, DatapathBits: flexsfp.BaseDatapathBits,
-		Config: mustJSON(apps.ACLConfig{
-			DefaultDeny: true,
-			Rules: []apps.ACLRule{
-				{DstPort: 443, Proto: 6, Priority: 10},
-				{DstPort: 53, Proto: 17, Priority: 10},
-			},
-		}),
+	cfg, err := json.Marshal(apps.ACLConfig{
+		DefaultDeny: true,
+		Rules: []apps.ACLRule{
+			{DstPort: 443, Proto: 6, Priority: 10},
+			{DstPort: 53, Proto: 17, Priority: 10},
+		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	acl, err := hls.Compile(apps.NewACL().Program(), hls.Options{
+		ClockHz: build.BaseClockHz, DatapathBits: build.BaseDatapathBits, Config: cfg,
+	})
+	if err != nil {
+		return fmt.Errorf("compiling the ACL: %w", err)
 	}
 	encoded, err := acl.Bitstream.Encode()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 1. An attacker without the fleet key is rejected.
-	badSigned := bitstream.Sign(encoded, []byte("wrong-key"))
-	if err := client.PushBitstream(badSigned, 2, true); err != nil {
-		fmt.Printf("unauthenticated push rejected: %v\n", err)
-	} else {
-		log.Fatal("unauthenticated push was accepted!")
+	err = client.PushBitstream(bitstream.Sign(encoded, []byte("wrong-key")), 2, true)
+	if err == nil {
+		return errors.New("a push signed with the wrong key was accepted")
 	}
+	fmt.Fprintf(w, "unauthenticated push rejected: %v\n", err)
 
 	// 2. The real station signs with the fleet key and pushes.
 	signed := bitstream.Sign(encoded, fleetKey)
-	fmt.Printf("pushing %d signed bytes in %d-byte chunks over in-band control frames...\n",
+	fmt.Fprintf(w, "pushing %d signed bytes in %d-byte chunks over in-band control frames...\n",
 		len(signed), mgmt.XferChunkSize)
 	if err := client.PushBitstream(signed, 2, true); err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("the fleet-key push failed: %w", err)
 	}
 
 	// The reboot FSM runs in simulated time: flash write + FPGA config.
-	fmt.Printf("module rebooting (flash + FPGA configuration ≈%v)...\n",
+	fmt.Fprintf(w, "module rebooting (flash + FPGA configuration ≈%v)...\n",
 		netsim.Duration(core.FPGAConfigTime))
 	sim.Run()
 
-	info, err = client.Ping()
-	if err != nil {
-		log.Fatal(err)
+	if info, err = client.Ping(); err != nil {
+		return err
 	}
-	st, _ := client.ReadStats()
-	fmt.Printf("after: module %q running %q (slot %d, boots %d)\n",
+	st, err := client.ReadStats()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "after: module %q running %q (slot %d, boots %d)\n",
 		info.Name, info.AppName, st.ActiveSlot, st.Boots)
 
 	// Prove the new firewall is live: HTTPS passes, SSH is denied.
 	var egress int
 	mod.SetTx(core.PortOptical, func(b []byte) { egress++; packet.PutBuffer(b) })
-	send := func(dport uint16) {
+	passes := func(dport uint16) bool {
+		before := egress
 		mod.RxEdge(packet.MustBuild(packet.Spec{
 			SrcMAC: stationMAC, DstMAC: packet.MustMAC("02:0c:00:00:00:99"),
 			SrcIP: netip.MustParseAddr("10.0.0.5"), DstIP: netip.MustParseAddr("198.51.100.1"),
 			Proto: packet.IPProtocolTCP, SrcPort: 40000, DstPort: dport, PadTo: 64,
 		}))
 		sim.Run()
+		return egress > before
 	}
-	send(443)
-	httpsPassed := egress == 1
-	send(22)
-	sshBlocked := egress == 1
-	fmt.Printf("new policy live: HTTPS passes=%v, SSH blocked=%v (default deny)\n",
-		httpsPassed, sshBlocked)
+	https, ssh := passes(443), passes(22)
+	fmt.Fprintf(w, "new policy live: HTTPS passes=%v, SSH blocked=%v (default deny)\n", https, !ssh)
 
-	slots, _ := client.Slots()
-	fmt.Printf("flash slots: %v (old image retained for rollback)\n", slots)
-}
-
-func mustJSON(v apps.ACLConfig) []byte {
-	b, err := jsonMarshal(v)
+	slots, err := client.Slots()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	return b
-}
+	fmt.Fprintf(w, "flash slots: %v (old image retained for rollback)\n", slots)
 
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
+	switch {
+	case info.AppName != "acl" || st.ActiveSlot != 2:
+		return fmt.Errorf("after the reboot the module runs %q from slot %d, want \"acl\" from slot 2", info.AppName, st.ActiveSlot)
+	case !https:
+		return errors.New("the new firewall dropped HTTPS, which its rules allow")
+	case ssh:
+		return errors.New("the new firewall passed SSH, which its default deny drops")
+	case !slices.Equal(slots, []string{"", "nat", "acl", ""}):
+		return fmt.Errorf("flash slots read %q, want the old nat image in slot 1 beside acl in slot 2", slots)
+	}
+	return nil
+}

@@ -5,23 +5,45 @@
 // original frame to the host while exporting the per-hop path records —
 // observability the legacy gear in between never had.
 //
+// The run fails, naming the claim, unless every frame arrives at its
+// original size and every path shows three hops spaced by their fibers.
+//
 //	go run ./examples/telemetry
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net/netip"
+	"os"
 
-	"flexsfp"
 	"flexsfp/internal/apps"
+	"flexsfp/internal/build"
 	"flexsfp/internal/core"
+	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 	"flexsfp/internal/trafficgen"
 )
 
+const (
+	tenGig   = 10_000_000_000
+	frames   = 1000
+	frameLen = 256
+)
+
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("telemetry: ")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sends traffic along the instrumented path and returns an error
+// naming the first claim the run broke.
+func run(w io.Writer) error {
 	sim := netsim.New(1)
 
 	// Build the three-node path: source → transit → sink.
@@ -33,42 +55,40 @@ func main() {
 	}
 	var mods []*core.Module
 	for _, r := range roles {
-		mod, _, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{
+		mod, _, err := build.Module(sim, build.ModuleSpec{
 			Name: "int-" + r.role, DeviceID: r.id,
-			Shell: flexsfp.TwoWayCore, App: "telemetry",
-			Config: map[string]any{"role": r.role, "device_id": r.id},
+			Shell: hls.TwoWayCore, App: "telemetry",
+			Config: apps.TelemetryConfig{Role: r.role, DeviceID: r.id},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("building the %s module: %w", r.role, err)
 		}
 		mods = append(mods, mod)
 	}
 
 	// Chain them with 10G fibers of different lengths (propagation
-	// delays show up in the hop timestamps).
-	const tenGig = 10_000_000_000
-	link := func(tx *core.Module, txPort core.PortID, deliver func([]byte), prop netsim.Duration) {
-		l := netsim.NewLink(sim, tenGig, prop, deliver)
-		tx.SetTx(txPort, func(b []byte) { l.Send(b) })
+	// delays show up in the hop timestamps): source optical → transit
+	// edge (500 m), transit optical → sink edge (2 km).
+	fibers := []netsim.Duration{2500 * netsim.Nanosecond, 10 * netsim.Microsecond}
+	for i, prop := range fibers {
+		l := netsim.NewLink(sim, tenGig, prop, mods[i+1].RxEdge)
+		mods[i].SetTx(core.PortOptical, func(b []byte) { l.Send(b) })
 	}
-	// source optical → transit edge (500 m), transit optical → sink edge (2 km).
-	link(mods[0], core.PortOptical, mods[1].RxEdge, 2500*netsim.Nanosecond)
-	link(mods[1], core.PortOptical, mods[2].RxEdge, 10*netsim.Microsecond)
 	for _, m := range mods {
 		m.SetTx(core.PortEdge, packet.PutBuffer)
 	}
 
 	// Receiving host behind the sink.
-	var delivered int
-	var lastLen int
+	var delivered, resized int
 	mods[2].SetTx(core.PortOptical, func(b []byte) {
 		delivered++
-		lastLen = len(b)
+		if len(b) != frameLen {
+			resized++
+		}
 		packet.PutBuffer(b)
 	})
 
 	// Send traffic into the source's edge.
-	const frameLen = 256
 	gen := trafficgen.New(sim, trafficgen.Config{
 		PPS:    100_000,
 		Sizes:  []trafficgen.IMIXEntry{{Size: frameLen, Weight: 1}},
@@ -78,32 +98,55 @@ func main() {
 		DstIP:  netip.MustParseAddr("10.0.0.2"),
 		Flows:  4,
 	}, func(b []byte) bool { mods[0].RxEdge(b); return true })
-	gen.Run(1000)
+	gen.Run(frames)
 	sim.RunFor(50 * netsim.Millisecond)
 
-	fmt.Printf("frames sent: %d, delivered to host: %d (original size restored: %v)\n",
-		gen.Sent, delivered, lastLen == frameLen)
+	fmt.Fprintf(w, "frames sent: %d, delivered to host: %d (%d not at the original %d bytes)\n",
+		gen.Sent, delivered, resized, frameLen)
 
 	// Collect the paths recorded at the sink via the app's export API.
-	collector, ok := mods[2].App().(interface{ Paths() []apps.PathRecord })
-	if !ok {
-		log.Fatal("sink app does not export paths")
-	}
-	paths := collector.Paths()
-	fmt.Printf("paths collected at sink: %d\n", len(paths))
+	paths := mods[2].App().(interface{ Paths() []apps.PathRecord }).Paths()
+	fmt.Fprintf(w, "paths collected at sink: %d\n", len(paths))
 	if len(paths) > 0 {
 		p := paths[0]
-		fmt.Println("\nFirst recorded path:")
-		prev := uint64(0)
+		fmt.Fprintln(w, "\nFirst recorded path:")
 		for i, h := range p.Hops {
 			delta := ""
 			if i > 0 {
-				delta = fmt.Sprintf("  (+%d ns)", h.TimestampNs-prev)
+				delta = fmt.Sprintf("  (+%d ns)", h.TimestampNs-p.Hops[i-1].TimestampNs)
 			}
-			fmt.Printf("  hop %d: device %d  t=%d ns%s\n", i, h.DeviceID, h.TimestampNs, delta)
-			prev = h.TimestampNs
+			fmt.Fprintf(w, "  hop %d: device %d  t=%d ns%s\n", i, h.DeviceID, h.TimestampNs, delta)
 		}
 		total := p.Hops[len(p.Hops)-1].TimestampNs - p.Hops[0].TimestampNs
-		fmt.Printf("  end-to-end (source→sink PPE): %d ns\n", total)
+		fmt.Fprintf(w, "  end-to-end (source→sink PPE): %d ns\n", total)
 	}
+
+	if gen.Sent != frames || delivered != frames || resized != 0 {
+		return fmt.Errorf("sent %d, delivered %d with %d resized; want all %d delivered at %d bytes",
+			gen.Sent, delivered, resized, frames, frameLen)
+	}
+	if len(paths) != frames {
+		return fmt.Errorf("sink collected %d paths, want one per frame (%d)", len(paths), frames)
+	}
+	for n, p := range paths {
+		if len(p.Hops) != len(roles) {
+			return fmt.Errorf("path %d has %d hops, want %d", n, len(p.Hops), len(roles))
+		}
+		for i, h := range p.Hops {
+			if h.DeviceID != roles[i].id {
+				return fmt.Errorf("path %d hop %d is device %d, want %d", n, i, h.DeviceID, roles[i].id)
+			}
+			if i == 0 {
+				continue
+			}
+			// A hop is stamped no sooner than the frame crossed the fiber
+			// from the hop before it, so timestamps rise along the path.
+			prev := p.Hops[i-1].TimestampNs
+			if h.TimestampNs < prev+uint64(fibers[i-1]) {
+				return fmt.Errorf("path %d hop %d is %d ns after hop %d, want at least the %v fiber",
+					n, i, int64(h.TimestampNs-prev), i-1, fibers[i-1])
+			}
+		}
+	}
+	return nil
 }

@@ -9,17 +9,23 @@
 // embeds it in a signed bitstream, boots it in a FlexSFP, and pushes
 // traffic through.
 //
+// The run fails, naming the claim, unless the verifier accepts the
+// codelet and exactly the DNS half of the traffic is dropped.
+//
 //	go run ./examples/xdp-offload
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net/netip"
+	"os"
 
-	"flexsfp"
 	"flexsfp/internal/apps"
+	"flexsfp/internal/build"
 	"flexsfp/internal/core"
+	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/opt"
 	"flexsfp/internal/packet"
@@ -27,6 +33,16 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("xdp-offload: ")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run offloads the codelet, sends DNS and HTTPS through it and returns an
+// error naming the first claim the run broke.
+func run(w io.Writer) error {
 	// 1. The packet function, as a naive compiler emits it — with a
 	// redundant reload of the EtherType and a scratch register it never
 	// reads (the kind of code mechanical templated emission produces).
@@ -51,12 +67,12 @@ func main() {
 		},
 	}
 	if err := prog.Verify(); err != nil {
-		log.Fatalf("verifier rejected the program: %v", err)
+		return fmt.Errorf("verifier rejected the program: %w", err)
 	}
-	fmt.Printf("verified %q: %d instructions, forward-only control flow\n",
+	fmt.Fprintf(w, "verified %q: %d instructions, forward-only control flow\n",
 		prog.Name, len(prog.Insns))
 	est := xdp.EstimateResources(&prog)
-	fmt.Printf("hXDP-style core estimate: %d LUT4 / %d FF / %d uSRAM / %d LSRAM\n",
+	fmt.Fprintf(w, "hXDP-style core estimate: %d LUT4 / %d FF / %d uSRAM / %d LSRAM\n",
 		est.LUT4, est.FF, est.USRAM, est.LSRAM)
 
 	// 2. The optimizer pass pipeline. A naive compiler emission carries
@@ -66,9 +82,9 @@ func main() {
 	// at 64B frames is slower than the 64-bit datapath streams them.
 	_, xrep, err := opt.OptimizeXDP(&prog, opt.Options{})
 	if err != nil {
-		log.Fatalf("optimizer: %v", err)
+		return fmt.Errorf("optimizer: %w", err)
 	}
-	fmt.Printf("optimizer: %d→%d insns (%d dead writes, %d folded loads), schedule %d→%d cycles\n",
+	fmt.Fprintf(w, "optimizer: %d→%d insns (%d dead writes, %d folded loads), schedule %d→%d cycles\n",
 		xrep.InsnsBefore, xrep.InsnsAfter, xrep.DeadWrites, xrep.FoldedLoads,
 		xrep.ScalarCycles, xrep.PackedCycles)
 
@@ -77,15 +93,15 @@ func main() {
 	// records the pass pipeline in the signed manifest so boot re-checks
 	// the optimized structure).
 	sim := netsim.New(1)
-	mod, design, err := flexsfp.BuildModule(sim, flexsfp.ModuleSpec{
-		Name: "xdp-sfp", DeviceID: 11, Shell: flexsfp.OneWayFilter, App: "xdp",
+	mod, design, err := build.Module(sim, build.ModuleSpec{
+		Name: "xdp-sfp", DeviceID: 11, Shell: hls.OneWayFilter, App: "xdp",
 		Optimize: true,
 		Config:   apps.XDPConfig{Program: prog, Direction: "edge-to-optical", Optimize: true},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("booting the codelet: %w", err)
 	}
-	fmt.Printf("booted on %s: shell+app %d LUT4 (%.1f%% peak), %s shell\n",
+	fmt.Fprintf(w, "booted on %s: shell+app %d LUT4 (%.1f%% peak), %s shell\n",
 		design.Target.Name, design.Total.LUT4, design.Fit.Utilization.Max(), design.Shell)
 
 	// 4. Traffic.
@@ -113,9 +129,12 @@ func main() {
 	ctr, _ := mod.App().State().Counters("xdp")
 	drops, _ := ctr.Read(apps.XDPDrop)
 	passes, _ := ctr.Read(apps.XDPPass)
-	fmt.Printf("\ntraffic: %d sent, %d egressed (XDP: %d pass, %d drop)\n",
+	fmt.Fprintf(w, "\ntraffic: %d sent, %d egressed (XDP: %d pass, %d drop)\n",
 		total, passed, passes, drops)
-	if passed == 10 && drops == 10 {
-		fmt.Println("DNS cut-off enforced at the optical edge by an offloaded XDP codelet.")
+	if passed != 10 || passes != 10 || drops != 10 {
+		return fmt.Errorf("%d of %d frames egressed (XDP: %d pass, %d drop), want the 10 to port 443 passed and the 10 to port 53 dropped",
+			passed, total, passes, drops)
 	}
+	fmt.Fprintln(w, "DNS cut-off enforced at the optical edge by an offloaded XDP codelet.")
+	return nil
 }

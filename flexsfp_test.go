@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"flexsfp/internal/apps"
+	"flexsfp/internal/build"
+	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 )
 
 func TestBuildModuleQuickstart(t *testing.T) {
 	sim := netsim.New(1)
-	mod, design, err := BuildModule(sim, ModuleSpec{
-		Name: "sfp-0", DeviceID: 42, Shell: TwoWayCore, App: "nat",
+	mod, design, err := build.Module(sim, build.ModuleSpec{
+		Name: "sfp-0", DeviceID: 42, Shell: hls.TwoWayCore, App: "nat",
 		Config: apps.NATConfig{Mappings: []apps.NATMapping{
 			{Internal: "192.168.1.10", External: "203.0.113.10"},
 		}},
@@ -49,14 +51,14 @@ func TestBuildModuleQuickstart(t *testing.T) {
 
 func TestBuildModuleErrors(t *testing.T) {
 	sim := netsim.New(1)
-	if _, _, err := BuildModule(sim, ModuleSpec{Name: "x"}); err == nil {
+	if _, _, err := build.Module(sim, build.ModuleSpec{Name: "x"}); err == nil {
 		t.Error("missing app accepted")
 	}
-	if _, _, err := BuildModule(sim, ModuleSpec{App: "unknown-app"}); err == nil {
+	if _, _, err := build.Module(sim, build.ModuleSpec{App: "unknown-app"}); err == nil {
 		t.Error("unknown app accepted")
 	}
 	// App that requires config must fail without it.
-	if _, _, err := BuildModule(sim, ModuleSpec{App: "vlan"}); err == nil {
+	if _, _, err := build.Module(sim, build.ModuleSpec{App: "vlan"}); err == nil {
 		t.Error("vlan app booted without config")
 	}
 }

@@ -1,14 +1,15 @@
 package flexsfp
 
 // Cross-package integration tests: full topologies with hosts, fibers,
-// switches and modules wired through the event simulator, exercising the
-// public API the way the examples do.
+// switches and modules built by build.Module and wired through the event
+// simulator.
 
 import (
 	"testing"
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/bitstream"
+	"flexsfp/internal/build"
 	"flexsfp/internal/core"
 	"flexsfp/internal/hls"
 	"flexsfp/internal/mgmt"
@@ -26,8 +27,8 @@ const igTenGig = 10_000_000_000
 func TestEndToEndPathThroughFibers(t *testing.T) {
 	sim := netsim.New(1)
 
-	left, _, err := BuildModule(sim, ModuleSpec{
-		Name: "left", DeviceID: 1, Shell: TwoWayCore, App: "nat",
+	left, _, err := build.Module(sim, build.ModuleSpec{
+		Name: "left", DeviceID: 1, Shell: hls.TwoWayCore, App: "nat",
 		Config: apps.NATConfig{
 			Direction: "edge-to-optical",
 			Mappings:  []apps.NATMapping{{Internal: "192.168.0.2", External: "203.0.113.2"}},
@@ -36,8 +37,8 @@ func TestEndToEndPathThroughFibers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, _, err := BuildModule(sim, ModuleSpec{
-		Name: "right", DeviceID: 2, Shell: TwoWayCore, App: "sanitize",
+	right, _, err := build.Module(sim, build.ModuleSpec{
+		Name: "right", DeviceID: 2, Shell: hls.TwoWayCore, App: "sanitize",
 		Config: apps.SanitizeConfig{VerifyChecksums: true},
 	})
 	if err != nil {
@@ -84,8 +85,8 @@ func TestEndToEndPathThroughFibers(t *testing.T) {
 // resumes with the new app.
 func TestOTAUnderTraffic(t *testing.T) {
 	sim := netsim.New(2)
-	mod, _, err := BuildModule(sim, ModuleSpec{
-		Name: "dut", DeviceID: 3, Shell: TwoWayCore, App: "nat",
+	mod, _, err := build.Module(sim, build.ModuleSpec{
+		Name: "dut", DeviceID: 3, Shell: hls.TwoWayCore, App: "nat",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,14 +108,14 @@ func TestOTAUnderTraffic(t *testing.T) {
 	sim.ScheduleDetached(10*netsim.Millisecond, func() {
 		app, _ := apps.NewRegistry().New("acl")
 		d, cerr := hls.Compile(app.Program(), hls.Options{
-			ClockHz: BaseClockHz, DatapathBits: BaseDatapathBits,
+			ClockHz: build.BaseClockHz, DatapathBits: build.BaseDatapathBits,
 		})
 		if cerr != nil {
 			t.Error(cerr)
 			return
 		}
 		enc, _ := d.Bitstream.Encode()
-		if perr := client.PushBitstream(bitstream.Sign(enc, DefaultAuthKey), 2, true); perr != nil {
+		if perr := client.PushBitstream(bitstream.Sign(enc, build.DefaultAuthKey), 2, true); perr != nil {
 			t.Error(perr)
 		}
 	})
@@ -143,8 +144,8 @@ func TestOTAUnderTraffic(t *testing.T) {
 // monitor-equipped module inside the simulator.
 func TestMonitorDetectsMicroburstInTopology(t *testing.T) {
 	sim := netsim.New(4)
-	mod, _, err := BuildModule(sim, ModuleSpec{
-		Name: "probe", DeviceID: 5, Shell: TwoWayCore, App: "monitor",
+	mod, _, err := build.Module(sim, build.ModuleSpec{
+		Name: "probe", DeviceID: 5, Shell: hls.TwoWayCore, App: "monitor",
 		Config: apps.MonitorConfig{BurstFrames: 50, BurstWindowNs: 10_000, GapNs: 5_000_000},
 	})
 	if err != nil {
@@ -200,8 +201,8 @@ func TestRetrofitFleetOnSwitch(t *testing.T) {
 	var mods []*core.Module
 	var hosts []*switchsim.Host
 	for i := 0; i < 8; i++ {
-		mod, _, err := BuildModule(sim, ModuleSpec{
-			Name: "port", DeviceID: uint32(100 + i), Shell: TwoWayCore, App: "netflow",
+		mod, _, err := build.Module(sim, build.ModuleSpec{
+			Name: "port", DeviceID: uint32(100 + i), Shell: hls.TwoWayCore, App: "netflow",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -277,8 +278,8 @@ func TestStandardVsFlexLatency(t *testing.T) {
 			SrcPort: 1, DstPort: 2, PadTo: 64,
 		})
 		if useFlex {
-			mod, _, err := BuildModule(sim, ModuleSpec{
-				Name: "m", DeviceID: 1, Shell: TwoWayCore, App: "nat",
+			mod, _, err := build.Module(sim, build.ModuleSpec{
+				Name: "m", DeviceID: 1, Shell: hls.TwoWayCore, App: "nat",
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -304,61 +305,9 @@ func TestStandardVsFlexLatency(t *testing.T) {
 	}
 }
 
-// TestTelemetryPathOverLinks runs source→transit→sink over fibers and
-// checks hop timestamps are ordered and spaced by the link delays.
-func TestTelemetryPathOverLinks(t *testing.T) {
-	sim := netsim.New(7)
-	var mods []*core.Module
-	for i, role := range []string{"source", "transit", "sink"} {
-		mod, _, err := BuildModule(sim, ModuleSpec{
-			Name: role, DeviceID: uint32(i + 1), Shell: TwoWayCore, App: "telemetry",
-			Config: apps.TelemetryConfig{Role: role, DeviceID: uint32(i + 1)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mods = append(mods, mod)
-	}
-	l01 := netsim.NewLink(sim, igTenGig, 1000, mods[1].RxEdge)
-	l12 := netsim.NewLink(sim, igTenGig, 5000, mods[2].RxEdge)
-	mods[0].SetTx(core.PortOptical, func(b []byte) { l01.Send(b) })
-	mods[1].SetTx(core.PortOptical, func(b []byte) { l12.Send(b) })
-	delivered := 0
-	mods[2].SetTx(core.PortOptical, func(b []byte) { delivered++ })
-	for _, m := range mods {
-		m.SetTx(core.PortEdge, func([]byte) {})
-	}
-
-	mods[0].RxEdge(packet.MustBuild(packet.Spec{
-		SrcMAC: packet.MustMAC("02:00:00:00:00:51"),
-		DstMAC: packet.MustMAC("02:00:00:00:00:52"),
-		SrcIP:  mustAddr("10.0.0.1"), DstIP: mustAddr("10.0.0.2"),
-		SrcPort: 1, DstPort: 2, PadTo: 128,
-	}))
-	sim.Run()
-
-	if delivered != 1 {
-		t.Fatalf("delivered = %d", delivered)
-	}
-	sink := mods[2].App().(interface{ Paths() []apps.PathRecord })
-	paths := sink.Paths()
-	if len(paths) != 1 || len(paths[0].Hops) != 3 {
-		t.Fatalf("paths = %+v", paths)
-	}
-	h := paths[0].Hops
-	if !(h[0].TimestampNs < h[1].TimestampNs && h[1].TimestampNs < h[2].TimestampNs) {
-		t.Errorf("hop timestamps not ordered: %d %d %d",
-			h[0].TimestampNs, h[1].TimestampNs, h[2].TimestampNs)
-	}
-	// Second hop gap includes the 5 µs fiber.
-	if gap := h[2].TimestampNs - h[1].TimestampNs; gap < 5000 {
-		t.Errorf("sink hop gap = %d ns, want ≥ 5 µs link delay", gap)
-	}
-}
-
 // TestVerdictNameStrings pins the public string forms used in reports.
 func TestVerdictNameStrings(t *testing.T) {
-	if OneWayFilter.String() != "one-way-filter" || hls.ActiveCore.String() != "active-core" {
+	if hls.OneWayFilter.String() != "one-way-filter" || hls.ActiveCore.String() != "active-core" {
 		t.Error("shell names changed")
 	}
 }

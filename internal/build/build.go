@@ -1,9 +1,7 @@
 // Package build compiles a catalog application into a signed bitstream
-// and boots it on a freshly provisioned module — the one-call
-// provisioning path shared by the public facade (package flexsfp), the
-// experiment harness (internal/exp), and the daemons. It lives under
-// internal/ so the experiment framework can use it without importing
-// the facade (which re-exports everything here for external callers).
+// and boots it on a freshly provisioned module: the one way to build a
+// cable, shared by the experiment harness (internal/exp), the daemons,
+// the examples and the cross-package tests.
 package build
 
 import (
@@ -32,8 +30,10 @@ type ModuleSpec struct {
 	Name     string
 	DeviceID uint32
 	Shell    hls.Shell
-	// App is a catalog application name ("nat", "acl", "vlan", "tunnel",
-	// "lb", "telemetry", "netflow", "ratelimit", "dohblock", "sanitize").
+	// App is a name registered by apps.NewRegistry ("nat", "acl",
+	// "vlan", "tunnel", "lb", "telemetry", "netflow", "ratelimit",
+	// "dohblock", "sanitize", "monitor", "xdp", "arpguard", "dhcpsnoop",
+	// "dnsblock", "mesh").
 	App string
 	// Config is the app's config struct (JSON-marshaled into the
 	// bitstream manifest) or nil.
@@ -44,8 +44,6 @@ type ModuleSpec struct {
 	// ClockHz / DatapathBits default to the §5.1 operating point.
 	ClockHz      int64
 	DatapathBits int
-	// Device defaults to the MPF200T prototype part.
-	Device fpga.Device
 	// Optimize runs the opt pass pipeline over the compiled program
 	// (table merging + stage fusion) before HLS, and records the fact in
 	// the manifest so boot re-applies the same passes. Off by default:
@@ -65,9 +63,6 @@ func Module(sim *netsim.Simulator, spec ModuleSpec) (*core.Module, *hls.Design, 
 	}
 	if spec.DatapathBits == 0 {
 		spec.DatapathBits = BaseDatapathBits
-	}
-	if spec.Device.Name == "" {
-		spec.Device = fpga.MPF200T
 	}
 	if spec.AuthKey == nil {
 		spec.AuthKey = DefaultAuthKey
@@ -97,7 +92,7 @@ func Module(sim *netsim.Simulator, spec ModuleSpec) (*core.Module, *hls.Design, 
 		prog, _ = opt.Optimize(prog, opt.Options{})
 	}
 	design, err := hls.Compile(prog, hls.Options{
-		Device: spec.Device, Shell: spec.Shell,
+		Device: fpga.MPF200T, Shell: spec.Shell,
 		ClockHz: spec.ClockHz, DatapathBits: spec.DatapathBits,
 		Config: cfg, Optimized: spec.Optimize,
 	})
@@ -111,7 +106,7 @@ func Module(sim *netsim.Simulator, spec ModuleSpec) (*core.Module, *hls.Design, 
 	mod := core.NewModule(core.Config{
 		Sim: sim, Name: spec.Name, DeviceID: spec.DeviceID,
 		Shell: spec.Shell, Registry: registry, AuthKey: spec.AuthKey,
-		DeviceName: spec.Device.Name,
+		DeviceName: fpga.MPF200T.Name,
 	})
 	if _, err := mod.Install(1, encoded); err != nil {
 		return nil, nil, err

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"flexsfp/internal/apps"
+	"flexsfp/internal/build"
 	"flexsfp/internal/core"
+	"flexsfp/internal/hls"
 	"flexsfp/internal/netsim"
 	"flexsfp/internal/packet"
 	"flexsfp/internal/telemetry"
@@ -18,8 +20,8 @@ import (
 
 func TestTracedPathThroughStack(t *testing.T) {
 	sim := netsim.New(7)
-	mod, _, err := BuildModule(sim, ModuleSpec{
-		Name: "dut", DeviceID: 9, Shell: TwoWayCore, App: "nat",
+	mod, _, err := build.Module(sim, build.ModuleSpec{
+		Name: "dut", DeviceID: 9, Shell: hls.TwoWayCore, App: "nat",
 		Config: apps.NATConfig{
 			Direction: "edge-to-optical",
 			Mappings:  []apps.NATMapping{{Internal: "10.1.0.1", External: "203.0.113.7"}},
