@@ -72,9 +72,10 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzZipfVsStdlib' -fuzztime 10s ./internal/trafficgen > /dev/null
 	$(GO) test -fuzz 'FuzzProgramPageVsRef' -fuzztime 10s ./internal/flash > /dev/null
 	$(GO) test -fuzz 'FuzzInjectorVsRand' -fuzztime 10s ./internal/faults > /dev/null
+	$(GO) test -fuzz 'FuzzVerifiedMemoVsImageVersion' -fuzztime 10s ./internal/daemon > /dev/null
 
 # fleet_ota at the paper's upper deployment scale, one million simulated
-# cables (≈7 s and 0.9 GB on the 2-vCPU reference host, so not in
+# cables (≈3.5 s and 0.9 GB on the 2-vCPU reference host, so not in
 # `check`). The run exits non-zero if a module ends on a bad image or a
 # stale version.
 fleet-scale:

@@ -20,9 +20,12 @@
 //	flexsfp-ctl push -file acl.fsfp -slot 2 -reboot
 //	flexsfp-ctl reboot -slot 1
 //	flexsfp-ctl fleet-ping -addrs 10.0.0.1:9461,10.0.0.2:9461
+//	flexsfp-ctl fleet-stats -addrs 10.0.0.1:9461,10.0.0.2:9461
+//	flexsfp-ctl fleet-push -addrs 10.0.0.1:9461,10.0.0.2:9461 -file acl.fsfp -slot 2 -reboot
 //
 // A fleet-* command prints a line per module and a summary, and exits
-// non-zero when any module failed.
+// non-zero when any module failed. A module that cannot be reached fails
+// only itself.
 //
 // Every request carries a fixed deadline, so a module that accepts the
 // connection and never answers fails the command instead of hanging it.
@@ -34,6 +37,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -82,7 +86,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	rest := top.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing subcommand (ping, stats, metrics, trace, ddm, eeprom, slots, table-add, table-del, table-get, table-dump, ternary-add, ternary-clear, counter, meter-set, reg-read, reg-write, compile, push, reboot)")
+		return fmt.Errorf("missing subcommand (ping, stats, metrics, trace, ddm, eeprom, slots, table-add, table-del, table-get, table-dump, ternary-add, ternary-clear, counter, meter-set, reg-read, reg-write, compile, push, reboot, fleet-ping, fleet-stats, fleet-push)")
 	}
 	cmd, rest := rest[0], rest[1:]
 
@@ -303,10 +307,19 @@ func fleetCmd(cmd string, args []string, out io.Writer) error {
 		return fmt.Errorf("fleet commands need -addrs host:port,host:port,...")
 	}
 	fleet := mgmt.NewFleet()
+	var unreachable []mgmt.Outcome
+	seen := map[string]bool{}
 	for _, addr := range strings.Split(*addrs, ",") {
 		addr = strings.TrimSpace(addr)
+		if seen[addr] {
+			continue // one module, one outcome
+		}
+		seen[addr] = true
 		tr, err := mgmt.Dial(addr)
-		check(err)
+		if err != nil {
+			unreachable = append(unreachable, mgmt.Outcome{Name: addr, Err: err})
+			continue
+		}
 		defer tr.Close()
 		fleet.Add(addr, tr)
 	}
@@ -335,14 +348,17 @@ func fleetCmd(cmd string, args []string, out io.Writer) error {
 		blob, err := os.ReadFile(*file)
 		check(err)
 		outcomes = fleet.PushAll(blob, *slot, *reboot)
-		for _, o := range mgmt.Failures(outcomes) {
-			fmt.Fprintf(out, "%s: FAILED: %v\n", o.Name, o.Err)
-		}
 	default:
 		return fmt.Errorf("unknown fleet subcommand %q (fleet-ping, fleet-stats, fleet-push)", cmd)
 	}
+	outcomes = append(outcomes, unreachable...)
+	slices.SortFunc(outcomes, func(a, b mgmt.Outcome) int { return strings.Compare(a.Name, b.Name) })
+	fails := mgmt.Failures(outcomes)
+	for _, o := range fails {
+		fmt.Fprintf(out, "%s: FAILED: %v\n", o.Name, o.Err)
+	}
 	fmt.Fprintln(out, mgmt.Summary(outcomes))
-	if fails := mgmt.Failures(outcomes); len(fails) > 0 {
+	if len(fails) > 0 {
 		return fmt.Errorf("%s: %d of %d modules failed", cmd, len(fails), len(outcomes))
 	}
 	return nil

@@ -262,6 +262,36 @@ func TestFleetCommandsFailOnAnyMember(t *testing.T) {
 	}
 }
 
+// TestFleetDeadMemberFailsOnlyItself: a module whose port refuses the
+// connection is that module's failure. The live module is still served,
+// both get a line, the summary counts them, and the command fails. An
+// address listed twice is one module.
+func TestFleetDeadMemberFailsOnlyItself(t *testing.T) {
+	live := startDaemon(t, daemon.Config{Name: "fleet-live"}).Addr()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	for _, c := range []struct{ cmd, addrs, line string }{
+		{"fleet-ping", live + "," + dead, live + `: module "fleet-live"`},
+		{"fleet-stats", dead + "," + live + "," + dead, live + ": app=nat"},
+	} {
+		var buf strings.Builder
+		err := run([]string{c.cmd, "-addrs", c.addrs}, &buf)
+		out := buf.String()
+		if err == nil || !strings.Contains(err.Error(), "1 of 2 modules failed") {
+			t.Errorf("%s with a dead member: err=%v, want 1 of 2 modules failed", c.cmd, err)
+		}
+		for _, want := range []string{c.line, dead + ": FAILED:", "1 ok, 1 failed of 2 modules"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s with a dead member printed %q, want a line with %q", c.cmd, out, want)
+			}
+		}
+	}
+}
+
 // TestSilentModuleTimesOut points ctl at a listener that accepts and
 // reads requests but never answers: the single-module and the fleet
 // commands must fail on the request deadline rather than block.

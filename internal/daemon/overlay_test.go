@@ -8,10 +8,15 @@ package daemon
 import (
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flexsfp/internal/apps"
 	"flexsfp/internal/mgmt"
+	"flexsfp/internal/overlay"
 )
 
 // startMeshDaemon boots one overlay endpoint. Cable 0 hosts the
@@ -152,5 +157,118 @@ func TestDaemonOverlayThreeCables(t *testing.T) {
 		if got := meshPeers(t, d); len(got) != 1 {
 			t.Fatalf("cable-%d datapath still holds %d peers", i, len(got))
 		}
+	}
+}
+
+// TestOverlaySyncLoop runs the background sync on a short tick against a
+// rendezvous the test serves, takes down and brings back: a generation
+// change is logged once, a sync against the down rendezvous is logged and
+// retried on the next tick, and the loop converges on the generation the
+// rendezvous reached while it was down.
+func TestOverlaySyncLoop(t *testing.T) {
+	rdv := overlay.NewRendezvous()
+	var syncs atomic.Int64 // requests the rendezvous answered
+	handle := func(req []byte) []byte {
+		syncs.Add(1)
+		return rdv.Handle(req)
+	}
+	srv := mgmt.NewServer(handle)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close() }()
+
+	var mu sync.Mutex
+	var lines []string
+	logged := func(substr string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, l := range lines {
+			if strings.Contains(l, substr) {
+				n++
+			}
+		}
+		return n
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				mu.Lock()
+				defer mu.Unlock()
+				t.Fatalf("no %s within 5 s; log:\n%s", what, strings.Join(lines, "\n"))
+			}
+		}
+	}
+	// quiet waits out three more answered syncs, so a line logged on every
+	// tick would show.
+	quiet := func() {
+		t.Helper()
+		n := syncs.Load()
+		waitFor("three more syncs", func() bool { return syncs.Load() >= n+3 })
+	}
+
+	d, err := Start(Config{
+		Listen: "127.0.0.1:0", Name: "cable-0", DeviceID: 1, App: "mesh", Shell: "two-way-core",
+		Overlay: &OverlayConfig{
+			Join: addr, IP: "10.254.0.1", Prefixes: []string{"10.200.1.0/24"},
+			SyncEvery: 2 * time.Millisecond,
+		},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	peers := mgmt.NewClient(mgmt.TransportFunc(func(req []byte) ([]byte, error) { return rdv.Handle(req), nil }))
+	register := func(i int) {
+		t.Helper()
+		if _, err := peers.OverlayRegister(mgmt.OverlayEndpoint{
+			Name: fmt.Sprintf("cable-%d", i), IP: [4]byte{10, 254, 0, byte(i + 1)},
+			MAC: [6]byte{0x02, 0xcc, 0, 0, 0, byte(i + 1)}, Mode: apps.MeshModeGRE,
+			Prefixes: []mgmt.OverlayPrefix{{IP: [4]byte{10, 200, byte(i + 1), 0}, Len: 24}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	generation := func(g int) string { return fmt.Sprintf("synced to generation %d ", g) }
+
+	// The daemon's own registration is generation 1, a second cable's 2.
+	waitFor("generation 1", func() bool { return logged(generation(1)) > 0 })
+	register(1)
+	waitFor("generation 2", func() bool { return logged(generation(2)) > 0 })
+	quiet()
+	for g := 1; g <= 2; g++ {
+		if n := logged(generation(g)); n != 1 {
+			t.Errorf("generation %d logged %d times, want once", g, n)
+		}
+	}
+	if n := logged("overlay sync:"); n != 0 {
+		t.Fatalf("%d failed syncs logged while the rendezvous was up", n)
+	}
+
+	// Down: a third cable registers meanwhile, and every tick fails.
+	srv.Close()
+	register(2)
+	waitFor("failed sync retried on the next tick", func() bool { return logged("overlay sync:") >= 2 })
+
+	// Back on the same address: the next tick converges.
+	srv = mgmt.NewServer(handle)
+	if _, err := srv.Listen(addr); err != nil {
+		t.Fatalf("rendezvous back on %s: %v", addr, err)
+	}
+	waitFor("generation 3", func() bool { return logged(generation(3)) > 0 })
+	quiet()
+	if n := logged(generation(3)); n != 1 {
+		t.Errorf("generation 3 logged %d times, want once", n)
+	}
+	if got := meshPeers(t, d); len(got) != 2 {
+		t.Errorf("datapath holds %d mesh peers after the rendezvous came back, want 2", len(got))
 	}
 }

@@ -1,10 +1,14 @@
 package daemon
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/faults"
@@ -18,11 +22,11 @@ import (
 // A/B slot state machine, signature verification, and a per-member fault
 // injector driving the chaos a real OTA wave would see. A member is one
 // flat value: the injector (with its 8-byte lane stream) is embedded, and
-// the config and images are shared by the fleet. It costs ≈390 B to build
-// (measured: the struct, four slots and the name) and no allocation of
-// its own, so 100k of them are ≈39 MB and 1M ≈390 MB, which is what lets
-// the fleet_ota experiment exercise the controller at the paper's
-// deployment scale.
+// the config, the verified-image memo and the images are shared by the
+// fleet. It costs ≈390 B to build (measured: the struct, four slots and
+// the name) and no allocation of its own, so 100k of them are ≈39 MB and
+// 1M ≈390 MB, which is what lets the fleet_ota experiment exercise the
+// controller at the paper's deployment scale.
 //
 // A SimMember is driven by exactly one shard worker at a time (the
 // FleetMember contract), so it carries no locks; its randomness comes
@@ -31,7 +35,7 @@ import (
 type SimMember struct {
 	name string
 	inj  faults.Injector
-	cfg  *SimMemberConfig // shared by the fleet; never written
+	cfg  *simShared // shared by the fleet
 
 	// slots[i] holds slot i's signed image; a power-cut slot keeps its
 	// bytes but is marked unbootable.
@@ -91,10 +95,17 @@ type SimMemberConfig struct {
 	LateWedgeProb float64
 }
 
-// init sets up a zero member over the caller's slot array and config. It
-// takes goodImage's already-verified version, so a fleet that shares one
-// image verifies it once, not once per member.
-func (m *SimMember) init(name string, inj faults.Injector, cfg *SimMemberConfig, slots []simSlot, startSlot int, goodImage []byte, version uint32) {
+// simShared is what a fleet's members share: the config, never written,
+// and the memo of images that passed verification.
+type simShared struct {
+	SimMemberConfig
+	memo verifiedMemo
+}
+
+// init sets up a zero member over the caller's slot array and shared
+// state. It takes goodImage's already-verified version, so a fleet that
+// shares one image verifies it once, not once per member.
+func (m *SimMember) init(name string, inj faults.Injector, cfg *simShared, slots []simSlot, startSlot int, goodImage []byte, version uint32) {
 	*m = SimMember{
 		name:       name,
 		inj:        inj,
@@ -117,6 +128,77 @@ func imageVersion(signed, key []byte) (version uint32, ok bool) {
 	}
 	version, err = bitstream.Check(body)
 	return version, err == nil
+}
+
+// verifiedMemo answers imageVersion for images that already passed it.
+// Each entry is immutable and holds private copies of an image that
+// verified and of its key, so a hit needs the slot's bytes to equal the
+// copy byte for byte: a slot rewritten in place after a good boot misses
+// and is verified again, and no verdict is ever tied to a slice. Only
+// passing verdicts are stored (a failing image is hashed in full every
+// time), and the small table is replaced whole on a store, so shard
+// workers read it without a lock.
+type verifiedMemo struct {
+	mu     sync.Mutex // serializes stores
+	tab    atomic.Pointer[memoTable]
+	misses atomic.Uint64 // full verifications run
+}
+
+// memoTable holds a rollout's live passing images: the running one, the
+// target and a stale re-signed copy, with one entry to spare. Entries are
+// replaced round-robin.
+type memoTable struct {
+	entries [4]*memoEntry
+	next    int
+}
+
+type memoEntry struct {
+	img, key []byte
+	version  uint32
+}
+
+// version returns imageVersion(img, key), from the memo when an entry
+// holds the same bytes under the same key.
+func (v *verifiedMemo) version(img, key []byte) (uint32, bool) {
+	if e := v.tab.Load().find(img, key); e != nil {
+		return e.version, true
+	}
+	v.misses.Add(1)
+	version, ok := imageVersion(img, key)
+	if ok {
+		v.store(img, key, version)
+	}
+	return version, ok
+}
+
+// find returns the entry holding img under key, or nil.
+func (t *memoTable) find(img, key []byte) *memoEntry {
+	if t == nil {
+		return nil
+	}
+	for _, e := range t.entries {
+		if e != nil && bytes.Equal(img, e.img) && subtle.ConstantTimeCompare(key, e.key) == 1 {
+			return e
+		}
+	}
+	return nil
+}
+
+// store publishes a copy of a verified image unless an entry already
+// holds it (another worker may have verified the same bytes meanwhile).
+func (v *verifiedMemo) store(img, key []byte, version uint32) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var t memoTable
+	if old := v.tab.Load(); old != nil {
+		if old.find(img, key) != nil {
+			return
+		}
+		t = *old
+	}
+	t.entries[t.next] = &memoEntry{img: bytes.Clone(img), key: bytes.Clone(key), version: version}
+	t.next = (t.next + 1) % len(t.entries)
+	v.tab.Store(&t)
 }
 
 // Name implements FleetMember.
@@ -255,15 +337,16 @@ func (m *SimMember) boot(slot int, fresh bool) uint64 {
 
 // slotBootable verifies a slot the way the boot ROM would — bytes present,
 // no power-cut scar, signature and CRC valid — and returns the image's
-// AppVersion for the caller's freshness check. The fast path (identical
-// bytes to a previously verified image) is skipped on purpose:
-// verification cost is charged to simBootNs either way.
+// AppVersion for the caller's freshness check. The verdict comes from the
+// fleet's memo when the slot holds, byte for byte, an image that already
+// passed under the same key; anything else is verified in full. The
+// modelled verification cost is charged to simBootNs either way.
 func (m *SimMember) slotBootable(slot int) (version uint32, ok bool) {
 	s := m.slots[slot]
 	if len(s.img) == 0 || !s.ok {
 		return 0, false
 	}
-	return imageVersion(s.img, m.cfg.Key)
+	return m.cfg.memo.version(s.img, m.cfg.Key)
 }
 
 // Reboot implements FleetMember: boot into slot (the rollback path).
@@ -306,8 +389,9 @@ func (m *SimMember) Wedged() bool {
 func (m *SimMember) ActiveSlot() int { return m.activeSlot }
 
 // ActiveVersion re-verifies the active slot and returns the AppVersion of
-// the image in it — ground truth read from the slot's bytes, not the
-// version remembered at boot. ok is false when the slot fails verification.
+// the image in it — ground truth read from the slot's bytes as they are
+// now (through the fleet's content-compared memo), not the version
+// remembered at boot. ok is false when the slot fails verification.
 func (m *SimMember) ActiveVersion() (version uint32, ok bool) {
 	return m.slotBootable(m.activeSlot)
 }
@@ -370,10 +454,12 @@ func (m *SimMember) Telemetry(dst *telemetry.Snapshot) error {
 // running in startSlot, each with its own injector derived from parent
 // (lane = member index). Deterministic for a fixed parent seed. The
 // members, their slots and their names are each carved from one array,
-// every member embeds its injector and points at one copy of cfg, so the
-// build allocates nothing per member.
+// every member embeds its injector and points at one copy of cfg and one
+// verified-image memo, so the build allocates nothing per member. The
+// build's own verification of goodImage seeds the memo.
 func BuildSimFleet(n int, parent *faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) []FleetMember {
-	version, _ := imageVersion(goodImage, cfg.Key)
+	shared := &simShared{SimMemberConfig: cfg}
+	version, _ := shared.memo.version(goodImage, cfg.Key)
 	slots = max(slots, 2)
 	sims := make([]SimMember, n)
 	slotArr := make([]simSlot, n*slots)
@@ -386,7 +472,7 @@ func BuildSimFleet(n int, parent *faults.Injector, cfg SimMemberConfig, slots, s
 		// each name is a substring of one backing array.
 		off := names.Len()
 		names.Write(appendSimName(name[:0], i))
-		sims[i].init(names.String()[off:], parent.Derive(uint64(i)), &cfg,
+		sims[i].init(names.String()[off:], parent.Derive(uint64(i)), shared,
 			slotArr[i*slots:(i+1)*slots:(i+1)*slots], startSlot, goodImage, version)
 		ms[i] = &sims[i]
 	}

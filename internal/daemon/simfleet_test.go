@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"flexsfp/internal/bitstream"
@@ -19,9 +21,10 @@ import (
 // slot startSlot. inj is the member's private injector (typically
 // parent.Derive(lane)).
 func NewSimMember(name string, inj faults.Injector, cfg SimMemberConfig, slots, startSlot int, goodImage []byte) *SimMember {
-	version, _ := imageVersion(goodImage, cfg.Key)
+	shared := &simShared{SimMemberConfig: cfg}
+	version, _ := shared.memo.version(goodImage, cfg.Key)
 	m := new(SimMember)
-	m.init(name, inj, &cfg, make([]simSlot, max(slots, 2)), startSlot, goodImage, version)
+	m.init(name, inj, shared, make([]simSlot, max(slots, 2)), startSlot, goodImage, version)
 	return m
 }
 
@@ -90,8 +93,8 @@ func TestSimNameMatchesSprintf(t *testing.T) {
 	}
 }
 
-// TestSimMemberPushZeroAlloc: a clean push, its boot (which re-verifies
-// the image) and the health read allocate nothing.
+// TestSimMemberPushZeroAlloc: a clean push, its boot (which judges the
+// image through the fleet's memo) and the health read allocate nothing.
 func TestSimMemberPushZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -243,4 +246,129 @@ func TestSimMemberRefusesDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	running(1, 9) // the rollback lowered the floor with it
+}
+
+// memoKeys are the keys the memo tests look images up under: the fleet's,
+// and a second one that must never share a verdict with it.
+var memoKeys = [][]byte{simKey, []byte("fleet-ota-key-2")}
+
+// memoPool is what the memo tests look up: the two fleet images, each
+// faults.TamperSigned mode of the target, a truncated copy, the target
+// signed under the second key, and five more passing versions, so a
+// memo's four entries are evicted.
+func memoPool(t testing.TB) [][]byte {
+	t.Helper()
+	old, target := simImage(t, 3), simImage(t, 9)
+	body, err := bitstream.Verify(target, simKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New(1, faults.Rates{})
+	pool := [][]byte{old, target}
+	for mode := faults.TamperCRC; mode <= faults.TamperStale; mode++ {
+		pool = append(pool, inj.TamperSigned(target, simKey, mode))
+	}
+	pool = append(pool, target[:len(target)-1], bitstream.Sign(body, memoKeys[1]))
+	for v := uint32(10); v < 15; v++ {
+		pool = append(pool, simImage(t, v))
+	}
+	return pool
+}
+
+// checkMemo looks img up through the memo and holds the answer to
+// imageVersion's on the same bytes and key.
+func checkMemo(t testing.TB, memo *verifiedMemo, img, key []byte) {
+	gotV, gotOK := memo.version(img, key)
+	if wantV, wantOK := imageVersion(img, key); gotV != wantV || gotOK != wantOK {
+		t.Errorf("memo says (%d, %v) for a %d-byte image under key %q, imageVersion says (%d, %v)",
+			gotV, gotOK, len(img), key, wantV, wantOK)
+	}
+}
+
+// FuzzVerifiedMemoVsImageVersion runs a byte-chosen sequence of operations
+// through one memo, two bytes (op, arg) each. An even op looks up pool
+// image arg (one past the pool is a private copy of the target) under key
+// op>>1&1; an odd op flips bit op>>1&7 of that private copy in place, at a
+// position scaled from arg. Every lookup must answer what imageVersion
+// answers.
+func FuzzVerifiedMemoVsImageVersion(f *testing.F) {
+	pool := memoPool(f)
+	const own = 13 // the private copy's index; memoPool holds 13 images
+	if len(pool) != own {
+		f.Fatalf("memoPool holds %d images, want %d", len(pool), own)
+	}
+	// A payload byte, flipped after the copy has hit.
+	f.Add([]byte{0, 1, 0, own, 1, 100, 0, own, 0, 1})
+	// The target under the second key, and the second key's image under the
+	// first.
+	f.Add([]byte{0, 1, 2, 1, 2, 8, 0, 8})
+	// A failing image, looked up twice.
+	f.Add([]byte{0, 2, 0, 2, 0, 4, 0, 4, 0, 3, 0, 3, 0, 7, 0, 7})
+	// Eviction: six passing images, then the first two again.
+	f.Add([]byte{0, 0, 0, 1, 0, 9, 0, 10, 0, 11, 0, 12, 0, 5, 0, 0, 0, 1, 2, 8})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var memo verifiedMemo
+		mine := bytes.Clone(pool[1])
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], int(ops[i+1])
+			if op&1 == 1 {
+				mine[arg*len(mine)/256] ^= 1 << (op >> 1 & 7)
+				continue
+			}
+			img := mine
+			if k := arg % (own + 1); k < own {
+				img = pool[k]
+			}
+			checkMemo(t, &memo, img, memoKeys[op>>1&1])
+		}
+	})
+}
+
+// TestVerifiedMemoConcurrent: shard workers share a fleet's memo. Eight
+// goroutines look up passing, failing and second-key images at once (the
+// passing ones outnumber the entries, so stores and evictions race with
+// lookups), and every answer is imageVersion's.
+func TestVerifiedMemoConcurrent(t *testing.T) {
+	pool := memoPool(t)
+	var memo verifiedMemo
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 * len(pool) {
+				checkMemo(t, &memo, pool[(i+g)%len(pool)], memoKeys[(i/len(pool)+g)%2])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSimRolloutVerifiesPerImage counts full verifications over
+// TestSimRolloutReportPinned's rollout. Each shard worker verifies a
+// passing image in full at most once (the memo holds every one a rollout
+// keeps live: the old image, the target and the target's stale re-signed
+// copy), and a boot that falls back verifies at most two failing images:
+// the slot it tried and the slot it returns to. Without the memo every
+// boot verifies in full.
+func TestSimRolloutVerifiesPerImage(t *testing.T) {
+	const shards, passing = 8, 3
+	members, img := chaosFleet(t, 5000, 23)
+	NewFleetController(FleetConfig{
+		Shards: shards, TargetSlot: 2, Canaries: 4, WaveSize: 64, Bake: true,
+		MaxFailureFrac: 0.5, GlobalMaxFailureFrac: 0.8,
+		WaveCost: slowestPush,
+	}, members).Rollout(img)
+	var boots, fallbacks uint64
+	for _, fm := range members {
+		m := fm.(*SimMember)
+		boots += m.boots
+		fallbacks += m.fallbacks
+	}
+	misses := members[0].(*SimMember).cfg.memo.misses.Load()
+	t.Logf("%d boots, %d fallbacks, %d full verifications", boots, fallbacks, misses)
+	if bound := 2*fallbacks + shards*passing; misses > bound {
+		t.Errorf("%d full verifications over %d boots, want at most 2×%d fallbacks + %d×%d images = %d",
+			misses, boots, fallbacks, shards, passing, bound)
+	}
 }
