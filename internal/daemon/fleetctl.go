@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"flexsfp/internal/mgmt"
@@ -271,27 +271,49 @@ type FleetController struct {
 	cfg    FleetConfig
 	shards []*fleetShard
 	health func(FleetMember) error
+	order  []memberRef // every member, in name order
+}
+
+// memberRef is one member, where its shard keeps it, and its name (read
+// once, to sort by).
+type memberRef struct {
+	name     string
+	m        FleetMember
+	shard, i int32 // m is c.shards[shard].members[i]
 }
 
 // NewFleetController partitions members over cfg.Shards worker shards by
-// ShardFor of their (unique) names. Members are sorted by name first, so
-// shard composition and wave order are independent of input order. The
-// member set is fixed here — there is no Add or Remove — so every wave,
-// gate and rollback of a Rollout addresses exactly these members.
+// ShardFor of their names, which must be unique: it panics naming a
+// duplicate. Members are sorted by name first, so shard composition and
+// wave order are independent of input order. The member set is fixed
+// here — there is no Add or Remove — so every wave, gate and rollback of
+// a Rollout addresses exactly these members.
 func NewFleetController(cfg FleetConfig, members []FleetMember) *FleetController {
 	cfg.setDefaults()
-	sorted := append([]FleetMember(nil), members...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name() < sorted[j].Name() })
-	c := &FleetController{cfg: cfg, shards: make([]*fleetShard, cfg.Shards)}
+	// Each Name is read once, here, not on every comparison of the sort.
+	order := make([]memberRef, len(members))
+	for i, m := range members {
+		name := m.Name()
+		order[i] = memberRef{name: name, m: m, shard: int32(ShardFor(name, cfg.Shards))}
+	}
+	slices.SortFunc(order, func(a, b memberRef) int { return strings.Compare(a.name, b.name) })
+	c := &FleetController{cfg: cfg, shards: make([]*fleetShard, cfg.Shards), order: order}
+	counts := make([]int, cfg.Shards)
+	for i := range order {
+		if i > 0 && order[i].name == order[i-1].name {
+			panic(fmt.Sprintf("daemon: fleet member name %q is not unique", order[i].name))
+		}
+		counts[order[i].shard]++
+	}
 	for i := range c.shards {
-		c.shards[i] = &fleetShard{index: i}
+		c.shards[i] = &fleetShard{index: i,
+			members: make([]FleetMember, 0, counts[i]), prev: make([]int, counts[i])}
 	}
-	for _, m := range sorted {
-		s := c.shards[ShardFor(m.Name(), cfg.Shards)]
-		s.members = append(s.members, m)
-	}
-	for _, s := range c.shards {
-		s.prev = make([]int, len(s.members))
+	for g := range order {
+		r := &order[g]
+		s := c.shards[r.shard]
+		r.i = int32(len(s.members))
+		s.members = append(s.members, r.m)
 	}
 	c.health = cfg.HealthCheck
 	if c.health == nil {
@@ -317,13 +339,30 @@ func NewFleetController(cfg FleetConfig, members []FleetMember) *FleetController
 // its shard exclusively; the controller goroutine resumes only after
 // every shard returns (the wave barrier).
 func (c *FleetController) parallelShards(fn func(s *fleetShard)) {
+	parallel(len(c.shards), func(k int) { fn(c.shards[k]) })
+}
+
+// parallelOrder cuts the members, in name order, into one contiguous run
+// per shard and runs fn(k, run k) for each, concurrently. It serves the
+// passes that visit every member once and whose result does not depend
+// on which worker visits whom: the preflight and the telemetry fold.
+// BuildSimFleet lays its members out in name order, so each run is one
+// stretch of memory that the hardware prefetches; a shard's own members
+// are scattered over the whole fleet.
+func (c *FleetController) parallelOrder(fn func(k int, run []memberRef)) {
+	n := len(c.shards)
+	parallel(n, func(k int) { fn(k, c.order[k*len(c.order)/n:(k+1)*len(c.order)/n]) })
+}
+
+// parallel runs fn(0) … fn(n-1) concurrently and returns once all have.
+func parallel(n int, fn func(k int)) {
 	var wg sync.WaitGroup
-	for _, s := range c.shards {
+	for k := range n {
 		wg.Add(1)
-		go func(s *fleetShard) {
+		go func() {
 			defer wg.Done()
-			fn(s)
-		}(s)
+			fn(k)
+		}()
 	}
 	wg.Wait()
 }
@@ -336,12 +375,13 @@ func (c *FleetController) parallelShards(fn func(s *fleetShard)) {
 // function of the members' behavior, independent of goroutine timing.
 func (c *FleetController) Rollout(signed []byte) FleetReport {
 	// Pre-flight: record every member's active slot for rollback.
-	c.parallelShards(func(s *fleetShard) {
-		for i, m := range s.members {
-			s.prev[i] = -1
-			if st, err := m.Stats(); err == nil {
-				s.prev[i] = st.ActiveSlot
+	c.parallelOrder(func(_ int, run []memberRef) {
+		for _, r := range run {
+			prev := -1
+			if st, err := r.m.Stats(); err == nil {
+				prev = st.ActiveSlot
 			}
+			c.shards[r.shard].prev[r.i] = prev
 		}
 	})
 
@@ -581,27 +621,30 @@ type FoldStats struct {
 	SnapErrs int `json:"snap_errs,omitempty"`
 }
 
-// AggregateTelemetry folds the fleet's telemetry hierarchically: every
-// shard worker folds its own members' snapshots into a per-shard
-// telemetry.Fold in parallel, then the global merge combines the W
-// folds. The global layer receives only folds — by construction it
-// cannot touch per-module state, so its cost scales with W and the
-// metric-name cardinality, not with fleet size. Not safe to call
-// concurrently with Rollout (both drive the members).
+// AggregateTelemetry folds the fleet's telemetry hierarchically: W
+// workers, one per shard, each fold one run of the members in name order
+// (parallelOrder) into a telemetry.Fold in parallel, then the global
+// merge combines the W folds. Counters and histograms are integer sums,
+// so which worker folds which member cannot move them
+// (FuzzFoldMergeMatchesFlat); float gauge sums depend on the order, which
+// the names and W fix. The global layer receives only folds — by
+// construction it cannot touch per-module state, so its cost scales with
+// W and the metric-name cardinality, not with fleet size. Not safe to
+// call concurrently with Rollout (both drive the members).
 func (c *FleetController) AggregateTelemetry() (telemetry.Snapshot, FoldStats) {
 	folds := make([]*telemetry.Fold, len(c.shards))
 	errs := make([]int, len(c.shards))
-	c.parallelShards(func(s *fleetShard) {
+	c.parallelOrder(func(k int, run []memberRef) {
 		f := telemetry.NewFold()
-		var snap telemetry.Snapshot // refilled by every member of the shard
-		for _, m := range s.members {
-			if err := m.Telemetry(&snap); err != nil {
-				errs[s.index]++
+		var snap telemetry.Snapshot // refilled by every member of the run
+		for _, r := range run {
+			if err := r.m.Telemetry(&snap); err != nil {
+				errs[k]++
 				continue
 			}
 			f.Add(snap)
 		}
-		folds[s.index] = f
+		folds[k] = f
 	})
 
 	global := telemetry.NewFold()

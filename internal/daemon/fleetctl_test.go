@@ -1,10 +1,14 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"flexsfp/internal/apps"
@@ -449,6 +453,87 @@ func TestSimRolloutDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(snap1, snap2) {
 		t.Error("aggregated telemetry differs across identical runs")
 	}
+}
+
+// TestRolloutIndependentOfInputOrder: the controller sorts its members by
+// name, so TestSimRolloutDeterministic's fleet passed in index order (the
+// order BuildSimFleet returns, already sorted), reversed and shuffled gives byte-identical reports and aggregated telemetry.
+func TestRolloutIndependentOfInputOrder(t *testing.T) {
+	orders := []struct {
+		name    string
+		reorder func([]FleetMember)
+	}{
+		{"index", func([]FleetMember) {}},
+		{"reversed", slices.Reverse[[]FleetMember]},
+		{"shuffled", func(ms []FleetMember) {
+			rand.New(rand.NewSource(3)).Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+		}},
+	}
+	var wantRep, wantSnap []byte
+	for _, o := range orders {
+		members, img := chaosFleet(t, 1000, 7)
+		o.reorder(members)
+		c := NewFleetController(FleetConfig{
+			Shards: 8, TargetSlot: 2, Canaries: 4, WaveSize: 32, Bake: true,
+			MaxFailureFrac: 0.5, GlobalMaxFailureFrac: 0.8,
+			WaveCost: slowestPush,
+		}, members)
+		rep, err := json.Marshal(c.Rollout(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, _ := c.AggregateTelemetry()
+		snap, err := json.Marshal(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRep == nil {
+			wantRep, wantSnap = rep, snap
+			continue
+		}
+		if !bytes.Equal(rep, wantRep) {
+			t.Errorf("%s input order: report differs from index order's:\n%s\n%s", o.name, rep, wantRep)
+		}
+		if !bytes.Equal(snap, wantSnap) {
+			t.Errorf("%s input order: aggregated telemetry differs from index order's", o.name)
+		}
+	}
+}
+
+// TestNewFleetControllerAllocs: the constructor counts each shard's
+// members before it fills the shard, so its allocation count is the same
+// at 1 000 and 4 000 members, sorted input or not.
+func TestNewFleetControllerAllocs(t *testing.T) {
+	allocs := func(n int, reversed bool) float64 {
+		members, _ := chaosFleet(t, n, 5)
+		if reversed {
+			slices.Reverse(members)
+		}
+		return testing.AllocsPerRun(5, func() {
+			NewFleetController(FleetConfig{Shards: 8, TargetSlot: 2}, members)
+		})
+	}
+	for _, reversed := range []bool{false, true} {
+		small, large := allocs(1_000, reversed), allocs(4_000, reversed)
+		t.Logf("reversed=%v: %v allocations at 1k members, %v at 4k", reversed, small, large)
+		if large > small {
+			t.Errorf("reversed=%v: NewFleetController makes %v allocations at 4k members, %v at 1k; want no more", reversed, large, small)
+		}
+	}
+}
+
+// TestNewFleetControllerRejectsDuplicateNames: names key the shard hash
+// and the report, so two members under one name panic, naming it.
+func TestNewFleetControllerRejectsDuplicateNames(t *testing.T) {
+	fakes := buildFakes(5)
+	fakes[3].name = fakes[1].name
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"cable-0001"`) {
+			t.Errorf("recovered %q, want a panic naming cable-0001", msg)
+		}
+	}()
+	NewFleetController(FleetConfig{Shards: 2}, asMembers(fakes))
 }
 
 // TestSimPushBackoffDeterministic pins satellite 4's re-push path: the

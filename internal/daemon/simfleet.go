@@ -23,45 +23,54 @@ import (
 // injector driving the chaos a real OTA wave would see. A member is one
 // flat value: the injector (with its 8-byte lane stream) is embedded, and
 // the config, the verified-image memo and the images are shared by the
-// fleet. It costs ≈390 B to build (measured: the struct, four slots and
-// the name) and no allocation of its own, so 100k of them are ≈39 MB and
-// 1M ≈390 MB, which is what lets the fleet_ota experiment exercise the
+// fleet. It costs ≈380 B to build (measured: the struct, four slots and
+// the name) and no allocation of its own, so 100k of them are ≈38 MB and
+// 1M ≈380 MB, which is what lets the fleet_ota experiment exercise the
 // controller at the paper's deployment scale.
 //
 // A SimMember is driven by exactly one shard worker at a time (the
 // FleetMember contract), so it carries no locks; its randomness comes
 // from its own derived injector, making the whole fleet's behavior a
 // pure function of the root seed.
+//
+// Field order is part of the cost model. A controller pass (preflight,
+// bake, fold) touches each member once, cold, and reads only what Stats
+// and Telemetry read; those fields come first and fit one 64-byte span
+// (TestSimMemberHotSpan), so such a pass reads one span of each member,
+// not the two or three lines those fields spread over when they were
+// scattered through the struct. The span is one cache line only for
+// every other member of BuildSimFleet's array: at 224 B, an odd-indexed
+// member's span starts 32 bytes into a line and crosses into the next.
 type SimMember struct {
+	// The hot span: everything Stats and Telemetry read.
+	statsReads int
+	activeSlot int
+	boots      uint64
+	fallbacks  uint64
+	pushes     uint64
+	retries    uint64
+	costNs     uint64 // accumulated simulated time across all ops
+	running    bool
+	// wedged marks a member that booted the target image but hung;
+	// lateWedged only manifests from the second Stats read after boot
+	// (the failure mode the inter-wave bake exists to catch).
+	wedged     bool
+	lateWedged bool
+	// version is the AppVersion of the image running from activeSlot,
+	// remembered when the slot boots: what a pushed image must not be
+	// older than. It fills the span's last four bytes.
+	version uint32
+
 	name string
 	inj  faults.Injector
 	cfg  *simShared // shared by the fleet
 
 	// slots[i] holds slot i's signed image; a power-cut slot keeps its
 	// bytes but is marked unbootable.
-	slots      []simSlot
-	activeSlot int
-	running    bool
-	// version is the AppVersion of the image running from activeSlot,
-	// remembered when the slot boots: what a pushed image must not be
-	// older than.
-	version uint32
+	slots []simSlot
 
-	// wedged marks a member that booted the target image but hung;
-	// lateWedged only manifests from the second Stats read after boot
-	// (the failure mode the inter-wave bake exists to catch).
-	wedged     bool
-	lateWedged bool
-	statsReads int
-
-	pushes    uint64
-	retries   uint64
-	boots     uint64
-	fallbacks uint64
-	tampered  uint64
-	powerCuts uint64
-
-	costNs     uint64 // accumulated simulated time across all ops
+	tampered   uint64
+	powerCuts  uint64
 	lastOpCost uint64 // simulated cost of the most recent Push/Reboot
 }
 
@@ -366,18 +375,15 @@ func (m *SimMember) Reboot(slot int) error {
 // stats path retries internally); a late-wedged member reports healthy
 // on the first read after boot and hung from the second — which is
 // exactly what an inter-wave bake exists to catch.
-func (m *SimMember) Stats() (mgmt.Stats, error) {
+func (m *SimMember) Stats() (st mgmt.Stats, err error) {
+	// Filled field by field: a composite literal would build the whole
+	// mgmt.Stats in a temporary and copy it out.
 	m.statsReads++
-	running := m.running && !m.wedged
-	if m.lateWedged && m.statsReads > 1 {
-		running = false
-	}
-	return mgmt.Stats{
-		Running:         running,
-		ActiveSlot:      m.activeSlot,
-		Boots:           m.boots,
-		GoldenFallbacks: m.fallbacks,
-	}, nil
+	st.Running = m.running && !m.wedged && !(m.lateWedged && m.statsReads > 1)
+	st.ActiveSlot = m.activeSlot
+	st.Boots = m.boots
+	st.GoldenFallbacks = m.fallbacks
+	return st, nil
 }
 
 // Wedged reports whether the member is currently hung (for tests).
@@ -413,11 +419,23 @@ func (m *SimMember) bumpCost(ns uint64) {
 // modules' telemetry. It refills dst's slices in place, so folding a
 // fleet through one reused snapshot allocates nothing per member.
 func (m *SimMember) Telemetry(dst *telemetry.Snapshot) error {
-	var buckets []telemetry.BucketSnap
-	if len(dst.Histograms) > 0 {
-		buckets = dst.Histograms[0].Buckets[:0]
+	// Filled field by field, like Stats, so no whole snapshot or histogram
+	// is built in a temporary and copied out.
+	dst.Counters = append(dst.Counters[:0],
+		telemetry.CounterSnap{Name: "ota_boots", Value: m.boots},
+		telemetry.CounterSnap{Name: "ota_fallbacks", Value: m.fallbacks},
+		telemetry.CounterSnap{Name: "ota_pushes", Value: m.pushes},
+		telemetry.CounterSnap{Name: "ota_retries", Value: m.retries},
+	)
+	dst.Gauges = dst.Gauges[:0]
+	dst.TraceSeen, dst.TraceSampled = 0, 0
+	if len(dst.Histograms) != 1 {
+		dst.Histograms = append(dst.Histograms[:0], telemetry.HistogramSnap{})
 	}
-	buckets = append(buckets,
+	h := &dst.Histograms[0]
+	h.Name, h.Count, h.Sum = "ota_member_cost_ns", 1, m.costNs
+	h.Min, h.Max, h.Mean = m.costNs, m.costNs, float64(m.costNs)
+	h.Buckets = append(h.Buckets[:0],
 		telemetry.BucketSnap{UpperBound: uint64(netsim.Millisecond)},
 		telemetry.BucketSnap{UpperBound: uint64(10 * netsim.Millisecond)},
 		telemetry.BucketSnap{UpperBound: uint64(100 * netsim.Millisecond)},
@@ -425,27 +443,13 @@ func (m *SimMember) Telemetry(dst *telemetry.Snapshot) error {
 	)
 	switch {
 	case m.costNs <= uint64(netsim.Millisecond):
-		buckets[0].Count = 1
+		h.Buckets[0].Count = 1
 	case m.costNs <= uint64(10*netsim.Millisecond):
-		buckets[1].Count = 1
+		h.Buckets[1].Count = 1
 	case m.costNs <= uint64(100*netsim.Millisecond):
-		buckets[2].Count = 1
+		h.Buckets[2].Count = 1
 	default:
-		buckets[3].Count = 1
-	}
-	*dst = telemetry.Snapshot{
-		Counters: append(dst.Counters[:0],
-			telemetry.CounterSnap{Name: "ota_boots", Value: m.boots},
-			telemetry.CounterSnap{Name: "ota_fallbacks", Value: m.fallbacks},
-			telemetry.CounterSnap{Name: "ota_pushes", Value: m.pushes},
-			telemetry.CounterSnap{Name: "ota_retries", Value: m.retries},
-		),
-		Gauges: dst.Gauges[:0],
-		Histograms: append(dst.Histograms[:0], telemetry.HistogramSnap{
-			Name: "ota_member_cost_ns", Count: 1, Sum: m.costNs,
-			Min: m.costNs, Max: m.costNs, Mean: float64(m.costNs),
-			Buckets: buckets,
-		}),
+		h.Buckets[3].Count = 1
 	}
 	return nil
 }

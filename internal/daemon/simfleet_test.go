@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"flexsfp/internal/bitstream"
 	"flexsfp/internal/faults"
@@ -80,6 +81,43 @@ func TestBuildSimFleetBytesPerMember(t *testing.T) {
 	}
 	if perMember > 400 {
 		t.Errorf("BuildSimFleet allocates %.0f B per member, want <= 400", perMember)
+	}
+}
+
+// TestSimMemberHotSpan pins SimMember's field order: every field Stats
+// and Telemetry read lies in one 64-byte span from the first of them, so
+// a controller pass over a cold member reads that span, not fields spread
+// over two or three lines. It checks the span, not its alignment: in
+// BuildSimFleet's array an odd-indexed member's span crosses a line.
+func TestSimMemberHotSpan(t *testing.T) {
+	var m SimMember
+	hot := []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"statsReads", unsafe.Offsetof(m.statsReads), unsafe.Sizeof(m.statsReads)},
+		{"activeSlot", unsafe.Offsetof(m.activeSlot), unsafe.Sizeof(m.activeSlot)},
+		{"boots", unsafe.Offsetof(m.boots), unsafe.Sizeof(m.boots)},
+		{"fallbacks", unsafe.Offsetof(m.fallbacks), unsafe.Sizeof(m.fallbacks)},
+		{"pushes", unsafe.Offsetof(m.pushes), unsafe.Sizeof(m.pushes)},
+		{"retries", unsafe.Offsetof(m.retries), unsafe.Sizeof(m.retries)},
+		{"costNs", unsafe.Offsetof(m.costNs), unsafe.Sizeof(m.costNs)},
+		{"running", unsafe.Offsetof(m.running), unsafe.Sizeof(m.running)},
+		{"wedged", unsafe.Offsetof(m.wedged), unsafe.Sizeof(m.wedged)},
+		{"lateWedged", unsafe.Offsetof(m.lateWedged), unsafe.Sizeof(m.lateWedged)},
+	}
+	lo := hot[0].off
+	for _, f := range hot {
+		lo = min(lo, f.off)
+	}
+	for _, f := range hot {
+		if f.off+f.size > lo+64 {
+			t.Errorf("SimMember.%s lies at bytes [%d, %d), outside the hot span [%d, %d)",
+				f.name, f.off, f.off+f.size, lo, lo+64)
+		}
+	}
+	if size := unsafe.Sizeof(m); size > 224 {
+		t.Errorf("SimMember is %d B, want <= 224", size)
 	}
 }
 
